@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "nc/batch.hpp"
 
 namespace pap::admit {
@@ -10,15 +11,9 @@ namespace pap::admit {
 namespace {
 
 std::uint64_t mix_link(const core::PathLink& l) {
-  std::uint64_t key = (static_cast<std::uint64_t>(l.link.router) << 4) |
-                      (static_cast<std::uint64_t>(l.link.out) << 1) |
-                      (l.injection ? 1u : 0u);
-  key ^= key >> 30;
-  key *= 0xbf58476d1ce4e5b9ULL;
-  key ^= key >> 27;
-  key *= 0x94d049bb133111ebULL;
-  key ^= key >> 31;
-  return key;
+  return splitmix64_mix((static_cast<std::uint64_t>(l.link.router) << 4) |
+                        (static_cast<std::uint64_t>(l.link.out) << 1) |
+                        (l.injection ? 1u : 0u));
 }
 
 std::string saturated_msg(const std::string& newcomer,

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/hash.hpp"
+
 namespace pap {
 
 class Rng {
@@ -18,10 +20,7 @@ class Rng {
     std::uint64_t x = seed;
     for (auto& word : s_) {
       x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      word = z ^ (z >> 31);
+      word = splitmix64_mix(x);
     }
   }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "nc/service.hpp"
+#include "common/hash.hpp"
 
 namespace pap::core {
 
@@ -23,7 +23,7 @@ struct SmallCurve {
   nc::MutCurveView mut() { return nc::MutCurveView{x, y, s, 0, 2}; }
 };
 
-/// Mirror of nc::Curve::affine + construction normalize.
+/// nc::affine_view on stack storage.
 nc::CurveView affine_into(SmallCurve& buf, double value0, double slope) {
   nc::MutCurveView m = buf.mut();
   m.x[0] = 0.0;
@@ -34,7 +34,7 @@ nc::CurveView affine_into(SmallCurve& buf, double value0, double slope) {
   return m;
 }
 
-/// Mirror of nc::Curve::rate_latency + construction normalize.
+/// nc::rate_latency_view on stack storage.
 nc::CurveView rate_latency_into(SmallCurve& buf, double rate, double latency) {
   PAP_CHECK(rate >= 0.0 && latency >= 0.0);
   if (latency <= 0.0) return affine_into(buf, 0.0, rate);
@@ -48,6 +48,27 @@ nc::CurveView rate_latency_into(SmallCurve& buf, double rate, double latency) {
   m.n = 2;
   nc::normalize_view(&m);
   return m;
+}
+
+/// The delay bound of `req` given its residual NoC chain: the chain is
+/// convolved with the DRAM residual under the DRAM users of `flows` when
+/// req uses the DRAM (both are convex), then bounded by the horizontal
+/// deviation against req's token bucket.
+std::optional<Time> bound_over_chain(const E2eAnalysis& analysis,
+                                     const AppRequirement& req,
+                                     nc::CurveView chain,
+                                     const std::vector<AppRequirement>& flows,
+                                     nc::Arena& arena) {
+  nc::CurveView service = chain;
+  if (req.uses_dram) {
+    service = nc::convolve_view(arena, service,
+                                analysis.dram_service_view(req, flows, arena));
+  }
+  SmallCurve abuf;
+  const auto h = nc::h_deviation_view(
+      affine_into(abuf, req.traffic.burst, req.traffic.rate), service);
+  if (!h) return std::nullopt;
+  return Time::from_ns(*h);
 }
 
 }  // namespace
@@ -74,193 +95,6 @@ std::vector<PathLink> E2eAnalysis::links_of(const AppRequirement& req) const {
   return out;
 }
 
-nc::Curve E2eAnalysis::link_beta_flits(bool injection) const {
-  // In flit units: one flit per flit_time; router channels add the hop
-  // pipeline latency, the injection link only its own serialization start.
-  const double rate = 1.0 / model_.noc.flit_time.nanos();
-  const double latency =
-      injection ? model_.noc.flit_time.nanos() : hop_latency().nanos();
-  return nc::Curve::rate_latency(rate, latency);
-}
-
-std::optional<E2eAnalysis::PropagatedBursts> E2eAnalysis::propagate(
-    const std::vector<AppRequirement>& flows,
-    const std::vector<std::vector<PathLink>>& paths) const {
-  // Distinct links and the (flow, hop) pairs crossing them.
-  std::vector<PathLink> links;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> users;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    for (std::size_t h = 0; h < paths[f].size(); ++h) {
-      const auto& l = paths[f][h];
-      std::size_t idx = links.size();
-      for (std::size_t k = 0; k < links.size(); ++k) {
-        if (links[k] == l) {
-          idx = k;
-          break;
-        }
-      }
-      if (idx == links.size()) {
-        links.push_back(l);
-        users.emplace_back();
-      }
-      users[idx].emplace_back(f, h);
-    }
-  }
-
-  PropagatedBursts out;
-  out.bursts.resize(flows.size());
-  out.flow_unbounded.assign(flows.size(), false);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    out.bursts[f].assign(paths[f].size(), flows[f].traffic.burst);
-  }
-
-  // Stability pre-check: aggregate flit rate below capacity on every link.
-  std::vector<bool> link_unstable(links.size(), false);
-  for (std::size_t l = 0; l < links.size(); ++l) {
-    double flit_rate = 0.0;
-    for (const auto& [f, h] : users[l]) {
-      flit_rate += flows[f].traffic.rate * flows[f].flits_per_packet;
-    }
-    if (flit_rate >= 1.0 / model_.noc.flit_time.nanos() - 1e-12) {
-      link_unstable[l] = true;
-    }
-  }
-
-  // Fixpoint: link delays from current bursts; bursts from prefix delays.
-  std::vector<double> delay(links.size(), 0.0);
-  for (int iter = 0; iter < kMaxFixpointIters; ++iter) {
-    bool changed = false;
-    for (std::size_t l = 0; l < links.size(); ++l) {
-      if (link_unstable[l]) continue;
-      double burst_flits = 0.0;
-      double rate_flits = 0.0;
-      for (const auto& [f, h] : users[l]) {
-        burst_flits += out.bursts[f][h] * flows[f].flits_per_packet;
-        rate_flits += flows[f].traffic.rate * flows[f].flits_per_packet;
-      }
-      const auto d = nc::h_deviation(
-          nc::Curve::affine(burst_flits, rate_flits),
-          link_beta_flits(links[l].injection));
-      if (!d) {
-        link_unstable[l] = true;
-        changed = true;
-        continue;
-      }
-      if (*d > delay[l] + 1e-9) {
-        delay[l] = *d;
-        changed = true;
-      }
-    }
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      double prefix = 0.0;
-      for (std::size_t h = 0; h < paths[f].size(); ++h) {
-        if (h > 0) {
-          // Find the previous link's delay (and instability).
-          const auto& prev = paths[f][h - 1];
-          for (std::size_t l = 0; l < links.size(); ++l) {
-            if (links[l] == prev) {
-              if (link_unstable[l]) prefix = kBurstDivergenceCap;
-              prefix += delay[l];
-              break;
-            }
-          }
-        }
-        const double want =
-            flows[f].traffic.burst + flows[f].traffic.rate * prefix;
-        if (want > out.bursts[f][h] + 1e-9) {
-          out.bursts[f][h] = std::min(want, kBurstDivergenceCap);
-          changed = true;
-        }
-      }
-    }
-    if (!changed) {
-      // Converged: flows crossing unstable links are unbounded.
-      for (std::size_t f = 0; f < flows.size(); ++f) {
-        for (std::size_t h = 0; h < paths[f].size(); ++h) {
-          for (std::size_t l = 0; l < links.size(); ++l) {
-            if (links[l] == paths[f][h] && link_unstable[l]) {
-              out.flow_unbounded[f] = true;
-            }
-          }
-          if (out.bursts[f][h] >= kBurstDivergenceCap) {
-            out.flow_unbounded[f] = true;
-          }
-        }
-      }
-      return out;
-    }
-  }
-  // Did not converge: treat the whole set as unstable (conservative).
-  return std::nullopt;
-}
-
-std::optional<nc::Curve> E2eAnalysis::chain_for(
-    const std::vector<AppRequirement>& flows, std::size_t self_idx,
-    const PropagatedBursts& propagated,
-    const std::vector<std::vector<PathLink>>& paths) const {
-  const AppRequirement& req = flows[self_idx];
-  const auto& my_links = paths[self_idx];
-
-  nc::Curve chain;
-  bool first = true;
-  for (std::size_t h = 0; h < my_links.size(); ++h) {
-    // Link guarantee in this flow's packet units.
-    const nc::Curve link = nc::Curve::rate_latency(
-        link_rate(req.flits_per_packet),
-        my_links[h].injection ? model_.noc.flit_time.nanos()
-                              : hop_latency().nanos());
-    // Cross traffic with propagated (conservative) bursts, normalised to
-    // this flow's packet service time via the flit ratio.
-    nc::Curve cross = nc::Curve::constant(0.0);
-    bool any_cross = false;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (f == self_idx) continue;
-      for (std::size_t oh = 0; oh < paths[f].size(); ++oh) {
-        if (paths[f][oh] == my_links[h]) {
-          const double scale =
-              static_cast<double>(flows[f].flits_per_packet) /
-              static_cast<double>(req.flits_per_packet);
-          const nc::Curve oc =
-              nc::Curve::affine(propagated.bursts[f][oh] * scale,
-                                flows[f].traffic.rate * scale);
-          cross = any_cross ? nc::add(cross, oc) : oc;
-          any_cross = true;
-          break;
-        }
-      }
-    }
-    const nc::Curve residual =
-        any_cross ? nc::residual_blind(link, cross) : link;
-    if (residual.final_slope() <= 1e-15) return std::nullopt;  // saturated
-    chain = first ? residual : nc::convolve(chain, residual);
-    first = false;
-  }
-  return chain;
-}
-
-std::optional<nc::Curve> E2eAnalysis::path_service(
-    const AppRequirement& req,
-    const std::vector<AppRequirement>& others) const {
-  // Assemble the full flow set with `req` included exactly once.
-  std::vector<AppRequirement> flows;
-  std::size_t self_idx = others.size();
-  for (const auto& o : others) {
-    if (o.app == req.app) self_idx = flows.size();
-    flows.push_back(o);
-  }
-  if (self_idx == others.size()) {
-    self_idx = flows.size();
-    flows.push_back(req);
-  }
-  std::vector<std::vector<PathLink>> paths;
-  paths.reserve(flows.size());
-  for (const auto& f : flows) paths.push_back(links_of(f));
-  const auto propagated = propagate(flows, paths);
-  if (!propagated) return std::nullopt;
-  if (propagated->flow_unbounded[self_idx]) return std::nullopt;
-  return chain_for(flows, self_idx, *propagated, paths);
-}
-
 std::vector<std::optional<Time>> E2eAnalysis::e2e_bounds(
     const std::vector<AppRequirement>& flows) const {
   std::vector<std::optional<Time>> out;
@@ -272,8 +106,7 @@ void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
                                   std::vector<std::optional<Time>>* out) const {
   // One arena rewind per decision; every curve below lives in the arena (or
   // on the stack) until the next call, so the steady state allocates
-  // nothing. The structure and arithmetic mirror the scalar pipeline
-  // (propagate / chain_for / dram_service / delay_bound) exactly.
+  // nothing.
   nc::Arena& arena = nc::thread_arena();
   arena.reset();
   out->clear();
@@ -285,17 +118,7 @@ void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (propagated.flow_unbounded[i]) continue;
     const auto chain = chain_view_for(flows, i, propagated, paths, arena);
-    if (!chain) continue;
-    nc::CurveView service = *chain;
-    if (flows[i].uses_dram) {
-      const nc::CurveView dram = dram_service_view(flows[i], flows, arena);
-      service = nc::convolve_view(arena, service, dram);
-    }
-    SmallCurve abuf;
-    const auto h = nc::h_deviation_view(
-        affine_into(abuf, flows[i].traffic.burst, flows[i].traffic.rate),
-        service);
-    if (h) (*out)[i] = Time::from_ns(*h);
+    if (chain) (*out)[i] = bound_over_chain(*this, flows[i], *chain, flows, arena);
   }
 }
 
@@ -355,18 +178,16 @@ E2eAnalysis::FlatPaths E2eAnalysis::flat_paths(
 E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
     const std::vector<AppRequirement>& flows, const FlatPaths& paths,
     nc::Arena& arena) const {
-  // Mirror of propagate(): same dedup order, same per-link user order, same
-  // fixpoint arithmetic — only the storage is flat and the per-link
-  // h_deviation runs on stack curves instead of freshly allocated Curves.
+  // The link-delay / burst fixpoint described in the header, on flat arena
+  // storage; the per-link h_deviation runs on stack curves.
   const std::size_t nflows = flows.size();
   const std::uint32_t* off = paths.off;
   const std::uint32_t total = off[nflows];
 
   // Distinct links plus, per (flow, hop), the index of its link. Dedup is
   // an arena-backed open-addressing table (load factor <= 1/2) keyed on the
-  // packed link id; indices are still assigned in first-occurrence order,
-  // so `links` matches the linear scan's output — and propagate()'s —
-  // exactly, while the scan drops from O(total * nlinks) to O(total).
+  // packed link id; indices are assigned in first-occurrence order, so
+  // `links` matches a linear scan's output exactly in O(total).
   auto* links = arena.alloc<PathLink>(total);
   auto* link_of = arena.alloc<std::uint32_t>(total);
   std::uint32_t nlinks = 0;
@@ -378,14 +199,10 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
     const PathLink& l = paths.links[fh];
     // Router id, direction (3 bits) and the injection flag pack into one
     // word; splitmix64's finalizer spreads it over the table.
-    std::uint64_t key = (static_cast<std::uint64_t>(l.link.router) << 4) |
-                        (static_cast<std::uint64_t>(l.link.out) << 1) |
-                        (l.injection ? 1u : 0u);
-    key ^= key >> 30;
-    key *= 0xbf58476d1ce4e5b9ULL;
-    key ^= key >> 27;
-    key *= 0x94d049bb133111ebULL;
-    key ^= key >> 31;
+    const std::uint64_t key =
+        splitmix64_mix((static_cast<std::uint64_t>(l.link.router) << 4) |
+                       (static_cast<std::uint64_t>(l.link.out) << 1) |
+                       (l.injection ? 1u : 0u));
     std::uint32_t slot = static_cast<std::uint32_t>(key) & (cap - 1);
     for (;;) {
       const std::uint32_t k = table[slot];
@@ -403,9 +220,8 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
       slot = (slot + 1) & (cap - 1);
     }
   }
-  // users[l] as a flat CSR list, filled in global (flow, hop) order — the
-  // same order propagate() appends them, so the floating-point sums below
-  // accumulate in the same order.
+  // users[l] as a flat CSR list, filled in global (flow, hop) order, so the
+  // floating-point sums below accumulate in flow-set order.
   auto* users_off = arena.alloc<std::uint32_t>(nlinks + 1);
   for (std::uint32_t l = 0; l <= nlinks; ++l) users_off[l] = 0;
   for (std::uint32_t fh = 0; fh < total; ++fh) ++users_off[link_of[fh] + 1];
@@ -447,7 +263,9 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
         flit_rate >= 1.0 / model_.noc.flit_time.nanos() - 1e-12;
   }
 
-  // Loop-invariant link betas (mirror of link_beta_flits for both cases).
+  // Loop-invariant link betas in flit units: one flit per flit_time; router
+  // channels add the hop pipeline latency, the injection link only its own
+  // serialization start.
   SmallCurve bi;
   SmallCurve bh;
   const double beta_rate = 1.0 / model_.noc.flit_time.nanos();
@@ -523,9 +341,12 @@ std::optional<nc::CurveView> E2eAnalysis::chain_view_for(
     const std::vector<AppRequirement>& flows, std::size_t self_idx,
     const PropagatedFlat& propagated, const FlatPaths& paths,
     nc::Arena& arena) const {
-  // Mirror of chain_for() on arena curves. The link curve is arena-backed
-  // (not stack) because it *is* the residual — and thus the chain — on
-  // hops without cross traffic, so it must outlive this loop iteration.
+  // Per hop: the link guarantee in this flow's packet units, minus the
+  // cross traffic with propagated (conservative) bursts normalised to this
+  // flow's packet service time via the flit ratio; the chain is the
+  // convolution of the residuals. The link curve is arena-backed (not
+  // stack) because it *is* the residual — and thus the chain — on hops
+  // without cross traffic, so it must outlive this loop iteration.
   const AppRequirement& req = flows[self_idx];
   const std::uint32_t* off = paths.off;
 
@@ -568,9 +389,9 @@ std::optional<nc::CurveView> E2eAnalysis::chain_view_for(
 nc::CurveView E2eAnalysis::dram_service_view(
     const AppRequirement& req, const std::vector<AppRequirement>& others,
     nc::Arena& arena) const {
-  // Mirror of dram_service() on arena curves: the filter preserves vector
-  // order, so dram_service_from sums in the same order the scalar loops
-  // do. The pointer array lives in the arena — no heap traffic per call.
+  // The filter preserves vector order, so dram_service_from sums in
+  // flow-set order. The pointer array lives in the arena — no heap traffic
+  // per call.
   auto** dram_flows = arena.alloc<const AppRequirement*>(others.size());
   std::size_t n = 0;
   for (const auto& o : others) {
@@ -582,6 +403,10 @@ nc::CurveView E2eAnalysis::dram_service_view(
 nc::CurveView E2eAnalysis::dram_service_from(const AppRequirement& req,
                                              const AppRequirement* const* dram_flows,
                                              std::size_t n, nc::Arena& arena) const {
+  // Aggregate write pressure at the controller: the background bucket plus
+  // every other DRAM user's traffic (conservatively all of it counted as
+  // writes for the batch interference — writes are the traffic class that
+  // interrupts reads under FR-FCFS).
   nc::TokenBucket writes = model_.background_writes;
   for (std::size_t i = 0; i < n; ++i) {
     const AppRequirement* o = dram_flows[i];
@@ -592,6 +417,8 @@ nc::CurveView E2eAnalysis::dram_service_from(const AppRequirement& req,
   dram::WcdAnalysis analysis(model_.dram, model_.dram_ctrl, writes);
   const nc::CurveView aggregate =
       analysis.service_curve_view(model_.dram_service_depth, arena);
+  // Reads of the other apps occupy queue positions ahead of ours: subtract
+  // their arrival curves from the aggregate read service.
   nc::CurveView cross_reads{};
   bool any = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -608,47 +435,34 @@ nc::CurveView E2eAnalysis::dram_service_from(const AppRequirement& req,
   return any ? nc::residual_blind_view(arena, convex, cross_reads) : convex;
 }
 
-nc::Curve E2eAnalysis::dram_service(
-    const AppRequirement& req,
-    const std::vector<AppRequirement>& others) const {
-  // Aggregate write pressure at the controller: the background bucket plus
-  // every admitted app's traffic that targets the DRAM (conservatively all
-  // of it is counted as writes for the batch interference — writes are the
-  // traffic class that interrupts reads in the FR-FCFS policy).
-  nc::TokenBucket writes = model_.background_writes;
-  for (const auto& o : others) {
-    if (o.app == req.app || !o.uses_dram) continue;
-    writes.burst += o.traffic.burst;
-    writes.rate += o.traffic.rate;
-  }
-  dram::WcdAnalysis analysis(model_.dram, model_.dram_ctrl, writes);
-  const nc::Curve aggregate =
-      analysis.service_curve(model_.dram_service_depth);
-  // Reads of the other apps occupy queue positions ahead of ours: subtract
-  // their arrival curves from the aggregate read service.
-  nc::Curve cross_reads = nc::Curve::constant(0.0);
-  bool any = false;
-  for (const auto& o : others) {
-    if (o.app == req.app || !o.uses_dram) continue;
-    const nc::Curve oc = o.traffic.to_curve();
-    cross_reads = any ? nc::add(cross_reads, oc) : oc;
-    any = true;
-  }
-  const nc::Curve convex = nc::convex_minorant(aggregate);
-  return any ? nc::residual_blind(convex, cross_reads) : convex;
-}
-
 std::optional<Time> E2eAnalysis::e2e_bound(
     const AppRequirement& req,
     const std::vector<AppRequirement>& others) const {
-  auto chain = path_service(req, others);
-  if (!chain) return std::nullopt;
-  if (req.uses_dram) {
-    const nc::Curve dram = dram_service(req, others);
-    // Both curves are convex (residuals of convex curves); compose.
-    chain = nc::convolve(*chain, dram);
+  // The flow set with `req` included exactly once: an entry of `others`
+  // with req's app id stands for it (the last one, if several do),
+  // otherwise req is appended.
+  std::vector<AppRequirement> flows;
+  flows.reserve(others.size() + 1);
+  std::size_t self_idx = others.size();
+  for (const auto& o : others) {
+    if (o.app == req.app) self_idx = flows.size();
+    flows.push_back(o);
   }
-  return nc::delay_bound(req.traffic.to_curve(), *chain);
+  if (self_idx == others.size()) {
+    self_idx = flows.size();
+    flows.push_back(req);
+  }
+  // The e2e_bounds_into pipeline for one index.
+  nc::Arena& arena = nc::thread_arena();
+  arena.reset();
+  const FlatPaths paths = flat_paths(flows, arena);
+  const PropagatedFlat propagated = propagate_flat(flows, paths, arena);
+  if (!propagated.converged || propagated.flow_unbounded[self_idx]) {
+    return std::nullopt;
+  }
+  const auto chain = chain_view_for(flows, self_idx, propagated, paths, arena);
+  if (!chain) return std::nullopt;
+  return bound_over_chain(*this, req, *chain, others, arena);
 }
 
 }  // namespace pap::core

@@ -69,27 +69,18 @@ class E2eAnalysis {
   /// The flow's path: injection link, then the XY route's channels.
   std::vector<PathLink> links_of(const AppRequirement& req) const;
 
-  /// Residual service curve of the NoC path of `req` under the admitted
-  /// cross traffic `others` (convolution over its links), or nullopt when
-  /// a link on the path is saturated / the burst fixpoint diverges.
-  std::optional<nc::Curve> path_service(
-      const AppRequirement& req,
-      const std::vector<AppRequirement>& others) const;
-
-  /// Residual DRAM read service for `req` given all admitted apps
-  /// (their writes feed the write-batch interference; their reads occupy
-  /// queue positions ahead).
-  nc::Curve dram_service(const AppRequirement& req,
-                         const std::vector<AppRequirement>& others) const;
-
-  /// Full end-to-end bound: NoC path (+ DRAM when used).
+  /// Full end-to-end bound of `req` against the admitted set `others`:
+  /// NoC path (+ DRAM when used). An entry of `others` with req's app id
+  /// stands for req in the flow set; otherwise req is appended. Runs the
+  /// slice API below for that one index on the calling thread's
+  /// nc::Arena (reset on entry, like e2e_bounds_into).
   std::optional<Time> e2e_bound(const AppRequirement& req,
                                 const std::vector<AppRequirement>& others) const;
 
-  /// Bounds for every flow of the set in one pass. Numerically identical
-  /// to calling `e2e_bound(flows[i], flows)` per flow, but the paths and
-  /// the burst-propagation fixpoint — the dominant cost — are computed
-  /// once and shared. The admission controller re-proves every admitted
+  /// Bounds for every flow of the set in one pass. Identical to calling
+  /// `e2e_bound(flows[i], flows)` per flow, but the paths and the
+  /// burst-propagation fixpoint — the dominant cost — are computed once
+  /// and shared. The admission controller re-proves every admitted
   /// application on each decision, which is exactly this shape; the
   /// flow-by-flow form repeats the fixpoint N times on identical input.
   /// bounds[i] is empty when flow i has no bounded delay.
@@ -100,9 +91,7 @@ class E2eAnalysis {
   /// paths, the burst-propagation fixpoint, every intermediate curve — runs
   /// on the calling thread's nc::Arena (reset once on entry), so a warm
   /// steady state (arena blocks grown, *out at capacity) makes zero heap
-  /// allocations per decision. Results are numerically identical to
-  /// e2e_bounds: every view kernel mirrors its scalar counterpart bit for
-  /// bit (pinned by tests/core_e2e_test.cpp and tests/nc_batch_test.cpp).
+  /// allocations per decision.
   void e2e_bounds_into(const std::vector<AppRequirement>& flows,
                        std::vector<std::optional<Time>>* out) const;
 
@@ -127,8 +116,10 @@ class E2eAnalysis {
   FlatPaths flat_paths(const std::vector<AppRequirement>& flows,
                        nc::Arena& arena) const;
 
-  /// propagate() over flat arena storage; bursts is indexed like
-  /// FlatPaths::links. converged == false means the fixpoint diverged.
+  /// The link-delay / burst fixpoint over flat arena storage: per-flow,
+  /// per-hop burst sizes (in each flow's own packets); bursts is indexed
+  /// like FlatPaths::links. converged == false means the fixpoint
+  /// diverged; flow_unbounded[f] marks flows crossing an unstable link.
   struct PropagatedFlat {
     double* bursts = nullptr;
     bool* flow_unbounded = nullptr;
@@ -138,13 +129,17 @@ class E2eAnalysis {
                                 const FlatPaths& paths,
                                 nc::Arena& arena) const;
 
-  /// chain_for() on arena curves; the returned view lives in `arena`.
+  /// The residual NoC service chain of flows[self_idx] (convolution of the
+  /// per-link blind residuals), or nullopt when a link on the path is
+  /// saturated; the returned view lives in `arena`.
   std::optional<nc::CurveView> chain_view_for(
       const std::vector<AppRequirement>& flows, std::size_t self_idx,
       const PropagatedFlat& propagated, const FlatPaths& paths,
       nc::Arena& arena) const;
 
-  /// dram_service() on arena curves.
+  /// Residual DRAM read service for `req` given the set `others` (their
+  /// writes feed the write-batch interference; their reads occupy queue
+  /// positions ahead); the returned view lives in `arena`.
   nc::CurveView dram_service_view(const AppRequirement& req,
                                   const std::vector<AppRequirement>& others,
                                   nc::Arena& arena) const;
@@ -161,26 +156,6 @@ class E2eAnalysis {
                                   std::size_t n, nc::Arena& arena) const;
 
  private:
-  /// Per-flow, per-hop burst sizes (in each flow's own packets) after the
-  /// link-delay fixpoint; empty optional when it diverges.
-  struct PropagatedBursts {
-    // bursts[f][h]: burst of flow f at its h-th link.
-    std::vector<std::vector<double>> bursts;
-    std::vector<bool> flow_unbounded;
-  };
-  std::optional<PropagatedBursts> propagate(
-      const std::vector<AppRequirement>& flows,
-      const std::vector<std::vector<PathLink>>& paths) const;
-
-  /// The residual NoC service chain of flows[self_idx], built from a
-  /// shared propagation result (`paths` parallel to `flows`).
-  std::optional<nc::Curve> chain_for(
-      const std::vector<AppRequirement>& flows, std::size_t self_idx,
-      const PropagatedBursts& propagated,
-      const std::vector<std::vector<PathLink>>& paths) const;
-
-  nc::Curve link_beta_flits(bool injection) const;
-
   PlatformModel model_;
   noc::Mesh2D mesh_;
 };

@@ -62,10 +62,6 @@ Controller::Controller(sim::Kernel& kernel, const Timings& timings,
   banks_.assign(static_cast<std::size_t>(params_.banks), Bank{timings_});
 }
 
-Controller::Controller(sim::Kernel& kernel, const Timings& timings,
-                       const ControllerParams& params)
-    : Controller(kernel, timings, ControllerConfig(params)) {}
-
 void Controller::submit(Request request) {
   PAP_CHECK(request.bank < static_cast<std::uint32_t>(params_.banks));
   request.arrival = kernel_.now();

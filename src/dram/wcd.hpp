@@ -93,9 +93,9 @@ class WcdAnalysis {
   /// service_curve_reference (Time is integer picoseconds).
   nc::Curve service_curve(int max_n) const;
 
-  /// service_curve built on arena storage — same points, same tail, zero
-  /// heap allocation; the returned view lives in `arena`. Used by the
-  /// arena-backed e2e analysis (core::E2eAnalysis::e2e_bounds_into).
+  /// The one construction of the curve, on arena storage — zero heap
+  /// allocation; the returned view lives in `arena`. service_curve copies
+  /// it out; core::E2eAnalysis uses it directly.
   nc::CurveView service_curve_view(int max_n, nc::Arena& arena) const;
 
   /// The pre-optimization construction (one cold fixpoint per point,

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace pap::exp {
 
@@ -326,15 +327,9 @@ Expected<Result> Result::deserialize(const std::string& text) {
 }
 
 std::uint64_t content_hash(const Experiment& exp, const Params& params) {
-  // FNV-1a 64-bit.
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1aOffset;
   auto mix = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    h ^= 0xff;  // field separator
-    h *= 1099511628211ull;
+    h = fnv1a_byte(fnv1a(s, h), 0xff);  // 0xff: field separator
   };
   mix(exp.name);
   mix(std::to_string(exp.version));

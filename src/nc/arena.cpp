@@ -1,18 +1,9 @@
 #include "nc/arena.hpp"
 
-#include "common/check.hpp"
-
 namespace pap::nc {
 
 Arena::Arena(std::size_t first_block_bytes)
     : next_size_(first_block_bytes < 64 ? 64 : first_block_bytes) {}
-
-void Arena::reset() {
-  active_ = 0;
-  offset_ = 0;
-  in_use_ = 0;
-  ++epoch_;
-}
 
 void Arena::release() {
   blocks_.clear();
@@ -27,22 +18,6 @@ std::size_t Arena::bytes_reserved() const {
   std::size_t total = 0;
   for (const auto& b : blocks_) total += b.size;
   return total;
-}
-
-void* Arena::allocate(std::size_t bytes, std::size_t align) {
-  // Blocks come from new[] and are aligned to the default new alignment, so
-  // offset-relative alignment is valid for any align up to that.
-  PAP_CHECK(align != 0 && (align & (align - 1)) == 0 &&
-            align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-  if (active_ < blocks_.size()) {
-    const std::size_t aligned = (offset_ + align - 1) & ~(align - 1);
-    if (aligned + bytes <= blocks_[active_].size) {
-      offset_ = aligned + bytes;
-      in_use_ += bytes;
-      return blocks_[active_].data.get() + aligned;
-    }
-  }
-  return allocate_slow(bytes, align);
 }
 
 void* Arena::allocate_slow(std::size_t bytes, std::size_t align) {

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace pap::nc {
@@ -44,12 +45,21 @@ class Arena {
   T* alloc(std::size_t count) {
     static_assert(std::is_trivially_destructible_v<T>,
                   "arena storage is never destructed");
+    // Blocks come from new[] and are aligned to the default new alignment,
+    // so offset-relative alignment is valid for any align up to that.
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "over-aligned arena storage");
     return static_cast<T*>(allocate(count * sizeof(T), alignof(T)));
   }
 
   /// Rewind all blocks for reuse; O(blocks), frees nothing. Every pointer
   /// previously handed out becomes invalid. Bumps epoch().
-  void reset();
+  void reset() {
+    active_ = 0;
+    offset_ = 0;
+    in_use_ = 0;
+    ++epoch_;
+  }
 
   /// reset() plus return all blocks to the heap.
   void release();
@@ -65,7 +75,18 @@ class Arena {
   std::size_t bytes_reserved() const;
 
  private:
-  void* allocate(std::size_t bytes, std::size_t align);
+  // Bump within the active block; `align` is a power of two (alloc<T>).
+  void* allocate(std::size_t bytes, std::size_t align) {
+    if (active_ < blocks_.size()) {
+      const std::size_t aligned = (offset_ + align - 1) & ~(align - 1);
+      if (aligned + bytes <= blocks_[active_].size) {
+        offset_ = aligned + bytes;
+        in_use_ += bytes;
+        return blocks_[active_].data.get() + aligned;
+      }
+    }
+    return allocate_slow(bytes, align);
+  }
   void* allocate_slow(std::size_t bytes, std::size_t align);
 
   static constexpr std::size_t kMaxBlockBytes = 1 << 22;  // 4 MiB

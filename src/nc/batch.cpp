@@ -19,8 +19,8 @@ bool nearly_equal(double a, double b) {
   return std::fabs(a - b) <= kEps * scale;
 }
 
-// seg_eval(segment i of v, t) in SoA form — the one evaluation expression
-// every kernel here shares with curve.cpp, so values agree bit for bit.
+// Segment i of v evaluated at t — the one evaluation expression every
+// kernel here shares with Curve::eval, so values agree bit for bit.
 double seg_eval(CurveView v, std::uint32_t i, double t) {
   return v.y[i] + v.slope[i] * (t - v.x[i]);
 }
@@ -60,8 +60,11 @@ void push_seg(Arena& arena, MutCurveView* v, double x, double y, double slope) {
   ++v->n;
 }
 
-/// Mirror of Curve::Cursor over a view: amortized-O(1) eval/inverse for
-/// monotone query sequences, bit-identical to the full-scan versions.
+/// Stateful evaluation cursor: remembers the segment the previous query
+/// landed in, so a non-decreasing sequence of eval() / inverse() calls costs
+/// amortized O(1) per query — the access pattern of the deviation walks.
+/// Backward jumps fall back to a fresh search; results are bit-identical to
+/// CurveView::eval / inverse.
 struct ViewCursor {
   CurveView c;
   std::uint32_t ei = 0;  ///< eval cursor: last segment evaluated
@@ -81,6 +84,8 @@ struct ViewCursor {
   std::optional<double> inverse(double v) {
     if (v <= c.y[0]) return 0.0;
     if (v < c.y[ii]) ii = 0;  // far backward jump: restart the scan
+    // Step back while an earlier segment could still answer this query, so
+    // the resumed scan matches the full scan on boundaries and plateaus.
     while (ii > 0 && v <= c.y[ii] + kEps) --ii;
     for (; ii < c.n; ++ii) {
       const bool last = (ii + 1 == c.n);
@@ -102,10 +107,15 @@ struct ViewCursor {
 
 template <CombineOp Op>
 MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
-  // Mirror of combine_raw (curve.cpp): two-pointer merge with exact
-  // slope-derived crossings. Each loop iteration emits one segment and
-  // advances past a breakpoint or a crossing, so 2*(n+m)+2 covers the
-  // output without growth in all but adversarial near-tie inputs.
+  // Single-pass two-pointer merge over both segment lists, O(n + m). On
+  // every elementary interval both inputs are linear; the crossing of the
+  // two active lines (if it falls strictly inside) is computed exactly from
+  // the segment pair, so the combination stays linear on each emitted
+  // piece and segments shorter than a nanosecond are handled exactly. Each
+  // iteration emits one segment and advances past a breakpoint or a
+  // crossing, so 2*(n+m)+2 covers the output without growth in all but
+  // adversarial near-tie inputs. The naive breakpoint-sort version is
+  // nc::reference::combine_raw.
   MutCurveView out = alloc_curve_view(arena, 2 * (a.n + b.n) + 2);
   std::uint32_t ia = 0;
   std::uint32_t ib = 0;
@@ -119,6 +129,8 @@ MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
     const double xb = (ib + 1 < b.n) ? b.x[ib + 1] : kInf;
     const double x2 = std::min(xa, xb);
 
+    // Exact crossing of the active lines strictly inside (x, x2):
+    // va + sa*d = vb + sb*d  =>  d = (vb - va) / (sa - sb).
     double xc = kInf;
     if (!nearly_equal(sa, sb)) {
       const double cand = x + (vb - va) / (sa - sb);
@@ -129,10 +141,14 @@ MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
     const double v = combine2<Op>(va, vb);
     double slope;
     if (xe < kInf) {
+      // Bounded piece: slope from the exact values at both ends, taken from
+      // whichever segment is active *at* xe (matching eval(xe)).
       const double vae = (xe >= xa) ? a.y[ia + 1] : seg_eval(a, ia, xe);
       const double vbe = (xe >= xb) ? b.y[ib + 1] : seg_eval(b, ib, xe);
       slope = (combine2<Op>(vae, vbe) - v) / (xe - x);
     } else {
+      // Final ray: any tail crossing was split out above, so a one-unit
+      // probe of the active lines is exact for min, max and sums.
       slope = combine2<Op>(seg_eval(a, ia, x + 1.0), seg_eval(b, ib, x + 1.0)) -
               v;
     }
@@ -140,6 +156,7 @@ MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
 
     if (xe == kInf) break;
     x = xe;
+    // Near-coincident breakpoints (within kEps) advance together.
     if (ia + 1 < a.n && (xe >= xa || nearly_equal(xe, xa))) ++ia;
     if (ib + 1 < b.n && (xe >= xb || nearly_equal(xe, xb))) ++ib;
   }
@@ -163,7 +180,9 @@ MutCurveView combine_raw_dispatch(Arena& arena, CurveView a, CurveView b,
 }
 
 MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
-  // Mirror of positive_nondecreasing_closure (curve.cpp).
+  // Sweep left to right keeping the running maximum `best` of max(f, 0).
+  // Invariant at the start of each interval: f(x) <= best, because best is
+  // the supremum of a continuous f over [0, x] (clamped at 0).
   PAP_CHECK(raw.n > 0);
   PAP_CHECK_MSG(nearly_equal(raw.x[0], 0.0), "raw curve must start at 0");
   MutCurveView out = alloc_curve_view(arena, 2 * raw.n + 2);
@@ -171,17 +190,19 @@ MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
   push_seg(arena, &out, 0.0, best, 0.0);
   for (std::uint32_t i = 0; i < raw.n; ++i) {
     const bool last = (i + 1 == raw.n);
-    if (raw.slope[i] <= 0.0) continue;
+    if (raw.slope[i] <= 0.0) continue;  // f stays below best: flat closure
     const double x_end = last ? kInf : raw.x[i + 1];
     const double v_end =
         last ? kInf : raw.y[i] + raw.slope[i] * (x_end - raw.x[i]);
-    if (v_end <= best + kEps) continue;
+    if (v_end <= best + kEps) continue;  // never overtakes within the span
+    // Crossing point where f catches up with the running max.
     const double xc = raw.y[i] >= best
                           ? raw.x[i]
                           : raw.x[i] + (best - raw.y[i]) / raw.slope[i];
     push_seg(arena, &out, xc, best, raw.slope[i]);
     if (last) break;
     best = v_end;
+    // After the span the next piece may dip below: anchor a plateau.
     push_seg(arena, &out, x_end, best, 0.0);
   }
   normalize_view(&out);
@@ -189,9 +210,9 @@ MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
 }
 
 CurveView convolve_convex_view(Arena& arena, CurveView f, CurveView g) {
-  // Mirror of convolve_convex (ops.cpp). The pieces array is built in the
-  // same order (f's then g's) and sorted with the same comparator, so the
-  // unstable sort produces the same permutation deterministically.
+  // Convex service-curve concatenation: the finite (slope, length) pieces
+  // of both curves merged in slope order, cut off where the smaller final
+  // slope takes over.
   PAP_CHECK_MSG(f.value_at_zero() <= kEps && g.value_at_zero() <= kEps,
                 "convex convolution expects service curves with f(0) = 0");
   const std::size_t np =
@@ -249,7 +270,7 @@ std::optional<double> CurveView::inverse(double v) const {
   return std::nullopt;
 }
 
-// Mirror of Curve::is_concave/is_convex, including the looser shape
+// Same tests as Curve::is_concave/is_convex, including the looser shape
 // tolerance (see curve.cpp kShapeEps): slope order noise from closure
 // arithmetic must classify, not crash.
 constexpr double kShapeEps = 1e-6;
@@ -269,83 +290,70 @@ bool CurveView::is_convex() const {
   return true;
 }
 
-MutCurveView alloc_curve_view(Arena& arena, std::uint32_t cap) {
-  double* p = arena.alloc<double>(3 * static_cast<std::size_t>(cap));
-  return MutCurveView{p, p + cap, p + 2 * static_cast<std::size_t>(cap), 0,
-                      cap};
-}
-
 void normalize_view(MutCurveView* v) {
-  // In-place mirror of Curve::normalize(): identical checks and clamps,
-  // then the zero-width-dedup and collinear-merge passes as two sequential
-  // compactions (the write index never overtakes the read index, so the
-  // arrays compact in place without scratch storage).
+  // In-place Curve::normalize() in one pass: segment i is validated and
+  // clamped (identical checks, against the raw segment i + 1), then fed to
+  // two chained compactions — drop zero-width segments (later definition
+  // wins), then merge collinear neighbours (earlier anchor wins). The
+  // latest survivor of the first stays pending in registers until the next
+  // segment shows it is final. Writes land strictly below the read index,
+  // so the arrays compact in place.
   double* x = v->x;
   double* y = v->y;
   double* sl = v->slope;
-  std::uint32_t n = v->n;
+  const std::uint32_t n = v->n;
   PAP_CHECK_MSG(n > 0, "curve needs at least one segment");
   PAP_CHECK_MSG(nearly_equal(x[0], 0.0), "first segment must start at x = 0");
   x[0] = 0.0;
+  std::uint32_t w = 0;  // segments kept after both compactions
+  std::uint32_t d = 0;  // segments left after dropping zero-width ones
+  double px = 0.0;      // the last of those, still replaceable
+  double py = 0.0;
+  double ps = 0.0;
+  const auto keep = [&] {
+    if (w > 0 && nearly_equal(sl[w - 1], ps)) return;  // same line continues
+    x[w] = px;
+    y[w] = py;
+    sl[w] = ps;
+    ++w;
+  };
   for (std::uint32_t i = 0; i < n; ++i) {
-    PAP_CHECK_MSG(y[i] >= -kEps, "curve must be non-negative");
-    PAP_CHECK_MSG(sl[i] >= -kEps, "curve must be non-decreasing");
-    if (y[i] < 0.0) y[i] = 0.0;
-    if (sl[i] < 0.0) sl[i] = 0.0;
+    const double xi = x[i];
+    double yi = y[i];
+    double si = sl[i];
+    PAP_CHECK_MSG(yi >= -kEps, "curve must be non-negative");
+    PAP_CHECK_MSG(si >= -kEps, "curve must be non-decreasing");
+    if (yi < 0.0) yi = 0.0;
+    if (si < 0.0) si = 0.0;
     if (i + 1 < n) {
-      PAP_CHECK_MSG(
-          x[i + 1] > x[i] + kEps || nearly_equal(x[i + 1], x[i]),
-          "breakpoints must be increasing");
-      PAP_CHECK_MSG(nearly_equal(y[i] + sl[i] * (x[i + 1] - x[i]), y[i + 1]),
+      PAP_CHECK_MSG(x[i + 1] > xi + kEps || nearly_equal(x[i + 1], xi),
+                    "breakpoints must be increasing");
+      PAP_CHECK_MSG(nearly_equal(yi + si * (x[i + 1] - xi), y[i + 1]),
                     "curve must be continuous");
     }
-  }
-  // Drop zero-width segments: later definition wins on a zero-width span.
-  std::uint32_t w = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (w > 0 && nearly_equal(x[i], x[w - 1])) {
-      x[w - 1] = (w == 1) ? 0.0 : x[i];
-      y[w - 1] = y[i];
-      sl[w - 1] = sl[i];
+    if (d > 0 && nearly_equal(xi, px)) {
+      px = (d == 1) ? 0.0 : xi;  // zero-width span: the later segment wins
+      py = yi;
+      ps = si;
       continue;
     }
-    x[w] = x[i];
-    y[w] = y[i];
-    sl[w] = sl[i];
-    ++w;
+    if (d > 0) keep();
+    px = xi;
+    py = yi;
+    ps = si;
+    ++d;
   }
-  n = w;
-  // Merge collinear neighbours: same line continues, keep the earlier anchor.
-  w = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (w > 0 && nearly_equal(sl[w - 1], sl[i])) continue;
-    x[w] = x[i];
-    y[w] = y[i];
-    sl[w] = sl[i];
-    ++w;
-  }
+  keep();
   v->n = w;
 }
 
-CurveView to_view(Arena& arena, const Curve& c) {
-  const auto& segs = c.segments();
-  MutCurveView m = alloc_curve_view(arena, static_cast<std::uint32_t>(segs.size()));
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    m.x[i] = segs[i].x;
-    m.y[i] = segs[i].y;
-    m.slope[i] = segs[i].slope;
-  }
-  m.n = static_cast<std::uint32_t>(segs.size());
-  return m;
-}
-
 Curve to_curve(CurveView v) {
-  std::vector<Segment> segs;
-  segs.reserve(v.n);
+  PAP_CHECK_MSG(v.n > 0, "curve needs at least one segment");
+  std::vector<Segment> segs(v.n);
   for (std::uint32_t i = 0; i < v.n; ++i) {
-    segs.push_back(Segment{v.x[i], v.y[i], v.slope[i]});
+    segs[i] = Segment{v.x[i], v.y[i], v.slope[i]};
   }
-  return Curve{std::move(segs)};
+  return Curve{std::move(segs), Curve::Canonical{}};
 }
 
 CurveView affine_view(Arena& arena, double value0, double slope) {
@@ -379,7 +387,6 @@ CurveView rate_latency_view(Arena& arena, double rate, double latency) {
 
 CurveView from_points_view(Arena& arena, const double* px, const double* py,
                            std::uint32_t npoints, double final_slope) {
-  // Mirror of Curve::from_points over parallel arrays.
   PAP_CHECK_MSG(npoints > 0, "need at least one point");
   MutCurveView out = alloc_curve_view(arena, npoints + 1);
   double ax = 0.0;
@@ -422,8 +429,8 @@ CurveView positive_closure_view(Arena& arena, CurveView raw) {
 }
 
 CurveView residual_blind_view(Arena& arena, CurveView beta, CurveView cross) {
-  // Mirror of ops.cpp residual_blind: the *raw* subtraction (which may dip
-  // negative / decrease) feeds the closure, exactly like the scalar path.
+  // The *raw* subtraction (which may dip negative / decrease) feeds the
+  // closure directly, without an intermediate normalization.
   MutCurveView raw = combine_raw_mut<CombineOp::kSub>(arena, beta, cross);
   return positive_closure_mut(arena, raw);
 }
@@ -440,7 +447,14 @@ CurveView convolve_view(Arena& arena, CurveView f, CurveView g) {
 }
 
 bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
-  // Mirror of ops.cpp deconvolve: rotating-tangent walk, O(n + m).
+  // Rotating-tangent walk, O(n + m). For concave f and convex g the
+  // objective phi_t(u) = f(t+u) - g(u) is concave in u, so the smallest
+  // maximizer u*(t) is characterised by the slope sandwich
+  //     f'((t+u)^+) <= g'(u^+)   and   f'((t+u)^-) >= g'(u^-).
+  // As t grows, u*(t) only decreases and s*(t) = t + u*(t) only increases,
+  // so one pointer descends g's pieces while the other ascends f's pieces
+  // and every breakpoint is visited at most once. The enumeration version
+  // (~cubic in the segment count) is nc::reference::deconvolve.
   PAP_CHECK_MSG(f.is_concave(), "deconvolve expects a concave arrival curve");
   PAP_CHECK_MSG(g.is_convex(), "deconvolve expects a convex service curve");
   *out = CurveView{};
@@ -449,6 +463,8 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
   const std::uint32_t nf = f.n;
   const std::uint32_t ng = g.n;
 
+  // u0 = u*(0): the smallest u with f'(u^+) <= g'(u^+), found by walking
+  // the merged breakpoints while f' still exceeds g'.
   std::uint32_t i = 0;  // f piece containing s = t + u (right piece)
   std::uint32_t j = 0;  // g piece with g.x[j] <= u
   double u0 = 0.0;
@@ -477,10 +493,12 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
   ++k;
   for (;;) {
     if (u > 0.0) {
+      // Left piece of g at u: the piece strictly containing (u - eps).
       std::uint32_t jl = j;
       if (jl > 0 && g.x[jl] >= u) --jl;
       const double gl = g.slope[jl];
       if (gl >= f.slope[i]) {
+        // Retreat u to that piece's start; h grows at g's slope there.
         const double du = u - g.x[jl];
         t += du;
         h += gl * du;
@@ -493,6 +511,7 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
         continue;
       }
     }
+    // Advance s through f's piece i; h grows at f's slope there.
     if (i + 1 == nf) break;  // tail: h follows f's final slope forever
     const double ds = f.x[i + 1] - s;
     t += ds;
@@ -509,7 +528,10 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
 }
 
 std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
-  // Mirror of ops.cpp h_deviation, cursors and all.
+  // Candidates: alpha's breakpoints plus the first times alpha reaches each
+  // of beta's breakpoint values; between them t -> beta^-1(alpha(t)) - t
+  // is linear. They are generated in merged (sorted) order, so all three
+  // curve lookups ride cursors and the scan is O(n + m).
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
 
   ViewCursor alpha_inv{alpha};
@@ -540,14 +562,15 @@ std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
       tb_computed = false;
     }
     const auto bx = beta_inv.inverse(alpha_ev.eval(t));
-    if (!bx) return std::nullopt;
+    if (!bx) return std::nullopt;  // beta saturates below alpha(t)
     worst = std::max(worst, *bx - t);
   }
   return worst;
 }
 
 std::optional<double> v_deviation_view(CurveView alpha, CurveView beta) {
-  // Mirror of ops.cpp v_deviation.
+  // The difference is linear between merged breakpoints, so its sup sits
+  // on one of them: a two-pointer merge with cursor evals, O(n + m).
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
   ViewCursor ac{alpha};
   ViewCursor bc{beta};
@@ -567,8 +590,10 @@ std::optional<double> v_deviation_view(CurveView alpha, CurveView beta) {
 }
 
 CurveView convex_minorant_view(Arena& arena, CurveView c) {
-  // Mirror of service.cpp convex_minorant: Andrew's monotone chain lower
-  // hull over the breakpoints, then the tail-slope trim.
+  // Andrew's monotone chain lower hull over the (already x-sorted)
+  // breakpoints. The tail keeps the curve's final slope, which must not be
+  // below the hull's last slope for convexity: drop hull points until it
+  // attaches convexly.
   double* hx = arena.alloc<double>(c.n);
   double* hy = arena.alloc<double>(c.n);
   std::uint32_t hn = 0;

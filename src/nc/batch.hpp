@@ -1,21 +1,21 @@
-// Batched, arena-backed NC engine: struct-of-arrays curves plus
-// allocation-free variants of the hot kernels (curve.cpp / ops.cpp).
+// The NC kernels: struct-of-arrays curves over arena storage, and the one
+// implementation of each min-plus algorithm the library uses.
 //
-// A CurveView is the SoA equivalent of Curve: three parallel spans
-// (x, y, slope) over storage the caller controls — almost always an Arena
-// (arena.hpp). Every kernel here is an *exact arithmetic mirror* of its
-// scalar counterpart: same expressions, same evaluation order, same kEps
-// tolerances, so a view pipeline produces bit-identical doubles to the
-// legacy Curve pipeline. That identity is what lets core::E2eAnalysis run
-// its whole fixpoint on arena curves while fig6 / the admission service
-// keep byte-identical outputs, and it is pinned by tests/nc_batch_test.cpp
-// against both the scalar kernels and the nc::reference oracles.
+// A CurveView is the SoA form of Curve: three parallel spans (x, y, slope)
+// over storage the caller controls — almost always an Arena (arena.hpp).
+// The kernels below are the only bodies of pointwise combination, positive
+// closure, blind residual, convolution, deconvolution, horizontal/vertical
+// deviation and the convex minorant. The Curve API (curve.hpp min/max/add,
+// ops.hpp, service.hpp convex_minorant) is a thin adapter over them: copy
+// in, run the kernel, copy out. core::E2eAnalysis runs its whole fixpoint
+// on views directly. The naive originals survive only as test oracles in
+// nc::reference (tests/nc_property_test.cpp, tests/nc_batch_test.cpp).
 //
 // The batched entry points (combine_all / deconvolve_all / deviations_all)
 // process N curve pairs per call over CurveBatch storage: one bump
 // allocation per output curve, no invariant re-validation per intermediate,
 // and the combine operator resolved at compile time (template dispatch, not
-// a function pointer per point) so the inner loops stay tight.
+// a runtime switch per point) so the inner loops stay tight.
 //
 // Ownership rules:
 //  * CurveView does not own; it is valid only while its arena epoch is
@@ -39,8 +39,7 @@ namespace pap::nc {
 /// y[i] + slope[i] * (t - x[i]); the last segment extends to infinity.
 /// Invariants are those of Curve (x[0] == 0, continuous, non-decreasing,
 /// non-negative) whenever the view came out of a builder or kernel below;
-/// raw combine output (combine_raw_view) may violate them exactly like the
-/// std::vector<Segment> form from combine_raw.
+/// raw combine output (combine_raw_view) may violate them.
 struct CurveView {
   const double* x = nullptr;
   const double* y = nullptr;
@@ -58,8 +57,8 @@ struct CurveView {
   /// Same result as Curve::inverse.
   std::optional<double> inverse(double v) const;
 
-  bool is_concave() const;  ///< mirrors Curve::is_concave
-  bool is_convex() const;   ///< mirrors Curve::is_convex
+  bool is_concave() const;  ///< same test as Curve::is_concave
+  bool is_convex() const;   ///< same test as Curve::is_convex
 };
 
 /// Mutable view over freshly allocated (arena) storage; `cap` is the
@@ -76,60 +75,80 @@ struct MutCurveView {
 };
 
 /// One contiguous SoA allocation for up to `cap` segments.
-MutCurveView alloc_curve_view(Arena& arena, std::uint32_t cap);
+inline MutCurveView alloc_curve_view(Arena& arena, std::uint32_t cap) {
+  double* p = arena.alloc<double>(3 * static_cast<std::size_t>(cap));
+  return MutCurveView{p, p + cap, p + 2 * static_cast<std::size_t>(cap), 0,
+                      cap};
+}
 
-/// In-place mirror of Curve::normalize(): validates the invariants (same
-/// PAP_CHECKs), clamps -kEps noise, drops zero-width segments (later
-/// definition wins) and merges collinear neighbours (earlier anchor wins).
+/// In-place Curve::normalize(): validates the invariants (same PAP_CHECKs),
+/// clamps -kEps noise, drops zero-width segments (later definition wins)
+/// and merges collinear neighbours (earlier anchor wins).
 void normalize_view(MutCurveView* v);
 
-/// Copy a Curve's segments into arena SoA storage.
-CurveView to_view(Arena& arena, const Curve& c);
+/// Copy a Curve's segments into arena SoA storage. Inline: every Curve-API
+/// adapter pays it once per argument.
+inline CurveView to_view(Arena& arena, const Curve& c) {
+  const auto& segs = c.segments();
+  const auto n = static_cast<std::uint32_t>(segs.size());
+  MutCurveView m = alloc_curve_view(arena, n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    m.x[i] = segs[i].x;
+    m.y[i] = segs[i].y;
+    m.slope[i] = segs[i].slope;
+  }
+  m.n = n;
+  return m;
+}
 
 /// Materialize a view as an owning Curve (allocates; for results that must
-/// outlive the arena, and for tests).
+/// outlive the arena). `v` must satisfy the Curve invariants — any builder
+/// or kernel output except combine_raw_view — and is copied as is, without
+/// a second normalization pass.
 Curve to_curve(CurveView v);
 
-/// Builders mirroring the Curve named constructors (canonical normalized
+/// Builders matching the Curve named constructors (canonical normalized
 /// representation, bit-identical to e.g. to_view(arena, Curve::affine(...))).
 CurveView affine_view(Arena& arena, double value0, double slope);
 CurveView constant_view(Arena& arena, double value);
 CurveView rate_latency_view(Arena& arena, double rate, double latency);
 
-/// Mirror of Curve::from_points over parallel coordinate arrays.
+/// Curve::from_points over parallel coordinate arrays.
 CurveView from_points_view(Arena& arena, const double* px, const double* py,
                            std::uint32_t npoints, double final_slope);
 
-/// The pointwise combination operators the scalar API passes as function
-/// pointers, enumerated so batched kernels can specialize the inner loop.
-enum class CombineOp : std::uint8_t { kMin, kMax, kAdd, kSub };
-
-/// Mirror of combine_raw: two-pointer merge, exact slope-derived crossings;
-/// result may be negative/decreasing for kSub (feed positive_closure_view).
+/// Pointwise combination without the Curve invariants: a single-pass
+/// two-pointer merge, O(n + m), with crossings derived exactly from the
+/// active segment pair. The result may be negative/decreasing for kSub
+/// (feed it to positive_closure_view).
 CurveView combine_raw_view(Arena& arena, CurveView a, CurveView b,
                            CombineOp op);
 
-/// Mirror of combine_pointwise (combine_raw + Curve invariants).
+/// combine_raw_view plus the Curve invariants (min, max, add).
 CurveView combine_view(Arena& arena, CurveView a, CurveView b, CombineOp op);
 
-/// Mirror of positive_nondecreasing_closure.
+/// Running max with 0 of a raw piecewise-linear function: the
+/// non-negative, non-decreasing closure [f]^+ behind residual services.
 CurveView positive_closure_view(Arena& arena, CurveView raw);
 
-/// Mirror of ops.cpp residual_blind: [beta - cross]^+ closure.
+/// Blind-multiplexing residual service [beta - cross]^+ (ops.hpp
+/// residual_blind).
 CurveView residual_blind_view(Arena& arena, CurveView beta, CurveView cross);
 
-/// Mirror of ops.cpp convolve (convex*convex and concave*concave).
+/// Min-plus convolution for convex*convex and concave*concave (ops.hpp
+/// convolve).
 CurveView convolve_view(Arena& arena, CurveView f, CurveView g);
 
-/// Mirror of ops.cpp deconvolve; returns false (and an empty *out) when the
-/// supremum is unbounded.
+/// Min-plus deconvolution of a concave f by a convex g (ops.hpp
+/// deconvolve); returns false (and an empty *out) when the supremum is
+/// unbounded.
 bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out);
 
-/// Mirrors of ops.cpp h_deviation / v_deviation — allocation-free.
+/// Horizontal / vertical deviation (ops.hpp) — allocation-free, O(n + m).
 std::optional<double> h_deviation_view(CurveView alpha, CurveView beta);
 std::optional<double> v_deviation_view(CurveView alpha, CurveView beta);
 
-/// Mirror of service.cpp convex_minorant (lower convex hull).
+/// Greatest convex curve below c (service.hpp convex_minorant).
 CurveView convex_minorant_view(Arena& arena, CurveView c);
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "nc/adapter.hpp"
+#include "nc/batch.hpp"
 
 namespace pap::nc {
 
@@ -141,66 +143,12 @@ std::optional<double> Curve::inverse(double y) const {
   return std::nullopt;
 }
 
-double Curve::Cursor::eval(double x) {
-  PAP_CHECK(x >= 0.0);
-  const auto& segs = c_->segments();
-  if (x < segs[ei_].x) {
-    // Backward jump: fall back to the same binary search eval() uses.
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), x,
-        [](double v, const Segment& s) { return v < s.x; });
-    ei_ = static_cast<std::size_t>(it - segs.begin()) - 1;
-  } else {
-    while (ei_ + 1 < segs.size() && segs[ei_ + 1].x <= x) ++ei_;
-  }
-  return seg_eval(segs[ei_], x);
-}
-
-double Curve::Cursor::slope_at(double x) {
-  eval(x);
-  return c_->segments()[ei_].slope;
-}
-
-std::optional<double> Curve::Cursor::inverse(double y) {
-  const auto& segs = c_->segments();
-  if (y <= segs.front().y) return 0.0;
-  if (y < segs[ii_].y) ii_ = 0;  // far backward jump: restart the scan
-  // Step back while an earlier segment could still answer this query (its
-  // end value reaches y within tolerance) — this keeps the resumed scan
-  // bit-identical to the full scan even when y sits exactly on a segment
-  // boundary or a plateau value. Collinear merging in normalize() bounds
-  // the walk to a couple of steps for non-degenerate curves.
-  while (ii_ > 0 && y <= segs[ii_].y + kEps) --ii_;
-  // Same scan as Curve::inverse, resumed from the segment the previous
-  // query ended in, so monotone query sequences touch each segment once.
-  for (; ii_ < segs.size(); ++ii_) {
-    const Segment& s = segs[ii_];
-    const bool last = (ii_ + 1 == segs.size());
-    const double end_value =
-        last ? std::numeric_limits<double>::infinity()
-             : seg_eval(s, segs[ii_ + 1].x);
-    if (y <= end_value + kEps) {
-      if (s.slope <= 0.0) {
-        // Flat segment: y is only reached if it equals the plateau value;
-        // otherwise keep scanning (the next segment starts higher).
-        if (y <= s.y + kEps) return s.x;
-        if (last) return std::nullopt;
-        continue;
-      }
-      if (y <= s.y) return s.x;
-      return s.x + (y - s.y) / s.slope;
-    }
-  }
-  ii_ = segs.size() - 1;
-  return std::nullopt;
-}
-
 // Shape classification tolerates slope wobble well above the value
 // tolerance: residual/closure arithmetic on segments with large x can
 // leave adjacent slopes out of order by ~1e-9 (Δy rounding divided by a
-// merely large Δx), and convolve_convex sorts pieces by slope anyway, so
-// sub-tolerance disorder never changes which algorithm is correct — a
-// strict gate only turns float noise into a crash.
+// merely large Δx), and the convex convolution (batch.cpp) sorts pieces by
+// slope anyway, so sub-tolerance disorder never changes which algorithm is
+// correct — a strict gate only turns float noise into a crash.
 constexpr double kShapeEps = 1e-6;
 
 bool Curve::is_concave() const {
@@ -218,88 +166,21 @@ bool Curve::is_convex() const {
   return true;
 }
 
-std::vector<Segment> combine_raw(const Curve& a, const Curve& b,
-                                 double (*combine)(double, double)) {
-  // Single-pass two-pointer merge over both segment lists: O(n + m), no
-  // breakpoint sort and no per-point binary search. At every elementary
-  // interval both inputs are linear; the crossing of the two active lines
-  // (if it falls strictly inside) is computed exactly from the segment pair
-  // so the combination stays linear on each emitted piece. The retained
-  // naive version is nc::reference::combine_raw.
-  const auto& as = a.segments();
-  const auto& bs = b.segments();
-  const double inf = std::numeric_limits<double>::infinity();
-
-  std::vector<Segment> out;
-  out.reserve(as.size() + bs.size() + 2);
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  double x = 0.0;
-  for (;;) {
-    // Values at the interval start, anchored on the active segments (same
-    // expression eval() uses, so results match the naive version bit for
-    // bit at shared breakpoints).
-    const double va = seg_eval(as[ia], x);
-    const double vb = seg_eval(bs[ib], x);
-    const double sa = as[ia].slope;
-    const double sb = bs[ib].slope;
-    const double xa = (ia + 1 < as.size()) ? as[ia + 1].x : inf;
-    const double xb = (ib + 1 < bs.size()) ? bs[ib + 1].x : inf;
-    const double x2 = std::min(xa, xb);
-
-    // Exact crossing of the active lines strictly inside (x, x2):
-    // va + sa*d = vb + sb*d  =>  d = (vb - va) / (sa - sb).
-    double xc = inf;
-    if (!nearly_equal(sa, sb)) {
-      const double cand = x + (vb - va) / (sa - sb);
-      if (cand > x + kEps && cand < x2 - kEps) xc = cand;
-    }
-    const double xe = std::min(x2, xc);
-
-    const double v = combine(va, vb);
-    double slope;
-    if (xe < inf) {
-      // Bounded piece: slope from the exact values at both ends. The end
-      // values come from whichever segment is active *at* xe (the segment
-      // starting there when xe is a breakpoint), matching eval(xe).
-      const double vae = (xe >= xa) ? as[ia + 1].y : seg_eval(as[ia], xe);
-      const double vbe = (xe >= xb) ? bs[ib + 1].y : seg_eval(bs[ib], xe);
-      slope = (combine(vae, vbe) - v) / (xe - x);
-    } else {
-      // Final ray: any tail crossing was split out above, so the pointwise
-      // winner is stable; a one-unit probe of the active lines is exact for
-      // min, max and linear combinations.
-      slope = combine(seg_eval(as[ia], x + 1.0), seg_eval(bs[ib], x + 1.0)) - v;
-    }
-    out.push_back(Segment{x, v, slope});
-
-    if (xe == inf) break;
-    x = xe;
-    // Advance whichever input(s) break here; near-coincident breakpoints
-    // (within kEps) advance together, mirroring the breakpoint dedup the
-    // naive version performed.
-    if (ia + 1 < as.size() && (xe >= xa || nearly_equal(xe, xa))) ++ia;
-    if (ib + 1 < bs.size() && (xe >= xb || nearly_equal(xe, xb))) ++ib;
-  }
-  return out;
-}
-
-Curve combine_pointwise(const Curve& a, const Curve& b,
-                        double (*combine)(double, double)) {
-  return Curve{combine_raw(a, b, combine)};
+Curve combine_pointwise(const Curve& a, const Curve& b, CombineOp op) {
+  Arena& arena = detail::adapter_arena();
+  return to_curve(combine_view(arena, to_view(arena, a), to_view(arena, b), op));
 }
 
 Curve min(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, [](double u, double v) { return std::min(u, v); });
+  return combine_pointwise(a, b, CombineOp::kMin);
 }
 
 Curve max(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, [](double u, double v) { return std::max(u, v); });
+  return combine_pointwise(a, b, CombineOp::kMax);
 }
 
 Curve add(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, [](double u, double v) { return u + v; });
+  return combine_pointwise(a, b, CombineOp::kAdd);
 }
 
 Curve Curve::scaled(double k) const {
@@ -322,38 +203,6 @@ Curve Curve::shifted_right(double dx) const {
   segs.push_back(Segment{0.0, 0.0, 0.0});
   for (const auto& s : segments_) segs.push_back(Segment{s.x + dx, s.y, s.slope});
   return Curve{std::move(segs)};
-}
-
-Curve positive_nondecreasing_closure(const std::vector<Segment>& raw) {
-  PAP_CHECK(!raw.empty());
-  PAP_CHECK_MSG(nearly_equal(raw.front().x, 0.0), "raw curve must start at 0");
-  // Sweep left to right keeping the running maximum `best` of max(f, 0).
-  // Invariant at the start of each interval [x1, x2): f(x1) <= best, because
-  // best is the supremum of a continuous f over [0, x1] (clamped at 0).
-  std::vector<Segment> out;
-  out.reserve(2 * raw.size() + 2);
-  double best = std::max(0.0, raw.front().y);
-  out.push_back(Segment{0.0, best, 0.0});
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const Segment& s = raw[i];
-    const bool last = (i + 1 == raw.size());
-    if (s.slope <= 0.0) continue;  // f stays below best; closure stays flat
-    const double x_end = last ? std::numeric_limits<double>::infinity()
-                              : raw[i + 1].x;
-    const double v_end =
-        last ? std::numeric_limits<double>::infinity()
-             : s.y + s.slope * (x_end - s.x);
-    if (v_end <= best + kEps) continue;  // never overtakes within the span
-    // Crossing point where f catches up with the running max.
-    const double xc =
-        s.y >= best ? s.x : s.x + (best - s.y) / s.slope;
-    out.push_back(Segment{xc, best, s.slope});
-    if (last) break;
-    best = v_end;
-    // After the span the next piece may dip below; anchor a flat plateau.
-    out.push_back(Segment{x_end, best, 0.0});
-  }
-  return Curve{std::move(out)};
 }
 
 std::string Curve::to_string() const {

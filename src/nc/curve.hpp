@@ -12,11 +12,14 @@
 // that discipline is on the caller, as in the paper.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace pap::nc {
+
+struct CurveView;
 
 /// One linear piece: on [x, next.x) the curve is y + slope * (t - x).
 struct Segment {
@@ -58,33 +61,6 @@ class Curve {
   /// First x with f(x) >= y, or nullopt if y is never reached.
   std::optional<double> inverse(double y) const;
 
-  /// Stateful evaluation cursor: remembers the segment the previous query
-  /// landed in, so a *non-decreasing* sequence of eval() / inverse() calls
-  /// costs amortized O(1) per query instead of O(log n) each — the access
-  /// pattern of every merge-walk in ops.cpp and of admission-control loops
-  /// that probe a service curve at increasing depths. Queries that jump
-  /// backwards are still correct; they fall back to a fresh search. The
-  /// cursor observes the curve: it must not outlive it, and any mutation of
-  /// the curve invalidates the cursor.
-  class Cursor {
-   public:
-    explicit Cursor(const Curve& curve) : c_(&curve) {}
-
-    /// Same result as Curve::eval(x), amortized O(1) for monotone x.
-    double eval(double x);
-
-    /// Same result as Curve::inverse(y), amortized O(1) for monotone y.
-    std::optional<double> inverse(double y);
-
-    /// Right slope at x (the slope of the segment eval(x) would use).
-    double slope_at(double x);
-
-   private:
-    const Curve* c_;
-    std::size_t ei_ = 0;  ///< last segment index used by eval/slope_at
-    std::size_t ii_ = 0;  ///< last segment index used by inverse
-  };
-
   const std::vector<Segment>& segments() const { return segments_; }
   double value_at_zero() const { return segments_.front().y; }
   double final_slope() const { return segments_.back().slope; }
@@ -112,7 +88,15 @@ class Curve {
   /// Exact equality of the canonical representation.
   friend bool operator==(const Curve& a, const Curve& b);
 
+  /// Copies a kernel result out without re-validating it (batch.hpp).
+  friend Curve to_curve(CurveView v);
+
  private:
+  struct Canonical {};
+  /// Adopts segments that already satisfy the invariants.
+  Curve(std::vector<Segment> segments, Canonical)
+      : segments_(std::move(segments)) {}
+
   void normalize();
   // Invariant: non-empty; segments_[0].x == 0; x strictly increasing;
   // continuous; non-decreasing; non-negative.
@@ -125,29 +109,15 @@ Curve min(const Curve& a, const Curve& b);
 Curve max(const Curve& a, const Curve& b);
 Curve add(const Curve& a, const Curve& b);
 
-/// Merge the breakpoint sets of two curves and apply `combine(fa, fb)`
-/// linearly on each elementary interval, adding crossing points where the
-/// two inputs intersect. `combine` must be min, max or a linear combination
-/// so the result stays piecewise linear. Exposed for ops.cpp and tests.
-///
-/// Implementation: a single-pass two-pointer segment merge, O(n + m) in the
-/// segment counts. Crossing points are derived exactly from the active
-/// segment pair (value difference over slope difference), never from
-/// finite-difference probes, so segments shorter than one nanosecond are
-/// handled exactly. The naive breakpoint-sort version is retained as
-/// nc::reference::combine_pointwise and property-tested against this one.
-Curve combine_pointwise(const Curve& a, const Curve& b,
-                        double (*combine)(double, double));
+/// The pointwise combination operators. kSub yields a raw difference that
+/// may be negative or decreasing; only residual_blind uses it, through
+/// positive_closure_view (batch.hpp).
+enum class CombineOp : std::uint8_t { kMin, kMax, kAdd, kSub };
 
-/// Same combination but returning raw segments without enforcing the Curve
-/// invariants — needed for differences (which may be negative / decreasing)
-/// that are subsequently clamped into a residual service curve (ops.hpp).
-std::vector<Segment> combine_raw(const Curve& a, const Curve& b,
-                                 double (*combine)(double, double));
-
-/// Running max with 0 of a raw piecewise-linear function: produces the
-/// non-negative, non-decreasing closure [f]^+ used by residual service
-/// computations.
-Curve positive_nondecreasing_closure(const std::vector<Segment>& raw);
+/// Merge the breakpoint sets of two curves and apply `op` linearly on each
+/// elementary interval, adding the points where the two inputs cross.
+/// `op` is kMin, kMax or kAdd. Runs combine_view (batch.hpp), the one
+/// implementation; nc::reference::combine_pointwise is its test oracle.
+Curve combine_pointwise(const Curve& a, const Curve& b, CombineOp op);
 
 }  // namespace pap::nc

@@ -1,209 +1,41 @@
 #include "nc/ops.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <vector>
-
-#include "common/check.hpp"
+#include "nc/adapter.hpp"
+#include "nc/batch.hpp"
 
 namespace pap::nc {
 
-namespace {
-
-constexpr double kEps = 1e-9;
-
-/// Finite derivative pieces of a curve: (slope, length). The tail is
-/// reported separately via final_slope().
-std::vector<std::pair<double, double>> finite_pieces(const Curve& c) {
-  std::vector<std::pair<double, double>> pieces;
-  const auto& segs = c.segments();
-  for (std::size_t i = 0; i + 1 < segs.size(); ++i) {
-    pieces.emplace_back(segs[i].slope, segs[i + 1].x - segs[i].x);
-  }
-  return pieces;
-}
-
-Curve convolve_convex(const Curve& f, const Curve& g) {
-  PAP_CHECK_MSG(f.value_at_zero() <= kEps && g.value_at_zero() <= kEps,
-                "convex convolution expects service curves with f(0) = 0");
-  auto pieces = finite_pieces(f);
-  auto more = finite_pieces(g);
-  pieces.insert(pieces.end(), more.begin(), more.end());
-  std::sort(pieces.begin(), pieces.end());
-  const double tail = std::min(f.final_slope(), g.final_slope());
-  std::vector<Segment> out;
-  double x = 0.0;
-  double y = 0.0;
-  for (const auto& [slope, len] : pieces) {
-    if (slope >= tail - kEps) break;  // absorbed by the infinite tail
-    out.push_back(Segment{x, y, slope});
-    x += len;
-    y += slope * len;
-  }
-  out.push_back(Segment{x, y, tail});
-  return Curve{std::move(out)};
-}
-
-}  // namespace
+// Each entry point copies its inputs into the adapter arena, runs the view
+// kernel of batch.cpp and copies the result out.
 
 Curve convolve(const Curve& f, const Curve& g) {
-  if (f.is_convex() && g.is_convex()) return convolve_convex(f, g);
-  if (f.is_concave() && g.is_concave()) return min(f, g);
-  PAP_CHECK_MSG(false,
-                "convolve: supported shapes are convex*convex (service) and "
-                "concave*concave (arrival)");
-  return Curve{};
+  Arena& arena = detail::adapter_arena();
+  return to_curve(convolve_view(arena, to_view(arena, f), to_view(arena, g)));
 }
 
 std::optional<Curve> deconvolve(const Curve& f, const Curve& g) {
-  PAP_CHECK_MSG(f.is_concave(), "deconvolve expects a concave arrival curve");
-  PAP_CHECK_MSG(g.is_convex(), "deconvolve expects a convex service curve");
-  if (f.final_slope() > g.final_slope() + kEps) return std::nullopt;
-
-  // Rotating-tangent walk, O(n + m). For concave f and convex g the
-  // objective phi_t(u) = f(t+u) - g(u) is concave in u, so the smallest
-  // maximizer u*(t) is characterised by the slope sandwich
-  //     f'((t+u)^+) <= g'(u^+)   and   f'((t+u)^-) >= g'(u^-).
-  // As t grows, u*(t) only decreases and s*(t) = t + u*(t) only increases,
-  // so one pointer descends g's pieces while the other ascends f's pieces
-  // and every breakpoint is visited at most once. The retained enumeration
-  // version (~cubic in the segment count) is nc::reference::deconvolve.
-  const auto& fs = f.segments();
-  const auto& gs = g.segments();
-  const std::size_t nf = fs.size();
-  const std::size_t ng = gs.size();
-  const double inf = std::numeric_limits<double>::infinity();
-
-  // Find u0 = u*(0): the smallest u with f'(u^+) <= g'(u^+), by walking the
-  // merged breakpoints while f' still exceeds g'.
-  std::size_t i = 0;  // f piece containing s = t + u (right piece)
-  std::size_t j = 0;  // g piece with gs[j].x <= u
-  double u0 = 0.0;
-  while (fs[i].slope > gs[j].slope + kEps) {
-    const double xa = (i + 1 < nf) ? fs[i + 1].x : inf;
-    const double xb = (j + 1 < ng) ? gs[j + 1].x : inf;
-    if (xa == inf && xb == inf) break;  // tolerance tie between the tails
-    u0 = std::min(xa, xb);
-    if (i + 1 < nf && fs[i + 1].x <= u0) ++i;
-    if (j + 1 < ng && gs[j + 1].x <= u0) ++j;
+  Arena& arena = detail::adapter_arena();
+  CurveView out;
+  if (!deconvolve_view(arena, to_view(arena, f), to_view(arena, g), &out)) {
+    return std::nullopt;
   }
-
-  double t = 0.0;
-  double s = u0;
-  double u = u0;
-  double h = std::max(0.0, f.eval(u0) - g.eval(u0));
-
-  std::vector<std::pair<double, double>> pts;
-  pts.reserve(nf + ng);
-  pts.emplace_back(t, h);
-  for (;;) {
-    if (u > 0.0) {
-      // Left piece of g at u: the piece strictly containing (u - eps).
-      std::size_t jl = j;
-      if (jl > 0 && gs[jl].x >= u) --jl;
-      const double gl = gs[jl].slope;
-      if (gl >= fs[i].slope) {
-        // Retreat u to that piece's start; h grows at g's slope there.
-        const double du = u - gs[jl].x;
-        t += du;
-        h += gl * du;
-        u = gs[jl].x;
-        j = jl;
-        pts.emplace_back(t, h);
-        continue;
-      }
-    }
-    // Advance s through f's piece i; h grows at f's slope there.
-    if (i + 1 == nf) break;  // tail: h follows f's final slope forever
-    const double ds = fs[i + 1].x - s;
-    t += ds;
-    h += fs[i].slope * ds;
-    s = fs[i + 1].x;
-    ++i;
-    pts.emplace_back(t, h);
-  }
-  return Curve::from_points(pts, f.final_slope());
+  return to_curve(out);
 }
 
 std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
-  if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
-
-  // Same candidate set as always — alpha's breakpoints plus the first times
-  // alpha reaches each of beta's breakpoint values; between them
-  // t -> beta^{-1}(alpha(t)) - t is linear. The candidates are generated in
-  // merged (sorted) order though, so all three curve lookups ride cursors
-  // and the whole scan is O(n + m) instead of sort + O(log) per candidate.
-  const auto& as = alpha.segments();
-  const auto& bs = beta.segments();
-  Curve::Cursor alpha_inv(alpha);
-  Curve::Cursor alpha_ev(alpha);
-  Curve::Cursor beta_inv(beta);
-
-  double worst = 0.0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  std::optional<double> tb;     // candidate t for beta's current breakpoint
-  bool tb_computed = false;
-  while (ia < as.size() || ib < bs.size()) {
-    if (!tb_computed && ib < bs.size()) {
-      tb = alpha_inv.inverse(bs[ib].y);  // bs[ib].y is non-decreasing in ib
-      tb_computed = true;
-      if (!tb) {
-        // alpha plateaus below this level: no time ever reaches it, so it
-        // (and every higher beta breakpoint) contributes no candidate.
-        ib = bs.size();
-        continue;
-      }
-    }
-    double t;
-    if (ib >= bs.size() || (ia < as.size() && as[ia].x <= *tb)) {
-      t = as[ia++].x;
-    } else {
-      t = *tb;
-      ++ib;
-      tb_computed = false;
-    }
-    const auto x = beta_inv.inverse(alpha_ev.eval(t));
-    if (!x) {
-      // beta saturates below alpha(t): only bounded if alpha also saturates
-      // at or below beta's plateau, which the slope check above did not
-      // exclude. Report unbounded.
-      return std::nullopt;
-    }
-    worst = std::max(worst, *x - t);
-  }
-  return worst;
+  Arena& arena = detail::adapter_arena();
+  return h_deviation_view(to_view(arena, alpha), to_view(arena, beta));
 }
 
 std::optional<double> v_deviation(const Curve& alpha, const Curve& beta) {
-  if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
-  // Two-pointer merge over both breakpoint lists with cursor evals: the
-  // difference is linear between merged breakpoints, so its sup sits on one
-  // of them. O(n + m).
-  const auto& as = alpha.segments();
-  const auto& bs = beta.segments();
-  Curve::Cursor ac(alpha);
-  Curve::Cursor bc(beta);
-  double worst = 0.0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < as.size() || ib < bs.size()) {
-    double x;
-    if (ib >= bs.size() || (ia < as.size() && as[ia].x <= bs[ib].x)) {
-      x = as[ia++].x;
-    } else {
-      x = bs[ib++].x;
-    }
-    worst = std::max(worst, ac.eval(x) - bc.eval(x));
-  }
-  return worst;
+  Arena& arena = detail::adapter_arena();
+  return v_deviation_view(to_view(arena, alpha), to_view(arena, beta));
 }
 
 Curve residual_blind(const Curve& beta, const Curve& alpha_cross) {
-  auto raw = combine_raw(beta, alpha_cross,
-                         [](double u, double v) { return u - v; });
-  return positive_nondecreasing_closure(raw);
+  Arena& arena = detail::adapter_arena();
+  return to_curve(residual_blind_view(arena, to_view(arena, beta),
+                                      to_view(arena, alpha_cross)));
 }
 
 }  // namespace pap::nc

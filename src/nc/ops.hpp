@@ -5,6 +5,11 @@
 // end-to-end service guarantee by composing per-node service curves"
 // (Sec. IV). The E2E admission control of Sec. V uses exactly this to chain
 // the NoC and DRAM guarantees.
+//
+// Each function here is a thin adapter: it copies its Curve arguments into
+// a private scratch arena, runs the matching view kernel of batch.hpp (the
+// one implementation of each algorithm) and copies the result out. Callers
+// that chain many operations should use the view kernels directly.
 #pragma once
 
 #include <optional>

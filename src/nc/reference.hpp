@@ -1,8 +1,8 @@
 // Retained naive implementations of the Network Calculus kernels.
 //
-// Every operation that was rewritten for performance (see curve.cpp /
-// ops.cpp) keeps its original, obviously-correct implementation here, for
-// two purposes:
+// Every operation that was rewritten for performance (the view kernels of
+// batch.cpp, which the Curve API runs) keeps its original, obviously-correct
+// implementation here, for two purposes:
 //  * the randomized equivalence suite (tests/nc_property_test.cpp) pits the
 //    optimized kernels against these over thousands of seeded random curve
 //    pairs, so the speedups are provably behavior-preserving;

@@ -1,8 +1,8 @@
 #include "nc/service.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
+#include "nc/adapter.hpp"
+#include "nc/batch.hpp"
 
 namespace pap::nc {
 
@@ -30,51 +30,8 @@ Curve service_from_points(const std::vector<std::pair<Time, double>>& points,
 }
 
 Curve convex_minorant(const Curve& curve) {
-  // Collect the curve's breakpoints (plus the value at 0) and compute the
-  // lower convex hull in (x, y); the tail keeps the final slope only if it
-  // is >= the hull's last slope, otherwise the final slope wins earlier —
-  // for non-decreasing inputs the final slope is always a valid tail.
-  const auto& segs = curve.segments();
-  std::vector<std::pair<double, double>> pts;
-  pts.reserve(segs.size() + 1);
-  for (const auto& s : segs) pts.emplace_back(s.x, s.y);
-  // Andrew's monotone chain, lower hull only (points already x-sorted).
-  std::vector<std::pair<double, double>> hull;
-  auto cross = [](const std::pair<double, double>& o,
-                  const std::pair<double, double>& a,
-                  const std::pair<double, double>& b) {
-    return (a.first - o.first) * (b.second - o.second) -
-           (a.second - o.second) * (b.first - o.first);
-  };
-  for (const auto& p : pts) {
-    while (hull.size() >= 2 &&
-           cross(hull[hull.size() - 2], hull.back(), p) <= 0.0) {
-      hull.pop_back();
-    }
-    hull.push_back(p);
-  }
-  // The final slope must not exceed what convexity allows: the hull's last
-  // segment slope must be <= curve.final_slope() for the tail to attach
-  // convexly. If not, drop hull points until it does.
-  const double tail = curve.final_slope();
-  while (hull.size() >= 2) {
-    const auto& a = hull[hull.size() - 2];
-    const auto& b = hull.back();
-    const double m = (b.second - a.second) / (b.first - a.first);
-    if (m <= tail + 1e-12) break;
-    hull.pop_back();
-  }
-  std::vector<Segment> out;
-  out.reserve(hull.size());
-  for (std::size_t i = 0; i < hull.size(); ++i) {
-    const double slope =
-        (i + 1 < hull.size())
-            ? (hull[i + 1].second - hull[i].second) /
-                  (hull[i + 1].first - hull[i].first)
-            : tail;
-    out.push_back(Segment{hull[i].first, hull[i].second, slope});
-  }
-  return Curve{std::move(out)};
+  Arena& arena = detail::adapter_arena();
+  return to_curve(convex_minorant_view(arena, to_view(arena, curve)));
 }
 
 }  // namespace pap::nc

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "dram/policy.hpp"
 #include "dram/timing.hpp"
@@ -18,16 +19,13 @@ namespace {
 /// never share draws.
 Rng stream(const std::string& family, std::uint64_t seed, int index,
            const char* knob) {
+  // The basis is one digit short of kFnv1aOffset. Every family member and
+  // the soc_sim digests derive from it, so it stays as is.
   std::uint64_t h = 1469598103934665603ull;
-  auto mix_byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  for (char c : family) mix_byte(static_cast<unsigned char>(c));
+  auto mix_byte = [&h](unsigned char b) { h = fnv1a_byte(h, b); };
+  h = fnv1a(family, h);
   mix_byte(0);
-  for (const char* p = knob; *p != '\0'; ++p) {
-    mix_byte(static_cast<unsigned char>(*p));
-  }
+  h = fnv1a(knob, h);
   mix_byte(0);
   for (int i = 0; i < 8; ++i) mix_byte((seed >> (8 * i)) & 0xff);
   for (int i = 0; i < 4; ++i) {

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace pap::serve {
 
 namespace {
@@ -137,24 +139,10 @@ Expected<std::string> Client::call(const std::string& line) {
 
 namespace {
 
-/// FNV-1a 64-bit (the exp::content_hash scheme) — NOT std::hash, whose
-/// value may differ across implementations; shard routing must agree
-/// between every process that ever touches a key.
-std::uint64_t route_fnv1a(const std::string& bytes, std::uint64_t h) {
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// splitmix64 finalizer: decorrelates the per-shard scores so rendezvous
+/// One splitmix64 step: decorrelates the per-shard scores so rendezvous
 /// hashing spreads keys evenly even for similar keys.
 std::uint64_t route_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return splitmix64_mix(x + 0x9e3779b97f4a7c15ull);
 }
 
 }  // namespace
@@ -165,7 +153,9 @@ std::size_t Client::route(const std::string& key, std::size_t n_shards) {
   // the key, pick the max. Deterministic across processes, O(n) with tiny
   // n, and growing n -> n+1 remaps only the keys whose new max is the new
   // shard (~1/(n+1) of the key space) — cache affinity survives resizes.
-  const std::uint64_t kh = route_fnv1a(key, 14695981039346656037ull);
+  // FNV-1a, not std::hash, whose value may differ across implementations:
+  // shard routing must agree between every process that touches a key.
+  const std::uint64_t kh = fnv1a(key);
   std::size_t best = 0;
   std::uint64_t best_score = 0;
   for (std::size_t i = 0; i < n_shards; ++i) {

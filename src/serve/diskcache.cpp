@@ -8,6 +8,8 @@
 #include <sstream>
 #include <thread>
 
+#include "common/hash.hpp"
+
 namespace pap::serve {
 
 namespace {
@@ -17,7 +19,7 @@ constexpr char kMagic[] = "pap-serve-cache\t1";
 std::string header_for(const std::string& key, const std::string& payload) {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(payload)));
+                static_cast<unsigned long long>(fnv1a(payload)));
   std::ostringstream os;
   os << kMagic << "\nkey\t" << key.size() << "\tpayload\t" << payload.size()
      << "\t" << hex << "\n";
@@ -40,19 +42,10 @@ std::string op_slug(const std::string& key) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string DiskCache::path_for(const std::string& key) const {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(key)));
+                static_cast<unsigned long long>(fnv1a(key)));
   return dir_ + "/" + op_slug(key) + "-" + hex + ".serve";
 }
 
@@ -84,7 +77,7 @@ std::optional<std::string> DiskCache::load(const std::string& key) const {
   // someone else's payload.
   if (blob.compare(body, key_len, key) != 0) return std::nullopt;
   std::string payload = blob.substr(body + key_len);
-  if (fnv1a64(payload) != pay_hash) return std::nullopt;  // bit rot / tamper
+  if (fnv1a(payload) != pay_hash) return std::nullopt;  // bit rot / tamper
   return payload;
 }
 

@@ -31,8 +31,6 @@
 
 namespace pap::serve {
 
-/// FNV-1a 64-bit over a byte string (the scheme exp::content_hash uses).
-std::uint64_t fnv1a64(const std::string& bytes);
 
 class DiskCache {
  public:

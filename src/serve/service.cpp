@@ -196,12 +196,16 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
 
   // Fast path: answered from the LRU on the submitting thread. Session ops
   // never take it — a repeat of the same request line is a new decision.
-  if (!session_op && config_.cache_entries != 0) {
+  const bool cacheable = !session_op && config_.cache_entries != 0;
+  const auto reply_hit = [&](const std::string& payload) {
+    st.counters.add("serve", req.op + "/cache_hits");
+    st.counters.add("serve", req.op + "/ok");
+    st.latency.at(req.op).record(us_since(t0));
+    reply(ok_reply(req.id, payload));
+  };
+  if (cacheable) {
     if (auto hit = st.shard_of(key).get(key)) {
-      st.counters.add("serve", req.op + "/cache_hits");
-      st.counters.add("serve", req.op + "/ok");
-      st.latency.at(req.op).record(us_since(t0));
-      reply(ok_reply(req.id, *hit));
+      reply_hit(*hit);
       return;
     }
   }
@@ -214,6 +218,17 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
   bool send_inline_error = false;
   {
     std::unique_lock<std::mutex> lk(st.mu);
+    // Re-probe the LRU under st.mu: a worker fills the LRU before it
+    // unpublishes its in-flight entry under st.mu, so between the probe
+    // above and this lock the key may have moved from one to the other.
+    // Missing both would enqueue a duplicate computation.
+    if (cacheable) {
+      if (auto hit = st.shard_of(key).get(key)) {
+        lk.unlock();
+        reply_hit(*hit);
+        return;
+      }
+    }
     if (st.stopping) {
       send_inline_error = true;
       inline_error = ErrorCode::kShuttingDown;

@@ -2,7 +2,13 @@
 // already-admitted applications, release.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "core/admission.hpp"
+#include "noc/topology.hpp"
 
 namespace pap::core {
 namespace {
@@ -157,6 +163,40 @@ TEST(Admission, DramAppsAccountedAtTheController) {
   const auto g2 = ac.request(noc_only);
   ASSERT_TRUE(g2.has_value());
   EXPECT_GT(grant.value().e2e_bound, g2.value().e2e_bound);
+}
+
+// The Fig. 6 request sequence of bench/fig6_e2e_admission, with the bounds
+// it prints pinned in picoseconds: first the bound each decision proves,
+// then every admitted app's bound under the final mix. Any arithmetic
+// change in the NC kernels or the e2e pipeline fails here.
+TEST(Admission, Fig6BoundsArePinnedInPicoseconds) {
+  AdmissionController ac(model());
+  noc::Mesh2D mesh(4, 4);
+  const std::vector<AppRequirement> requests{
+      app(1, 2, 1.0 / 300.0, mesh.node(0, 0), mesh.node(3, 0), Time::us(2)),
+      app(2, 2, 1.0 / 400.0, mesh.node(0, 1), mesh.node(3, 0), Time::us(2)),
+      app(3, 2, 1.0 / 500.0, mesh.node(1, 1), mesh.node(3, 0), Time::us(2)),
+      app(4, 8, 1.0 / 7.0, mesh.node(2, 1), mesh.node(3, 0), Time::us(2)),
+      app(5, 2, 1.0 / 350.0, mesh.node(0, 2), mesh.node(3, 2), Time::us(2)),
+      app(6, 4, 1.0 / 60.0, mesh.node(1, 0), mesh.node(3, 0), Time::ns(300)),
+  };
+  const std::optional<std::int64_t> decision_ps[] = {
+      38000, 62320, 132313, std::nullopt, 38000, 150019};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto grant = ac.request(requests[i]);
+    ASSERT_EQ(grant.has_value(), decision_ps[i].has_value()) << "app" << i + 1;
+    if (grant) {
+      EXPECT_EQ(grant.value().e2e_bound.picos(), *decision_ps[i])
+          << "app" << i + 1;
+    }
+  }
+  const std::pair<noc::AppId, std::int64_t> mix_ps[] = {
+      {1, 246382}, {2, 210937}, {3, 210065}, {5, 38000}, {6, 150019}};
+  for (const auto& [id, ps] : mix_ps) {
+    const auto bound = ac.current_bound(id);
+    ASSERT_TRUE(bound.has_value()) << "app" << id;
+    EXPECT_EQ(bound->picos(), ps) << "app" << id;
+  }
 }
 
 }  // namespace

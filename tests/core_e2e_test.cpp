@@ -2,6 +2,11 @@
 // service integration, and validation against the NoC simulator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "core/e2e_analysis.hpp"
 #include "sim/kernel.hpp"
 
@@ -190,11 +195,11 @@ TEST(E2e, AnalysisBoundsCoverSimulation) {
   EXPECT_LE(lat.max(), *bound_a);
 }
 
-// The arena path (e2e_bounds_into) must reproduce the scalar per-flow
-// analysis exactly — Time is integer picoseconds, so any arithmetic
-// divergence in the mirrored view kernels shows up as a hard inequality
-// here. Covers NoC-only and DRAM flows, and a saturated set where bounds
-// go unbounded.
+// The one-pass e2e_bounds_into must reproduce the per-flow e2e_bound (the
+// same slice pipeline run for one index, after placing the flow in the
+// set) exactly — Time is integer picoseconds, so any divergence shows up
+// as a hard inequality here. Covers NoC-only and DRAM flows, and a
+// saturated set where bounds go unbounded.
 TEST(E2e, BatchBoundsMatchPerFlowScalarExactly) {
   E2eAnalysis e(model());
   noc::Mesh2D mesh(4, 4);
@@ -225,6 +230,51 @@ TEST(E2e, BatchBoundsMatchPerFlowScalarExactly) {
         EXPECT_EQ(*batch[i], *scalar) << "set " << s << " flow " << i;
       }
     }
+  }
+}
+
+// Pinned picosecond bounds for the DRAM-mixed flow set above: two DRAM
+// users sharing the controller plus a NoC-only flow. e2e_bound and
+// e2e_bounds_into must both reproduce them exactly.
+TEST(E2e, DramMixedBoundsArePinnedInPicoseconds) {
+  E2eAnalysis e(model());
+  noc::Mesh2D mesh(4, 4);
+  const std::vector<AppRequirement> flows = {
+      app(1, 2, 0.001, mesh.node(0, 0), mesh.node(1, 1), Time::ms(1), true),
+      app(2, 4, 0.004, mesh.node(2, 0), mesh.node(1, 1), Time::ms(1), true),
+      app(3, 2, 0.002, mesh.node(3, 3), mesh.node(0, 3), Time::ms(1))};
+  const std::int64_t want_ps[] = {2122660, 1770524, 38000};
+  std::vector<std::optional<Time>> batch;
+  e.e2e_bounds_into(flows, &batch);
+  ASSERT_EQ(batch.size(), flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto bound = e.e2e_bound(flows[i], flows);
+    ASSERT_TRUE(bound.has_value()) << "flow " << i;
+    EXPECT_EQ(bound->picos(), want_ps[i]) << "flow " << i;
+    ASSERT_TRUE(batch[i].has_value()) << "flow " << i;
+    EXPECT_EQ(batch[i]->picos(), want_ps[i]) << "flow " << i;
+  }
+}
+
+// The NC column of bench/ablation_formal_methods, pinned in picoseconds:
+// a 3-hop chain whose first hop is shared with one cross flow, composed by
+// hand through the Curve API (residual_blind, convolve, delay_bound).
+TEST(E2e, HandComposedChainBoundsArePinnedInPicoseconds) {
+  const noc::NocConfig cfg;
+  const int flits = 4;
+  const double link_rate = 1.0 / (cfg.flit_time.nanos() * flits);
+  const nc::TokenBucket mine{2.0, 1.0 / 600.0};
+  const std::pair<int, std::int64_t> cases[] = {
+      {2000, 47149}, {1000, 47298}, {500, 47602}, {250, 48223}, {120, 49643}};
+  for (const auto& [cross_period, want_ps] : cases) {
+    const nc::TokenBucket cross{2.0, 1.0 / static_cast<double>(cross_period)};
+    const nc::Curve link = nc::Curve::rate_latency(
+        link_rate, (cfg.router_latency + cfg.flit_time).nanos());
+    nc::Curve chain = nc::residual_blind(link, cross.to_curve());
+    for (int h = 0; h < 2; ++h) chain = nc::convolve(chain, link);
+    const auto bound = nc::delay_bound(mine.to_curve(), chain);
+    ASSERT_TRUE(bound.has_value()) << cross_period;
+    EXPECT_EQ(bound->picos(), want_ps) << cross_period;
   }
 }
 

@@ -2,8 +2,8 @@
 // complete all traffic deterministically, the starvation guard must bound
 // miss waiting by its age cap, and every analyzable policy's simulated
 // worst case must respect its analytic WCD bound. Also covers the
-// validated ControllerConfig builder and the deprecated compatibility
-// shims kept for pre-redesign call sites.
+// validated ControllerConfig builder, including adopting a raw
+// ControllerParams aggregate.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -276,15 +276,11 @@ TEST(ControllerConfigBuild, AcceptsAndSnapshotsValidKnobs) {
   EXPECT_EQ(p.age_cap, Time::us(1));
 }
 
-// --- Deprecated shims ----------------------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedShims, OldNameAndCtorStillRun) {
+TEST(ControllerConfigBuild, AdoptedRawParamsRunDefaultPolicy) {
   sim::Kernel k;
   ControllerParams p;
   p.banks = 2;
-  FrFcfsController c(k, ddr3_1600(), p);  // alias + params ctor
+  Controller c(k, ddr3_1600(), ControllerConfig(p));
   std::size_t done = 0;
   c.set_completion_handler([&](const Request&, Time) { ++done; });
   Request r;
@@ -298,7 +294,6 @@ TEST(DeprecatedShims, OldNameAndCtorStillRun) {
   EXPECT_EQ(c.params().banks, 2);
   EXPECT_EQ(c.policy().kind(), PolicyKind::kFrFcfs);
 }
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace pap::dram

@@ -2,6 +2,8 @@
 // reproduction and the analysis-vs-simulation cross-validation property.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/units.hpp"
 #include "dram/controller.hpp"
 #include "dram/traffic.hpp"
@@ -284,6 +286,27 @@ TEST(WcdServiceCurve, IncrementalMatchesReferenceNearSaturation) {
 }
 
 using WcdDeathTest = ::testing::Test;
+
+// The DDR3-1600 service curve at depth 32 (4 Gbps of writes, burst 8),
+// pinned segment by segment as exact doubles.
+TEST(WcdServiceCurve, Ddr3Depth32SegmentsArePinned) {
+  WcdAnalysis a(ddr3_1600(), paper_controller(),
+                nc::TokenBucket::from_rate(Rate::gbps(4), 64, 8.0));
+  const nc::Segment want[] = {
+      {0x0p+0, 0x0p+0, 0x1.788228ff2c36dp-11},
+      {0x1.5c2p+10, 0x1p+0, 0x1.5015015015015p-6},
+      {0x1.0f9p+11, 0x1.1p+4, 0x1.f8bacf242aa2cp-11},
+      {0x1.9168p+11, 0x1.2p+4, 0x1.5015015015015p-6},
+  };
+  const nc::Curve curve = a.service_curve(32);
+  const auto& got = curve.segments();
+  ASSERT_EQ(got.size(), std::size(want));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].x, want[i].x) << "segment " << i;
+    EXPECT_EQ(got[i].y, want[i].y) << "segment " << i;
+    EXPECT_EQ(got[i].slope, want[i].slope) << "segment " << i;
+  }
+}
 
 TEST(WcdDeathTest, RejectsZeroWriteBatchSize) {
   const auto timings = ddr3_1600();

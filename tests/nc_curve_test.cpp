@@ -6,11 +6,27 @@
 #include <vector>
 
 #include "nc/arrival.hpp"
+#include "nc/batch.hpp"
 #include "nc/curve.hpp"
 #include "nc/service.hpp"
 
 namespace pap::nc {
 namespace {
+
+// positive_closure_view over raw segments that may be negative or
+// decreasing (no Curve can hold them), copied out as a Curve.
+Curve positive_closure(const std::vector<Segment>& raw) {
+  Arena arena;
+  MutCurveView v =
+      alloc_curve_view(arena, static_cast<std::uint32_t>(raw.size()));
+  for (const Segment& s : raw) {
+    v.x[v.n] = s.x;
+    v.y[v.n] = s.y;
+    v.slope[v.n] = s.slope;
+    ++v.n;
+  }
+  return to_curve(positive_closure_view(arena, v));
+}
 
 TEST(Curve, AffineEval) {
   const Curve c = Curve::affine(8.0, 0.5);
@@ -123,7 +139,7 @@ TEST(Curve, EqualityIsCanonical) {
 TEST(Curve, PositiveNondecreasingClosure) {
   // Raw function dips negative then rises: closure clamps at 0, follows.
   std::vector<Segment> raw{{0.0, -5.0, -1.0}, {5.0, -10.0, 2.0}};
-  const Curve c = positive_nondecreasing_closure(raw);
+  const Curve c = positive_closure(raw);
   EXPECT_DOUBLE_EQ(c.eval(0.0), 0.0);
   EXPECT_DOUBLE_EQ(c.eval(9.9), 0.0);
   EXPECT_DOUBLE_EQ(c.eval(10.0), 0.0);  // crosses zero at x = 10
@@ -134,7 +150,7 @@ TEST(Curve, ClosureKeepsRunningMaxOverDips) {
   // Rises to 10 at x=10, dips, rises again later: plateau in between.
   std::vector<Segment> raw{
       {0.0, 0.0, 1.0}, {10.0, 10.0, -2.0}, {14.0, 2.0, 3.0}};
-  const Curve c = positive_nondecreasing_closure(raw);
+  const Curve c = positive_closure(raw);
   EXPECT_DOUBLE_EQ(c.eval(10.0), 10.0);
   EXPECT_DOUBLE_EQ(c.eval(12.0), 10.0);  // plateau
   // Raw catches up with 10 at x where 2 + 3(x-14) = 10 -> x = 16.667
@@ -228,44 +244,6 @@ TEST(Curve, SubNanosecondCrossingIsExact) {
   for (double x : {0.0, 0.05, 0.1, 0.13, 0.2, 0.5, 2.0}) {
     EXPECT_NEAR(m2.eval(x), std::min(c.eval(x), d.eval(x)), 1e-12) << x;
   }
-}
-
-TEST(Curve, CursorMatchesFreshLookups) {
-  const Curve c{std::vector<Segment>{
-      {0.0, 2.0, 4.0}, {0.5, 4.0, 2.0}, {3.0, 9.0, 2.0 - 1e-12},
-      {7.0, 17.0, 0.5}}};
-  Curve::Cursor cur(c);
-  // Monotone sweep: the fast path.
-  for (double x = 0.0; x < 12.0; x += 0.0625) {
-    ASSERT_DOUBLE_EQ(cur.eval(x), c.eval(x)) << x;
-  }
-  // Backward jumps fall back to a fresh search.
-  for (double x : {11.0, 0.25, 6.5, 0.0, 3.0}) {
-    ASSERT_DOUBLE_EQ(cur.eval(x), c.eval(x)) << x;
-  }
-  Curve::Cursor inv(c);
-  for (double y = 0.0; y < 20.0; y += 0.125) {
-    const auto got = inv.inverse(y);
-    const auto want = c.inverse(y);
-    ASSERT_EQ(got.has_value(), want.has_value()) << y;
-    if (got) ASSERT_DOUBLE_EQ(*got, *want) << y;
-  }
-  // Backward inverse jumps, including onto plateau edges.
-  const Curve flat{std::vector<Segment>{
-      {0.0, 0.0, 2.0}, {1.0, 2.0, 0.0}, {4.0, 2.0, 1.0}}};
-  Curve::Cursor finv(flat);
-  for (double y : {3.0, 2.0, 0.5, 2.0, 1.9999999999, 0.0, 3.5}) {
-    const auto got = finv.inverse(y);
-    const auto want = flat.inverse(y);
-    ASSERT_EQ(got.has_value(), want.has_value()) << y;
-    if (got) ASSERT_DOUBLE_EQ(*got, *want) << y;
-  }
-  // Beyond the reachable range both report nullopt (flat tail).
-  const Curve capped{std::vector<Segment>{{0.0, 0.0, 1.0}, {2.0, 2.0, 0.0}}};
-  Curve::Cursor cinv(capped);
-  EXPECT_TRUE(cinv.inverse(1.0).has_value());
-  EXPECT_FALSE(cinv.inverse(5.0).has_value());
-  EXPECT_TRUE(cinv.inverse(2.0).has_value());  // backward after a failure
 }
 
 }  // namespace

@@ -142,15 +142,20 @@ TEST(NcProperty, CombinePointwiseMatchesReferenceAndGroundTruth) {
         rng.chance(0.5) ? random_concave(rng, sub_ns) : random_convex(rng, sub_ns);
     const Curve b =
         rng.chance(0.5) ? random_concave(rng, sub_ns) : random_convex(rng, sub_ns);
-    double (*ops[])(double, double) = {min_of, max_of, sum_of};
-    for (auto op : ops) {
+    const struct {
+      pap::nc::CombineOp op;
+      double (*fn)(double, double);
+    } ops[] = {{pap::nc::CombineOp::kMin, min_of},
+               {pap::nc::CombineOp::kMax, max_of},
+               {pap::nc::CombineOp::kAdd, sum_of}};
+    for (const auto& [op, fn] : ops) {
       const Curve got = pap::nc::combine_pointwise(a, b, op);
-      const Curve want = pap::nc::reference::combine_pointwise(a, b, op);
+      const Curve want = pap::nc::reference::combine_pointwise(a, b, fn);
       ASSERT_TRUE(curves_agree(got, want, i));
       // Ground truth, independent of either implementation: the combination
       // evaluated pointwise at the probe points.
       for (double x : probe_points(a, b)) {
-        const double direct = op(a.eval(x), b.eval(x));
+        const double direct = fn(a.eval(x), b.eval(x));
         const double g = got.eval(x);
         const double tol =
             1e-6 * std::max(1.0, std::max(std::fabs(g), std::fabs(direct)));
