@@ -256,6 +256,35 @@ TEST(E2e, DramMixedBoundsArePinnedInPicoseconds) {
   }
 }
 
+// Pinned picosecond bounds for a controller shared by six DRAM users in
+// two (b, r) contract classes plus one NoC-only flow: every DRAM bound sums
+// five other users' read buckets, and equal-class users share an exclusion
+// bucket. e2e_bound and e2e_bounds_into must both reproduce them exactly.
+TEST(E2e, DramClassBoundsArePinnedInPicoseconds) {
+  E2eAnalysis e(model());
+  noc::Mesh2D mesh(4, 4);
+  const std::vector<AppRequirement> flows = {
+      app(1, 2, 0.001, mesh.node(0, 0), mesh.node(1, 1), Time::ms(1), true),
+      app(2, 2, 0.001, mesh.node(2, 0), mesh.node(1, 1), Time::ms(1), true),
+      app(3, 1, 0.0005, mesh.node(3, 1), mesh.node(1, 2), Time::ms(1), true),
+      app(4, 2, 0.001, mesh.node(0, 3), mesh.node(2, 2), Time::ms(1), true),
+      app(5, 1, 0.0005, mesh.node(1, 3), mesh.node(3, 2), Time::ms(1), true),
+      app(6, 2, 0.001, mesh.node(3, 3), mesh.node(0, 2), Time::ms(1), true),
+      app(7, 2, 0.002, mesh.node(3, 3), mesh.node(0, 3), Time::ms(1))};
+  const std::int64_t want_ps[] = {3554932, 3554932, 3636091, 3534751,
+                                  3652576, 3600493, 104527};
+  std::vector<std::optional<Time>> batch;
+  e.e2e_bounds_into(flows, &batch);
+  ASSERT_EQ(batch.size(), flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto bound = e.e2e_bound(flows[i], flows);
+    ASSERT_TRUE(bound.has_value()) << "flow " << i;
+    EXPECT_EQ(bound->picos(), want_ps[i]) << "flow " << i;
+    ASSERT_TRUE(batch[i].has_value()) << "flow " << i;
+    EXPECT_EQ(batch[i]->picos(), want_ps[i]) << "flow " << i;
+  }
+}
+
 // The NC column of bench/ablation_formal_methods, pinned in picoseconds:
 // a 3-hop chain whose first hop is shared with one cross flow, composed by
 // hand through the Curve API (residual_blind, convolve, delay_bound).
