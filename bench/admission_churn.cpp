@@ -1,7 +1,7 @@
 // admission_churn — acceptance gate and scaling bench for the incremental
 // admission engine (src/admit) under sustained flow churn.
 //
-// Two sections:
+// Three sections:
 //
 //   1. Determinism sweep (exp::Runner): seeded churn histories run through
 //      both engines as sweep points. Metrics are deterministic only —
@@ -21,6 +21,11 @@
 //      e2e_bounds_into pass over the resident set, measured directly at
 //      10^4 — and the same pass, run over the churned engine's canonical
 //      flow order, must reproduce every cached bound ps-exact.
+//
+//   3. DRAM scaling: d DRAM users on link-disjoint one-hop paths, churned.
+//      Every decision changes the DRAM population, so it re-derives all d
+//      DRAM bounds; BM_AdmitChurnDram/{250,1000} record the per-decision
+//      cost, and the churned bounds must match one batch pass ps-exact.
 //
 // Set PAP_CHURN_FULL=1 to extend the curve to 10^6 flows (minutes of fill;
 // off by default and in CI). Results go to BENCH_admit.json in the
@@ -297,6 +302,76 @@ bool scale_point(long nflows, long rounds, bool oracle_check,
   return true;
 }
 
+/// DRAM-coupled churn: `ndram` DRAM users, each on its own one-hop path
+/// between two adjacent routers, so the flows share no NoC link and every
+/// decision's work is the DRAM refresh — every resident DRAM bound is
+/// re-derived against the changed population. Users come in three (b, r)
+/// contract classes at a tenth of the rates of perfbench's admit_churn
+/// DRAM users; at those rates the controller saturates near 560 users.
+/// Fill, then churn (release + re-admit a seeded flow, 2 decisions per
+/// round), then check every cached bound against one batch pass ps-exact.
+bool dram_scale_point(long ndram, long rounds, ScaleResult* out) {
+  int side = 2;
+  while ((side / 2) * side < ndram) side += 2;
+  core::PlatformModel m;
+  m.noc.cols = side;
+  m.noc.rows = side;
+  admit::IncrementalAdmission engine(m);
+  noc::Mesh2D mesh(side, side);
+  const int per_row = side / 2;
+  const auto flow = [&](long k) {
+    const int x = 2 * static_cast<int>(k % per_row);
+    const int y = static_cast<int>(k / per_row);
+    return make_app(static_cast<noc::AppId>(1 + k), 1.0,
+                    1e-7 * static_cast<double>(1 + k % 3), mesh.node(x, y),
+                    mesh.node(x + 1, y), Time::ms(100), /*dram=*/true);
+  };
+
+  const auto fill0 = Clock::now();
+  for (long k = 0; k < ndram; ++k) {
+    const auto g = engine.request(flow(k));
+    if (!g) {
+      std::printf("  dram fill failed at flow %ld: %s\n", k,
+                  g.error_message().c_str());
+      return false;
+    }
+  }
+  out->fill_ns_per_flow =
+      std::chrono::duration<double, std::nano>(Clock::now() - fill0).count() /
+      static_cast<double>(ndram);
+  out->resident = ndram;
+
+  std::uint32_t lcg = 0xd1a2b3c4u;
+  auto next = [&lcg] { return lcg = lcg * 1664525u + 1013904223u; };
+  const auto churn0 = Clock::now();
+  for (long r = 0; r < rounds; ++r) {
+    const auto req = flow(static_cast<long>(next() % ndram));
+    if (!engine.release(req.app).is_ok()) return false;
+    if (!engine.request(req)) return false;
+  }
+  out->churn_decisions = 2 * rounds;
+  out->churn_ns_per_decision =
+      std::chrono::duration<double, std::nano>(Clock::now() - churn0).count() /
+      static_cast<double>(out->churn_decisions);
+  std::printf("  d=%ld: fill %.0f ns/flow, churn %.0f ns/decision "
+              "(%lld decisions)\n",
+              ndram, out->fill_ns_per_flow, out->churn_ns_per_decision,
+              out->churn_decisions);
+
+  const auto flows = engine.flows();
+  std::vector<std::optional<Time>> oracle;
+  engine.analysis().e2e_bounds_into(flows, &oracle);
+  bool exact = flows.size() == static_cast<std::size_t>(ndram);
+  for (std::size_t i = 0; exact && i < flows.size(); ++i) {
+    const auto cached = engine.current_bound(flows[i].app);
+    exact = cached.has_value() && oracle[i].has_value() &&
+            cached->picos() == oracle[i]->picos();
+  }
+  check(exact, "post-churn DRAM bounds match the batch oracle ps-exact (d=" +
+                   std::to_string(ndram) + ")");
+  return true;
+}
+
 /// The batch oracle's per-decision cost: one full e2e_bounds_into pass
 /// over the same resident set (that is what every kBatch decision runs).
 double batch_decision_ns(long nflows, int passes) {
@@ -391,6 +466,16 @@ int main(int argc, char** argv) {
           : 1e9;
   std::printf("per-decision growth 10^4 -> 10^5: %.2fx\n", growth);
   check(growth < 4.0, "per-decision latency flat in resident flows (< 4x)");
+
+  std::printf("== scaling: DRAM-coupled churn ==\n");
+  for (const long ndram : {250L, 1000L}) {
+    ScaleResult rd;
+    const long dram_rounds = ndram == 250 ? (cli.smoke ? 50 : 200)
+                                          : (cli.smoke ? 10 : 25);
+    if (!dram_scale_point(ndram, dram_rounds, &rd)) ++g_failures;
+    rows.push_back(BenchRow{"BM_AdmitChurnDram/" + std::to_string(ndram),
+                            rd.churn_ns_per_decision, rd.churn_decisions});
+  }
 
   std::printf("== batch oracle per-decision cost ==\n");
   const double batch_ns = batch_decision_ns(10000, cli.smoke ? 3 : 5);

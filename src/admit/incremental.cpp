@@ -99,10 +99,14 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
   dram_ptrs_.clear();
   if (any_dram) {
     // The tentative uses_dram population in admission order: the exact
-    // subsequence dram_service_view would filter out of the batch vector.
+    // subsequence the batch oracle hands its DramResiduals.
     for (const auto& [seq, s] : dram_by_seq_) dram_ptrs_.push_back(&flows_[s].req);
     if (candidate && candidate->uses_dram) dram_ptrs_.push_back(candidate);
   }
+  // One residual table for the dirty loop and the clean-DRAM refresh: every
+  // DRAM user of a contract class shares one curve pipeline.
+  core::E2eAnalysis::DramResiduals dram(analysis_, dram_ptrs_.data(),
+                                        dram_ptrs_.size(), arena);
 
   if (n > 0) {
     const core::E2eAnalysis::FlatPaths paths =
@@ -119,10 +123,8 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
         if (!chain) continue;
         nc::CurveView service = *chain;
         if (ev->flows[i].uses_dram) {
-          const nc::CurveView dram =
-              analysis_.dram_service_from(ev->flows[i], dram_ptrs_.data(),
-                                          dram_ptrs_.size(), arena);
-          service = nc::convolve_view(arena, *chain, dram);
+          service =
+              nc::convolve_view(arena, *chain, dram.service_for(ev->flows[i]));
           ev->chains[i] = nc::to_curve(*chain);
           ev->chain_ok[i] = 1;
         }
@@ -146,9 +148,8 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
       std::optional<Time> b;
       if (fs.chain_valid) {
         const nc::CurveView chain = nc::to_view(arena, fs.chain);
-        const nc::CurveView dram = analysis_.dram_service_from(
-            fs.req, dram_ptrs_.data(), dram_ptrs_.size(), arena);
-        const nc::CurveView service = nc::convolve_view(arena, chain, dram);
+        const nc::CurveView service =
+            nc::convolve_view(arena, chain, dram.service_for(fs.req));
         const auto h = nc::h_deviation_view(
             nc::affine_view(arena, fs.req.traffic.burst, fs.req.traffic.rate),
             service);

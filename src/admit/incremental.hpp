@@ -32,9 +32,12 @@
 // on the whole uses_dram set, not on NoC sharing. The engine therefore
 // caches each DRAM flow's NoC chain and, when the DRAM population changes,
 // re-derives affected bounds by convolving the cached chain with the fresh
-// DRAM residual — O(dram flows) per DRAM churn event, independent of the
-// NoC component sizes, and still bit-identical (the chain is a pure
-// function of the flow's unchanged component).
+// DRAM residual — O(dram flows) bound refreshes per DRAM churn event,
+// independent of the NoC component sizes, and still bit-identical (the
+// chain is a pure function of the flow's unchanged component). The fresh
+// residuals come from one E2eAnalysis::DramResiduals per evaluation, so
+// the refresh runs one curve pipeline per distinct exclusion bucket plus
+// an O(dram flows) scalar sum per flow.
 #pragma once
 
 #include <cstdint>

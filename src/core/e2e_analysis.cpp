@@ -1,6 +1,7 @@
 #include "core/e2e_analysis.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -51,24 +52,71 @@ nc::CurveView rate_latency_into(SmallCurve& buf, double rate, double latency) {
 }
 
 /// The delay bound of `req` given its residual NoC chain: the chain is
-/// convolved with the DRAM residual under the DRAM users of `flows` when
-/// req uses the DRAM (both are convex), then bounded by the horizontal
-/// deviation against req's token bucket.
-std::optional<Time> bound_over_chain(const E2eAnalysis& analysis,
-                                     const AppRequirement& req,
+/// convolved with req's DRAM residual when req uses the DRAM (both are
+/// convex), then bounded by the horizontal deviation against req's token
+/// bucket.
+std::optional<Time> bound_over_chain(const AppRequirement& req,
                                      nc::CurveView chain,
-                                     const std::vector<AppRequirement>& flows,
+                                     E2eAnalysis::DramResiduals& dram,
                                      nc::Arena& arena) {
   nc::CurveView service = chain;
   if (req.uses_dram) {
-    service = nc::convolve_view(arena, service,
-                                analysis.dram_service_view(req, flows, arena));
+    service = nc::convolve_view(arena, service, dram.service_for(req));
   }
   SmallCurve abuf;
   const auto h = nc::h_deviation_view(
       affine_into(abuf, req.traffic.burst, req.traffic.rate), service);
   if (!h) return std::nullopt;
   return Time::from_ns(*h);
+}
+
+/// Table hash of a DramResiduals key (five words), chained through
+/// splitmix64's finalizer like propagate_flat's link table.
+std::uint64_t hash_key(const std::uint64_t* key) {
+  std::uint64_t h = splitmix64_mix(key[0]);
+  for (int i = 1; i < 5; ++i) h = splitmix64_mix(h ^ key[i]);
+  return h;
+}
+
+/// The two DRAM exclusion buckets of one user: the background writes plus
+/// every other user's bucket, and the other users' buckets alone.
+struct ExclusionSums {
+  nc::TokenBucket writes;
+  nc::TokenBucket reads;
+  bool any = false;  // some other user exists
+};
+
+/// Both exclusion sums of `app` in one pass over the list, in list order.
+/// Kept out of line: inlined into DramResiduals::service_for, GCC 12 kept
+/// two of the accumulators on the stack and the loop ran ~2x slower.
+[[gnu::noinline]] ExclusionSums exclusion_sums(const noc::AppId* apps,
+                                               const nc::TokenBucket* buckets,
+                                               std::size_t n, noc::AppId app,
+                                               nc::TokenBucket background) {
+  ExclusionSums out;
+  out.writes = background;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (apps[i] == app) continue;
+    out.writes.burst += buckets[i].burst;
+    out.writes.rate += buckets[i].rate;
+    out.reads.burst += buckets[i].burst;
+    out.reads.rate += buckets[i].rate;
+    out.any = true;
+  }
+  return out;
+}
+
+/// The uses_dram flows of `flows` in vector order, as an arena pointer
+/// list for DramResiduals; *n receives the count.
+const AppRequirement* const* dram_users(
+    const std::vector<AppRequirement>& flows, nc::Arena& arena,
+    std::size_t* n) {
+  auto** out = arena.alloc<const AppRequirement*>(flows.size());
+  *n = 0;
+  for (const auto& f : flows) {
+    if (f.uses_dram) out[(*n)++] = &f;
+  }
+  return out;
 }
 
 }  // namespace
@@ -115,10 +163,13 @@ void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
   const FlatPaths paths = flat_paths(flows, arena);
   const PropagatedFlat propagated = propagate_flat(flows, paths, arena);
   if (!propagated.converged) return;  // fixpoint diverged: nothing bounded
+  std::size_t ndram = 0;
+  const AppRequirement* const* dram = dram_users(flows, arena, &ndram);
+  DramResiduals residuals(*this, dram, ndram, arena);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (propagated.flow_unbounded[i]) continue;
     const auto chain = chain_view_for(flows, i, propagated, paths, arena);
-    if (chain) (*out)[i] = bound_over_chain(*this, flows[i], *chain, flows, arena);
+    if (chain) (*out)[i] = bound_over_chain(flows[i], *chain, residuals, arena);
   }
 }
 
@@ -226,22 +277,22 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
   for (std::uint32_t l = 0; l <= nlinks; ++l) users_off[l] = 0;
   for (std::uint32_t fh = 0; fh < total; ++fh) ++users_off[link_of[fh] + 1];
   for (std::uint32_t l = 0; l < nlinks; ++l) users_off[l + 1] += users_off[l];
-  struct User {
-    std::uint32_t flow;
-    std::uint32_t fh;  // flat (flow, hop) index into bursts
-  };
-  auto* users = arena.alloc<User>(total);
+  auto* users = arena.alloc<LinkUser>(total);
   {
     auto* fill = arena.alloc<std::uint32_t>(nlinks);
     for (std::uint32_t l = 0; l < nlinks; ++l) fill[l] = users_off[l];
     for (std::size_t f = 0; f < nflows; ++f) {
       for (std::uint32_t fh = off[f]; fh < off[f + 1]; ++fh) {
-        users[fill[link_of[fh]]++] = User{static_cast<std::uint32_t>(f), fh};
+        users[fill[link_of[fh]]++] =
+            LinkUser{static_cast<std::uint32_t>(f), fh};
       }
     }
   }
 
   PropagatedFlat out;
+  out.link_of = link_of;
+  out.users_off = users_off;
+  out.users = users;
   out.bursts = arena.alloc<double>(total);
   out.flow_unbounded = arena.alloc<bool>(nflows);
   for (std::size_t f = 0; f < nflows; ++f) {
@@ -344,38 +395,40 @@ std::optional<nc::CurveView> E2eAnalysis::chain_view_for(
   // Per hop: the link guarantee in this flow's packet units, minus the
   // cross traffic with propagated (conservative) bursts normalised to this
   // flow's packet service time via the flit ratio; the chain is the
-  // convolution of the residuals. The link curve is arena-backed (not
-  // stack) because it *is* the residual — and thus the chain — on hops
-  // without cross traffic, so it must outlive this loop iteration.
+  // convolution of the residuals. The cross traffic of a hop is the link's
+  // user list, which is in (flow, hop) order: summing its first entry per
+  // other flow is the flow-set-order sum. The link curve is arena-backed
+  // (not stack) because it *is* the residual — and thus the chain — on
+  // hops without cross traffic, so it must outlive this loop iteration.
   const AppRequirement& req = flows[self_idx];
   const std::uint32_t* off = paths.off;
 
   nc::CurveView chain{};
   bool first = true;
   for (std::uint32_t mh = off[self_idx]; mh < off[self_idx + 1]; ++mh) {
-    const PathLink& my_link = paths.links[mh];
     const nc::CurveView link = nc::rate_latency_view(
         arena, link_rate(req.flits_per_packet),
-        my_link.injection ? model_.noc.flit_time.nanos()
-                          : hop_latency().nanos());
+        paths.links[mh].injection ? model_.noc.flit_time.nanos()
+                                  : hop_latency().nanos());
     nc::CurveView cross{};
     bool any_cross = false;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (f == self_idx) continue;
-      for (std::uint32_t fh = off[f]; fh < off[f + 1]; ++fh) {
-        if (paths.links[fh] == my_link) {
-          const double scale = static_cast<double>(flows[f].flits_per_packet) /
-                               static_cast<double>(req.flits_per_packet);
-          const nc::CurveView oc =
-              nc::affine_view(arena, propagated.bursts[fh] * scale,
-                              flows[f].traffic.rate * scale);
-          cross = any_cross
-                      ? nc::combine_view(arena, cross, oc, nc::CombineOp::kAdd)
-                      : oc;
-          any_cross = true;
-          break;
-        }
-      }
+    const std::uint32_t l = propagated.link_of[mh];
+    std::uint32_t prev_flow = UINT32_MAX;
+    for (std::uint32_t u = propagated.users_off[l];
+         u < propagated.users_off[l + 1]; ++u) {
+      const LinkUser& user = propagated.users[u];
+      if (user.flow == self_idx || user.flow == prev_flow) continue;
+      prev_flow = user.flow;
+      const AppRequirement& other = flows[user.flow];
+      const double scale = static_cast<double>(other.flits_per_packet) /
+                           static_cast<double>(req.flits_per_packet);
+      const nc::CurveView oc =
+          nc::affine_view(arena, propagated.bursts[user.fh] * scale,
+                          other.traffic.rate * scale);
+      cross = any_cross
+                  ? nc::combine_view(arena, cross, oc, nc::CombineOp::kAdd)
+                  : oc;
+      any_cross = true;
     }
     const nc::CurveView residual =
         any_cross ? nc::residual_blind_view(arena, link, cross) : link;
@@ -386,53 +439,89 @@ std::optional<nc::CurveView> E2eAnalysis::chain_view_for(
   return chain;
 }
 
-nc::CurveView E2eAnalysis::dram_service_view(
-    const AppRequirement& req, const std::vector<AppRequirement>& others,
-    nc::Arena& arena) const {
-  // The filter preserves vector order, so dram_service_from sums in
-  // flow-set order. The pointer array lives in the arena — no heap traffic
-  // per call.
-  auto** dram_flows = arena.alloc<const AppRequirement*>(others.size());
-  std::size_t n = 0;
-  for (const auto& o : others) {
-    if (o.uses_dram) dram_flows[n++] = &o;
+E2eAnalysis::DramResiduals::DramResiduals(
+    const E2eAnalysis& analysis, const AppRequirement* const* dram_flows,
+    std::size_t n, nc::Arena& arena)
+    : analysis_(analysis),
+      apps_(arena.alloc<noc::AppId>(n)),
+      buckets_(arena.alloc<nc::TokenBucket>(n)),
+      n_(n),
+      arena_(arena) {
+  for (std::size_t i = 0; i < n; ++i) {
+    apps_[i] = dram_flows[i]->app;
+    buckets_[i] = dram_flows[i]->traffic;
   }
-  return dram_service_from(req, dram_flows, n, arena);
+  grow();
 }
 
-nc::CurveView E2eAnalysis::dram_service_from(const AppRequirement& req,
-                                             const AppRequirement* const* dram_flows,
-                                             std::size_t n, nc::Arena& arena) const {
+E2eAnalysis::DramResiduals::Entry* E2eAnalysis::DramResiduals::find_slot(
+    const std::uint64_t* key) const {
+  // Open addressing, linear probing; the load factor stays <= 1/2.
+  std::uint32_t slot =
+      static_cast<std::uint32_t>(hash_key(key)) & (cap_ - 1);
+  for (;;) {
+    Entry& e = slots_[slot];
+    if (!e.used || std::equal(key, key + 5, e.key)) return &e;
+    slot = (slot + 1) & (cap_ - 1);
+  }
+}
+
+void E2eAnalysis::DramResiduals::grow() {
+  // Start small — a contract-class population has a handful of buckets and
+  // a one-shot lookup needs one — and double at half load. The old slots
+  // stay in the arena until its next reset.
+  const Entry* old = slots_;
+  const std::uint32_t old_cap = cap_;
+  cap_ = old_cap == 0 ? 16 : 2 * old_cap;
+  slots_ = arena_.alloc<Entry>(cap_);
+  for (std::uint32_t i = 0; i < cap_; ++i) slots_[i].used = false;
+  for (std::uint32_t i = 0; i < old_cap; ++i) {
+    if (old[i].used) *find_slot(old[i].key) = old[i];
+  }
+}
+
+nc::CurveView E2eAnalysis::DramResiduals::service_for(
+    const AppRequirement& req) {
   // Aggregate write pressure at the controller: the background bucket plus
   // every other DRAM user's traffic (conservatively all of it counted as
   // writes for the batch interference — writes are the traffic class that
-  // interrupts reads under FR-FCFS).
-  nc::TokenBucket writes = model_.background_writes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const AppRequirement* o = dram_flows[i];
-    if (o->app == req.app) continue;
-    writes.burst += o->traffic.burst;
-    writes.rate += o->traffic.rate;
+  // interrupts reads under FR-FCFS). The other users' reads occupy queue
+  // positions ahead of ours: their bucket sum is subtracted from the
+  // aggregate read service. Both sums run in list (admission) order.
+  const PlatformModel& model = analysis_.model_;
+  const ExclusionSums sums =
+      exclusion_sums(apps_, buckets_, n_, req.app, model.background_writes);
+  const std::uint64_t key[5] = {
+      std::bit_cast<std::uint64_t>(sums.writes.burst),
+      std::bit_cast<std::uint64_t>(sums.writes.rate),
+      std::bit_cast<std::uint64_t>(sums.reads.burst),
+      std::bit_cast<std::uint64_t>(sums.reads.rate), sums.any ? 1u : 0u};
+  Entry* e = find_slot(key);
+  if (e->used) return e->service;
+  if (2 * (used_ + 1) > cap_) {
+    grow();
+    e = find_slot(key);
   }
-  dram::WcdAnalysis analysis(model_.dram, model_.dram_ctrl, writes);
-  const nc::CurveView aggregate =
-      analysis.service_curve_view(model_.dram_service_depth, arena);
-  // Reads of the other apps occupy queue positions ahead of ours: subtract
-  // their arrival curves from the aggregate read service.
-  nc::CurveView cross_reads{};
-  bool any = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const AppRequirement* o = dram_flows[i];
-    if (o->app == req.app) continue;
-    const nc::CurveView oc =
-        nc::affine_view(arena, o->traffic.burst, o->traffic.rate);
-    cross_reads =
-        any ? nc::combine_view(arena, cross_reads, oc, nc::CombineOp::kAdd)
-            : oc;
-    any = true;
-  }
-  const nc::CurveView convex = nc::convex_minorant_view(arena, aggregate);
-  return any ? nc::residual_blind_view(arena, convex, cross_reads) : convex;
+
+  dram::WcdAnalysis wcd(model.dram, model.dram_ctrl, sums.writes);
+  const nc::CurveView convex = nc::convex_minorant_view(
+      arena_, wcd.service_curve_view(model.dram_service_depth, arena_));
+  const nc::CurveView service =
+      sums.any ? nc::residual_blind_view(
+                     arena_, convex,
+                     nc::affine_view(arena_, sums.reads.burst, sums.reads.rate))
+               : convex;
+  std::copy(key, key + 5, e->key);
+  e->service = service;
+  e->used = true;
+  ++used_;
+  return service;
+}
+
+nc::CurveView E2eAnalysis::dram_service_from(
+    const AppRequirement& req, const AppRequirement* const* dram_flows,
+    std::size_t n, nc::Arena& arena) const {
+  return DramResiduals(*this, dram_flows, n, arena).service_for(req);
 }
 
 std::optional<Time> E2eAnalysis::e2e_bound(
@@ -462,7 +551,10 @@ std::optional<Time> E2eAnalysis::e2e_bound(
   }
   const auto chain = chain_view_for(flows, self_idx, propagated, paths, arena);
   if (!chain) return std::nullopt;
-  return bound_over_chain(*this, req, *chain, others, arena);
+  std::size_t ndram = 0;
+  const AppRequirement* const* dram = dram_users(flows, arena, &ndram);
+  DramResiduals residuals(*this, dram, ndram, arena);
+  return bound_over_chain(req, *chain, residuals, arena);
 }
 
 }  // namespace pap::core

@@ -22,6 +22,7 @@
 // resulting bounds against the NoC simulator over random flow sets.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -120,10 +121,21 @@ class E2eAnalysis {
   /// per-hop burst sizes (in each flow's own packets); bursts is indexed
   /// like FlatPaths::links. converged == false means the fixpoint
   /// diverged; flow_unbounded[f] marks flows crossing an unstable link.
+  /// The per-link user lists the fixpoint sums over are kept as a CSR:
+  /// (flow, hop) entry fh crosses distinct link link_of[fh], and link l's
+  /// users are users[users_off[l] .. users_off[l + 1]) in (flow, hop)
+  /// order.
+  struct LinkUser {
+    std::uint32_t flow;
+    std::uint32_t fh;  // flat (flow, hop) index into bursts
+  };
   struct PropagatedFlat {
     double* bursts = nullptr;
     bool* flow_unbounded = nullptr;
     bool converged = false;
+    const std::uint32_t* link_of = nullptr;
+    const std::uint32_t* users_off = nullptr;
+    const LinkUser* users = nullptr;
   };
   PropagatedFlat propagate_flat(const std::vector<AppRequirement>& flows,
                                 const FlatPaths& paths,
@@ -131,26 +143,63 @@ class E2eAnalysis {
 
   /// The residual NoC service chain of flows[self_idx] (convolution of the
   /// per-link blind residuals), or nullopt when a link on the path is
-  /// saturated; the returned view lives in `arena`.
+  /// saturated; the returned view lives in `arena`. Each hop's cross
+  /// traffic comes from the link's user list in `propagated`, so the cost
+  /// is the number of users of the flow's own links.
   std::optional<nc::CurveView> chain_view_for(
       const std::vector<AppRequirement>& flows, std::size_t self_idx,
       const PropagatedFlat& propagated, const FlatPaths& paths,
       nc::Arena& arena) const;
 
-  /// Residual DRAM read service for `req` given the set `others` (their
-  /// writes feed the write-batch interference; their reads occupy queue
-  /// positions ahead); the returned view lives in `arena`.
-  nc::CurveView dram_service_view(const AppRequirement& req,
-                                  const std::vector<AppRequirement>& others,
-                                  nc::Arena& arena) const;
+  /// Residual DRAM read services of one flow set's DRAM users, shared per
+  /// distinct exclusion bucket. A user's residual depends on the set only
+  /// through two scalar sums over the *other* users: the write bucket
+  /// (background plus their traffic, which feeds the write-batch
+  /// interference) and the read bucket (their traffic, which occupies
+  /// queue positions ahead). service_for() forms both sums in one O(n)
+  /// pass and runs the curve pipeline (WCD service curve, convex minorant,
+  /// blind residual) only for a bucket it has not seen; users in the same
+  /// (b, r) contract class mostly hit (their sums differ only in where the
+  /// skipped entry sat). Equal input bits give equal output bits,
+  /// so sharing never changes a value. The table and every view it returns
+  /// live in `arena`.
+  class DramResiduals {
+   public:
+    /// `dram_flows[0..n)` must hold exactly the uses_dram flows of the
+    /// set, in admission order (the vector order of the batch oracle).
+    DramResiduals(const E2eAnalysis& analysis,
+                  const AppRequirement* const* dram_flows, std::size_t n,
+                  nc::Arena& arena);
 
-  /// dram_service_view over a pre-filtered list: `dram_flows[0..n)` must
-  /// hold exactly the uses_dram flows of the set, in the same relative
-  /// order the full flow vector would present them (admission order);
-  /// `req` itself may appear and is skipped by app id. The write/read
-  /// aggregation then sums in the same order as dram_service_view over the
-  /// full vector, so the result is bit-identical. Pointers are borrowed
-  /// for the call.
+    /// The residual read service of `req` against every list entry with
+    /// another app id (entries with req's app id are skipped).
+    nc::CurveView service_for(const AppRequirement& req);
+
+   private:
+    struct Entry {
+      std::uint64_t key[5];  // bits of writes (b, r), reads (b, r); any
+      nc::CurveView service;
+      bool used;
+    };
+    Entry* find_slot(const std::uint64_t* key) const;
+    void grow();
+
+    const E2eAnalysis& analysis_;
+    // The list's app ids and buckets, gathered once into arena arrays so
+    // the per-lookup exclusion sums scan contiguous memory.
+    noc::AppId* apps_;
+    nc::TokenBucket* buckets_;
+    std::size_t n_;
+    nc::Arena& arena_;
+    Entry* slots_ = nullptr;
+    std::uint32_t cap_ = 0;
+    std::uint32_t used_ = 0;
+  };
+
+  /// The residual DRAM read service of `req` alone: a one-lookup
+  /// DramResiduals over `dram_flows[0..n)` (same contract). Callers that
+  /// need the residual of several users of one set share a DramResiduals
+  /// instead.
   nc::CurveView dram_service_from(const AppRequirement& req,
                                   const AppRequirement* const* dram_flows,
                                   std::size_t n, nc::Arena& arena) const;

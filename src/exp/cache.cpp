@@ -1,5 +1,7 @@
 #include "exp/cache.hpp"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -83,19 +85,26 @@ void ResultCache::store(const Experiment& exp, const Params& params,
   std::filesystem::create_directories(dir_, ec);
   if (ec) return;
   const std::string path = path_for(exp, params);
-  // Unique temp name per thread: duplicate sweep points may store the same
-  // key concurrently, and rename() makes the last writer win atomically.
+  // Unique temp name per process and thread, as serve::DiskCache::store
+  // does: duplicate sweep points may store the same key concurrently, from
+  // threads of one runner or from processes sharing the directory (forked
+  // ones carry equal main-thread ids), and rename() makes the last writer
+  // win atomically. A failed write or rename removes the temp file.
   std::ostringstream tmp;
-  tmp << path << ".tmp." << std::this_thread::get_id();
+  tmp << path << ".tmp." << ::getpid() << "." << std::this_thread::get_id();
+  const std::string tmp_path = tmp.str();
+  bool written = false;
   {
-    std::ofstream out(tmp.str(), std::ios::trunc);
-    if (!out.is_open()) return;
-    out << identity_header(exp, params) << r.serialize();
-    if (!out.good()) return;
+    std::ofstream out(tmp_path, std::ios::trunc);
+    if (out.is_open()) {
+      out << identity_header(exp, params) << r.serialize();
+      out.close();
+      written = !out.fail();
+    }
   }
-  std::filesystem::rename(tmp.str(), path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp.str(), ec);
+  if (written) std::filesystem::rename(tmp_path, path, ec);
+  if (!written || ec) {
+    std::filesystem::remove(tmp_path, ec);
     return;
   }
   // Mirror the just-written entry into the memo so the writer's own next

@@ -1,6 +1,8 @@
 // The exp sweep engine: Value/Result round trips, sweep enumeration,
 // parallel determinism, cancellation, and the content-hash result cache.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -310,6 +312,50 @@ TEST_F(CacheTest, ConcurrentReadersAndWritersNeverCorrupt) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(bad.load(), 0);
+}
+
+TEST_F(CacheTest, ForkedWritersOfOneKeyLeaveNoTornEntryOrTempFile) {
+  // A forked child and its parent store the same key concurrently. Their
+  // main threads carry equal thread ids, so the temp file name must also
+  // carry the pid: with per-thread names alone both processes truncate and
+  // write one shared temp file and rename torn bytes into place. Every
+  // fresh-instance load must hit the exact Result, and no temp file may be
+  // left behind.
+  const Experiment exp{"exp_test_fork",
+                       [](const Params& p) { return Result{p.label()}; }};
+  const Params p = Params{}.set("x", 1);
+  Result stored{"forked"};
+  for (int i = 0; i < 64; ++i) {
+    stored.set("field" + std::to_string(i), std::string(256, 'a' + i % 26));
+  }
+  std::filesystem::create_directories(dir_);
+  const auto hammer = [&] {
+    int bad = 0;
+    const ResultCache cache(dir_.string());
+    for (int i = 0; i < 200; ++i) {
+      cache.store(exp, p, stored);
+      const auto got = ResultCache(dir_.string()).load(exp, p);
+      if (!got || !(got.value() == stored)) ++bad;
+    }
+    return bad;
+  };
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(hammer() == 0 ? 0 : 1);
+  const int parent_bad = hammer();
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the child saw a missing or torn entry";
+  EXPECT_EQ(parent_bad, 0);
+  const auto got = ResultCache(dir_.string()).load(exp, p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got.value(), stored);
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
 }
 
 namespace cli {
