@@ -2,7 +2,8 @@
 // WCD bounding algorithm is "computationally inexpensive (milliseconds at
 // most), hence could also be done online if required (e.g., for admission
 // control)". These benches substantiate that claim for our implementation,
-// plus the NC primitives and the DES kernel that everything runs on.
+// plus the NC primitives, the DES kernel that everything runs on and one SoC
+// simulation on top of it.
 //
 // Included by two binaries:
 //  * micro_nc_ops — plain BENCHMARK_MAIN() CLI for interactive use;
@@ -33,6 +34,8 @@
 #include "nc/ops.hpp"
 #include "nc/reference.hpp"
 #include "noc/topology.hpp"
+#include "scenario/generate.hpp"
+#include "scenario/run.hpp"
 #include "sim/kernel.hpp"
 
 namespace pap_bench {
@@ -526,5 +529,31 @@ inline void BM_KernelSameTimestampBurst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelSameTimestampBurst);
+
+// ---------------------------------------------------------------------------
+// SoC simulator: one generated scenario end to end (L1 -> DSU L3 -> Memguard
+// -> FR-FCFS DRAM on the event kernel). Besides the time per run, reports
+// `ns_per_access`: host nanoseconds per simulated memory access.
+// ---------------------------------------------------------------------------
+
+inline void BM_SocGeneratedMember(benchmark::State& state) {
+  const scenario::Scenario member =
+      scenario::generate_scenario("hog_mix", 2021, 0).value();
+  std::int64_t accesses = 0;
+  for (auto _ : state) {
+    const exp::Result r = scenario::run_parsed(member).value();
+    accesses = 0;
+    for (const char* name : {"rt_accesses", "hog_accesses", "trace_accesses"}) {
+      if (const exp::Value* v = r.find(name)) accesses += v->as_int();
+    }
+    benchmark::DoNotOptimize(accesses);
+  }
+  // Seconds per (iteration x accesses), scaled so the counter reads in ns.
+  state.counters["ns_per_access"] = benchmark::Counter(
+      static_cast<double>(accesses) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SocGeneratedMember);
 
 }  // namespace pap_bench

@@ -1,6 +1,7 @@
 // Perf-regression harness: runs the shared microbenchmark set and writes the
 // results to BENCH_nc.json (NC curve algebra + WCD analysis) and
-// BENCH_sim.json (DES kernel) in a stable, diff-friendly schema:
+// BENCH_sim.json (DES kernel, SoC simulator) in a stable, diff-friendly
+// schema:
 //
 //   {
 //     "schema": "pap-bench-v1",
@@ -34,6 +35,8 @@ struct Result {
   double real_ns = 0.0;
   double cpu_ns = 0.0;
   std::int64_t iterations = 0;
+  /// User counters (e.g. ns_per_access), written after "iterations".
+  std::vector<std::pair<std::string, double>> counters;
 };
 
 /// Collects per-iteration results while still printing the familiar console
@@ -49,6 +52,9 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       res.real_ns = r.GetAdjustedRealTime();
       res.cpu_ns = r.GetAdjustedCPUTime();
       res.iterations = r.iterations;
+      for (const auto& [name, counter] : r.counters) {
+        res.counters.emplace_back(name, counter.value);
+      }
       results_.push_back(std::move(res));
     }
     ConsoleReporter::ReportRuns(runs);
@@ -61,7 +67,8 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 };
 
 bool is_sim_bench(const std::string& name) {
-  return name.rfind("BM_Kernel", 0) == 0 || name.rfind("BM_Sim", 0) == 0;
+  return name.rfind("BM_Kernel", 0) == 0 || name.rfind("BM_Sim", 0) == 0 ||
+         name.rfind("BM_Soc", 0) == 0;
 }
 
 bool write_suite(const std::string& path, const std::string& suite,
@@ -80,10 +87,13 @@ bool write_suite(const std::string& path, const std::string& suite,
     const auto& r = results[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"real_ns\": %.6g, "
-                 "\"cpu_ns\": %.6g, \"iterations\": %lld}%s\n",
+                 "\"cpu_ns\": %.6g, \"iterations\": %lld",
                  r.name.c_str(), r.real_ns, r.cpu_ns,
-                 static_cast<long long>(r.iterations),
-                 i + 1 < results.size() ? "," : "");
+                 static_cast<long long>(r.iterations));
+    for (const auto& [name, value] : r.counters) {
+      std::fprintf(f, ", \"%s\": %.6g", name.c_str(), value);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");

@@ -86,24 +86,31 @@ class Cache {
 
   const CacheConfig& config() const { return config_; }
 
-  /// Per-requester hit/miss counters: "<id>.hits", "<id>.misses",
-  /// "<id>.evictions_suffered" (lines of `id` evicted by someone else).
+  /// Per-requester counters: "<id>.hits", "<id>.misses", "<id>.bypasses",
+  /// "<id>.evictions_suffered" (lines of `id` evicted by an allocation).
   const Counters& counters() const { return counters_; }
 
  private:
-  struct Line {
-    bool valid = false;
-    Addr tag = 0;
-    RequesterId owner = 0;
-    std::uint64_t last_use = 0;  ///< for LRU
+  /// Counter handles of one requester, resolved on its first access.
+  struct Requester {
+    RequesterId who = 0;
+    Counters::Id hits, misses, bypasses, evictions_suffered;
   };
+  const Requester& requester(RequesterId who);
 
-  Line* find(std::uint32_t set, Addr tag);
+  /// Tag of an invalid way; no line address maps to it.
+  static constexpr Addr kNoTag = ~Addr{0};
+
   CacheConfig config_;
   AllocationFilter filter_;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
+  // Struct-of-arrays line storage, sets * ways each, row-major by set: a
+  // lookup scans only the set's tags.
+  std::vector<Addr> tag_;
+  std::vector<RequesterId> owner_;
+  std::vector<std::uint64_t> last_use_;  ///< for LRU
   std::uint64_t tick_ = 0;
   Counters counters_;
+  std::vector<Requester> requesters_;
 };
 
 }  // namespace pap::cache

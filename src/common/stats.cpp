@@ -132,14 +132,12 @@ std::string LatencyHistogram::ascii_chart(int buckets, int width) const {
   return os.str();
 }
 
-void Counters::inc(const std::string& name, std::int64_t by) {
-  for (auto& [k, v] : entries_) {
-    if (k == name) {
-      v += by;
-      return;
-    }
+Counters::Id Counters::id(const std::string& name) {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].first == name) return Id{static_cast<std::uint32_t>(i)};
   }
-  entries_.emplace_back(name, by);
+  entries_.emplace_back(name, 0);
+  return Id{static_cast<std::uint32_t>(entries_.size() - 1)};
 }
 
 std::int64_t Counters::get(const std::string& name) const {
@@ -149,6 +147,8 @@ std::int64_t Counters::get(const std::string& name) const {
   return 0;
 }
 
-void Counters::reset() { entries_.clear(); }
+void Counters::reset() {
+  for (auto& entry : entries_) entry.second = 0;
+}
 
 }  // namespace pap

@@ -78,18 +78,35 @@ class LatencyHistogram {
 /// Counter map utility: named monotonically increasing counters, used by the
 /// cache / DRAM / NoC models to expose occurrence counts (hits, misses,
 /// row conflicts, switches, stalls, ...).
+///
+/// Writers resolve a name once with `id(name)`, typically at construction,
+/// and bump the counter through the returned handle; readers look counters
+/// up by name.
 class Counters {
  public:
-  void inc(const std::string& name, std::int64_t by = 1);
+  /// Handle to one counter; valid for the lifetime of this Counters.
+  struct Id {
+    std::uint32_t index = 0;
+  };
+
+  /// Handle for `name`, registering it at 0 on first use.
+  Id id(const std::string& name);
+  void inc(Id counter, std::int64_t by = 1) {
+    entries_[counter.index].second += by;
+  }
+  std::int64_t get(Id counter) const { return entries_[counter.index].second; }
+
   std::int64_t get(const std::string& name) const;
   const std::vector<std::pair<std::string, std::int64_t>>& entries() const {
     return entries_;
   }
+  /// Zero every counter; names and handles stay valid.
   void reset();
 
  private:
-  // Small, ordered by first use; linear lookup is fine for the handful of
-  // counters each component exposes, and preserves insertion order in output.
+  // Small, ordered by registration; linear lookup is fine for the handful
+  // of counters each component exposes, and preserves insertion order in
+  // output.
   std::vector<std::pair<std::string, std::int64_t>> entries_;
 };
 

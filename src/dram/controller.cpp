@@ -60,6 +60,19 @@ Controller::Controller(sim::Kernel& kernel, const Timings& timings,
   PAP_CHECK_MSG(timings_.valid(), "invalid DRAM timing set");
   PAP_CHECK_MSG(params_.valid(), "invalid controller parameters");
   banks_.assign(static_cast<std::size_t>(params_.banks), Bank{timings_});
+  rows_stay_closed_ = params_.page_policy == PagePolicy::kClosedPage ||
+                      policy_->auto_precharge();
+  ids_ = CounterIds{counters_.id("reads_submitted"),
+                    counters_.id("writes_submitted"),
+                    counters_.id("injected_stalls"),
+                    counters_.id("switches_to_write"),
+                    counters_.id("switches_to_read"),
+                    counters_.id("refreshes"),
+                    counters_.id("read_hit_promotions"),
+                    counters_.id("read_hits"),
+                    counters_.id("write_hits"),
+                    counters_.id("read_misses"),
+                    counters_.id("write_misses")};
 }
 
 void Controller::submit(Request request) {
@@ -68,10 +81,10 @@ void Controller::submit(Request request) {
   if (request.op == Op::kRead) {
     read_q_.push_back(request);
     max_read_depth_ = std::max(max_read_depth_, read_q_.size());
-    counters_.inc("reads_submitted");
+    counters_.inc(ids_.reads_submitted);
   } else {
     write_q_.push_back(request);
-    counters_.inc("writes_submitted");
+    counters_.inc(ids_.writes_submitted);
   }
   if (auto* t = kernel_.tracer()) {
     t->counter("dram", "read_q_depth", static_cast<double>(read_q_.size()));
@@ -83,7 +96,7 @@ void Controller::submit(Request request) {
 void Controller::inject_stall(Time until) {
   ready_at_ = std::max(ready_at_, until);
   last_was_hit_ = false;  // the stall breaks any data-bus pipeline
-  counters_.inc("injected_stalls");
+  counters_.inc(ids_.injected_stalls);
   if (auto* t = kernel_.tracer()) {
     t->span(kernel_.now(), until - kernel_.now(), "dram", "injected_stall",
             "fault");
@@ -116,8 +129,7 @@ std::uint8_t Controller::master_priority(std::uint32_t master) const {
 }
 
 bool Controller::row_open_hit(const Request& r) const {
-  return params_.page_policy == PagePolicy::kOpenRow &&
-         !policy_->auto_precharge() && banks_[r.bank].is_hit(r.row);
+  return !rows_stay_closed_ && banks_[r.bank].is_hit(r.row);
 }
 
 void Controller::switch_mode(Mode m, Time turnaround) {
@@ -126,11 +138,11 @@ void Controller::switch_mode(Mode m, Time turnaround) {
   last_was_hit_ = false;  // turnaround breaks any data-bus pipeline
   if (m == Mode::kWrite) {
     writes_in_batch_ = 0;
-    counters_.inc("switches_to_write");
+    counters_.inc(ids_.switches_to_write);
   } else if (m == Mode::kRead) {
     hit_streak_ = 0;
     must_serve_read_ = true;
-    counters_.inc("switches_to_read");
+    counters_.inc(ids_.switches_to_read);
   }
   if (auto* t = kernel_.tracer()) {
     t->instant("dram",
@@ -143,7 +155,7 @@ void Controller::switch_mode(Mode m, Time turnaround) {
 
 void Controller::do_refresh() {
   refresh_due_ = false;
-  counters_.inc("refreshes");
+  counters_.inc(ids_.refreshes);
   Time done = std::max(kernel_.now(), ready_at_);
   const Time start = done;
   for (auto& b : banks_) done = std::max(done, b.refresh(start));
@@ -152,7 +164,7 @@ void Controller::do_refresh() {
   if (auto* t = kernel_.tracer()) {
     t->span(start, done - start, "dram", "refresh", "mode");
     t->counter("dram", "refreshes",
-               static_cast<double>(counters_.get("refreshes")),
+               static_cast<double>(counters_.get(ids_.refreshes)),
                trace::CounterKind::kMonotonic);
   }
   if (on_mode_) on_mode_(kernel_.now(), Mode::kRefresh, write_q_.size());
@@ -188,7 +200,7 @@ void Controller::dispatch() {
       // A hit served from a non-head position was promoted over an older
       // request (under FCFS-ordered policies the pick is always the class
       // head, so this never fires).
-      if (idx != 0) counters_.inc("read_hit_promotions");
+      if (idx != 0) counters_.inc(ids_.read_hit_promotions);
       ++hit_streak_;
     } else {
       hit_streak_ = 0;
@@ -226,13 +238,11 @@ void Controller::serve(Request r, bool is_hit) {
     } else {
       completion = now + timings_.read_hit_first_latency();
     }
-    counters_.inc(r.op == Op::kRead ? "read_hits" : "write_hits");
+    counters_.inc(r.op == Op::kRead ? ids_.read_hits : ids_.write_hits);
   } else {
-    completion = banks_[r.bank].access(
-        now, r.row, r.op == Op::kWrite,
-        params_.page_policy == PagePolicy::kClosedPage ||
-            policy_->auto_precharge());
-    counters_.inc(r.op == Op::kRead ? "read_misses" : "write_misses");
+    completion = banks_[r.bank].access(now, r.row, r.op == Op::kWrite,
+                                       rows_stay_closed_);
+    counters_.inc(r.op == Op::kRead ? ids_.read_misses : ids_.write_misses);
   }
   last_was_hit_ = is_hit;
   last_bank_ = r.bank;
@@ -258,20 +268,31 @@ void Controller::serve(Request r, bool is_hit) {
     t->span(now, completion - now, "dram",
             std::string(op) + (is_hit ? "/CAS" : "/ACT+CAS"), "service");
     t->counter("dram", "row_hits",
-               static_cast<double>(counters_.get("read_hits") +
-                                   counters_.get("write_hits")),
+               static_cast<double>(counters_.get(ids_.read_hits) +
+                                   counters_.get(ids_.write_hits)),
                trace::CounterKind::kMonotonic);
     t->counter("dram", "row_misses",
-               static_cast<double>(counters_.get("read_misses") +
-                                   counters_.get("write_misses")),
+               static_cast<double>(counters_.get(ids_.read_misses) +
+                                   counters_.get(ids_.write_misses)),
                trace::CounterKind::kMonotonic);
   }
   if (on_complete_) {
-    kernel_.schedule_at(
-        completion, [this, r, completion] { on_complete_(r, completion); },
-        /*priority=*/-1);
+    PAP_CHECK(completions_head_ == completions_.size() ||
+              completions_.back().second <= completion);
+    completions_.emplace_back(r, completion);
+    kernel_.schedule_at(completion, [this] { complete_next(); },
+                        /*priority=*/-1);
   }
   kernel_.schedule_at(completion, [this] { dispatch(); });
+}
+
+void Controller::complete_next() {
+  const auto [r, completion] = completions_[completions_head_++];
+  if (completions_head_ == completions_.size()) {
+    completions_.clear();
+    completions_head_ = 0;
+  }
+  on_complete_(r, completion);
 }
 
 }  // namespace pap::dram

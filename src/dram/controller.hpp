@@ -182,6 +182,8 @@ class Controller {
   void kick();           ///< schedule a dispatch if the engine is idle
   void dispatch();       ///< pick and serve the next command
   void serve(Request r, bool is_hit);
+  /// Hand the oldest pending completion to the completion handler.
+  void complete_next();
   void do_refresh();
   void switch_mode(Mode m, Time turnaround);
 
@@ -189,6 +191,9 @@ class Controller {
   Timings timings_;
   ControllerParams params_;
   std::unique_ptr<SchedulerPolicy> policy_;
+  /// Rows close after every access (closed-page policy or an
+  /// auto-precharging scheduler policy); fixed at construction.
+  bool rows_stay_closed_ = false;
 
   std::vector<Bank> banks_;
   std::deque<Request> read_q_;
@@ -211,8 +216,18 @@ class Controller {
   std::vector<std::pair<std::uint32_t, std::uint8_t>> master_priorities_;
 
   CompletionFn on_complete_;
+  /// Served requests whose completion event has not fired yet, in serve
+  /// order. Completion times never decrease and the events share one
+  /// priority, so they fire in this order.
+  std::vector<std::pair<Request, Time>> completions_;
+  std::size_t completions_head_ = 0;
   ModeTraceFn on_mode_;
   Counters counters_;
+  struct CounterIds {
+    Counters::Id reads_submitted, writes_submitted, injected_stalls,
+        switches_to_write, switches_to_read, refreshes, read_hit_promotions,
+        read_hits, write_hits, read_misses, write_misses;
+  } ids_;
   LatencyHistogram read_latency_;
   LatencyHistogram write_latency_;
 };

@@ -90,7 +90,8 @@ class SchedulerPolicy {
   /// In write mode: end the current write batch and go back to reads?
   virtual bool write_batch_done(const Controller& c) const = 0;
 
-  /// Row management: precharge after every access (close-page)?
+  /// Row management: precharge after every access (close-page)? A fixed
+  /// property of the policy: the controller reads it once, at construction.
   virtual bool auto_precharge() const = 0;
 
   /// Extra bus penalty added to both mode-switch turnarounds (the

@@ -12,7 +12,7 @@ namespace pap::dram {
 enum class Op : std::uint8_t { kRead, kWrite };
 
 struct Request {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;       ///< issuer's tag, echoed on completion
   Op op = Op::kRead;
   std::uint32_t bank = 0;
   std::uint32_t row = 0;

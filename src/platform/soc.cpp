@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 
 #include "common/check.hpp"
 #include "trace/tracer.hpp"
@@ -25,28 +26,63 @@ Soc::Soc(sim::Kernel& kernel, const SocConfig& config)
   scheme_of_core_.assign(static_cast<std::size_t>(cores), 0);
   core_latency_.resize(static_cast<std::size_t>(cores));
 
+  ids_ = CounterIds{counters_.id("accesses"),
+                    counters_.id("l1_hits"),
+                    counters_.id("l3_hits"),
+                    counters_.id("dram_accesses"),
+                    counters_.id("memguard_stalls"),
+                    counters_.id("mpam_bw_stalls")};
+
   dram_->set_completion_handler(
       [this](const dram::Request& r, Time completion) {
-        // Match the outstanding access and finish it after the return trip
-        // through the interconnect.
-        for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-          if (outstanding_[i].first == r.id) {
-            Outstanding out = std::move(outstanding_[i].second);
-            outstanding_.erase(outstanding_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-            const Time finish = completion + cfg_.interconnect_latency;
-            kernel_.schedule_at(finish, [this, out = std::move(out), finish] {
-              const Time latency = finish - out.issued;
-              core_latency_[static_cast<std::size_t>(out.core)].add(latency);
-              if (out.done) out.done(latency);
-            });
-            return;
-          }
-        }
-        // Posted writes complete without a waiter.
-        PAP_CHECK_MSG(r.op == dram::Op::kWrite,
+        // Posted writes complete without a waiter (their slot is gone).
+        if (r.op == dram::Op::kWrite) return;
+        // Finish the read after the return trip through the interconnect.
+        PAP_CHECK_MSG(r.id < inflight_.size(),
                       "read completion for unknown request");
+        finish_at(completion + cfg_.interconnect_latency,
+                  static_cast<std::uint32_t>(r.id));
       });
+}
+
+std::uint32_t Soc::acquire_slot(int core, Time issued, DoneFn done) {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(inflight_.size()));
+    inflight_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  InFlight& a = inflight_[slot];
+  a.done = std::move(done);
+  a.issued = issued;
+  a.core = core;
+  return slot;
+}
+
+void Soc::finish_at(Time finish, std::uint32_t slot) {
+  kernel_.schedule_at(finish, [this, slot] { complete(slot); });
+}
+
+void Soc::complete(std::uint32_t slot) {
+  InFlight& a = inflight_[slot];
+  const Time latency = kernel_.now() - a.issued;
+  core_latency_[static_cast<std::size_t>(a.core)].add(latency);
+  // The callback may issue the next access, which can reuse this slot.
+  DoneFn done = std::move(a.done);
+  a.done = nullptr;
+  free_slots_.push_back(slot);
+  if (done) done(latency);
+}
+
+void Soc::submit_to_dram(std::uint32_t slot) {
+  const InFlight& a = inflight_[slot];
+  dram::Request r;
+  r.id = slot;
+  r.op = a.write ? dram::Op::kWrite : dram::Op::kRead;
+  r.bank = a.bank;
+  r.row = a.row;
+  r.master = static_cast<std::uint32_t>(a.core);
+  dram_->submit(r);
 }
 
 void Soc::set_scheme_id(int core, cache::SchemeId scheme) {
@@ -94,7 +130,7 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     probe_(core, addr, write, issued,
            scheme_of_core_[static_cast<std::size_t>(core)] != 0);
   }
-  counters_.inc("accesses");
+  counters_.inc(ids_.accesses);
   trace::Tracer* tracer = kernel_.tracer();
   if (tracer) {
     // The DSU is functional (no kernel handle); keep its tracer in sync
@@ -102,21 +138,16 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     // stream.
     for (auto& cl : clusters_) cl->set_tracer(tracer);
     tracer->counter("soc", "accesses",
-                    static_cast<double>(counters_.get("accesses")),
+                    static_cast<double>(counters_.get(ids_.accesses)),
                     trace::CounterKind::kMonotonic);
   }
+  const std::uint32_t slot = acquire_slot(core, issued, std::move(done));
 
   // L1, private per core.
   auto& l1 = *l1_[static_cast<std::size_t>(core)];
   if (l1.access(0, addr).hit) {
-    counters_.inc("l1_hits");
-    const Time finish = issued + cfg_.l1_latency;
-    kernel_.schedule_at(finish, [this, core, issued, finish,
-                                 done = std::move(done)] {
-      const Time latency = finish - issued;
-      core_latency_[static_cast<std::size_t>(core)].add(latency);
-      if (done) done(latency);
-    });
+    counters_.inc(ids_.l1_hits);
+    finish_at(issued + cfg_.l1_latency, slot);
     return;
   }
 
@@ -125,26 +156,20 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
   auto& dsu = *clusters_[static_cast<std::size_t>(cluster)];
   const auto scheme = scheme_of_core_[static_cast<std::size_t>(core)];
   if (dsu.access_scheme(scheme, addr).hit) {
-    counters_.inc("l3_hits");
-    const Time finish = issued + cfg_.l1_latency + cfg_.l3_latency;
-    kernel_.schedule_at(finish, [this, core, issued, finish,
-                                 done = std::move(done)] {
-      const Time latency = finish - issued;
-      core_latency_[static_cast<std::size_t>(core)].add(latency);
-      if (done) done(latency);
-    });
+    counters_.inc(ids_.l3_hits);
+    finish_at(issued + cfg_.l1_latency + cfg_.l3_latency, slot);
     return;
   }
 
   // Miss all the way to DRAM: Memguard gate, then interconnect, then the
   // event-driven controller.
-  counters_.inc("dram_accesses");
+  counters_.inc(ids_.dram_accesses);
   Time admit = issued;
   if (memguard_) {
     admit = memguard_->request_access(
         domain_of_core_[static_cast<std::size_t>(core)]);
     if (admit > issued) {
-      counters_.inc("memguard_stalls");
+      counters_.inc(ids_.memguard_stalls);
       if (tracer) {
         tracer->span(issued, admit - issued, "soc",
                      "memguard_stall/core" + std::to_string(core), "stall");
@@ -155,7 +180,7 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     const Time hw_admit = mpam_reg_->admit(
         partid_of_core_[static_cast<std::size_t>(core)], issued);
     if (hw_admit > issued) {
-      counters_.inc("mpam_bw_stalls");
+      counters_.inc(ids_.mpam_bw_stalls);
       if (tracer) {
         tracer->span(issued, hw_admit - issued, "soc",
                      "mpam_bw_stall/core" + std::to_string(core), "stall");
@@ -163,36 +188,20 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     }
     admit = std::max(admit, hw_admit);
   }
-  const auto [bank, row] = addr_to_bank_row(addr);
-  const std::uint64_t req_id = next_req_id_++;
-  const bool posted = write;
-  if (!posted) {
-    // Reads stall the issuing core until the data returns ("the former are
-    // on the critical path for the master requesting them").
-    outstanding_.emplace_back(req_id,
-                              Outstanding{std::move(done), issued, core});
-  }
-  kernel_.schedule_at(admit + cfg_.interconnect_latency,
-                      [this, req_id, bank, row, write, core] {
-                        dram::Request r;
-                        r.id = req_id;
-                        r.op = write ? dram::Op::kWrite : dram::Op::kRead;
-                        r.bank = bank;
-                        r.row = row;
-                        r.master = static_cast<std::uint32_t>(core);
-                        dram_->submit(r);
-                      });
-  if (posted) {
+  InFlight& a = inflight_[slot];
+  std::tie(a.bank, a.row) = addr_to_bank_row(addr);
+  a.write = write;
+  const Time at_controller = admit + cfg_.interconnect_latency;
+  kernel_.schedule_at(at_controller, [this, slot] { submit_to_dram(slot); });
+  if (write) {
     // Writes are posted: the core retires them once handed to the memory
-    // system ("the latter are not, and can be deferred", Sec. IV-A).
-    const Time finish = admit + cfg_.interconnect_latency;
-    kernel_.schedule_at(finish, [this, core, issued, finish,
-                                 done = std::move(done)] {
-      const Time latency = finish - issued;
-      core_latency_[static_cast<std::size_t>(core)].add(latency);
-      if (done) done(latency);
-    });
+    // system ("the latter are not, and can be deferred", Sec. IV-A). The
+    // retirement runs after the submit event, which still reads the slot.
+    finish_at(at_controller, slot);
   }
+  // Reads stall the issuing core until the data returns ("the former are
+  // on the critical path for the master requesting them"): the DRAM
+  // completion handler finishes them.
 }
 
 }  // namespace pap::platform

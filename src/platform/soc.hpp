@@ -107,6 +107,24 @@ class Soc {
   std::pair<std::uint32_t, std::uint32_t> addr_to_bank_row(
       cache::Addr addr) const;
 
+  /// One access between issue and completion. Events and DRAM requests
+  /// refer to it by slot index (`dram::Request::id` carries the slot), so
+  /// their captures stay within std::function's inline storage.
+  struct InFlight {
+    DoneFn done;
+    Time issued;
+    int core = 0;
+    std::uint32_t bank = 0;
+    std::uint32_t row = 0;
+    bool write = false;
+  };
+  std::uint32_t acquire_slot(int core, Time issued, DoneFn done);
+  /// Schedule the slot's completion at `finish`.
+  void finish_at(Time finish, std::uint32_t slot);
+  /// Record the latency, free the slot, then run its callback.
+  void complete(std::uint32_t slot);
+  void submit_to_dram(std::uint32_t slot);
+
   sim::Kernel& kernel_;
   SocConfig cfg_;
   std::vector<std::unique_ptr<cache::Cache>> l1_;  // per core
@@ -119,15 +137,14 @@ class Soc {
   std::vector<cache::SchemeId> scheme_of_core_;
   std::vector<LatencyHistogram> core_latency_;
   Counters counters_;
+  struct CounterIds {
+    Counters::Id accesses, l1_hits, l3_hits, dram_accesses, memguard_stalls,
+        mpam_bw_stalls;
+  } ids_;
   AccessProbe probe_;
 
-  struct Outstanding {
-    DoneFn done;
-    Time issued;
-    int core;
-  };
-  std::vector<std::pair<std::uint64_t, Outstanding>> outstanding_;
-  std::uint64_t next_req_id_ = 1;
+  std::vector<InFlight> inflight_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace pap::platform

@@ -1,8 +1,15 @@
 // Set-associative cache model: geometry, LRU, allocation filters,
-// per-requester accounting.
+// per-requester accounting, and a seeded differential test against a
+// reference array-of-structs model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "cache/cache.hpp"
+#include "common/rng.hpp"
 
 namespace pap::cache {
 namespace {
@@ -135,6 +142,177 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometry,
                                            std::pair{16u, 16u},
                                            std::pair{64u, 4u},
                                            std::pair{2u, 12u}));
+
+// Differential test: the cache against a straightforward array-of-structs
+// model of the same contract (lookup in every way; victim = first invalid
+// allowed way, else the least recently used allowed way; empty mask =
+// bypass), under seeded random traffic, allocation masks and flushes.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : cfg_(cfg), lines_(static_cast<std::size_t>(cfg.sets) * cfg.ways) {}
+
+  AccessResult access(RequesterId who, Addr addr, std::uint64_t mask) {
+    ++tick_;
+    const auto set = static_cast<std::uint32_t>((addr / cfg_.line_bytes) %
+                                                cfg_.sets);
+    const Addr tag = addr / cfg_.line_bytes;
+    Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
+    AccessResult r;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].last_use = tick_;
+        r.hit = true;
+        ++counters_[std::to_string(who) + ".hits"];
+        return r;
+      }
+    }
+    ++counters_[std::to_string(who) + ".misses"];
+    if (mask == 0) {
+      ++counters_[std::to_string(who) + ".bypasses"];
+      return r;
+    }
+    Line* victim = nullptr;
+    for (std::uint32_t w = 0; w < cfg_.ways && victim == nullptr; ++w) {
+      if ((mask >> w & 1) && !base[w].valid) victim = &base[w];
+    }
+    for (std::uint32_t w = 0; w < cfg_.ways && victim == nullptr; ++w) {
+      if (!(mask >> w & 1)) continue;
+      Line* lru = &base[w];
+      for (std::uint32_t v = w + 1; v < cfg_.ways; ++v) {
+        if ((mask >> v & 1) && base[v].last_use < lru->last_use) {
+          lru = &base[v];
+        }
+      }
+      victim = lru;
+    }
+    if (victim->valid) {
+      r.evicted = victim->tag * cfg_.line_bytes;
+      ++counters_[std::to_string(victim->owner) + ".evictions_suffered"];
+    }
+    *victim = Line{true, tag, who, tick_};
+    r.allocated = true;
+    return r;
+  }
+
+  void flush() {
+    for (Line& l : lines_) l.valid = false;
+  }
+
+  std::uint64_t ways_owned_by(std::uint32_t set, RequesterId who) const {
+    std::uint64_t mask = 0;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      const Line& l = lines_[static_cast<std::size_t>(set) * cfg_.ways + w];
+      if (l.valid && l.owner == who) mask |= 1ull << w;
+    }
+    return mask;
+  }
+
+  std::uint64_t occupancy(RequesterId who) const {
+    std::uint64_t n = 0;
+    for (const Line& l : lines_) n += l.valid && l.owner == who ? 1 : 0;
+    return n;
+  }
+
+  std::int64_t counter(const std::string& name) const {
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second;
+  }
+
+ private:
+  struct Line {
+    bool valid = false;
+    Addr tag = 0;
+    RequesterId owner = 0;
+    std::uint64_t last_use = 0;
+  };
+  CacheConfig cfg_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+  std::map<std::string, std::int64_t> counters_;
+};
+
+class CacheDifferential
+    : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>> {
+};
+
+TEST_P(CacheDifferential, MatchesTheArrayOfStructsModel) {
+  const auto [sets, ways] = GetParam();
+  const CacheConfig cfg{sets, ways, 64};
+  constexpr int kRequesters = 5;
+  constexpr int kMaskGroups = 4;  // masks vary with set % kMaskGroups
+  const std::uint64_t all_ways = ways >= 64 ? ~0ull : (1ull << ways) - 1;
+  const std::uint64_t lines = static_cast<std::uint64_t>(sets) * ways;
+
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Rng rng(seed);
+    Cache cache(cfg);
+    ReferenceCache ref(cfg);
+    std::array<std::array<std::uint64_t, kMaskGroups>, kRequesters> masks{};
+    auto redraw_masks = [&] {
+      for (auto& per_group : masks) {
+        for (auto& m : per_group) {
+          // One mask in eight is empty: that requester bypasses there.
+          m = rng.next_below(8) == 0 ? 0 : rng.next_u64() & all_ways;
+        }
+      }
+    };
+    redraw_masks();
+    cache.set_allocation_filter([&masks](RequesterId who, std::uint32_t set) {
+      return masks[who][set % kMaskGroups];
+    });
+
+    // Twice the capacity in distinct lines, with a hot quarter, so hits,
+    // conflict evictions and cross-requester evictions all occur.
+    const std::uint64_t footprint = 2 * lines;
+    constexpr int kAccesses = 120'000;
+    for (int i = 0; i < kAccesses; ++i) {
+      if (i % 5000 == 4999) redraw_masks();
+      if (i % 20000 == 19999) {
+        cache.flush();
+        ref.flush();
+      }
+      const auto who = static_cast<RequesterId>(rng.next_below(kRequesters));
+      const std::uint64_t line = rng.next_below(2) == 0
+                                     ? rng.next_below(footprint / 4)
+                                     : rng.next_below(footprint);
+      const Addr addr = line * cfg.line_bytes + rng.next_below(cfg.line_bytes);
+      const std::uint32_t set = cache.set_index(addr);
+      const AccessResult got = cache.access(who, addr);
+      const AccessResult want =
+          ref.access(who, addr, masks[who][set % kMaskGroups]);
+      ASSERT_EQ(got.hit, want.hit) << "seed " << seed << " access " << i;
+      ASSERT_EQ(got.allocated, want.allocated)
+          << "seed " << seed << " access " << i;
+      ASSERT_EQ(got.evicted, want.evicted)
+          << "seed " << seed << " access " << i;
+      const auto probe = static_cast<RequesterId>(rng.next_below(kRequesters));
+      ASSERT_EQ(cache.ways_owned_by(set, probe), ref.ways_owned_by(set, probe))
+          << "seed " << seed << " access " << i;
+      if (i % 4000 == 0) {
+        for (RequesterId r = 0; r < kRequesters; ++r) {
+          ASSERT_EQ(cache.occupancy(r), ref.occupancy(r))
+              << "seed " << seed << " access " << i << " requester " << r;
+        }
+      }
+    }
+    for (RequesterId r = 0; r < kRequesters; ++r) {
+      EXPECT_EQ(cache.occupancy(r), ref.occupancy(r)) << "requester " << r;
+      for (const char* what :
+           {"hits", "misses", "bypasses", "evictions_suffered"}) {
+        const std::string name = std::to_string(r) + "." + what;
+        EXPECT_EQ(cache.counters().get(name), ref.counter(name))
+            << "seed " << seed << " " << name;
+      }
+    }
+    EXPECT_GT(ref.counter("0.bypasses"), 0);
+    EXPECT_GT(ref.counter("0.evictions_suffered"), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(L1AndL3, CacheDifferential,
+                         ::testing::Values(std::pair{64u, 4u},
+                                           std::pair{2048u, 16u}));
 
 }  // namespace
 }  // namespace pap::cache

@@ -154,15 +154,21 @@ TEST(LatencyHistogram, SummaryAndChart) {
 
 TEST(Counters, IncrementAndLookup) {
   Counters c;
-  c.inc("hits");
-  c.inc("hits", 4);
-  c.inc("misses");
+  const Counters::Id hits = c.id("hits");
+  const Counters::Id misses = c.id("misses");
+  EXPECT_EQ(c.id("hits").index, hits.index);  // one entry per name
+  c.inc(hits);
+  c.inc(hits, 4);
+  c.inc(misses);
   EXPECT_EQ(c.get("hits"), 5);
+  EXPECT_EQ(c.get(hits), 5);
   EXPECT_EQ(c.get("misses"), 1);
   EXPECT_EQ(c.get("unknown"), 0);
   EXPECT_EQ(c.entries().size(), 2u);
   c.reset();
   EXPECT_EQ(c.get("hits"), 0);
+  c.inc(hits);  // handles survive a reset
+  EXPECT_EQ(c.get("hits"), 1);
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -1,8 +1,9 @@
 // Scenario execution: the example .pap files are byte-identical to their
 // C++ builder twins end-to-end (same canonical text, same run results),
 // trace record -> replay reproduces the originating run ps-exact, the
-// trace format round-trips, and the CLI front doors reject malformed
-// input with exit code 64.
+// trace format round-trips, the simulator set of the repository benchmark
+// and one fixed SoC run keep their pinned results and counters, and the
+// CLI front doors reject malformed input with exit code 64.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,12 +14,19 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/admission.hpp"
+#include "mpam/regulator.hpp"
 #include "noc/topology.hpp"
 #include "platform/scenario.hpp"
+#include "platform/soc.hpp"
 #include "platform/trace_master.hpp"
+#include "platform/workload.hpp"
+#include "scenario/generate.hpp"
 #include "scenario/run.hpp"
 #include "scenario/scenario.hpp"
+#include "sched/memguard.hpp"
+#include "serve/protocol.hpp"
 
 namespace pap::scenario {
 namespace {
@@ -239,6 +247,158 @@ TEST(TraceFormat, RenderParseRoundTrip) {
   ASSERT_FALSE(short_line);
   EXPECT_NE(short_line.error_message().find("line 3"), std::string::npos)
       << short_line.error_message();
+}
+
+/// FNV-1a over each rendered result plus a 0xff separator, with the
+/// offset basis the repository benchmark's soc_sim digest uses, so the pin
+/// below is the value that benchmark prints for --seed 1.
+std::uint64_t digest_results(const std::vector<std::string>& rendered) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::string& r : rendered) {
+    for (const char c : r) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    h ^= 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The simulator set of the repository benchmark: members 0-3 of each
+/// generated family at generator seed 2021 (through their canonical text),
+/// then fig5_watermark.pap and fig6_admission.pap, in the run order
+/// `Rng(1)` shuffles them into. Every simulated statistic of every member
+/// feeds the pinned digest, so any change to event order in the cache,
+/// SoC or DRAM controller models shows up here.
+TEST(SocSimSet, RenderedResultsKeepTheirDigest) {
+  std::vector<Scenario> set;
+  for (const char* family : {"hog_mix", "mode_storm", "flash_crowd",
+                             "diurnal"}) {
+    for (int i = 0; i < 4; ++i) {
+      const auto gen = generate_scenario(family, 2021, i);
+      ASSERT_TRUE(gen) << gen.error_message();
+      const auto parsed = parse_scenario(gen.value().canonical());
+      ASSERT_TRUE(parsed) << parsed.error_message();
+      set.push_back(parsed.value());
+    }
+  }
+  set.push_back(load_example("fig5_watermark.pap"));
+  set.push_back(load_example("fig6_admission.pap"));
+  Rng rng(1);
+  for (std::size_t i = set.size(); i > 1; --i) {
+    std::swap(set[i - 1], set[rng.next_below(i)]);
+  }
+  std::vector<std::string> rendered;
+  for (const Scenario& s : set) {
+    const auto r = run_parsed(s);
+    ASSERT_TRUE(r) << s.name << ": " << r.error_message();
+    rendered.push_back(serve::render_result(r.value()));
+  }
+  EXPECT_EQ(digest_results(rendered), 0xc68048f43c061049ull);
+}
+
+/// One fixed SoC run that drives every counter the Soc, its DRAM
+/// controller and its L3 publish: an RT reader, read/write hogs under
+/// Memguard and MPAM regulation, a core whose L3 scheme owns no way (every
+/// L3 miss bypasses), DSU partitioning and an injected DRAM stall. Each
+/// counter is pinned by name.
+TEST(SocCounters, FixedRunPinsEveryCounterByName) {
+  sim::Kernel kernel;
+  platform::SocConfig cfg;
+  cfg.l1_sets = 16;  // 4 KiB L1s
+  cfg.l3_sets = 32;  // 32 KiB L3: 16 KiB per scheme below
+  platform::Soc soc(kernel, cfg);
+  soc.set_scheme_id(0, 1);
+  soc.set_scheme_id(3, 2);
+  cache::GroupOwners owners{};
+  owners[0] = 1;
+  owners[1] = 0;
+  owners[2] = 1;
+  owners[3] = 0;
+  ASSERT_TRUE(soc.dsu(0)
+                  .write_partition_register(cache::encode_clusterpartcr(owners))
+                  .is_ok());
+
+  sched::MemguardConfig mg;
+  mg.period = Time::us(5);
+  auto memguard = std::make_unique<sched::Memguard>(kernel, mg);
+  std::vector<std::uint32_t> domains;
+  domains.push_back(memguard->add_domain(1'000'000));
+  for (int c = 1; c < cfg.total_cores(); ++c) {
+    domains.push_back(memguard->add_domain(12));
+  }
+  soc.set_memguard(std::move(memguard), domains);
+  auto regulator = std::make_unique<mpam::BandwidthRegulator>(64);
+  ASSERT_TRUE(
+      regulator->set_limit(13, Rate::gbps(4), /*burst_requests=*/4.0).is_ok());
+  soc.set_mpam_regulator(std::move(regulator), {1, 11, 12, 13});
+
+  // The reader cycles through 12 KiB (L1 misses, L3 hits once warm); the
+  // hogs stream over 2 KiB (L1 hits), 24 KiB (L3 hits and evictions) and
+  // 4 MiB (DRAM).
+  platform::RtReader::Config rc;
+  rc.period = Time::us(4);
+  rc.reads_per_batch = 32;
+  rc.working_set = 12 * 1024;
+  platform::RtReader reader(kernel, soc, rc);
+  const std::uint64_t hog_working_set[] = {2 * 1024, 24 * 1024,
+                                           4 * 1024 * 1024};
+  std::vector<std::unique_ptr<platform::BandwidthHog>> hogs;
+  for (int c = 1; c < cfg.total_cores(); ++c) {
+    platform::BandwidthHog::Config hc;
+    hc.core = c;
+    hc.base = static_cast<cache::Addr>(c + 1) << 30;
+    hc.working_set = hog_working_set[c - 1];
+    hc.write_fraction = 0.2 * c;
+    hc.think_time = Time::ns(5);
+    hc.seed = 7 + static_cast<std::uint64_t>(c);
+    hogs.push_back(
+        std::make_unique<platform::BandwidthHog>(kernel, soc, hc));
+  }
+  kernel.schedule_at(Time::us(40), [&soc] {
+    soc.dram_controller().inject_stall(Time::us(41));
+  });
+  reader.start();
+  for (auto& h : hogs) h->start();
+  kernel.run(Time::us(150));
+  reader.stop();
+  for (auto& h : hogs) h->stop();
+
+  using Pins = std::vector<std::pair<const char*, std::int64_t>>;
+  const Pins soc_pins = {{"accesses", 25463},      {"l1_hits", 23312},
+                         {"l3_hits", 1205},        {"dram_accesses", 946},
+                         {"memguard_stalls", 62},  {"mpam_bw_stalls", 185}};
+  for (const auto& [name, want] : soc_pins) {
+    EXPECT_EQ(soc.counters().get(name), want) << "soc " << name;
+  }
+  const Pins dram_pins = {
+      {"reads_submitted", 589},    {"writes_submitted", 355},
+      {"read_hits", 444},          {"read_misses", 145},
+      {"write_hits", 294},         {"write_misses", 37},
+      {"read_hit_promotions", 16}, {"switches_to_write", 20},
+      {"switches_to_read", 20},    {"refreshes", 19},
+      {"injected_stalls", 1}};
+  for (const auto& [name, want] : dram_pins) {
+    EXPECT_EQ(soc.dram_controller().counters().get(name), want)
+        << "dram " << name;
+  }
+  const Pins l3_pins = {
+      {"0.hits", 181},  {"0.misses", 393},  {"0.bypasses", 0},
+      {"1.hits", 1024}, {"1.misses", 192},  {"1.bypasses", 0},
+      {"2.hits", 0},    {"2.misses", 361},  {"2.bypasses", 361},
+      {"0.evictions_suffered", 137},        {"1.evictions_suffered", 0},
+      {"2.evictions_suffered", 0}};
+  for (const auto& [name, want] : l3_pins) {
+    EXPECT_EQ(soc.dsu(0).l3().counters().get(name), want) << "l3 " << name;
+  }
+  const std::vector<std::int64_t> core_latency_max_ps = {278750, 3818500,
+                                                         5370250, 4145250};
+  for (int c = 0; c < cfg.total_cores(); ++c) {
+    EXPECT_EQ(soc.core_latency(c).max().picos(),
+              core_latency_max_ps[static_cast<std::size_t>(c)])
+        << "core " << c;
+  }
 }
 
 int run_cli(const std::string& cmd) {

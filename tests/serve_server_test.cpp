@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -437,14 +438,39 @@ TEST(Server, PapdBinarySigtermDrainsAndExitsZero) {
   ASSERT_TRUE(client.has_value()) << client.error_message();
   Client& c = client.value();
 
-  // N slow requests in flight (one worker chews ~ms per scenario), then
-  // SIGTERM while they are provably incomplete.
+  // Size the slow requests from one timed probe, so the workload costs the
+  // same wall time in every build type and under any machine load: each
+  // in-flight request should take about kTargetMs, far inside the drain
+  // deadline even serialised behind one another, yet far longer than the
+  // 30 ms before SIGTERM. (The probe differs in dsu_partitioning, so no
+  // in-flight request can be answered from its cached reply.)
+  constexpr int kProbeSimUs = 1000;
+  constexpr double kTargetMs = 150.0;
+  const auto probe_start = Clock::now();
+  ASSERT_TRUE(c.send_line("{\"id\":100,\"op\":\"scenario_sim\",\"params\":"
+                          "{\"sim_time_us\":" +
+                          std::to_string(kProbeSimUs) +
+                          ",\"dsu_partitioning\":true}}")
+                  .is_ok());
+  auto probe = c.read_line();
+  ASSERT_TRUE(probe.has_value()) << probe.error_message();
+  ASSERT_NE(probe.value().find("\"ok\":true"), probe.value().npos)
+      << probe.value();
+  const double probe_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - probe_start)
+          .count();
+  // scenario_sim caps sim_time_us at 20000.
+  const int sim_us = static_cast<int>(
+      std::clamp(kProbeSimUs * kTargetMs / probe_ms, 100.0, 19000.0));
+
+  // N slow requests in flight on two workers, then SIGTERM while they are
+  // provably incomplete. Distinct sim times keep them out of the LRU.
   constexpr int kInFlight = 6;
   for (int i = 0; i < kInFlight; ++i) {
     ASSERT_TRUE(c.send_line(
                      "{\"id\":" + std::to_string(i) +
                      ",\"op\":\"scenario_sim\",\"params\":{\"sim_time_us\":" +
-                     std::to_string(4000 + 500 * i) + "}}")
+                     std::to_string(sim_us + 10 * i) + "}}")
                     .is_ok());
   }
   std::this_thread::sleep_for(30ms);  // lines ingested, most still queued
