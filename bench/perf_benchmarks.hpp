@@ -19,6 +19,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -470,6 +472,64 @@ inline void BM_E2eBoundsPerFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_E2eBoundsPerFlow);
+
+/// n flows in link-disjoint 2x2-router tiles of six (bench/admission_churn's
+/// layout) on the smallest even square mesh that fits, every 12th flow on
+/// DRAM at rates the controller sustains up to n = 10^4. `side` receives
+/// the mesh edge.
+inline std::vector<core::AppRequirement> tiled_flows(int n, int* side) {
+  const int tiles = (n + 5) / 6;
+  const int per_side =
+      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(tiles))));
+  *side = 2 * per_side;
+  noc::Mesh2D mesh(*side, *side);
+  static constexpr int kRoutes[6][4] = {{0, 0, 1, 0}, {1, 0, 1, 1},
+                                        {1, 1, 0, 1}, {0, 1, 0, 0},
+                                        {0, 0, 1, 1}, {1, 1, 0, 0}};
+  std::vector<core::AppRequirement> flows;
+  flows.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int bx = 2 * ((i / 6) % per_side);
+    const int by = 2 * ((i / 6) / per_side);
+    const int* r = kRoutes[i % 6];
+    core::AppRequirement a;
+    a.app = static_cast<noc::AppId>(i + 1);
+    a.name = "tiled" + std::to_string(i);
+    a.uses_dram = i % 12 == 11;
+    a.traffic =
+        a.uses_dram
+            ? nc::TokenBucket{0.5, 2e-8 * static_cast<double>(1 + i % 3)}
+            : nc::TokenBucket{1.0 + i % 6, 0.001 + 0.0005 * (i % 6)};
+    a.src = mesh.node(bx + r[0], by + r[1]);
+    a.dst = mesh.node(bx + r[2], by + r[3]);
+    a.deadline = Time::ms(100);
+    flows.push_back(std::move(a));
+  }
+  return flows;
+}
+
+/// BM_E2eBoundsBatch as a curve over n: one e2e_bounds_into pass, the
+/// per-decision cost of the batch admission engine at n resident flows.
+inline void BM_E2eBoundsBatchScaled(benchmark::State& state) {
+  int side = 0;
+  const auto flows = tiled_flows(static_cast<int>(state.range(0)), &side);
+  core::PlatformModel m;
+  m.noc.cols = side;
+  m.noc.rows = side;
+  core::E2eAnalysis e(std::move(m));
+  std::vector<std::optional<Time>> bounds;
+  for (auto _ : state) {
+    e.e2e_bounds_into(flows, &bounds);
+    benchmark::DoNotOptimize(bounds.data());
+  }
+  state.counters["bounded"] = static_cast<double>(std::count_if(
+      bounds.begin(), bounds.end(),
+      [](const std::optional<Time>& b) { return b.has_value(); }));
+}
+BENCHMARK(BM_E2eBoundsBatchScaled)
+    ->Name("BM_E2eBoundsBatch")
+    ->Arg(1000)
+    ->Arg(10000);
 
 // ---------------------------------------------------------------------------
 // DES kernel

@@ -10,11 +10,7 @@ namespace pap::admit {
 
 namespace {
 
-std::uint64_t mix_link(const core::PathLink& l) {
-  return splitmix64_mix((static_cast<std::uint64_t>(l.link.router) << 4) |
-                        (static_cast<std::uint64_t>(l.link.out) << 1) |
-                        (l.injection ? 1u : 0u));
-}
+constexpr std::uint32_t kNoLink = 0xffffffffu;
 
 std::string saturated_msg(const std::string& newcomer,
                           const std::string& victim) {
@@ -30,19 +26,70 @@ std::string broken_msg(const std::string& newcomer, const std::string& victim,
 
 }  // namespace
 
-std::size_t IncrementalAdmission::PathLinkHash::operator()(
-    const core::PathLink& l) const {
-  return static_cast<std::size_t>(mix_link(l));
+std::size_t IncrementalAdmission::AppTable::home(noc::AppId app) const {
+  return static_cast<std::size_t>(splitmix64_mix(app)) & (table_.size() - 1);
+}
+
+std::size_t IncrementalAdmission::AppTable::index_of(noc::AppId app) const {
+  std::size_t i = home(app);
+  while (table_[i].slot != kInvalidSlot && table_[i].app != app) {
+    i = (i + 1) & (table_.size() - 1);
+  }
+  return i;
+}
+
+FlowSlot IncrementalAdmission::AppTable::find(noc::AppId app) const {
+  return table_.empty() ? kInvalidSlot : table_[index_of(app)].slot;
+}
+
+void IncrementalAdmission::AppTable::insert(noc::AppId app, FlowSlot slot) {
+  if (2 * (size_ + 1) > table_.size()) grow();
+  table_[index_of(app)] = Entry{app, slot};
+  ++size_;
+}
+
+void IncrementalAdmission::AppTable::erase(noc::AppId app) {
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless their home lies cyclically in (hole, entry].
+  const std::size_t mask = table_.size() - 1;
+  std::size_t hole = index_of(app);
+  for (std::size_t j = (hole + 1) & mask; table_[j].slot != kInvalidSlot;
+       j = (j + 1) & mask) {
+    const std::size_t k = home(table_[j].app);
+    const bool stays = hole < j ? (hole < k && k <= j) : (hole < k || k <= j);
+    if (stays) continue;
+    table_[hole] = table_[j];
+    hole = j;
+  }
+  table_[hole].slot = kInvalidSlot;
+  --size_;
+}
+
+void IncrementalAdmission::AppTable::grow() {
+  std::vector<Entry> old = std::move(table_);
+  table_.assign(old.empty() ? 16 : 2 * old.size(), Entry{});
+  for (const Entry& e : old) {
+    if (e.slot != kInvalidSlot) table_[index_of(e.app)] = e;
+  }
 }
 
 IncrementalAdmission::IncrementalAdmission(core::PlatformModel model)
-    : analysis_(std::move(model)) {}
+    : analysis_(std::move(model)),
+      link_by_id_(static_cast<std::size_t>(analysis_.model().noc.cols) *
+                      static_cast<std::size_t>(analysis_.model().noc.rows) *
+                      16,
+                  kNoLink) {}
+
+std::uint32_t IncrementalAdmission::link_id(const core::PathLink& l) {
+  return (l.link.router << 4) | (static_cast<std::uint32_t>(l.link.out) << 1) |
+         (l.injection ? 1u : 0u);
+}
 
 void IncrementalAdmission::begin_mark() {
   ++epoch_;
   if (epoch_ == 0) {  // wrapped: clear every stale tag
-    std::fill(flow_mark_.begin(), flow_mark_.end(), 0u);
-    std::fill(link_mark_.begin(), link_mark_.end(), 0u);
+    for (FlowState& fs : flows_) fs.mark = 0;
+    for (LinkState& ls : links_) ls.mark = 0;
     epoch_ = 1;
   }
   marked_links_ = 0;
@@ -55,12 +102,12 @@ void IncrementalAdmission::dirty_closure(std::vector<FlowSlot>* out) {
     const std::uint32_t l = bfs_stack_.back();
     bfs_stack_.pop_back();
     for (const FlowSlot s : links_[l].members) {
-      if (flow_mark_[s] == epoch_) continue;
-      flow_mark_[s] = epoch_;
+      if (flows_[s].mark == epoch_) continue;
+      flows_[s].mark = epoch_;
       out->push_back(s);
       for (const std::uint32_t fl : flows_[s].links) {
-        if (link_mark_[fl] != epoch_) {
-          link_mark_[fl] = epoch_;
+        if (links_[fl].mark != epoch_) {
+          links_[fl].mark = epoch_;
           ++marked_links_;
           bfs_stack_.push_back(fl);
         }
@@ -87,8 +134,7 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
   if (candidate) ev->flows.push_back(*candidate);
   const std::size_t n = ev->flows.size();
   ev->bounds.assign(n, std::nullopt);
-  ev->chains.clear();
-  ev->chains.resize(n);
+  ev->chains.assign(n, nc::RateLatency{});
   ev->chain_ok.assign(n, 0);
 
   bool any_dram = dram_set_changed;
@@ -118,42 +164,29 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
     } else {
       for (std::size_t i = 0; i < n; ++i) {
         if (prop.flow_unbounded[i]) continue;
-        const auto chain =
-            analysis_.chain_view_for(ev->flows, i, prop, paths, arena);
+        const auto chain = analysis_.chain_for(ev->flows, i, prop, paths);
         if (!chain) continue;
-        nc::CurveView service = *chain;
         if (ev->flows[i].uses_dram) {
-          service =
-              nc::convolve_view(arena, *chain, dram.service_for(ev->flows[i]));
-          ev->chains[i] = nc::to_curve(*chain);
+          ev->chains[i] = *chain;
           ev->chain_ok[i] = 1;
         }
-        const auto h = nc::h_deviation_view(
-            nc::affine_view(arena, ev->flows[i].traffic.burst,
-                            ev->flows[i].traffic.rate),
-            service);
-        if (h) ev->bounds[i] = Time::from_ns(*h);
+        ev->bounds[i] =
+            analysis_.bound_over_chain(ev->flows[i], *chain, dram, arena);
       }
     }
   }
 
   if (dram_set_changed) {
     // The DRAM residual of every *clean* dram flow shifted under it; its
-    // NoC component did not, so the cached chain convolved with the fresh
-    // DRAM service reproduces the batch value exactly.
+    // NoC component did not, so the cached chain over the fresh DRAM
+    // service reproduces the batch value exactly.
     for (const auto& [seq, s] : dram_by_seq_) {
-      if (flow_mark_[s] == epoch_) continue;  // dirty: evaluated above
-      flow_mark_[s] = epoch_;
+      if (flows_[s].mark == epoch_) continue;  // dirty: evaluated above
+      flows_[s].mark = epoch_;
       const FlowState& fs = flows_[s];
       std::optional<Time> b;
       if (fs.chain_valid) {
-        const nc::CurveView chain = nc::to_view(arena, fs.chain);
-        const nc::CurveView service =
-            nc::convolve_view(arena, chain, dram.service_for(fs.req));
-        const auto h = nc::h_deviation_view(
-            nc::affine_view(arena, fs.req.traffic.burst, fs.req.traffic.rate),
-            service);
-        if (h) b = Time::from_ns(*h);
+        b = analysis_.bound_over_chain(fs.req, fs.chain, dram, arena);
       }
       ev->dram_clean.push_back(s);
       ev->dram_clean_bounds.push_back(b);
@@ -173,8 +206,15 @@ std::string IncrementalAdmission::first_failure(
   if (!ev.converged || diverged_count_ > cleared) {
     // The joint fixpoint hits the iteration cap, so the batch run proves
     // nothing for anyone: the scan fails on the admission-order first flow.
-    const core::AppRequirement* first =
-        by_seq_.empty() ? candidate : &flows_[by_seq_.begin()->second].req;
+    // Rare, so the admission-order first live flow is found by a scan.
+    const core::AppRequirement* first = candidate;
+    std::uint64_t first_seq = UINT64_MAX;
+    for (const FlowState& fs : flows_) {
+      if (fs.live && fs.seq < first_seq) {
+        first_seq = fs.seq;
+        first = &fs.req;
+      }
+    }
     return saturated_msg(req.name, first->name);
   }
 
@@ -182,9 +222,8 @@ std::string IncrementalAdmission::first_failure(
   std::optional<Time> best_bound;
   Time best_deadline;
   const std::string* best_name = nullptr;
-  for (const std::uint64_t seq : failing_seqs_) {
-    const FlowSlot s = by_seq_.find(seq)->second;
-    if (flow_mark_[s] == epoch_) continue;  // re-evaluated in this attempt
+  for (const auto& [seq, s] : failing_seqs_) {
+    if (flows_[s].mark == epoch_) continue;  // re-evaluated in this attempt
     best_seq = seq;
     best_bound = flows_[s].bound;
     best_deadline = flows_[s].req.deadline;
@@ -240,8 +279,8 @@ void IncrementalAdmission::apply_eval(const std::vector<FlowSlot>& dirty,
         --diverged_count_;
       }
       fs.chain_valid = ev->chain_ok[i] != 0;
-      if (fs.chain_valid) fs.chain = std::move(ev->chains[i]);
-      set_bound(fs, ev->bounds[i]);
+      fs.chain = ev->chains[i];
+      set_bound(dirty[i], ev->bounds[i]);
     }
   } else {
     for (const FlowSlot s : dirty) {
@@ -251,19 +290,20 @@ void IncrementalAdmission::apply_eval(const std::vector<FlowSlot>& dirty,
         ++diverged_count_;
       }
       fs.chain_valid = false;
-      set_bound(fs, std::nullopt);
+      set_bound(s, std::nullopt);
     }
   }
   for (std::size_t k = 0; k < ev->dram_clean.size(); ++k) {
     // Chain untouched: only the DRAM residual moved.
-    set_bound(flows_[ev->dram_clean[k]], ev->dram_clean_bounds[k]);
+    set_bound(ev->dram_clean[k], ev->dram_clean_bounds[k]);
   }
 }
 
-void IncrementalAdmission::set_bound(FlowState& fs, std::optional<Time> b) {
+void IncrementalAdmission::set_bound(FlowSlot s, std::optional<Time> b) {
+  FlowState& fs = flows_[s];
   fs.bound = b;
   if (!b || *b > fs.req.deadline) {
-    failing_seqs_.insert(fs.seq);
+    failing_seqs_.emplace(fs.seq, s);
   } else {
     failing_seqs_.erase(fs.seq);
   }
@@ -277,13 +317,12 @@ FlowSlot IncrementalAdmission::alloc_slot() {
   }
   const FlowSlot s = static_cast<FlowSlot>(flows_.size());
   flows_.emplace_back();
-  flow_mark_.push_back(0);
   return s;
 }
 
 std::uint32_t IncrementalAdmission::intern_link(const core::PathLink& l) {
-  const auto it = link_index_.find(l);
-  if (it != link_index_.end()) return it->second;
+  const std::uint32_t id = link_id(l);
+  if (link_by_id_[id] != kNoLink) return link_by_id_[id];
   std::uint32_t idx;
   if (!free_links_.empty()) {
     idx = free_links_.back();
@@ -291,18 +330,17 @@ std::uint32_t IncrementalAdmission::intern_link(const core::PathLink& l) {
   } else {
     idx = static_cast<std::uint32_t>(links_.size());
     links_.emplace_back();
-    link_mark_.push_back(0);
   }
-  links_[idx].key = l;
-  links_[idx].live = true;
+  links_[idx].id = id;
   links_[idx].members.clear();
-  link_index_.emplace(l, idx);
+  link_by_id_[id] = idx;
+  ++live_links_;
   return idx;
 }
 
 Expected<core::AdmissionGrant> IncrementalAdmission::request(
     const core::AppRequirement& req) {
-  if (app_index_.count(req.app) != 0) {
+  if (app_index_.find(req.app) != kInvalidSlot) {
     ++stats_.rejections;
     return Expected<core::AdmissionGrant>::error(
         "app " + std::to_string(req.app) + " already admitted");
@@ -318,17 +356,15 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
                                   ? noc::Mesh2D::RouteOrder::kYX
                                   : noc::Mesh2D::RouteOrder::kXY;
     }
-    const std::vector<core::PathLink> cand_links =
-        analysis_.links_of(candidate);
+    analysis_.links_into(candidate, &cand_links_);
 
     begin_mark();
-    for (const core::PathLink& l : cand_links) {
-      const auto it = link_index_.find(l);
-      if (it == link_index_.end()) continue;
-      if (link_mark_[it->second] == epoch_) continue;
-      link_mark_[it->second] = epoch_;
+    for (const core::PathLink& l : cand_links_) {
+      const std::uint32_t idx = link_by_id_[link_id(l)];
+      if (idx == kNoLink || links_[idx].mark == epoch_) continue;
+      links_[idx].mark = epoch_;
       ++marked_links_;
-      bfs_stack_.push_back(it->second);
+      bfs_stack_.push_back(idx);
     }
     dirty_closure(&dirty_);
     stats_.last_dirty_flows = dirty_.size();
@@ -352,16 +388,15 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
     fs.live = true;
     fs.diverged = false;
     fs.links.clear();
-    for (const core::PathLink& l : cand_links) {
+    for (const core::PathLink& l : cand_links_) {
       const std::uint32_t idx = intern_link(l);
       fs.links.push_back(idx);
       links_[idx].members.push_back(s);  // max seq: list stays sorted
     }
     fs.chain_valid = ev_.chain_ok.back() != 0;
-    if (fs.chain_valid) fs.chain = std::move(ev_.chains.back());
-    set_bound(fs, ev_.bounds.back());
-    app_index_.emplace(candidate.app, s);
-    by_seq_.emplace(fs.seq, s);
+    fs.chain = ev_.chains.back();
+    set_bound(s, ev_.bounds.back());
+    app_index_.insert(candidate.app, s);
     if (candidate.uses_dram) dram_by_seq_.emplace(fs.seq, s);
 
     ++stats_.admissions;
@@ -378,17 +413,16 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
 }
 
 Status IncrementalAdmission::release(noc::AppId app) {
-  const auto it = app_index_.find(app);
-  if (it == app_index_.end()) {
+  const FlowSlot slot = app_index_.find(app);
+  if (slot == kInvalidSlot) {
     return Status::error("app " + std::to_string(app) + " not admitted");
   }
-  const FlowSlot slot = it->second;
 
   begin_mark();
-  flow_mark_[slot] = epoch_;  // the leaver is not part of the dirty set
+  flows_[slot].mark = epoch_;  // the leaver is not part of the dirty set
   for (const std::uint32_t idx : flows_[slot].links) {
-    if (link_mark_[idx] == epoch_) continue;
-    link_mark_[idx] = epoch_;
+    if (links_[idx].mark == epoch_) continue;
+    links_[idx].mark = epoch_;
     ++marked_links_;
     bfs_stack_.push_back(idx);
   }
@@ -405,25 +439,22 @@ Status IncrementalAdmission::release(noc::AppId app) {
   FlowState& fs = flows_[slot];
   for (const std::uint32_t idx : fs.links) {
     auto& members = links_[idx].members;
-    members.erase(std::find(members.begin(), members.end(), slot));
+    members.erase(slot);
     if (members.empty()) {
-      link_index_.erase(links_[idx].key);
-      links_[idx].live = false;
+      link_by_id_[links_[idx].id] = kNoLink;
+      --live_links_;
       free_links_.push_back(idx);
     }
   }
-  app_index_.erase(it);
-  by_seq_.erase(fs.seq);
+  app_index_.erase(app);
   if (dram_changed) dram_by_seq_.erase(fs.seq);
   failing_seqs_.erase(fs.seq);
   if (fs.diverged) --diverged_count_;
   fs.live = false;
   fs.diverged = false;
   fs.chain_valid = false;
-  fs.chain = nc::Curve();
   fs.bound.reset();
   fs.links.clear();
-  fs.req = core::AppRequirement{};
   free_slots_.push_back(slot);
 
   evaluate(nullptr, dirty_, dram_changed, &ev_);
@@ -433,29 +464,37 @@ Status IncrementalAdmission::release(noc::AppId app) {
 }
 
 std::optional<Time> IncrementalAdmission::current_bound(noc::AppId app) const {
-  const auto it = app_index_.find(app);
-  if (it == app_index_.end()) return std::nullopt;
+  const FlowSlot slot = app_index_.find(app);
+  if (slot == kInvalidSlot) return std::nullopt;
   // A diverged component anywhere makes the global fixpoint miss its
   // iteration cap, which the batch analysis reports as "nothing provable".
   if (diverged_count_ > 0) return std::nullopt;
-  return flows_[it->second].bound;
+  return flows_[slot].bound;
 }
 
 bool IncrementalAdmission::contains(noc::AppId app) const {
-  return app_index_.count(app) != 0;
+  return app_index_.find(app) != kInvalidSlot;
 }
 
 std::vector<core::AppRequirement> IncrementalAdmission::flows() const {
+  std::vector<FlowSlot> live;
+  live.reserve(app_index_.size());
+  for (FlowSlot s = 0; s < flows_.size(); ++s) {
+    if (flows_[s].live) live.push_back(s);
+  }
+  std::sort(live.begin(), live.end(), [this](FlowSlot a, FlowSlot b) {
+    return flows_[a].seq < flows_[b].seq;
+  });
   std::vector<core::AppRequirement> out;
-  out.reserve(by_seq_.size());
-  for (const auto& [seq, s] : by_seq_) out.push_back(flows_[s].req);
+  out.reserve(live.size());
+  for (const FlowSlot s : live) out.push_back(flows_[s].req);
   return out;
 }
 
 EngineStats IncrementalAdmission::stats() const {
   EngineStats s = stats_;
   s.live_flows = app_index_.size();
-  s.live_links = link_index_.size();
+  s.live_links = live_links_;
   s.diverged_flows = diverged_count_;
   return s;
 }

@@ -30,22 +30,27 @@
 //
 // DRAM is the one globally shared resource: its residual service depends
 // on the whole uses_dram set, not on NoC sharing. The engine therefore
-// caches each DRAM flow's NoC chain and, when the DRAM population changes,
-// re-derives affected bounds by convolving the cached chain with the fresh
-// DRAM residual — O(dram flows) bound refreshes per DRAM churn event,
+// caches each DRAM flow's NoC chain — a rate-latency curve, kept as its
+// (rate, latency) pair — and, when the DRAM population changes, re-derives
+// affected bounds by convolving the cached chain with the fresh DRAM
+// residual — O(dram flows) bound refreshes per DRAM churn event,
 // independent of the NoC component sizes, and still bit-identical (the
 // chain is a pure function of the flow's unchanged component). The fresh
 // residuals come from one E2eAnalysis::DramResiduals per evaluation, so
 // the refresh runs one curve pipeline per distinct exclusion bucket plus
 // an O(dram flows) scalar sum per flow.
+//
+// Per-decision bookkeeping stays off O(flows): links are found through a
+// table indexed by the packed link id (one uint32 per router port), and
+// the admission order is only materialised where it is needed — the
+// dirty component (sorted by seq), the failing flows and the DRAM users.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -102,7 +107,8 @@ class IncrementalAdmission {
   std::size_t size() const { return app_index_.size(); }
 
   /// Live flows in canonical (admission) order — exactly the vector the
-  /// batch oracle would hold. O(live flows); for tests and introspection.
+  /// batch oracle would hold. Sorts the live slots by seq, O(n log n); for
+  /// tests and introspection.
   std::vector<core::AppRequirement> flows() const;
 
   /// Counters with live_flows/live_links/diverged_flows filled in.
@@ -111,25 +117,94 @@ class IncrementalAdmission {
   const core::E2eAnalysis& analysis() const { return analysis_; }
 
  private:
+  /// A uint32 list that keeps up to N entries inside the owning struct and
+  /// moves to the heap beyond that (until clear()). A dirty-set BFS then
+  /// reads a flow's links and a link's members from the cache line it is
+  /// already on, instead of chasing one heap block per visit.
+  template <std::size_t N>
+  class InlineList {
+   public:
+    const std::uint32_t* begin() const {
+      return spill_.empty() ? inline_ : spill_.data();
+    }
+    const std::uint32_t* end() const { return begin() + size_; }
+    bool empty() const { return size_ == 0; }
+
+    void push_back(std::uint32_t v) {
+      if (spill_.empty() && size_ < N) {
+        inline_[size_++] = v;
+        return;
+      }
+      if (spill_.empty()) spill_.assign(inline_, inline_ + size_);
+      spill_.push_back(v);
+      ++size_;
+    }
+
+    /// Removes the first entry equal to v (which must be present), keeping
+    /// the order of the others.
+    void erase(std::uint32_t v) {
+      std::uint32_t* data = spill_.empty() ? inline_ : spill_.data();
+      std::uint32_t* at = std::find(data, data + size_, v);
+      std::copy(at + 1, data + size_, at);
+      --size_;
+      if (!spill_.empty()) spill_.pop_back();
+    }
+
+    void clear() {
+      size_ = 0;
+      spill_.clear();
+    }
+
+   private:
+    std::uint32_t size_ = 0;
+    std::uint32_t inline_[N] = {};
+    std::vector<std::uint32_t> spill_;  // all entries once N is exceeded
+  };
+
+  /// AppId -> FlowSlot by open addressing (linear probing, load <= 1/2,
+  /// backward-shift deletion): a lookup reads one cache line, where a
+  /// node-based map reads a bucket and a node.
+  class AppTable {
+   public:
+    /// kInvalidSlot when `app` is absent.
+    FlowSlot find(noc::AppId app) const;
+    /// `app` must be absent.
+    void insert(noc::AppId app, FlowSlot slot);
+    /// `app` must be present.
+    void erase(noc::AppId app);
+    std::size_t size() const { return size_; }
+
+   private:
+    struct Entry {
+      noc::AppId app = 0;
+      FlowSlot slot = kInvalidSlot;  // kInvalidSlot: empty
+    };
+    std::size_t home(noc::AppId app) const;
+    std::size_t index_of(noc::AppId app) const;
+    void grow();
+
+    std::vector<Entry> table_;
+    std::size_t size_ = 0;
+  };
+
+  // The fields a dirty-set BFS reads (seq, mark, links) come first, so a
+  // visit touches the start of the struct only.
   struct FlowState {
-    core::AppRequirement req;            // committed route order
-    std::uint64_t seq = 0;               // admission order, never reused
-    std::vector<std::uint32_t> links;    // indices into links_
-    std::optional<Time> bound;           // cached e2e bound
-    nc::Curve chain;                     // cached NoC chain (uses_dram only)
-    bool chain_valid = false;
-    bool diverged = false;               // component hit the iteration cap
+    std::uint64_t seq = 0;        // admission order, never reused
+    std::uint32_t mark = 0;       // BFS visitation epoch
     bool live = false;
+    bool diverged = false;        // component hit the iteration cap
+    bool chain_valid = false;     // `chain` holds the NoC chain
+    InlineList<6> links;          // indices into links_
+    std::optional<Time> bound;    // cached e2e bound
+    nc::RateLatency chain;        // cached NoC chain (uses_dram only)
+    core::AppRequirement req;     // committed route order
   };
 
   struct LinkState {
-    core::PathLink key;
-    std::vector<FlowSlot> members;  // live members, ascending seq
-    bool live = false;
-  };
-
-  struct PathLinkHash {
-    std::size_t operator()(const core::PathLink& l) const;
+    std::uint32_t id = 0;         // packed link id (link_id())
+    std::uint32_t mark = 0;       // BFS visitation epoch
+    InlineList<6> members;        // live members, ascending seq
   };
 
   /// One tentative evaluation: the dirty component(s) re-run cold, plus
@@ -139,7 +214,7 @@ class IncrementalAdmission {
     std::vector<core::AppRequirement> flows;  // dirty reqs (+candidate last)
     bool converged = true;
     std::vector<std::optional<Time>> bounds;  // parallel to flows
-    std::vector<nc::Curve> chains;            // NoC chains of dram flows
+    std::vector<nc::RateLatency> chains;      // NoC chains of dram flows
     std::vector<char> chain_ok;
     std::vector<FlowSlot> dram_clean;         // clean dram flows re-bounded
     std::vector<std::optional<Time>> dram_clean_bounds;
@@ -160,8 +235,11 @@ class IncrementalAdmission {
                             const Eval& ev) const;
   void apply_eval(const std::vector<FlowSlot>& dirty, Eval* ev);
   /// Cache a (re)proved bound and keep failing_seqs_ consistent with it.
-  void set_bound(FlowState& fs, std::optional<Time> b);
+  void set_bound(FlowSlot s, std::optional<Time> b);
   FlowSlot alloc_slot();
+  /// Router, exit port and injection flag packed into one index below
+  /// cols * rows * 16.
+  static std::uint32_t link_id(const core::PathLink& l);
   std::uint32_t intern_link(const core::PathLink& l);
 
   core::E2eAnalysis analysis_;
@@ -170,26 +248,27 @@ class IncrementalAdmission {
   std::vector<FlowSlot> free_slots_;
   std::vector<LinkState> links_;
   std::vector<std::uint32_t> free_links_;
-  std::unordered_map<core::PathLink, std::uint32_t, PathLinkHash> link_index_;
-  std::unordered_map<noc::AppId, FlowSlot> app_index_;
-  /// Canonical admission order; values are slots. Also the DRAM-only view
-  /// used to rebuild batch-order dram summation sequences.
-  std::map<std::uint64_t, FlowSlot> by_seq_;
+  /// links_ index of each live link by link_id(); kNoLink when not live.
+  std::vector<std::uint32_t> link_by_id_;
+  std::size_t live_links_ = 0;
+  AppTable app_index_;
+  /// The DRAM users in canonical admission order (seq -> slot): the
+  /// batch-order DRAM summation sequence.
   std::map<std::uint64_t, FlowSlot> dram_by_seq_;
-  /// Seqs of live flows whose cached bound misses (nullopt or past the
-  /// deadline) — consulted so a decision can report the admission-order
+  /// Live flows whose cached bound misses (nullopt or past the deadline),
+  /// seq -> slot — consulted so a decision can report the admission-order
   /// first failure without touching clean flows.
-  std::set<std::uint64_t> failing_seqs_;
+  std::map<std::uint64_t, FlowSlot> failing_seqs_;
   std::uint64_t diverged_count_ = 0;
   std::uint64_t next_seq_ = 1;
 
-  // BFS visitation marks (epoch-tagged so no per-decision clearing).
-  std::vector<std::uint32_t> flow_mark_;
-  std::vector<std::uint32_t> link_mark_;
+  // BFS visitation epoch (marks are epoch-tagged, so no per-decision
+  // clearing).
   std::uint32_t epoch_ = 0;
 
   // Decision scratch, reused so a warm engine allocates little per call.
   std::vector<FlowSlot> dirty_;
+  std::vector<core::PathLink> cand_links_;
   std::vector<std::uint32_t> bfs_stack_;
   std::vector<const core::AppRequirement*> dram_ptrs_;
   Eval ev_;

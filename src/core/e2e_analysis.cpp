@@ -13,63 +13,6 @@ namespace {
 constexpr int kMaxFixpointIters = 200;
 constexpr double kBurstDivergenceCap = 1e7;  // packets; clearly unstable
 
-/// Stack storage for the tiny (<= 2 segment) curves the fixpoint builds in
-/// its inner loop — token-bucket arrivals and rate-latency link betas. Using
-/// the stack instead of the arena keeps the arena from growing with the
-/// iteration count.
-struct SmallCurve {
-  double x[2];
-  double y[2];
-  double s[2];
-  nc::MutCurveView mut() { return nc::MutCurveView{x, y, s, 0, 2}; }
-};
-
-/// nc::affine_view on stack storage.
-nc::CurveView affine_into(SmallCurve& buf, double value0, double slope) {
-  nc::MutCurveView m = buf.mut();
-  m.x[0] = 0.0;
-  m.y[0] = value0;
-  m.slope[0] = slope;
-  m.n = 1;
-  nc::normalize_view(&m);
-  return m;
-}
-
-/// nc::rate_latency_view on stack storage.
-nc::CurveView rate_latency_into(SmallCurve& buf, double rate, double latency) {
-  PAP_CHECK(rate >= 0.0 && latency >= 0.0);
-  if (latency <= 0.0) return affine_into(buf, 0.0, rate);
-  nc::MutCurveView m = buf.mut();
-  m.x[0] = 0.0;
-  m.y[0] = 0.0;
-  m.slope[0] = 0.0;
-  m.x[1] = latency;
-  m.y[1] = 0.0;
-  m.slope[1] = rate;
-  m.n = 2;
-  nc::normalize_view(&m);
-  return m;
-}
-
-/// The delay bound of `req` given its residual NoC chain: the chain is
-/// convolved with req's DRAM residual when req uses the DRAM (both are
-/// convex), then bounded by the horizontal deviation against req's token
-/// bucket.
-std::optional<Time> bound_over_chain(const AppRequirement& req,
-                                     nc::CurveView chain,
-                                     E2eAnalysis::DramResiduals& dram,
-                                     nc::Arena& arena) {
-  nc::CurveView service = chain;
-  if (req.uses_dram) {
-    service = nc::convolve_view(arena, service, dram.service_for(req));
-  }
-  SmallCurve abuf;
-  const auto h = nc::h_deviation_view(
-      affine_into(abuf, req.traffic.burst, req.traffic.rate), service);
-  if (!h) return std::nullopt;
-  return Time::from_ns(*h);
-}
-
 /// Table hash of a DramResiduals key (five words), chained through
 /// splitmix64's finalizer like propagate_flat's link table.
 std::uint64_t hash_key(const std::uint64_t* key) {
@@ -121,6 +64,29 @@ const AppRequirement* const* dram_users(
 
 }  // namespace
 
+nc::RateLatency blind_residual(nc::RateLatency link, nc::TokenBucket cross) {
+  const double rate = link.rate - cross.rate;
+  if (rate <= 0.0) return nc::RateLatency{rate, 0.0};
+  return nc::RateLatency{
+      rate,
+      link.latency + (cross.burst + cross.rate * link.latency) / rate};
+}
+
+double link_delay(nc::RateLatency link, double burst) {
+  return link.latency + burst / link.rate;
+}
+
+std::optional<double> rate_latency_deviation(nc::TokenBucket alpha,
+                                             nc::RateLatency beta) {
+  // The deviation kernel's tolerance (nc/batch.cpp kEps): a rate within it
+  // of 0 is flat, and an arrival rate within it above beta's still counts
+  // as sustainable.
+  constexpr double kEps = 1e-9;
+  if (alpha.burst == 0.0 && alpha.rate == 0.0) return 0.0;
+  if (beta.rate <= kEps || alpha.rate > beta.rate + kEps) return std::nullopt;
+  return link_delay(beta, alpha.burst);
+}
+
 E2eAnalysis::E2eAnalysis(PlatformModel model)
     : model_(std::move(model)), mesh_(model_.noc.cols, model_.noc.rows) {}
 
@@ -134,13 +100,53 @@ Time E2eAnalysis::hop_latency() const {
 
 std::vector<PathLink> E2eAnalysis::links_of(const AppRequirement& req) const {
   std::vector<PathLink> out;
-  out.push_back(PathLink{noc::LinkId{req.src, noc::Direction::kLocal}, true});
-  noc::NodeId at = req.src;
-  for (const auto dir : mesh_.route(req.src, req.dst, req.route_order)) {
-    out.push_back(PathLink{noc::LinkId{at, dir}, false});
-    if (dir != noc::Direction::kLocal) at = mesh_.neighbor(at, dir);
-  }
+  links_into(req, &out);
   return out;
+}
+
+void E2eAnalysis::links_into(const AppRequirement& req,
+                             std::vector<PathLink>* out) const {
+  out->resize(static_cast<std::size_t>(mesh_.hop_count(req.src, req.dst)) + 2);
+  write_path(req, out->data());
+}
+
+void E2eAnalysis::write_path(const AppRequirement& req, PathLink* out) const {
+  // The injection link, then Mesh2D::route's dimension-ordered walk, then
+  // the ejection port at the destination.
+  PAP_CHECK_MSG(static_cast<int>(req.src) < mesh_.num_nodes() &&
+                    static_cast<int>(req.dst) < mesh_.num_nodes(),
+                "flow endpoint outside the mesh");
+  std::size_t w = 0;
+  out[w++] = PathLink{noc::LinkId{req.src, noc::Direction::kLocal}, true};
+  noc::NodeId at = req.src;
+  int x = mesh_.x_of(req.src);
+  int y = mesh_.y_of(req.src);
+  const int dx = mesh_.x_of(req.dst);
+  const int dy = mesh_.y_of(req.dst);
+  const auto walk_x = [&] {
+    while (x != dx) {
+      const auto dir = x < dx ? noc::Direction::kEast : noc::Direction::kWest;
+      out[w++] = PathLink{noc::LinkId{at, dir}, false};
+      x += x < dx ? 1 : -1;
+      at = mesh_.node(x, y);
+    }
+  };
+  const auto walk_y = [&] {
+    while (y != dy) {
+      const auto dir = y < dy ? noc::Direction::kNorth : noc::Direction::kSouth;
+      out[w++] = PathLink{noc::LinkId{at, dir}, false};
+      y += y < dy ? 1 : -1;
+      at = mesh_.node(x, y);
+    }
+  };
+  if (req.route_order == noc::Mesh2D::RouteOrder::kXY) {
+    walk_x();
+    walk_y();
+  } else {
+    walk_y();
+    walk_x();
+  }
+  out[w] = PathLink{noc::LinkId{at, noc::Direction::kLocal}, false};
 }
 
 std::vector<std::optional<Time>> E2eAnalysis::e2e_bounds(
@@ -168,7 +174,7 @@ void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
   DramResiduals residuals(*this, dram, ndram, arena);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (propagated.flow_unbounded[i]) continue;
-    const auto chain = chain_view_for(flows, i, propagated, paths, arena);
+    const auto chain = chain_for(flows, i, propagated, paths);
     if (chain) (*out)[i] = bound_over_chain(flows[i], *chain, residuals, arena);
   }
 }
@@ -186,43 +192,7 @@ E2eAnalysis::FlatPaths E2eAnalysis::flat_paths(
     off[f + 1] = off[f] + static_cast<std::uint32_t>(hops) + 2;
   }
   auto* links = arena.alloc<PathLink>(off[nflows]);
-  for (std::size_t f = 0; f < nflows; ++f) {
-    const AppRequirement& req = flows[f];
-    std::uint32_t w = off[f];
-    links[w++] = PathLink{noc::LinkId{req.src, noc::Direction::kLocal}, true};
-    noc::NodeId at = req.src;
-    // Mirror of Mesh2D::route + links_of's walk.
-    int x = mesh_.x_of(req.src);
-    int y = mesh_.y_of(req.src);
-    const int dx = mesh_.x_of(req.dst);
-    const int dy = mesh_.y_of(req.dst);
-    const auto walk_x = [&] {
-      while (x != dx) {
-        const auto dir = x < dx ? noc::Direction::kEast : noc::Direction::kWest;
-        links[w++] = PathLink{noc::LinkId{at, dir}, false};
-        at = mesh_.neighbor(at, dir);
-        x += x < dx ? 1 : -1;
-      }
-    };
-    const auto walk_y = [&] {
-      while (y != dy) {
-        const auto dir =
-            y < dy ? noc::Direction::kNorth : noc::Direction::kSouth;
-        links[w++] = PathLink{noc::LinkId{at, dir}, false};
-        at = mesh_.neighbor(at, dir);
-        y += y < dy ? 1 : -1;
-      }
-    };
-    if (req.route_order == noc::Mesh2D::RouteOrder::kXY) {
-      walk_x();
-      walk_y();
-    } else {
-      walk_y();
-      walk_x();
-    }
-    links[w++] = PathLink{noc::LinkId{at, noc::Direction::kLocal}, false};
-    PAP_CHECK(w == off[f + 1]);
-  }
+  for (std::size_t f = 0; f < nflows; ++f) write_path(flows[f], links + off[f]);
   return FlatPaths{links, off};
 }
 
@@ -230,7 +200,7 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
     const std::vector<AppRequirement>& flows, const FlatPaths& paths,
     nc::Arena& arena) const {
   // The link-delay / burst fixpoint described in the header, on flat arena
-  // storage; the per-link h_deviation runs on stack curves.
+  // storage; the per-link delays are closed form (link_delay).
   const std::size_t nflows = flows.size();
   const std::uint32_t* off = paths.off;
   const std::uint32_t total = off[nflows];
@@ -314,16 +284,14 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
         flit_rate >= 1.0 / model_.noc.flit_time.nanos() - 1e-12;
   }
 
-  // Loop-invariant link betas in flit units: one flit per flit_time; router
-  // channels add the hop pipeline latency, the injection link only its own
-  // serialization start.
-  SmallCurve bi;
-  SmallCurve bh;
+  // Link betas in flit units are rate-latency: one flit per flit_time;
+  // router channels add the hop pipeline latency, the injection link only
+  // its own serialization start. Against the links' token-bucket load the
+  // deviation is closed form (link_delay), and the pre-check above leaves
+  // only links with spare rate.
   const double beta_rate = 1.0 / model_.noc.flit_time.nanos();
-  const nc::CurveView beta_inj =
-      rate_latency_into(bi, beta_rate, model_.noc.flit_time.nanos());
-  const nc::CurveView beta_hop =
-      rate_latency_into(bh, beta_rate, hop_latency().nanos());
+  const double inj_latency = model_.noc.flit_time.nanos();
+  const double hop_latency_ns = hop_latency().nanos();
 
   // Fixpoint: link delays from current bursts; bursts from prefix delays.
   auto* delay = arena.alloc<double>(nlinks);
@@ -333,23 +301,16 @@ E2eAnalysis::PropagatedFlat E2eAnalysis::propagate_flat(
     for (std::uint32_t l = 0; l < nlinks; ++l) {
       if (link_unstable[l]) continue;
       double burst_flits = 0.0;
-      double rate_flits = 0.0;
       for (std::uint32_t u = users_off[l]; u < users_off[l + 1]; ++u) {
-        const auto& fl = flows[users[u].flow];
-        burst_flits += out.bursts[users[u].fh] * fl.flits_per_packet;
-        rate_flits += fl.traffic.rate * fl.flits_per_packet;
+        burst_flits +=
+            out.bursts[users[u].fh] * flows[users[u].flow].flits_per_packet;
       }
-      SmallCurve abuf;
-      const auto d = nc::h_deviation_view(
-          affine_into(abuf, burst_flits, rate_flits),
-          links[l].injection ? beta_inj : beta_hop);
-      if (!d) {
-        link_unstable[l] = true;
-        changed = true;
-        continue;
-      }
-      if (*d > delay[l] + 1e-9) {
-        delay[l] = *d;
+      const double d = link_delay(
+          nc::RateLatency{beta_rate,
+                          links[l].injection ? inj_latency : hop_latency_ns},
+          burst_flits);
+      if (d > delay[l] + 1e-9) {
+        delay[l] = d;
         changed = true;
       }
     }
@@ -392,26 +353,30 @@ std::optional<nc::CurveView> E2eAnalysis::chain_view_for(
     const std::vector<AppRequirement>& flows, std::size_t self_idx,
     const PropagatedFlat& propagated, const FlatPaths& paths,
     nc::Arena& arena) const {
+  const auto chain = chain_for(flows, self_idx, propagated, paths);
+  if (!chain) return std::nullopt;
+  return nc::rate_latency_view(arena, chain->rate, chain->latency);
+}
+
+std::optional<nc::RateLatency> E2eAnalysis::chain_for(
+    const std::vector<AppRequirement>& flows, std::size_t self_idx,
+    const PropagatedFlat& propagated, const FlatPaths& paths) const {
   // Per hop: the link guarantee in this flow's packet units, minus the
   // cross traffic with propagated (conservative) bursts normalised to this
-  // flow's packet service time via the flit ratio; the chain is the
-  // convolution of the residuals. The cross traffic of a hop is the link's
-  // user list, which is in (flow, hop) order: summing its first entry per
-  // other flow is the flow-set-order sum. The link curve is arena-backed
-  // (not stack) because it *is* the residual — and thus the chain — on
-  // hops without cross traffic, so it must outlive this loop iteration.
+  // flow's packet service time via the flit ratio. The cross traffic of a
+  // hop is the link's user list, which is in (flow, hop) order: summing its
+  // first entry per other flow is the flow-set-order sum. Link and cross
+  // traffic stay rate-latency and token bucket, so each residual and the
+  // chain are closed form (blind_residual).
   const AppRequirement& req = flows[self_idx];
   const std::uint32_t* off = paths.off;
+  const double rate = link_rate(req.flits_per_packet);
+  const double inj_latency = model_.noc.flit_time.nanos();
+  const double hop_latency_ns = hop_latency().nanos();
 
-  nc::CurveView chain{};
-  bool first = true;
+  nc::RateLatency chain{rate, 0.0};
   for (std::uint32_t mh = off[self_idx]; mh < off[self_idx + 1]; ++mh) {
-    const nc::CurveView link = nc::rate_latency_view(
-        arena, link_rate(req.flits_per_packet),
-        paths.links[mh].injection ? model_.noc.flit_time.nanos()
-                                  : hop_latency().nanos());
-    nc::CurveView cross{};
-    bool any_cross = false;
+    nc::TokenBucket cross;
     const std::uint32_t l = propagated.link_of[mh];
     std::uint32_t prev_flow = UINT32_MAX;
     for (std::uint32_t u = propagated.users_off[l];
@@ -422,21 +387,36 @@ std::optional<nc::CurveView> E2eAnalysis::chain_view_for(
       const AppRequirement& other = flows[user.flow];
       const double scale = static_cast<double>(other.flits_per_packet) /
                            static_cast<double>(req.flits_per_packet);
-      const nc::CurveView oc =
-          nc::affine_view(arena, propagated.bursts[user.fh] * scale,
-                          other.traffic.rate * scale);
-      cross = any_cross
-                  ? nc::combine_view(arena, cross, oc, nc::CombineOp::kAdd)
-                  : oc;
-      any_cross = true;
+      cross.burst += propagated.bursts[user.fh] * scale;
+      cross.rate += other.traffic.rate * scale;
     }
-    const nc::CurveView residual =
-        any_cross ? nc::residual_blind_view(arena, link, cross) : link;
-    if (residual.final_slope() <= 1e-15) return std::nullopt;  // saturated
-    chain = first ? residual : nc::convolve_view(arena, chain, residual);
-    first = false;
+    const nc::RateLatency residual = blind_residual(
+        nc::RateLatency{rate, paths.links[mh].injection ? inj_latency
+                                                        : hop_latency_ns},
+        cross);
+    if (residual.rate <= 1e-15) return std::nullopt;  // saturated
+    chain.rate = std::min(chain.rate, residual.rate);
+    chain.latency += residual.latency;
   }
   return chain;
+}
+
+std::optional<Time> E2eAnalysis::bound_over_chain(const AppRequirement& req,
+                                                  nc::RateLatency chain,
+                                                  DramResiduals& dram,
+                                                  nc::Arena& arena) const {
+  std::optional<double> h;
+  if (req.uses_dram) {
+    const nc::CurveView service = nc::convolve_view(
+        arena, nc::rate_latency_view(arena, chain.rate, chain.latency),
+        dram.service_for(req));
+    h = nc::h_deviation_view(
+        nc::affine_view(arena, req.traffic.burst, req.traffic.rate), service);
+  } else {
+    h = rate_latency_deviation(req.traffic, chain);
+  }
+  if (!h) return std::nullopt;
+  return Time::from_ns(*h);
 }
 
 E2eAnalysis::DramResiduals::DramResiduals(
@@ -451,7 +431,6 @@ E2eAnalysis::DramResiduals::DramResiduals(
     apps_[i] = dram_flows[i]->app;
     buckets_[i] = dram_flows[i]->traffic;
   }
-  grow();
 }
 
 E2eAnalysis::DramResiduals::Entry* E2eAnalysis::DramResiduals::find_slot(
@@ -496,6 +475,7 @@ nc::CurveView E2eAnalysis::DramResiduals::service_for(
       std::bit_cast<std::uint64_t>(sums.writes.rate),
       std::bit_cast<std::uint64_t>(sums.reads.burst),
       std::bit_cast<std::uint64_t>(sums.reads.rate), sums.any ? 1u : 0u};
+  if (cap_ == 0) grow();  // first lookup: a NoC-only pass never builds it
   Entry* e = find_slot(key);
   if (e->used) return e->service;
   if (2 * (used_ + 1) > cap_) {
@@ -549,7 +529,7 @@ std::optional<Time> E2eAnalysis::e2e_bound(
   if (!propagated.converged || propagated.flow_unbounded[self_idx]) {
     return std::nullopt;
   }
-  const auto chain = chain_view_for(flows, self_idx, propagated, paths, arena);
+  const auto chain = chain_for(flows, self_idx, propagated, paths);
   if (!chain) return std::nullopt;
   std::size_t ndram = 0;
   const AppRequirement* const* dram = dram_users(flows, arena, &ndram);

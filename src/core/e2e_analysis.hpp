@@ -18,6 +18,17 @@
 //    delays and bursts form a monotone fixpoint, iterated to convergence;
 //    links whose aggregate rate reaches capacity (or whose fixpoint
 //    diverges) make every flow crossing them unbounded.
+//
+// Closed form on the NoC side: every link is a rate-latency server and
+// every cross-traffic aggregate a sum of token buckets, so each blind
+// residual is again rate-latency, the chain of residuals is
+// rate-latency(min rate, sum of latencies), and a link's aggregate delay
+// is latency + burst / rate. The NoC stages (propagate_flat, chain_for and
+// the final deviation of a NoC-only flow) work on those scalars
+// (blind_residual, link_delay, rate_latency_deviation); the general view
+// kernels of nc/batch.hpp run only where a curve is not rate-latency: the
+// DRAM service, its convolution with the chain and the deviation against
+// that.
 // The randomized cross-validation in tests/e2e_fuzz_test.cpp checks the
 // resulting bounds against the NoC simulator over random flow sets.
 #pragma once
@@ -34,6 +45,7 @@
 #include "nc/batch.hpp"
 #include "nc/bounds.hpp"
 #include "nc/ops.hpp"
+#include "nc/service.hpp"
 #include "noc/network.hpp"
 
 namespace pap::core {
@@ -57,6 +69,28 @@ struct PathLink {
   friend bool operator==(const PathLink&, const PathLink&) = default;
 };
 
+/// Blind-multiplexing residual of a rate-latency link under token-bucket
+/// cross traffic, [beta_{R,T} - gamma_{b,r}]^+ =
+/// beta_{R - r, T + (b + r T) / (R - r)}; a rate <= 0 means the link is
+/// saturated. Agrees with nc::residual_blind_view on the same curves to
+/// rounding (tests/core_e2e_test.cpp).
+nc::RateLatency blind_residual(nc::RateLatency link, nc::TokenBucket cross);
+
+/// Horizontal deviation of a token bucket of burst `burst` (any rate up to
+/// link.rate) against a rate-latency link: latency + burst / rate. It is
+/// bit-equal to nc::h_deviation_view on those curves, except for the zero
+/// bucket (burst and rate 0), whose deviation is 0.
+double link_delay(nc::RateLatency link, double burst);
+
+/// The horizontal deviation of a token bucket against a rate-latency
+/// curve with a positive latency, in closed form and bit-equal to
+/// nc::h_deviation_view on affine_view(alpha) and rate_latency_view(beta):
+/// 0 for the zero bucket, unbounded when alpha's rate exceeds beta's or
+/// beta's rate is within the kernels' 1e-9 tolerance of 0, otherwise
+/// link_delay(beta, alpha.burst).
+std::optional<double> rate_latency_deviation(nc::TokenBucket alpha,
+                                             nc::RateLatency beta);
+
 class E2eAnalysis {
  public:
   explicit E2eAnalysis(PlatformModel model);
@@ -69,6 +103,10 @@ class E2eAnalysis {
 
   /// The flow's path: injection link, then the XY route's channels.
   std::vector<PathLink> links_of(const AppRequirement& req) const;
+
+  /// links_of into caller-owned storage (resized to the path length), so a
+  /// warm caller allocates nothing.
+  void links_into(const AppRequirement& req, std::vector<PathLink>* out) const;
 
   /// Full end-to-end bound of `req` against the admitted set `others`:
   /// NoC path (+ DRAM when used). An entry of `others` with req's app id
@@ -143,13 +181,20 @@ class E2eAnalysis {
 
   /// The residual NoC service chain of flows[self_idx] (convolution of the
   /// per-link blind residuals), or nullopt when a link on the path is
-  /// saturated; the returned view lives in `arena`. Each hop's cross
-  /// traffic comes from the link's user list in `propagated`, so the cost
-  /// is the number of users of the flow's own links.
+  /// saturated; the returned rate-latency view lives in `arena`. Each hop's
+  /// cross traffic is summed as scalars from the link's user list in
+  /// `propagated`, so the cost is the number of users of the flow's own
+  /// links.
   std::optional<nc::CurveView> chain_view_for(
       const std::vector<AppRequirement>& flows, std::size_t self_idx,
       const PropagatedFlat& propagated, const FlatPaths& paths,
       nc::Arena& arena) const;
+
+  /// The same chain as its (rate, latency) pair: chain_view_for is
+  /// nc::rate_latency_view of this.
+  std::optional<nc::RateLatency> chain_for(
+      const std::vector<AppRequirement>& flows, std::size_t self_idx,
+      const PropagatedFlat& propagated, const FlatPaths& paths) const;
 
   /// Residual DRAM read services of one flow set's DRAM users, shared per
   /// distinct exclusion bucket. A user's residual depends on the set only
@@ -196,6 +241,16 @@ class E2eAnalysis {
     std::uint32_t used_ = 0;
   };
 
+  /// The end-to-end bound of `req` over its NoC chain (chain_for): the
+  /// chain convolved with req's DRAM residual from `dram` when req uses the
+  /// DRAM (both are convex), then the horizontal deviation against req's
+  /// token bucket — in closed form (rate_latency_deviation) when the
+  /// service is the chain alone. nullopt when that deviation is unbounded.
+  std::optional<Time> bound_over_chain(const AppRequirement& req,
+                                       nc::RateLatency chain,
+                                       DramResiduals& dram,
+                                       nc::Arena& arena) const;
+
   /// The residual DRAM read service of `req` alone: a one-lookup
   /// DramResiduals over `dram_flows[0..n)` (same contract). Callers that
   /// need the residual of several users of one set share a DramResiduals
@@ -205,6 +260,9 @@ class E2eAnalysis {
                                   std::size_t n, nc::Arena& arena) const;
 
  private:
+  /// Writes req's path (hop_count + 2 links, links_of's order) to out.
+  void write_path(const AppRequirement& req, PathLink* out) const;
+
   PlatformModel model_;
   noc::Mesh2D mesh_;
 };

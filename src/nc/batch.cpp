@@ -64,7 +64,7 @@ void push_seg(Arena& arena, MutCurveView* v, double x, double y, double slope) {
 /// landed in, so a non-decreasing sequence of eval() / inverse() calls costs
 /// amortized O(1) per query — the access pattern of the deviation walks.
 /// Backward jumps fall back to a fresh search; results are bit-identical to
-/// CurveView::eval / inverse.
+/// CurveView::eval and Curve::inverse.
 struct ViewCursor {
   CurveView c;
   std::uint32_t ei = 0;  ///< eval cursor: last segment evaluated
@@ -252,24 +252,6 @@ double CurveView::eval(double t) const {
   return y[i] + slope[i] * (t - x[i]);
 }
 
-std::optional<double> CurveView::inverse(double v) const {
-  if (v <= y[0]) return 0.0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const bool last = (i + 1 == n);
-    const double end_value = last ? kInf : seg_eval(*this, i, x[i + 1]);
-    if (v <= end_value + kEps) {
-      if (slope[i] <= 0.0) {
-        if (v <= y[i] + kEps) return x[i];
-        if (last) return std::nullopt;
-        continue;
-      }
-      if (v <= y[i]) return x[i];
-      return x[i] + (v - y[i]) / slope[i];
-    }
-  }
-  return std::nullopt;
-}
-
 // Same tests as Curve::is_concave/is_convex, including the looser shape
 // tolerance (see curve.cpp kShapeEps): slope order noise from closure
 // arithmetic must classify, not crash.
@@ -413,11 +395,6 @@ CurveView from_points_view(Arena& arena, const double* px, const double* py,
   return out;
 }
 
-CurveView combine_raw_view(Arena& arena, CurveView a, CurveView b,
-                           CombineOp op) {
-  return combine_raw_dispatch(arena, a, b, op);
-}
-
 CurveView combine_view(Arena& arena, CurveView a, CurveView b, CombineOp op) {
   MutCurveView raw = combine_raw_dispatch(arena, a, b, op);
   normalize_view(&raw);
@@ -527,16 +504,46 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
   return true;
 }
 
+namespace {
+
+/// Where beta^-1 jumps: sup{s : beta(s) <= v} when beta holds a plateau (a
+/// flat segment) at level v, within kEps, and either alpha rises right
+/// after the candidate (`rising`) or v lies above the plateau. Returns -1
+/// when that does not apply and +inf when the plateau is beta's last
+/// segment. `from` skips the segments that start below the tolerance band;
+/// queries must come with non-decreasing v.
+double plateau_exit(CurveView beta, double v, bool rising,
+                    std::uint32_t* from) {
+  std::uint32_t i = *from;
+  while (i < beta.n && beta.y[i] < v && !nearly_equal(beta.y[i], v)) ++i;
+  *from = i;
+  std::uint32_t flat = beta.n;
+  for (; i < beta.n && (beta.y[i] <= v || nearly_equal(beta.y[i], v)); ++i) {
+    if (beta.slope[i] <= 0.0) flat = i;
+  }
+  if (flat == beta.n || !(rising || v > beta.y[flat])) return -1.0;
+  if (flat + 1 == beta.n) return kInf;
+  const std::uint32_t j = flat + 1;
+  return v <= beta.y[j] ? beta.x[j]
+                        : beta.x[j] + (v - beta.y[j]) / beta.slope[j];
+}
+
+}  // namespace
+
 std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
   // Candidates: alpha's breakpoints plus the first times alpha reaches each
   // of beta's breakpoint values; between them t -> beta^-1(alpha(t)) - t
   // is linear. They are generated in merged (sorted) order, so all three
-  // curve lookups ride cursors and the scan is O(n + m).
+  // curve lookups ride cursors and the scan is O(n + m). At a candidate
+  // where alpha(t) sits on a plateau of beta and alpha rises right after
+  // t, the supremum is the right-hand limit — the plateau's end — not the
+  // value at t: a zero burst against a latency still waits the latency.
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
 
   ViewCursor alpha_inv{alpha};
   ViewCursor alpha_ev{alpha};
   ViewCursor beta_inv{beta};
+  std::uint32_t plateau_from = 0;
 
   double worst = 0.0;
   std::uint32_t ia = 0;
@@ -561,9 +568,14 @@ std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
       ++ib;
       tb_computed = false;
     }
-    const auto bx = beta_inv.inverse(alpha_ev.eval(t));
+    const double v = alpha_ev.eval(t);
+    const auto bx = beta_inv.inverse(v);
     if (!bx) return std::nullopt;  // beta saturates below alpha(t)
     worst = std::max(worst, *bx - t);
+    const double exit = plateau_exit(
+        beta, v, alpha.slope[alpha_ev.ei] > 0.0, &plateau_from);
+    if (exit == kInf) return std::nullopt;  // beta never rises past alpha(t)
+    worst = std::max(worst, exit - t);
   }
   return worst;
 }

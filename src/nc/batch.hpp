@@ -39,7 +39,7 @@ namespace pap::nc {
 /// y[i] + slope[i] * (t - x[i]); the last segment extends to infinity.
 /// Invariants are those of Curve (x[0] == 0, continuous, non-decreasing,
 /// non-negative) whenever the view came out of a builder or kernel below;
-/// raw combine output (combine_raw_view) may violate them.
+/// raw combine output (inside the kernels) may violate them.
 struct CurveView {
   const double* x = nullptr;
   const double* y = nullptr;
@@ -53,9 +53,6 @@ struct CurveView {
 
   /// Same result as Curve::eval — binary search for the active segment.
   double eval(double t) const;
-
-  /// Same result as Curve::inverse.
-  std::optional<double> inverse(double v) const;
 
   bool is_concave() const;  ///< same test as Curve::is_concave
   bool is_convex() const;   ///< same test as Curve::is_convex
@@ -103,7 +100,7 @@ inline CurveView to_view(Arena& arena, const Curve& c) {
 
 /// Materialize a view as an owning Curve (allocates; for results that must
 /// outlive the arena). `v` must satisfy the Curve invariants — any builder
-/// or kernel output except combine_raw_view — and is copied as is, without
+/// or kernel output — and is copied as is, without
 /// a second normalization pass.
 Curve to_curve(CurveView v);
 
@@ -117,14 +114,9 @@ CurveView rate_latency_view(Arena& arena, double rate, double latency);
 CurveView from_points_view(Arena& arena, const double* px, const double* py,
                            std::uint32_t npoints, double final_slope);
 
-/// Pointwise combination without the Curve invariants: a single-pass
-/// two-pointer merge, O(n + m), with crossings derived exactly from the
-/// active segment pair. The result may be negative/decreasing for kSub
-/// (feed it to positive_closure_view).
-CurveView combine_raw_view(Arena& arena, CurveView a, CurveView b,
-                           CombineOp op);
-
-/// combine_raw_view plus the Curve invariants (min, max, add).
+/// Pointwise combination: a single-pass two-pointer merge, O(n + m), with
+/// crossings derived exactly from the active segment pair, plus the Curve
+/// invariants (min, max, add).
 CurveView combine_view(Arena& arena, CurveView a, CurveView b, CombineOp op);
 
 /// Running max with 0 of a raw piecewise-linear function: the

@@ -175,6 +175,34 @@ std::optional<Curve> deconvolve(const Curve& f, const Curve& g) {
   return Curve::from_points(pts, f.final_slope());
 }
 
+namespace {
+
+/// sup{s : beta(s) <= v} where beta holds a plateau at level v (within
+/// kEps) and alpha rises right after the candidate or v lies above the
+/// plateau; -1 when that does not apply, +inf when the plateau never ends.
+double plateau_exit(const Curve& beta, double v, bool rising) {
+  const auto& segs = beta.segments();
+  std::size_t flat = segs.size();
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (segs[i].slope <= 0.0 && nearly_equal(segs[i].y, v)) flat = i;
+  }
+  if (flat == segs.size() || !(rising || v > segs[flat].y)) return -1.0;
+  if (flat + 1 == segs.size()) return std::numeric_limits<double>::infinity();
+  const Segment& next = segs[flat + 1];
+  return v <= next.y ? next.x : next.x + (v - next.y) / next.slope;
+}
+
+/// Slope of the segment of c active at t (the one right after t).
+double slope_after(const Curve& c, double t) {
+  double slope = c.segments().front().slope;
+  for (const auto& s : c.segments()) {
+    if (s.x <= t) slope = s.slope;
+  }
+  return slope;
+}
+
+}  // namespace
+
 std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
 
@@ -201,6 +229,11 @@ std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
       return std::nullopt;
     }
     worst = std::max(worst, *x - t);
+    // Right after t, beta^{-1}(alpha) jumps past any plateau at alpha(t).
+    const double exit =
+        plateau_exit(beta, alpha.eval(t), slope_after(alpha, t) > 0.0);
+    if (std::isinf(exit)) return std::nullopt;
+    worst = std::max(worst, exit - t);
   }
   return worst;
 }

@@ -19,9 +19,11 @@
 //  * h_deviation / v_deviation: O((n+m) log(n+m)) candidate enumeration
 //    with an O(log)-searched eval/inverse per candidate.
 //
-// Do not "fix" or optimize this file: its value is being the unchanged
-// original. New behavior goes in the optimized kernels and must keep
-// matching these on the shapes both support.
+// Do not optimize this file: its value is being the plain original. New
+// behavior goes in the optimized kernels and must keep matching these on
+// the shapes both support. A soundness fix goes into both, so the oracle
+// keeps checking the corrected result (h_deviation's right-hand limit at
+// a plateau of beta is the one such fix).
 #pragma once
 
 #include <optional>
@@ -45,7 +47,8 @@ Curve convolve(const Curve& f, const Curve& g);
 /// Original min-plus deconvolution via candidate-abscissa enumeration.
 std::optional<Curve> deconvolve(const Curve& f, const Curve& g);
 
-/// Original horizontal deviation via per-candidate inverse searches.
+/// Original horizontal deviation via per-candidate inverse searches, plus
+/// the right-hand limit where alpha rises off a plateau level of beta.
 std::optional<double> h_deviation(const Curve& alpha, const Curve& beta);
 
 /// Original vertical deviation via per-breakpoint eval searches.

@@ -4,22 +4,6 @@
 
 namespace pap::noc {
 
-std::string to_string(Direction d) {
-  switch (d) {
-    case Direction::kLocal:
-      return "local";
-    case Direction::kEast:
-      return "east";
-    case Direction::kWest:
-      return "west";
-    case Direction::kNorth:
-      return "north";
-    case Direction::kSouth:
-      return "south";
-  }
-  return "?";
-}
-
 NodeId Mesh2D::neighbor(NodeId n, Direction d) const {
   const int x = x_of(n);
   const int y = y_of(n);

@@ -19,8 +19,6 @@ using NodeId = std::uint32_t;
 enum class Direction : std::uint8_t { kLocal, kEast, kWest, kNorth, kSouth };
 constexpr int kNumPorts = 5;
 
-std::string to_string(Direction d);
-
 /// A unidirectional link, identified by its source router and exit port.
 struct LinkId {
   NodeId router;

@@ -119,12 +119,4 @@ void CbsScheduler::job_finished() {
   reschedule();
 }
 
-LatencyHistogram CbsScheduler::response_times(std::uint32_t server_id) const {
-  LatencyHistogram h;
-  for (const auto& r : records_) {
-    if (r.job.task == server_id) h.add(r.response());
-  }
-  return h;
-}
-
 }  // namespace pap::sched

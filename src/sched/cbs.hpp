@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/status.hpp"
 #include "nc/service.hpp"
 #include "sched/task.hpp"
@@ -75,7 +74,6 @@ class CbsScheduler {
   void submit(CbsServer* server, Job job, Time execution);
 
   const std::vector<JobRecord>& records() const { return records_; }
-  LatencyHistogram response_times(std::uint32_t server_id) const;
   double total_bandwidth() const;
 
  private:

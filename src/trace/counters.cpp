@@ -76,11 +76,6 @@ std::optional<CounterRegistry::Entry> CounterRegistry::sample(
   return std::nullopt;
 }
 
-bool CounterRegistry::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.empty();
-}
-
 std::string CounterRegistry::csv() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "component,name,kind,updates,value,min,max\n";

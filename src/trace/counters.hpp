@@ -67,7 +67,6 @@ class CounterRegistry {
 
   /// Single-threaded / quiescent view (exporters, tests).
   const std::deque<Entry>& entries() const { return entries_; }
-  bool empty() const;
 
   /// "component,name,kind,updates,value,min,max" rows, header included.
   /// Deterministic: rows in first-update order, values as %.17g.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -317,6 +318,48 @@ TEST(AdmitIncremental, DuplicateAndUnknownAppsMatchOracle) {
   EXPECT_FALSE(inc.current_bound(99).has_value());
   EXPECT_TRUE(inc.contains(1));
   EXPECT_FALSE(inc.contains(99));
+}
+
+// App ids index the engine through an open-addressing table with
+// backward-shift deletion. Two regimes: a live set of at most ~12 ids from
+// a pool of 64 scattered ones keeps the table at 16-32 slots, so probe
+// runs collide and wrap past its end; then ids from a small dense range
+// and scattered multiples of 16 grow it to thousands of entries. After
+// every admit or release, contains() and size() must agree with a set.
+TEST(AdmitIncremental, AppLookupsTrackAdmitsAndReleasesOfScatteredIds) {
+  admit::IncrementalAdmission inc(model(16, 16));
+  noc::Mesh2D mesh(16, 16);
+  std::mt19937 rng(17);
+  std::vector<noc::AppId> pool(64);
+  for (auto& id : pool) id = 1 + rng() % (1u << 30);
+  std::set<noc::AppId> live;
+  for (int step = 0; step < 30000; ++step) {
+    const bool small = step < 20000;
+    const noc::AppId id =
+        small ? pool[rng() % pool.size()]
+              : (rng() % 2 ? 1 + rng() % 300 : 16 * (1 + rng() % (1u << 26)));
+    const bool release =
+        small ? live.size() > 12 || rng() % 2 : rng() % 100 < 45;
+    if (release) {
+      ASSERT_EQ(inc.release(id).is_ok(), live.erase(id) == 1) << step;
+    } else {
+      const noc::NodeId at = mesh.node(static_cast<int>(rng() % 16),
+                                       static_cast<int>(rng() % 16));
+      const bool fresh = live.count(id) == 0;
+      const auto g = inc.request(app(id, 1.0, 1e-7, at, at, Time::ms(100)));
+      ASSERT_EQ(g.has_value(), fresh) << step;
+      live.insert(id);
+    }
+    ASSERT_EQ(inc.size(), live.size()) << step;
+    if (small) {
+      for (const noc::AppId l : live) ASSERT_TRUE(inc.contains(l)) << step;
+    }
+    ASSERT_EQ(inc.contains(id), live.count(id) == 1) << step;
+  }
+  for (const noc::AppId id : live) {
+    EXPECT_TRUE(inc.contains(id)) << id;
+    EXPECT_TRUE(inc.current_bound(id).has_value()) << id;
+  }
 }
 
 TEST(AdmitIncremental, ControllerFacadeSelectsEngine) {

@@ -3,10 +3,15 @@
 // Thiran), which is exactly the theory Section IV builds on.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/units.hpp"
 #include "nc/arrival.hpp"
 #include "nc/bounds.hpp"
 #include "nc/ops.hpp"
+#include "nc/reference.hpp"
 #include "nc/service.hpp"
 
 namespace pap::nc {
@@ -85,6 +90,62 @@ TEST(HDeviation, EqualRatesBounded) {
   const auto h = h_deviation(alpha, beta);
   ASSERT_TRUE(h.has_value());
   EXPECT_NEAR(*h, 3.0 + 4.0 / 2.0, 1e-9);
+}
+
+// Right after a candidate t where alpha(t) sits on a plateau of beta and
+// alpha rises, beta^-1(alpha) jumps to the plateau's end; the supremum is
+// that right-hand limit. The cases: bursts at and below the kEps tolerance
+// against a latency (the zero-burst case), an interior plateau, and a flat
+// tail that a rising alpha eventually outgrows.
+struct PlateauCase {
+  std::string what;
+  Curve alpha;
+  Curve beta;
+  std::optional<double> want;
+};
+
+std::vector<PlateauCase> plateau_cases() {
+  const Curve latency = Curve::rate_latency(0.25, 20.0);
+  // Rate 1 from 2 to 4, flat at 2 until 7, then rate 1 again.
+  const Curve stair({{0.0, 0.0, 0.0}, {2.0, 0.0, 1.0}, {4.0, 2.0, 0.0},
+                     {7.0, 2.0, 1.0}});
+  const Curve flat_tail({{0.0, 0.0, 0.0}, {2.0, 0.0, 1.0}, {4.0, 2.0, 0.0}});
+  std::vector<PlateauCase> cases;
+  for (const double b : {0.0, 1e-12, 1e-10, 1e-9, 1e-6}) {
+    cases.push_back({"burst " + std::to_string(b), Curve::affine(b, 0.01),
+                     latency, 20.0 + b / 0.25});
+  }
+  // Not rising, above the plateau level by less than kEps: still past it.
+  cases.push_back({"flat 1e-10", Curve::affine(1e-10, 0.0), latency,
+                   20.0 + 1e-10 / 0.25});
+  // The zero arrival curve waits for nothing.
+  cases.push_back({"zero", Curve::affine(0.0, 0.0), latency, 0.0});
+  // alpha = t/2 reaches the plateau at t = 4 and leaves it at once:
+  // beta^-1 jumps from 4 to 7, so h = 7 - 4.
+  cases.push_back({"interior plateau", Curve::affine(0.0, 0.5), stair, 3.0});
+  cases.push_back({"flat tail", Curve::affine(0.0, 1e-10), flat_tail,
+                   std::nullopt});
+  return cases;
+}
+
+TEST(HDeviation, KernelTakesTheRightLimitAtAPlateau) {
+  for (const auto& c : plateau_cases()) {
+    const auto h = h_deviation(c.alpha, c.beta);
+    ASSERT_EQ(h.has_value(), c.want.has_value()) << c.what;
+    if (h) {
+      EXPECT_DOUBLE_EQ(*h, *c.want) << c.what;
+    }
+  }
+}
+
+TEST(HDeviation, ReferenceTakesTheRightLimitAtAPlateau) {
+  for (const auto& c : plateau_cases()) {
+    const auto h = reference::h_deviation(c.alpha, c.beta);
+    ASSERT_EQ(h.has_value(), c.want.has_value()) << c.what;
+    if (h) {
+      EXPECT_DOUBLE_EQ(*h, *c.want) << c.what;
+    }
+  }
 }
 
 TEST(VDeviation, TokenBucketRateLatencyClosedForm) {

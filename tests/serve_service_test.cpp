@@ -270,6 +270,20 @@ TEST(Service, CacheHitsAreByteIdenticalToComputedReplies) {
             second.substr(second.find(",\"ok\"")));
 }
 
+// nc_delay's arrival burst defaults to 0. A zero-burst token bucket
+// against beta_{0.25, 20} still waits the 20 ns latency (the deviation's
+// right-hand limit at t = 0), not 0.
+TEST(Service, NcDelayWithTheDefaultZeroBurstWaitsTheLatency) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  AnalysisService svc(cfg);
+  const std::string reply = svc.handle(
+      R"({"id":1,"op":"nc_delay","params":{"arrival":{"rate":0.01},)"
+      R"("service":{"rate":0.25,"latency_ns":20}}})");
+  EXPECT_NE(reply.find("\"ok\":true"), reply.npos) << reply;
+  EXPECT_NE(reply.find("\"delay\":20.000,"), reply.npos) << reply;
+}
+
 TEST(Service, CacheDisabledRecomputesEveryTime) {
   ServiceConfig cfg;
   cfg.workers = 1;
