@@ -11,7 +11,9 @@
 // RM-side eviction watchdog, client-side safe-rate fallback) and reports
 // the protocol's recovery accounting plus per-transition recovery latency
 // (commit - start). An extra `--faults=PLAN` on the command line is merged
-// into every point's plan, so one-off what-if runs need no code change.
+// into every point's plan, so one-off what-if runs need no code change;
+// `link@` faults take the NoC link down, while `dram@` faults are rejected
+// up front (this world has no DRAM controller).
 //
 // Every point is deterministic: same plan + same seed => byte-identical
 // stats (the CSV output is the CI determinism anchor, see ci.yml).
@@ -80,6 +82,10 @@ PointResult run_point(double loss, bool crash, std::uint64_t seed,
   fault::Injector injector(kernel, plan);
   injector.on_crash([&](int app) { clients[app - 1]->crash(); });
   injector.on_restart([&](int app) { clients[app - 1]->restart(); });
+  injector.on_link_down([&net](int router, int port, Time until) {
+    net.take_link_down(static_cast<noc::NodeId>(router),
+                       static_cast<noc::Direction>(port), until);
+  });
   if (injector.enabled()) {
     manager.set_injector(&injector);
     injector.arm();
@@ -132,6 +138,23 @@ int main(int argc, char** argv) {
   const auto cli = exp::parse_cli(argc, argv);
   fault::FaultPlan extra;  // already validated by parse_cli
   if (!cli.faults.empty()) extra = fault::FaultPlan::parse(cli.faults).value();
+  const noc::NocConfig mesh;
+  for (const fault::FaultSpec& s : extra.specs()) {
+    std::string why;
+    if (s.kind == fault::FaultKind::kDramStall) {
+      why = "dram@ faults need a DRAM controller, and this bench has none";
+    } else if (s.kind == fault::FaultKind::kLinkDown &&
+               s.router >= mesh.cols * mesh.rows) {
+      why = "link@ router r" + std::to_string(s.router) + " is outside the " +
+            std::to_string(mesh.cols) + "x" + std::to_string(mesh.rows) +
+            " mesh";
+    }
+    if (!why.empty()) {
+      std::fprintf(stderr, "ablation_fault_recovery: --faults: %s\n",
+                   why.c_str());
+      return 64;  // EX_USAGE, as for a malformed plan
+    }
+  }
 
   print_heading(
       "Ablation — RM control-plane fault recovery (hardened protocol)");

@@ -8,42 +8,6 @@
 
 namespace pap {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 void LatencyHistogram::add(Time sample) {
   if (!samples_.empty() && sample.picos() < samples_.back()) sorted_ = false;
   samples_.push_back(sample.picos());
@@ -108,30 +72,6 @@ std::string LatencyHistogram::summary() const {
   return os.str();
 }
 
-std::string LatencyHistogram::ascii_chart(int buckets, int width) const {
-  if (samples_.empty()) return "(no samples)\n";
-  ensure_sorted();
-  const std::int64_t lo = samples_.front();
-  const std::int64_t hi = samples_.back();
-  const std::int64_t span = std::max<std::int64_t>(hi - lo, 1);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(buckets), 0);
-  for (auto s : samples_) {
-    auto b = static_cast<std::size_t>((s - lo) * buckets / (span + 1));
-    if (b >= counts.size()) b = counts.size() - 1;
-    ++counts[b];
-  }
-  const std::int64_t peak = *std::max_element(counts.begin(), counts.end());
-  std::ostringstream os;
-  for (int b = 0; b < buckets; ++b) {
-    const std::int64_t lo_b = lo + span * b / buckets;
-    const auto bars = static_cast<int>(counts[static_cast<std::size_t>(b)] *
-                                       width / std::max<std::int64_t>(peak, 1));
-    os << Time::ps(lo_b).to_string() << " | " << std::string(bars, '#') << " "
-       << counts[static_cast<std::size_t>(b)] << "\n";
-  }
-  return os.str();
-}
-
 Counters::Id Counters::id(const std::string& name) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].first == name) return Id{static_cast<std::uint32_t>(i)};
@@ -145,10 +85,6 @@ std::int64_t Counters::get(const std::string& name) const {
     if (k == name) return v;
   }
   return 0;
-}
-
-void Counters::reset() {
-  for (auto& entry : entries_) entry.second = 0;
 }
 
 }  // namespace pap

@@ -1,5 +1,5 @@
-// Statistics collection for simulation experiments: running moments,
-// percentile-capable latency histograms, and min/max tracking. Used by every
+// Statistics collection for simulation experiments: percentile-capable
+// latency histograms and named occurrence counters. Used by every
 // bench that reports a latency distribution (motivation_interference,
 // fig4_frfcfs_model, the platform scenarios, ...).
 #pragma once
@@ -11,28 +11,6 @@
 #include "common/time.hpp"
 
 namespace pap {
-
-/// Streaming mean/variance/min/max over doubles (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::int64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::int64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Latency histogram with exact percentiles.
 ///
@@ -66,9 +44,6 @@ class LatencyHistogram {
     return samples_;
   }
 
-  /// Fixed-width ASCII bar chart of the distribution (for bench output).
-  std::string ascii_chart(int buckets = 20, int width = 40) const;
-
  private:
   void ensure_sorted() const;
   mutable std::vector<std::int64_t> samples_;
@@ -100,8 +75,6 @@ class Counters {
   const std::vector<std::pair<std::string, std::int64_t>>& entries() const {
     return entries_;
   }
-  /// Zero every counter; names and handles stay valid.
-  void reset();
 
  private:
   // Small, ordered by registration; linear lookup is fine for the handful

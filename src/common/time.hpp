@@ -103,9 +103,4 @@ constexpr std::int64_t floor_div(Time span, Time period) {
   return span.picos() / period.picos();
 }
 
-/// Smallest number of periods covering `span` (ceil), for non-negative span.
-constexpr std::int64_t ceil_div(Time span, Time period) {
-  return (span.picos() + period.picos() - 1) / period.picos();
-}
-
 }  // namespace pap

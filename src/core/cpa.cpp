@@ -65,11 +65,6 @@ Time delta_minus(const nc::TokenBucket& arrival, int q) {
 
 }  // namespace
 
-std::optional<Time> busy_window_wcrt(const Flow& flow,
-                                     const std::vector<Flow>& interferers) {
-  return busy_window_wcrt_multi(flow, interferers, 1);
-}
-
 std::optional<Time> busy_window_wcrt_multi(
     const Flow& flow, const std::vector<Flow>& interferers, int q_max) {
   PAP_CHECK(q_max >= 1);

@@ -35,18 +35,14 @@ struct Flow {
 /// of a token-bucketed flow).
 std::int64_t eta_plus(const nc::TokenBucket& arrival, Time window);
 
-/// Worst-case response time of one request of `flow` on the shared
-/// resource, against the given interferers (same resource; must NOT
-/// include the flow itself). Non-preemptive static priority: one
-/// lower-priority blocker + all higher-or-equal priority interference
-/// inside the busy window. nullopt when the busy window does not converge
-/// (overload).
-std::optional<Time> busy_window_wcrt(const Flow& flow,
-                                     const std::vector<Flow>& interferers);
-
-/// Multi-activation extension: the worst response over the first `q_max`
-/// activations inside one busy period (needed when the flow's own burst
-/// exceeds 1 — later activations can see more interference).
+/// Worst-case response time of `flow` on the shared resource, against the
+/// given interferers (same resource; must NOT include the flow itself):
+/// the worst response over the first `q_max` activations inside one busy
+/// period (later activations can see more interference when the flow's own
+/// burst exceeds 1; q_max = 1 analyses a single request). Non-preemptive
+/// static priority: one lower-priority blocker + all higher-or-equal
+/// priority interference inside the busy window. nullopt when the busy
+/// window does not converge (overload).
 std::optional<Time> busy_window_wcrt_multi(const Flow& flow,
                                            const std::vector<Flow>& interferers,
                                            int q_max = 16);

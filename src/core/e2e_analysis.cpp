@@ -98,12 +98,6 @@ Time E2eAnalysis::hop_latency() const {
   return model_.noc.router_latency + model_.noc.flit_time;
 }
 
-std::vector<PathLink> E2eAnalysis::links_of(const AppRequirement& req) const {
-  std::vector<PathLink> out;
-  links_into(req, &out);
-  return out;
-}
-
 void E2eAnalysis::links_into(const AppRequirement& req,
                              std::vector<PathLink>* out) const {
   out->resize(static_cast<std::size_t>(mesh_.hop_count(req.src, req.dst)) + 2);
@@ -149,13 +143,6 @@ void E2eAnalysis::write_path(const AppRequirement& req, PathLink* out) const {
   out[w] = PathLink{noc::LinkId{at, noc::Direction::kLocal}, false};
 }
 
-std::vector<std::optional<Time>> E2eAnalysis::e2e_bounds(
-    const std::vector<AppRequirement>& flows) const {
-  std::vector<std::optional<Time>> out;
-  e2e_bounds_into(flows, &out);
-  return out;
-}
-
 void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
                                   std::vector<std::optional<Time>>* out) const {
   // One arena rewind per decision; every curve below lives in the arena (or
@@ -181,7 +168,7 @@ void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
 
 E2eAnalysis::FlatPaths E2eAnalysis::flat_paths(
     const std::vector<AppRequirement>& flows, nc::Arena& arena) const {
-  // links_of() for every flow, without the per-flow vectors: the path
+  // links_into() for every flow, without the per-flow vectors: the path
   // length is known up front (injection + Manhattan hops + ejection), so
   // one arena block holds all paths and the route walk writes in place.
   const std::size_t nflows = flows.size();

@@ -101,11 +101,9 @@ class E2eAnalysis {
   /// Per-hop base latency (arbitration-free router traversal).
   Time hop_latency() const;
 
-  /// The flow's path: injection link, then the XY route's channels.
-  std::vector<PathLink> links_of(const AppRequirement& req) const;
-
-  /// links_of into caller-owned storage (resized to the path length), so a
-  /// warm caller allocates nothing.
+  /// The flow's path into caller-owned storage (resized to the path
+  /// length): the injection link, the route's channels in its dimension
+  /// order, then the ejection port. A warm caller allocates nothing.
   void links_into(const AppRequirement& req, std::vector<PathLink>* out) const;
 
   /// Full end-to-end bound of `req` against the admitted set `others`:
@@ -116,21 +114,17 @@ class E2eAnalysis {
   std::optional<Time> e2e_bound(const AppRequirement& req,
                                 const std::vector<AppRequirement>& others) const;
 
-  /// Bounds for every flow of the set in one pass. Identical to calling
-  /// `e2e_bound(flows[i], flows)` per flow, but the paths and the
-  /// burst-propagation fixpoint — the dominant cost — are computed once
-  /// and shared. The admission controller re-proves every admitted
-  /// application on each decision, which is exactly this shape; the
-  /// flow-by-flow form repeats the fixpoint N times on identical input.
-  /// bounds[i] is empty when flow i has no bounded delay.
-  std::vector<std::optional<Time>> e2e_bounds(
-      const std::vector<AppRequirement>& flows) const;
-
-  /// e2e_bounds with caller-owned output storage. The whole analysis —
-  /// paths, the burst-propagation fixpoint, every intermediate curve — runs
-  /// on the calling thread's nc::Arena (reset once on entry), so a warm
-  /// steady state (arena blocks grown, *out at capacity) makes zero heap
-  /// allocations per decision.
+  /// Bounds for every flow of the set in one pass, into caller-owned
+  /// storage. Identical to calling `e2e_bound(flows[i], flows)` per flow,
+  /// but the paths and the burst-propagation fixpoint — the dominant cost —
+  /// are computed once and shared. The admission controller re-proves every
+  /// admitted application on each decision, which is exactly this shape;
+  /// the flow-by-flow form repeats the fixpoint N times on identical input.
+  /// (*out)[i] is empty when flow i has no bounded delay. The whole
+  /// analysis — paths, the burst-propagation fixpoint, every intermediate
+  /// curve — runs on the calling thread's nc::Arena (reset once on entry),
+  /// so a warm steady state (arena blocks grown, *out at capacity) makes
+  /// zero heap allocations per decision.
   void e2e_bounds_into(const std::vector<AppRequirement>& flows,
                        std::vector<std::optional<Time>>* out) const;
 
@@ -260,7 +254,7 @@ class E2eAnalysis {
                                   std::size_t n, nc::Arena& arena) const;
 
  private:
-  /// Writes req's path (hop_count + 2 links, links_of's order) to out.
+  /// Writes req's path (hop_count + 2 links, links_into's order) to out.
   void write_path(const AppRequirement& req, PathLink* out) const;
 
   PlatformModel model_;

@@ -44,36 +44,6 @@ double TraceProfiler::min_burst_for_rate(double rate) const {
   return best;
 }
 
-double TraceProfiler::max_over_window(Time window) const {
-  PAP_CHECK(window >= Time::zero());
-  double best = 0.0;
-  std::size_t lo = 0;
-  for (std::size_t hi = 0; hi < times_.size(); ++hi) {
-    while (times_[hi] - times_[lo] > window) ++lo;
-    const double volume =
-        cumulative_[hi] - (lo == 0 ? 0.0 : cumulative_[lo - 1]);
-    best = std::max(best, volume);
-  }
-  return best;
-}
-
-std::vector<nc::TokenBucket> TraceProfiler::characterize(
-    int points, double peak_factor) const {
-  PAP_CHECK(points >= 2 && peak_factor > 1.0);
-  std::vector<nc::TokenBucket> out;
-  const double base = sustained_rate();
-  if (base <= 0.0) {
-    out.push_back(nc::TokenBucket{total_, 0.0});
-    return out;
-  }
-  for (int k = 0; k < points; ++k) {
-    const double rate =
-        base * (1.0 + (peak_factor - 1.0) * k / (points - 1));
-    out.push_back(nc::TokenBucket{min_burst_for_rate(rate), rate});
-  }
-  return out;
-}
-
 nc::TokenBucket TraceProfiler::contract(double rate_margin,
                                         double burst_margin) const {
   PAP_CHECK(rate_margin >= 1.0 && burst_margin >= 1.0);

@@ -34,16 +34,6 @@ class TraceProfiler {
   /// O(n) over the trace. rate in requests/ns.
   double min_burst_for_rate(double rate) const;
 
-  /// Largest arrival volume inside any window of the given length — the
-  /// empirical arrival curve evaluated at one point.
-  double max_over_window(Time window) const;
-
-  /// (rate, minimal burst) pairs over a rate grid from the sustained rate
-  /// up to `peak_factor` times it: the Pareto frontier of enforceable
-  /// contracts (higher rate <-> smaller burst).
-  std::vector<nc::TokenBucket> characterize(int points = 8,
-                                            double peak_factor = 4.0) const;
-
   /// A deployable contract: sustained rate and matching minimal burst,
   /// each padded by its margin (headroom for behaviour not seen in the
   /// profiling run).

@@ -5,114 +5,116 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "common/hash.hpp"
+
 namespace pap::exp {
+
+std::optional<std::string> DiskStore::load(const std::string& path,
+                                           const std::string& key) const {
+  if (!enabled()) return std::nullopt;
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string blob = text.str();
+
+  // Parse + verify the two header lines.
+  const std::string magic = magic_ + "\n";
+  if (blob.compare(0, magic.size(), magic) != 0) return std::nullopt;
+  const std::size_t line2 = magic.size();
+  const std::size_t line2_end = blob.find('\n', line2);
+  if (line2_end == std::string::npos) return std::nullopt;
+  unsigned long long key_len = 0, pay_len = 0, pay_hash = 0;
+  if (std::sscanf(blob.c_str() + line2, "key\t%llu\tpayload\t%llu\t%16llx",
+                  &key_len, &pay_len, &pay_hash) != 3) {
+    return std::nullopt;
+  }
+  const std::size_t body = line2_end + 1;
+  // Exact-size check catches truncated *and* over-long (appended-to) files.
+  if (key_len != key.size() || blob.size() != body + key_len + pay_len) {
+    return std::nullopt;
+  }
+  // A filename-hash collision or stale entry must read as a miss, never as
+  // someone else's payload.
+  if (blob.compare(body, key_len, key) != 0) return std::nullopt;
+  std::string payload = blob.substr(body + key_len);
+  if (fnv1a(payload) != pay_hash) return std::nullopt;  // bit rot / tamper
+  return payload;
+}
+
+void DiskStore::store(const std::string& path, const std::string& key,
+                      const std::string& payload) const {
+  if (!enabled()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec) return;
+  // Unique temp name per process and thread: writers of one key may be
+  // threads of one process or processes sharing the directory (forked ones
+  // carry equal main-thread ids), and rename() makes the last writer win
+  // atomically. A failed write or rename removes the temp file.
+  std::ostringstream tmp;
+  tmp << path << ".tmp." << ::getpid() << "." << std::this_thread::get_id();
+  const std::string tmp_path = tmp.str();
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fnv1a(payload)));
+  bool written = false;
+  {
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    if (out.is_open()) {
+      out << magic_ << "\nkey\t" << key.size() << "\tpayload\t"
+          << payload.size() << "\t" << hex << "\n"
+          << key << payload;
+      out.close();
+      written = !out.fail();
+    }
+  }
+  if (written) std::filesystem::rename(tmp_path, path, ec);
+  if (!written || ec) std::filesystem::remove(tmp_path, ec);
+}
 
 namespace {
 
-// Identity header preceding the serialized Result in every cache entry.
-// The canonical params string is length-prefixed so it can carry newlines
-// without an escaping scheme; verification is an exact string compare.
-//
-//   pap-exp-cache\t2
-//   id\t<name>\t<version>\t<canonical byte count>
-//   <canonical params bytes>
-//   <Result::serialize() blob>
-constexpr char kMagic[] = "pap-exp-cache\t2";
-
-std::string identity_header(const Experiment& exp, const Params& params) {
+// The identity of a sweep point: experiment name and version, then the
+// canonical params, length-prefixed so they can carry newlines without an
+// escaping scheme. DiskStore verifies it byte-for-byte on every load.
+std::string identity(const Experiment& exp, const Params& params) {
   const std::string canon = params.canonical();
   std::ostringstream os;
-  os << kMagic << "\nid\t" << exp.name << "\t" << exp.version << "\t"
-     << canon.size() << "\n"
+  os << "id\t" << exp.name << "\t" << exp.version << "\t" << canon.size()
+     << "\n"
      << canon;
   return os.str();
 }
 
 }  // namespace
 
+ResultCache::ResultCache(std::string dir)
+    : store_(std::move(dir), "pap-exp-cache\t3") {}
+
 std::string ResultCache::path_for(const Experiment& exp,
                                   const Params& params) const {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(content_hash(exp, params)));
-  return dir_ + "/" + exp.name + "-" + hex + ".result";
-}
-
-ResultCache::Shard& ResultCache::shard_for(const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % kShards];
+  return store_.dir() + "/" + exp.name + "-" + hex + ".result";
 }
 
 std::optional<Result> ResultCache::load(const Experiment& exp,
                                         const Params& params) const {
-  if (!enabled()) return std::nullopt;
-  const std::string expect = identity_header(exp, params);
-  Shard& shard = shard_for(expect);
-  {
-    // Reader path: shared lock, so concurrent lookups never serialize.
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    const auto it = shard.memo.find(expect);
-    if (it != shard.memo.end()) return it->second;
-  }
-  std::ifstream in(path_for(exp, params));
-  if (!in.is_open()) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string blob = text.str();
-  // Verify the identity header: a filename-hash collision or an entry from
-  // an older format must read as a miss, never as someone else's Result.
-  if (blob.size() < expect.size() ||
-      blob.compare(0, expect.size(), expect) != 0) {
-    return std::nullopt;
-  }
-  auto parsed = Result::deserialize(blob.substr(expect.size()));
+  auto blob = store_.load(path_for(exp, params), identity(exp, params));
+  if (!blob) return std::nullopt;
+  auto parsed = Result::deserialize(*blob);
   if (!parsed) return std::nullopt;
-  Result r = std::move(parsed).value();
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (shard.memo.size() < kMaxMemoPerShard) shard.memo.emplace(expect, r);
-  }
-  return r;
+  return std::move(parsed).value();
 }
 
 void ResultCache::store(const Experiment& exp, const Params& params,
                         const Result& r) const {
-  if (!enabled()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) return;
-  const std::string path = path_for(exp, params);
-  // Unique temp name per process and thread, as serve::DiskCache::store
-  // does: duplicate sweep points may store the same key concurrently, from
-  // threads of one runner or from processes sharing the directory (forked
-  // ones carry equal main-thread ids), and rename() makes the last writer
-  // win atomically. A failed write or rename removes the temp file.
-  std::ostringstream tmp;
-  tmp << path << ".tmp." << ::getpid() << "." << std::this_thread::get_id();
-  const std::string tmp_path = tmp.str();
-  bool written = false;
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (out.is_open()) {
-      out << identity_header(exp, params) << r.serialize();
-      out.close();
-      written = !out.fail();
-    }
-  }
-  if (written) std::filesystem::rename(tmp_path, path, ec);
-  if (!written || ec) {
-    std::filesystem::remove(tmp_path, ec);
-    return;
-  }
-  // Mirror the just-written entry into the memo so the writer's own next
-  // load (and everyone else's) skips the file read.
-  const std::string key = identity_header(exp, params);
-  Shard& shard = shard_for(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  if (shard.memo.size() < kMaxMemoPerShard) shard.memo.insert_or_assign(key, r);
+  store_.store(path_for(exp, params), identity(exp, params), r.serialize());
 }
 
 }  // namespace pap::exp

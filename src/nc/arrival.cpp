@@ -14,20 +14,6 @@ TokenBucket TokenBucket::from_rate(Rate line_rate, Bytes request_bytes,
   return TokenBucket{burst_requests, req_per_ns};
 }
 
-bool TokenBucket::conforms(
-    const std::vector<std::pair<Time, double>>& samples) const {
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    for (std::size_t j = i + 1; j < samples.size(); ++j) {
-      PAP_CHECK(samples[j].first >= samples[i].first);
-      const double dt = samples[j].first.nanos() - samples[i].first.nanos();
-      const double dr = samples[j].second - samples[i].second;
-      PAP_CHECK_MSG(dr >= -1e-9, "cumulative process must be non-decreasing");
-      if (dr > burst + rate * dt + 1e-9) return false;
-    }
-  }
-  return true;
-}
-
 TokenBucketShaper::TokenBucketShaper(TokenBucket params, Time start)
     : params_(params), last_update_(start), tokens_(params.burst) {
   PAP_CHECK(params.burst >= 0.0 && params.rate >= 0.0);
@@ -78,15 +64,6 @@ void TokenBucketShaper::reconfigure(TokenBucket params, Time when) {
   tokens_ = std::min(level(at), params.burst);
   last_update_ = at;
   params_ = params;
-}
-
-Curve multi_token_bucket(const std::vector<TokenBucket>& buckets) {
-  PAP_CHECK(!buckets.empty());
-  Curve result = buckets.front().to_curve();
-  for (std::size_t i = 1; i < buckets.size(); ++i) {
-    result = min(result, buckets[i].to_curve());
-  }
-  return result;
 }
 
 Curve periodic_arrival(double size, Time period, Time jitter) {

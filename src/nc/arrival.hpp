@@ -3,8 +3,6 @@
 // known parameters burst and rate").
 #pragma once
 
-#include <vector>
-
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "nc/curve.hpp"
@@ -27,10 +25,6 @@ struct TokenBucket {
   /// is `rate` bits/s over requests of `request_bytes` each.
   static TokenBucket from_rate(Rate line_rate, Bytes request_bytes,
                                double burst_requests);
-
-  /// True iff a cumulative process sampled at (t_i, R_i) conforms.
-  /// Points must be time-sorted; R is cumulative work.
-  bool conforms(const std::vector<std::pair<Time, double>>& samples) const;
 };
 
 /// Greedy token-bucket *shaper* state machine: the enforcement device the
@@ -73,10 +67,6 @@ class TokenBucketShaper {
   Time last_update_;
   double tokens_;
 };
-
-/// Minimum of several token buckets — a concave piecewise-linear arrival
-/// curve (e.g. peak-rate + sustained-rate characterisation).
-Curve multi_token_bucket(const std::vector<TokenBucket>& buckets);
 
 /// Arrival curve of a strictly periodic source releasing `size` units every
 /// `period` with optional jitter: alpha(t) = size * ceil((t + jitter)/period)

@@ -5,8 +5,8 @@
 // over storage the caller controls — almost always an Arena (arena.hpp).
 // The kernels below are the only bodies of pointwise combination, positive
 // closure, blind residual, convolution, deconvolution, horizontal/vertical
-// deviation and the convex minorant. The Curve API (curve.hpp min/max/add,
-// ops.hpp, service.hpp convex_minorant) is a thin adapter over them: copy
+// deviation and the convex minorant. The Curve API (curve.hpp min and
+// combine_pointwise, ops.hpp) is a thin adapter over them: copy
 // in, run the kernel, copy out. core::E2eAnalysis runs its whole fixpoint
 // on views directly. The naive originals survive only as test oracles in
 // nc::reference (tests/nc_property_test.cpp, tests/nc_batch_test.cpp).
@@ -140,7 +140,8 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out);
 std::optional<double> h_deviation_view(CurveView alpha, CurveView beta);
 std::optional<double> v_deviation_view(CurveView alpha, CurveView beta);
 
-/// Greatest convex curve below c (service.hpp convex_minorant).
+/// Greatest convex curve below c: convexity is what end-to-end
+/// convolution needs, and the minorant stays a valid (lower) service curve.
 CurveView convex_minorant_view(Arena& arena, CurveView c);
 
 // ---------------------------------------------------------------------------

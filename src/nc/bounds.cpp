@@ -1,6 +1,5 @@
 #include "nc/bounds.hpp"
 
-#include "common/check.hpp"
 #include "nc/ops.hpp"
 
 namespace pap::nc {
@@ -13,20 +12,6 @@ std::optional<Time> delay_bound(const Curve& alpha, const Curve& beta) {
 
 std::optional<double> backlog_bound(const Curve& alpha, const Curve& beta) {
   return v_deviation(alpha, beta);
-}
-
-std::optional<Time> e2e_delay_bound(const Curve& alpha,
-                                    const std::vector<Curve>& betas) {
-  PAP_CHECK(!betas.empty());
-  Curve chain = betas.front();
-  for (std::size_t i = 1; i < betas.size(); ++i) {
-    chain = convolve(chain, betas[i]);
-  }
-  return delay_bound(alpha, chain);
-}
-
-std::optional<Curve> output_arrival(const Curve& alpha, const Curve& beta) {
-  return deconvolve(alpha, beta);
 }
 
 }  // namespace pap::nc

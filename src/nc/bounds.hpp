@@ -5,7 +5,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "common/time.hpp"
 #include "nc/curve.hpp"
@@ -18,15 +17,5 @@ std::optional<Time> delay_bound(const Curve& alpha, const Curve& beta);
 
 /// Worst-case backlog (vertical deviation), in the flow's work units.
 std::optional<double> backlog_bound(const Curve& alpha, const Curve& beta);
-
-/// End-to-end delay bound across a chain of servers: convolve the service
-/// curves first ("pay bursts only once"), then take the horizontal
-/// deviation. All curves must be convex service curves.
-std::optional<Time> e2e_delay_bound(const Curve& alpha,
-                                    const std::vector<Curve>& betas);
-
-/// Output arrival curve after crossing `beta` — the input bound for the
-/// next resource in the chain when composing hop by hop.
-std::optional<Curve> output_arrival(const Curve& alpha, const Curve& beta);
 
 }  // namespace pap::nc

@@ -175,36 +175,6 @@ Curve min(const Curve& a, const Curve& b) {
   return combine_pointwise(a, b, CombineOp::kMin);
 }
 
-Curve max(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, CombineOp::kMax);
-}
-
-Curve add(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, CombineOp::kAdd);
-}
-
-Curve Curve::scaled(double k) const {
-  PAP_CHECK(k >= 0.0);
-  std::vector<Segment> segs = segments_;
-  for (auto& s : segs) {
-    s.y *= k;
-    s.slope *= k;
-  }
-  return Curve{std::move(segs)};
-}
-
-Curve Curve::shifted_right(double dx) const {
-  PAP_CHECK(dx >= 0.0);
-  if (dx == 0.0) return *this;
-  PAP_CHECK_MSG(value_at_zero() <= kEps,
-                "shifting a curve with a burst at 0 would create a jump");
-  std::vector<Segment> segs;
-  segs.reserve(segments_.size() + 1);
-  segs.push_back(Segment{0.0, 0.0, 0.0});
-  for (const auto& s : segments_) segs.push_back(Segment{s.x + dx, s.y, s.slope});
-  return Curve{std::move(segs)};
-}
-
 std::string Curve::to_string() const {
   std::ostringstream os;
   os << "{";

@@ -71,17 +71,8 @@ class Curve {
   bool is_concave() const;  ///< slopes non-increasing
   bool is_convex() const;   ///< slopes non-decreasing and f(0) == 0
 
-  /// Pointwise combinations.
+  /// Pointwise minimum.
   friend Curve min(const Curve& a, const Curve& b);
-  friend Curve max(const Curve& a, const Curve& b);
-  friend Curve add(const Curve& a, const Curve& b);
-
-  /// f scaled on the y axis (k >= 0).
-  Curve scaled(double k) const;
-
-  /// f shifted right by dx >= 0 (f(t - dx) for t >= dx, 0 before) — used to
-  /// add a latency term to a service curve.
-  Curve shifted_right(double dx) const;
 
   std::string to_string() const;
 
@@ -103,11 +94,9 @@ class Curve {
   std::vector<Segment> segments_;
 };
 
-// Namespace-scope declarations of the pointwise combinations (the in-class
-// friend declarations alone are only found via ADL).
+// Namespace-scope declaration of min (the in-class friend declaration
+// alone is only found via ADL).
 Curve min(const Curve& a, const Curve& b);
-Curve max(const Curve& a, const Curve& b);
-Curve add(const Curve& a, const Curve& b);
 
 /// The pointwise combination operators. kSub yields a raw difference that
 /// may be negative or decreasing; only residual_blind uses it, through

@@ -145,16 +145,6 @@ void Network::take_link_down(NodeId router, Direction out, Time until) {
   }
 }
 
-void Network::take_injection_down(NodeId node, Time until) {
-  PAP_CHECK(node < static_cast<NodeId>(mesh_.num_nodes()));
-  injection_[node].block_until(until);
-  ++link_faults_;
-  if (auto* t = kernel_.tracer()) {
-    t->span(kernel_.now(), until - kernel_.now(), "noc",
-            "link_down/inject" + std::to_string(node), "fault");
-  }
-}
-
 double Network::channel_utilization(NodeId router, Direction out) const {
   const Time now = kernel_.now();
   if (now.is_zero()) return 0.0;

@@ -60,8 +60,6 @@ class Network {
   /// resume in FCFS order when the link comes back (fault::Injector's
   /// link-down handler binds here).
   void take_link_down(NodeId router, Direction out, Time until);
-  /// Same, for a node's NIC -> router injection link.
-  void take_injection_down(NodeId node, Time until);
   std::uint64_t link_faults() const { return link_faults_; }
 
  private:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace pap::rm {
 
 RateTable RateTable::symmetric(Rate noc_budget, Bytes packet_bytes,
@@ -95,13 +93,6 @@ nc::TokenBucket RateTable::rate_for(
     }
   }
   return nc::TokenBucket::from_rate(granted, packet_bytes_, burst_);
-}
-
-Time RateTable::min_separation(noc::AppId app,
-                               const std::vector<noc::AppId>& active) const {
-  const auto bucket = rate_for(app, active);
-  PAP_CHECK_MSG(bucket.rate > 0.0, "zero rate has no finite separation");
-  return Time::from_ns(1.0 / bucket.rate);
 }
 
 }  // namespace pap::rm

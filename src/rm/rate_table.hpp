@@ -49,11 +49,6 @@ class RateTable {
   nc::TokenBucket rate_for(noc::AppId app,
                            const std::vector<noc::AppId>& active) const;
 
-  /// Minimum separation between two transmissions of `app` in the mode,
-  /// i.e. 1/rate — the quantity Fig. 7 plots per mode.
-  Time min_separation(noc::AppId app,
-                      const std::vector<noc::AppId>& active) const;
-
   bool is_symmetric() const { return symmetric_; }
   Rate budget() const { return budget_; }
 

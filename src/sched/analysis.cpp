@@ -1,81 +1,9 @@
 #include "sched/analysis.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/check.hpp"
 #include "nc/arrival.hpp"
 #include "nc/bounds.hpp"
 
 namespace pap::sched {
-
-std::optional<Time> response_time(const TaskSet& set, TaskId task) {
-  const PeriodicTask* self = nullptr;
-  for (const auto& t : set.tasks) {
-    if (t.id == task) self = &t;
-  }
-  PAP_CHECK_MSG(self != nullptr, "unknown task id");
-
-  std::vector<const PeriodicTask*> hp;
-  for (const auto& t : set.tasks) {
-    if (t.id != task && t.core == self->core && t.priority < self->priority) {
-      hp.push_back(&t);
-    }
-  }
-  const Time guard = self->effective_deadline() * 64;
-  Time r = self->wcet;
-  for (int iter = 0; iter < 1'000; ++iter) {
-    Time next = self->wcet;
-    for (const auto* h : hp) {
-      // Release jitter widens the interference window.
-      next += h->wcet * ceil_div(r + h->jitter, h->period);
-    }
-    if (next == r) return r;
-    r = next;
-    if (r > guard) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-bool schedulable_rta(const TaskSet& set) {
-  for (const auto& t : set.tasks) {
-    const auto r = response_time(set, t.id);
-    if (!r || *r > t.effective_deadline()) return false;
-  }
-  return true;
-}
-
-namespace {
-/// Apply a per-core predicate over cores present in the set.
-template <typename Fn>
-bool all_cores(const TaskSet& set, Fn&& test) {
-  for (int core = 0; core <= set.max_core(); ++core) {
-    std::vector<const PeriodicTask*> on_core;
-    for (const auto& t : set.tasks) {
-      if (t.core == core) on_core.push_back(&t);
-    }
-    if (!on_core.empty() && !test(on_core)) return false;
-  }
-  return true;
-}
-}  // namespace
-
-bool schedulable_liu_layland(const TaskSet& set) {
-  return all_cores(set, [](const std::vector<const PeriodicTask*>& ts) {
-    double u = 0.0;
-    for (const auto* t : ts) u += t->utilization();
-    const double n = static_cast<double>(ts.size());
-    return u <= n * (std::pow(2.0, 1.0 / n) - 1.0) + 1e-12;
-  });
-}
-
-bool schedulable_hyperbolic(const TaskSet& set) {
-  return all_cores(set, [](const std::vector<const PeriodicTask*>& ts) {
-    double prod = 1.0;
-    for (const auto* t : ts) prod *= t->utilization() + 1.0;
-    return prod <= 2.0 + 1e-12;
-  });
-}
 
 nc::Curve task_arrival_curve(const PeriodicTask& task) {
   return nc::periodic_arrival(task.wcet.nanos(), task.period, task.jitter);

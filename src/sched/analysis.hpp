@@ -1,40 +1,18 @@
-// Schedulability analyses: the design-time ("ex-ante") side of Section IV —
+// The design-time ("ex-ante") side of Section IV for CPU reservations —
 // "it is not sufficient that [systems] are found to meet QoS requirements
 // via ex-post performance analysis ... They must instead meet those
-// requirements by design".
-//
-// Provided:
-//  * response-time analysis (RTA) for partitioned fixed-priority scheduling
-//    (the standard recurrence R = C + sum ceil(R/T_j) C_j over higher-
-//    priority tasks on the same core);
-//  * utilization-based tests (Liu & Layland bound, hyperbolic bound);
-//  * a bridge from CPU reservations to Network Calculus service curves so
-//    computation and communication compose in one end-to-end analysis.
+// requirements by design": a bridge from reservation-based scheduling to
+// Network Calculus, so computation and communication compose in one
+// end-to-end analysis.
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "nc/curve.hpp"
 #include "sched/cbs.hpp"
 #include "sched/task.hpp"
 
 namespace pap::sched {
-
-/// Worst-case response time of `task` under partitioned preemptive FP with
-/// the given task set (only same-core, higher-priority tasks interfere).
-/// nullopt when the recurrence exceeds the deadline*64 guard (unschedulable
-/// or divergent).
-std::optional<Time> response_time(const TaskSet& set, TaskId task);
-
-/// RTA-based schedulability: every task's response time within deadline.
-bool schedulable_rta(const TaskSet& set);
-
-/// Liu & Layland utilization bound for n tasks: n(2^{1/n} - 1), per core.
-bool schedulable_liu_layland(const TaskSet& set);
-
-/// Hyperbolic bound (Bini/Buttazzo): prod(U_i + 1) <= 2, per core.
-bool schedulable_hyperbolic(const TaskSet& set);
 
 /// Jitter-aware arrival curve of a periodic task's *load* on a resource
 /// (wcet units every period), for feeding shared-resource analyses.

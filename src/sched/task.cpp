@@ -20,37 +20,10 @@ std::string to_string(Asil level) {
   return "?";
 }
 
-double TaskSet::total_utilization() const {
-  double u = 0.0;
-  for (const auto& t : tasks) u += t.utilization();
-  return u;
-}
-
-double TaskSet::utilization_on_core(int core) const {
-  double u = 0.0;
-  for (const auto& t : tasks) {
-    if (t.core == core) u += t.utilization();
-  }
-  return u;
-}
-
 int TaskSet::max_core() const {
   int m = 0;
   for (const auto& t : tasks) m = std::max(m, t.core);
   return m;
-}
-
-void TaskSet::assign_rate_monotonic() {
-  std::vector<std::size_t> order(tasks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    if (tasks[a].period != tasks[b].period) {
-      return tasks[a].period < tasks[b].period;
-    }
-    return tasks[a].id < tasks[b].id;
-  });
-  int prio = 0;
-  for (std::size_t idx : order) tasks[idx].priority = prio++;
 }
 
 }  // namespace pap::sched

@@ -36,19 +36,12 @@ struct PeriodicTask {
   Time effective_deadline() const {
     return deadline.is_zero() ? period : deadline;
   }
-  double utilization() const { return wcet / period; }
 };
 
 struct TaskSet {
   std::vector<PeriodicTask> tasks;
 
-  double total_utilization() const;
-  double utilization_on_core(int core) const;
   int max_core() const;
-
-  /// Assign rate-monotonic priorities (shorter period = higher priority),
-  /// ties broken by id. Overwrites the priority field.
-  void assign_rate_monotonic();
 };
 
 /// One execution instance of a task.

@@ -116,21 +116,6 @@ bool Kernel::cancel(EventId id) {
   return true;
 }
 
-bool Kernel::step() {
-  if (heap_.empty()) return false;
-  const std::uint32_t slot = pop_root();
-  Entry& e = pool_[slot];
-  PAP_CHECK(e.at >= now_);
-  now_ = e.at;
-  ++executed_;
-  // Detach fn and free the slot before running: the handler may schedule new
-  // events (which can legally reuse this slot) or re-enter the kernel.
-  EventFn fn = std::move(e.fn);
-  release_slot(slot);
-  fn();
-  return true;
-}
-
 std::uint64_t Kernel::run(Time until) {
   std::uint64_t ran = 0;
   while (!heap_.empty()) {
@@ -153,14 +138,6 @@ std::uint64_t Kernel::run(Time until) {
     }
   }
   return ran;
-}
-
-void Kernel::reset() {
-  pool_.clear();
-  heap_.clear();
-  free_.clear();
-  now_ = Time::zero();
-  executed_ = 0;
 }
 
 void Timeout::arm(Time delay) {

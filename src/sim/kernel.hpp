@@ -69,15 +69,8 @@ class Kernel {
   /// exactly `until` still run). Returns the number of events executed.
   std::uint64_t run(Time until = Time::max());
 
-  /// Run exactly one event if any is pending; returns false when drained.
-  bool step();
-
   bool empty() const { return heap_.empty(); }
   std::uint64_t events_executed() const { return executed_; }
-
-  /// Drop all pending events and reset the clock (for test reuse).
-  /// The attached tracer (if any) stays attached.
-  void reset();
 
   /// Attach an observability tracer (not owned; nullptr detaches). The
   /// tracer's clock is bound to this kernel, so instrumented components

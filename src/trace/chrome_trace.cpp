@@ -1,8 +1,6 @@
 #include "trace/chrome_trace.hpp"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 namespace pap::trace {
 
@@ -109,19 +107,6 @@ std::string to_chrome_json(const Tracer& tracer) {
   }
   out += "\n],\"displayTimeUnit\":\"ns\"}\n";
   return out;
-}
-
-Status write_chrome_json(const Tracer& tracer, const std::string& path) {
-  std::error_code ec;
-  const auto dir = std::filesystem::path(path).parent_path();
-  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::error("cannot open trace file: " + path);
-  }
-  out << to_chrome_json(tracer);
-  return out.good() ? Status::ok()
-                    : Status::error("short write to trace file: " + path);
 }
 
 }  // namespace pap::trace

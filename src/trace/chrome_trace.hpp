@@ -11,15 +11,11 @@
 
 #include <string>
 
-#include "common/status.hpp"
 #include "trace/tracer.hpp"
 
 namespace pap::trace {
 
 /// The whole trace as one JSON string.
 std::string to_chrome_json(const Tracer& tracer);
-
-/// Write `to_chrome_json` to `path`, creating parent directories on demand.
-Status write_chrome_json(const Tracer& tracer, const std::string& path);
 
 }  // namespace pap::trace

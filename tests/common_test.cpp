@@ -64,9 +64,7 @@ TEST(Time, ToString) {
 
 TEST(Time, FloorCeilDiv) {
   EXPECT_EQ(floor_div(Time::ns(100), Time::ns(30)), 3);
-  EXPECT_EQ(ceil_div(Time::ns(100), Time::ns(30)), 4);
   EXPECT_EQ(floor_div(Time::ns(90), Time::ns(30)), 3);
-  EXPECT_EQ(ceil_div(Time::ns(90), Time::ns(30)), 3);
 }
 
 TEST(Rate, Conversions) {
@@ -85,43 +83,6 @@ TEST(Rate, Arithmetic) {
   EXPECT_DOUBLE_EQ((Rate::gbps(2) * 2.0).in_gbps(), 4.0);
   EXPECT_DOUBLE_EQ(Rate::gbps(6) / Rate::gbps(2), 3.0);
   EXPECT_LT(Rate::mbps(999), Rate::gbps(1));
-}
-
-TEST(RunningStats, MomentsAndExtremes) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombinedStream) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = i * 0.77;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeIntoEmpty) {
-  RunningStats a;
-  RunningStats b;
-  b.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
 }
 
 TEST(LatencyHistogram, ExactPercentiles) {
@@ -149,7 +110,6 @@ TEST(LatencyHistogram, SummaryAndChart) {
   LatencyHistogram h;
   for (int i = 0; i < 50; ++i) h.add(Time::ns(10 + i % 5));
   EXPECT_NE(h.summary().find("n=50"), std::string::npos);
-  EXPECT_FALSE(h.ascii_chart().empty());
 }
 
 TEST(Counters, IncrementAndLookup) {
@@ -165,10 +125,6 @@ TEST(Counters, IncrementAndLookup) {
   EXPECT_EQ(c.get("misses"), 1);
   EXPECT_EQ(c.get("unknown"), 0);
   EXPECT_EQ(c.entries().size(), 2u);
-  c.reset();
-  EXPECT_EQ(c.get("hits"), 0);
-  c.inc(hits);  // handles survive a reset
-  EXPECT_EQ(c.get("hits"), 1);
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -50,7 +50,8 @@ TEST(E2e, LinksFollowXyRouteWithInjection) {
   noc::Mesh2D mesh(4, 4);
   const auto a = app(1, 1, 0.001, mesh.node(0, 0), mesh.node(2, 1),
                      Time::us(10));
-  const auto links = e.links_of(a);
+  std::vector<PathLink> links;
+  e.links_into(a, &links);
   ASSERT_EQ(links.size(), 5u);  // injection, E, E, N, ejection
   EXPECT_TRUE(links[0].injection);
   EXPECT_EQ(links[1].link.out, noc::Direction::kEast);

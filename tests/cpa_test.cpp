@@ -24,7 +24,7 @@ TEST(EtaPlus, TokenBucketEventModel) {
 
 TEST(Cpa, IsolatedFlowRespondsInServiceTime) {
   const Flow f = flow(1, 0.001, Time::ns(10), 0);
-  const auto r = busy_window_wcrt(f, {});
+  const auto r = busy_window_wcrt_multi(f, {}, 1);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, Time::ns(10));
 }
@@ -33,7 +33,7 @@ TEST(Cpa, LowerPriorityBlocksOnce) {
   // Non-preemptive: one lower-priority request can block the head.
   const Flow f = flow(1, 0.0001, Time::ns(10), 0);
   const Flow lp = flow(4, 0.0001, Time::ns(50), 5);
-  const auto r = busy_window_wcrt(f, {lp});
+  const auto r = busy_window_wcrt_multi(f, {lp}, 1);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, Time::ns(60));  // one 50 ns blocker + own 10 ns
 }
@@ -41,7 +41,7 @@ TEST(Cpa, LowerPriorityBlocksOnce) {
 TEST(Cpa, HigherPriorityInterferesRepeatedly) {
   const Flow f = flow(1, 0.0001, Time::ns(10), 5);
   const Flow hp = flow(2, 0.01, Time::ns(10), 0);  // 1 per 100 ns
-  const auto r = busy_window_wcrt(f, {hp});
+  const auto r = busy_window_wcrt_multi(f, {hp}, 1);
   ASSERT_TRUE(r.has_value());
   // Burst of 2 (20 ns) + own 10 ns = 30; within 30 ns no further arrival
   // beyond ceil(2 + 0.3) = 3 -> w = 40; eta(40) = 3 stable.
@@ -51,7 +51,7 @@ TEST(Cpa, HigherPriorityInterferesRepeatedly) {
 TEST(Cpa, OverloadHasNoBound) {
   const Flow f = flow(1, 0.001, Time::ns(10), 5);
   const Flow hog = flow(1, 0.2, Time::ns(10), 0);  // U = 2
-  EXPECT_FALSE(busy_window_wcrt(f, {hog}).has_value());
+  EXPECT_FALSE(busy_window_wcrt_multi(f, {hog}, 1).has_value());
 }
 
 TEST(Cpa, UtilizationSums) {
@@ -76,7 +76,7 @@ TEST(Cpa, MonotoneInInterfererRate) {
   Time prev;
   for (double rate = 0.001; rate <= 0.05; rate += 0.005) {
     const Flow hp = flow(1, rate, Time::ns(10), 0);
-    const auto r = busy_window_wcrt(f, {hp});
+    const auto r = busy_window_wcrt_multi(f, {hp}, 1);
     ASSERT_TRUE(r.has_value()) << rate;
     EXPECT_GE(*r, prev) << rate;
     prev = *r;
@@ -110,8 +110,8 @@ TEST(Cpa, EqualPriorityTreatedAsInterference) {
   // abstraction): bound grows with the number of peers.
   const Flow f = flow(1, 0.0005, Time::ns(10), 3);
   const Flow peer = flow(1, 0.0005, Time::ns(10), 3);
-  const auto alone = busy_window_wcrt(f, {});
-  const auto crowded = busy_window_wcrt(f, {peer});
+  const auto alone = busy_window_wcrt_multi(f, {}, 1);
+  const auto crowded = busy_window_wcrt_multi(f, {peer}, 1);
   ASSERT_TRUE(alone && crowded);
   EXPECT_GT(*crowded, *alone);
 }

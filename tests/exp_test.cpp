@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,12 +226,65 @@ TEST_F(CacheTest, CorruptEntriesAreMisses) {
   const Params p = Params{}.set("x", 1);
   cache.store(exp, p, Result{"ok"});
   ASSERT_TRUE(cache.load(exp, p).has_value());
-  // Truncate the entry on disk. A fresh instance (empty in-memory memo)
-  // must read the file and reject it; the original instance may keep
-  // serving the verified bytes it already loaded.
+  // Truncate the entry on disk: the next load must read the file and
+  // reject it.
   std::filesystem::resize_file(cache.path_for(exp, p), 4);
   const ResultCache fresh(dir_.string());
   EXPECT_FALSE(fresh.load(exp, p).has_value());
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void write_file(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST_F(CacheTest, FlippedDigitIsAMiss) {
+  // A stored value that still parses after one byte flips must not load:
+  // 12345 -> 92345 is a well-formed Result, only the checksum catches it.
+  const Experiment exp{"exp_test_flip",
+                       [](const Params& p) { return Result{p.label()}; },
+                       1, {}};
+  const ResultCache cache(dir_.string());
+  const Params p = Params{}.set("x", 1);
+  Result stored{"flip"};
+  stored.set("x", 12345);
+  cache.store(exp, p, stored);
+  ASSERT_TRUE(cache.load(exp, p).has_value());
+  const std::string path = cache.path_for(exp, p);
+  std::string bytes = read_file(path);
+  const std::size_t at = bytes.rfind("12345");
+  ASSERT_NE(at, std::string::npos);
+  bytes[at] = '9';
+  write_file(path, bytes);
+  EXPECT_FALSE(ResultCache(dir_.string()).load(exp, p).has_value());
+}
+
+TEST_F(CacheTest, TruncatedAtALineBoundaryIsAMiss) {
+  // Cut after the first metric line: what is left is a well-formed Result
+  // with 1 of its 3 metrics, so only the exact-size check catches it.
+  const Experiment exp{"exp_test_cut",
+                       [](const Params& p) { return Result{p.label()}; },
+                       1, {}};
+  const ResultCache cache(dir_.string());
+  const Params p = Params{}.set("x", 1);
+  Result stored{"cut"};
+  stored.set("a", 1).set("b", 2).set("c", 3);
+  cache.store(exp, p, stored);
+  ASSERT_TRUE(cache.load(exp, p).has_value());
+  const std::string path = cache.path_for(exp, p);
+  const std::string bytes = read_file(path);
+  const std::size_t first_metric = bytes.find("\nm\t");
+  ASSERT_NE(first_metric, std::string::npos);
+  const std::size_t line_end = bytes.find('\n', first_metric + 1);
+  ASSERT_NE(line_end, std::string::npos);
+  std::filesystem::resize_file(path, line_end + 1);
+  EXPECT_FALSE(ResultCache(dir_.string()).load(exp, p).has_value());
 }
 
 TEST_F(CacheTest, FilenameCollisionIsAMiss) {
@@ -272,10 +327,9 @@ TEST_F(CacheTest, FilenameCollisionIsAMiss) {
 
 TEST_F(CacheTest, ConcurrentReadersAndWritersNeverCorrupt) {
   // Contention micro-test (run under TSan in the CI thread-safety job):
-  // readers hammer a hot key through the shared-lock memo path while
-  // writers keep storing fresh points. Every load must return either a
-  // miss or the exact Result stored for that key — torn or mixed-up
-  // values mean the sharding/locking is broken.
+  // readers hammer a hot key while writers keep storing fresh points.
+  // Every load must return the exact Result stored for that key — torn or
+  // mixed-up values mean publication is broken.
   const Experiment exp{"exp_test_contention",
                        [](const Params& p) { return Result{p.label()}; }};
   const ResultCache cache(dir_.string());

@@ -217,7 +217,11 @@ TEST(Injector, LinkDownDelaysDelivery) {
     Time delivered;
     net.set_delivery_handler(
         [&](const noc::Packet&, Time t) { delivered = t; });
-    if (down) net.take_injection_down(net.mesh().node(0, 0), Time::us(5));
+    // The XY route from (0,0) to (3,3) leaves its source router eastward.
+    if (down) {
+      net.take_link_down(net.mesh().node(0, 0), noc::Direction::kEast,
+                         Time::us(5));
+    }
     noc::Packet p;
     p.src = net.mesh().node(0, 0);
     p.dst = net.mesh().node(3, 3);
@@ -238,7 +242,8 @@ TEST(Injector, LinkDownCountsFaultsNotGrants) {
   noc::NocConfig cfg;
   noc::Network net(k, cfg);
   net.take_link_down(5, noc::Direction::kEast, Time::us(1));
-  net.take_injection_down(net.mesh().node(0, 0), Time::us(1));
+  net.take_link_down(net.mesh().node(0, 0), noc::Direction::kNorth,
+                     Time::us(1));
   EXPECT_EQ(net.link_faults(), 2u);
 }
 

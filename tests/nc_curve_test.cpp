@@ -8,7 +8,6 @@
 #include "nc/arrival.hpp"
 #include "nc/batch.hpp"
 #include "nc/curve.hpp"
-#include "nc/service.hpp"
 
 namespace pap::nc {
 namespace {
@@ -26,6 +25,11 @@ Curve positive_closure(const std::vector<Segment>& raw) {
     ++v.n;
   }
   return to_curve(positive_closure_view(arena, v));
+}
+
+Curve convex_minorant(const Curve& c) {
+  Arena arena;
+  return to_curve(convex_minorant_view(arena, to_view(arena, c)));
 }
 
 TEST(Curve, AffineEval) {
@@ -100,7 +104,7 @@ TEST(Curve, MinOfCrossingCurvesAddsBreakpoint) {
 TEST(Curve, MaxOfCurves) {
   const Curve a = Curve::affine(10.0, 1.0);
   const Curve b = Curve::affine(0.0, 3.0);
-  const Curve m = max(a, b);
+  const Curve m = combine_pointwise(a, b, CombineOp::kMax);
   EXPECT_DOUBLE_EQ(m.eval(0.0), 10.0);
   EXPECT_DOUBLE_EQ(m.eval(5.0), 15.0);
   EXPECT_DOUBLE_EQ(m.eval(10.0), 30.0);
@@ -109,24 +113,10 @@ TEST(Curve, MaxOfCurves) {
 TEST(Curve, AddSumsValuesAndSlopes) {
   const Curve a = Curve::affine(1.0, 2.0);
   const Curve b = Curve::rate_latency(4.0, 3.0);
-  const Curve s = add(a, b);
+  const Curve s = combine_pointwise(a, b, CombineOp::kAdd);
   EXPECT_DOUBLE_EQ(s.eval(0.0), 1.0);
   EXPECT_DOUBLE_EQ(s.eval(3.0), 7.0);
   EXPECT_DOUBLE_EQ(s.eval(5.0), 11.0 + 8.0);
-}
-
-TEST(Curve, ScaledMultipliesYAxis) {
-  const Curve a = Curve::affine(2.0, 1.0);
-  const Curve s = a.scaled(2.5);
-  EXPECT_DOUBLE_EQ(s.eval(0.0), 5.0);
-  EXPECT_DOUBLE_EQ(s.eval(4.0), 15.0);
-}
-
-TEST(Curve, ShiftedRightAddsLatency) {
-  const Curve b = Curve::rate_latency(2.0, 1.0);
-  const Curve s = b.shifted_right(4.0);
-  EXPECT_DOUBLE_EQ(s.eval(5.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.eval(6.0), 2.0);
 }
 
 TEST(Curve, EqualityIsCanonical) {
@@ -165,8 +155,9 @@ TEST(Curve, TokenBucketCurveMatchesDefinition) {
 }
 
 TEST(Curve, MultiTokenBucketIsConcaveMin) {
-  // Peak-rate + sustained-rate pair.
-  const Curve c = multi_token_bucket({{1.0, 1.0}, {20.0, 0.1}});
+  // Peak-rate + sustained-rate pair: the min of the two buckets.
+  const Curve c = min(TokenBucket{1.0, 1.0}.to_curve(),
+                      TokenBucket{20.0, 0.1}.to_curve());
   EXPECT_TRUE(c.is_concave());
   EXPECT_DOUBLE_EQ(c.eval(0.0), 1.0);
   EXPECT_NEAR(c.eval(10.0), 11.0, 1e-9);   // peak branch
@@ -201,8 +192,8 @@ TEST_P(CurveAlgebra, PointwiseOpsAgreeWithEval) {
   const Curve a = Curve::affine(p.b1, p.r1);
   const Curve b = Curve::affine(p.b2, p.r2);
   const Curve mn = min(a, b);
-  const Curve mx = max(a, b);
-  const Curve sm = add(a, b);
+  const Curve mx = combine_pointwise(a, b, CombineOp::kMax);
+  const Curve sm = combine_pointwise(a, b, CombineOp::kAdd);
   for (double x = 0.0; x <= 50.0; x += 0.5) {
     const double fa = a.eval(x);
     const double fb = b.eval(x);

@@ -12,7 +12,6 @@
 #include "nc/bounds.hpp"
 #include "nc/ops.hpp"
 #include "nc/reference.hpp"
-#include "nc/service.hpp"
 
 namespace pap::nc {
 namespace {
@@ -191,11 +190,11 @@ TEST(Bounds, E2eDelayPayBurstsOnlyOnce) {
   const Curve alpha = Curve::affine(10.0, 0.5);
   const Curve b1 = Curve::rate_latency(2.0, 3.0);
   const Curve b2 = Curve::rate_latency(2.0, 4.0);
-  const auto composed = e2e_delay_bound(alpha, {b1, b2});
+  const auto composed = delay_bound(alpha, convolve(b1, b2));
   ASSERT_TRUE(composed.has_value());
   EXPECT_EQ(*composed, Time::from_ns(3.0 + 4.0 + 10.0 / 2.0));
   const auto hop1 = delay_bound(alpha, b1);
-  const auto out1 = output_arrival(alpha, b1);
+  const auto out1 = deconvolve(alpha, b1);
   ASSERT_TRUE(hop1 && out1);
   const auto hop2 = delay_bound(*out1, b2);
   ASSERT_TRUE(hop2.has_value());
@@ -205,7 +204,7 @@ TEST(Bounds, E2eDelayPayBurstsOnlyOnce) {
 TEST(Bounds, OutputArrivalFeedsNextHop) {
   const Curve alpha = Curve::affine(4.0, 1.0);
   const Curve beta = Curve::rate_latency(2.0, 5.0);
-  const auto out = output_arrival(alpha, beta);
+  const auto out = deconvolve(alpha, beta);
   ASSERT_TRUE(out.has_value());
   // Burst grew by r*T.
   EXPECT_NEAR(out->value_at_zero(), 4.0 + 1.0 * 5.0, 1e-9);
@@ -236,18 +235,6 @@ TEST(Shaper, ReconfigurePreservesTokensUpToNewBurst) {
   EXPECT_DOUBLE_EQ(s.params().rate, 0.5);
 }
 
-TEST(TokenBucketModel, ConformanceChecker) {
-  const TokenBucket tb{2.0, 1.0};
-  // Cumulative process: 2 at t=0 (burst), then 1 per ns.
-  std::vector<std::pair<Time, double>> good{
-      {Time::zero(), 2.0}, {Time::ns(1), 3.0}, {Time::ns(5), 7.0}};
-  EXPECT_TRUE(tb.conforms(good));
-  // Increment of 4 over 1 ns exceeds b + r*dt = 3.
-  std::vector<std::pair<Time, double>> bad{
-      {Time::zero(), 2.0}, {Time::ns(1), 6.0}};
-  EXPECT_FALSE(tb.conforms(bad));
-}
-
 TEST(TokenBucketModel, FromRateMatchesTableIISetup) {
   // 4 Gbps over 64-byte requests = 1 request / 128 ns.
   const auto tb = TokenBucket::from_rate(Rate::gbps(4), 64, 8.0);
@@ -255,21 +242,8 @@ TEST(TokenBucketModel, FromRateMatchesTableIISetup) {
   EXPECT_NEAR(tb.rate, 1.0 / 128.0, 1e-12);
 }
 
-TEST(ServiceModels, TdmaServiceCurve) {
-  const auto rl = tdma_service(2.0, Time::ns(10), Time::ns(40));
-  EXPECT_DOUBLE_EQ(rl.rate, 0.5);
-  EXPECT_DOUBLE_EQ(rl.latency, 30.0);
-}
-
-TEST(ServiceModels, RoundRobinServiceCurve) {
-  const auto rl = round_robin_service(4.0, 4, 8.0);
-  EXPECT_DOUBLE_EQ(rl.rate, 1.0);
-  EXPECT_DOUBLE_EQ(rl.latency, 8.0 * 3 / 4.0);
-}
-
 TEST(ServiceModels, ServiceFromPointsJoinsThem) {
-  const Curve c = service_from_points(
-      {{Time::ns(100), 1.0}, {Time::ns(150), 2.0}}, 0.02);
+  const Curve c = Curve::from_points({{100.0, 1.0}, {150.0, 2.0}}, 0.02);
   EXPECT_DOUBLE_EQ(c.eval(100.0), 1.0);
   EXPECT_DOUBLE_EQ(c.eval(150.0), 2.0);
   EXPECT_DOUBLE_EQ(c.eval(200.0), 3.0);

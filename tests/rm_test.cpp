@@ -18,8 +18,6 @@ TEST(RateTable, SymmetricDividesBudgetUniformly) {
   const auto four = t.rate_for(1, {1, 2, 3, 4});
   EXPECT_NEAR(one.rate / four.rate, 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(one.burst, 4.0);
-  // Fig. 7's quantity: minimum separation grows with the mode.
-  EXPECT_GT(t.min_separation(1, {1, 2, 3, 4}), t.min_separation(1, {1}));
 }
 
 TEST(RateTable, NonSymmetricPinsCriticalRates) {

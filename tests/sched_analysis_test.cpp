@@ -1,10 +1,8 @@
-// Schedulability analyses: RTA against hand-computed examples and against
-// the simulator; utilization tests; the reservation -> NC bridge.
+// The reservation -> NC bridge: task arrival curves and reservation
+// supply curves composed into a delay bound.
 #include <gtest/gtest.h>
 
 #include "sched/analysis.hpp"
-#include "sched/fixed_priority.hpp"
-#include "sim/kernel.hpp"
 
 namespace pap::sched {
 namespace {
@@ -17,93 +15,6 @@ PeriodicTask task(TaskId id, Time period, Time wcet, int prio, int core = 0) {
   t.priority = prio;
   t.core = core;
   return t;
-}
-
-TEST(Rta, ClassicThreeTaskExample) {
-  // Textbook example: T=(7,2), (12,3), (20,5) under RM.
-  TaskSet s;
-  s.tasks = {task(1, Time::ms(7), Time::ms(2), 0),
-             task(2, Time::ms(12), Time::ms(3), 1),
-             task(3, Time::ms(20), Time::ms(5), 2)};
-  EXPECT_EQ(*response_time(s, 1), Time::ms(2));
-  EXPECT_EQ(*response_time(s, 2), Time::ms(5));   // 3 + 2
-  // R3: 5 + 2*ceil(R/7) + 3*ceil(R/12) converges at 12.
-  EXPECT_EQ(*response_time(s, 3), Time::ms(12));
-  EXPECT_TRUE(schedulable_rta(s));
-}
-
-TEST(Rta, UnschedulableSetDetected) {
-  TaskSet s;
-  s.tasks = {task(1, Time::ms(2), Time::ms(1), 0),
-             task(2, Time::ms(4), Time::ms(1), 1),
-             task(3, Time::ms(8), Time::ms(3), 2)};
-  // U = 0.5 + 0.25 + 0.375 = 1.125 > 1.
-  EXPECT_FALSE(schedulable_rta(s));
-}
-
-TEST(Rta, IndependentCoresDoNotInterfere) {
-  TaskSet s;
-  s.tasks = {task(1, Time::ms(2), Time::ms(1), 0, 0),
-             task(2, Time::ms(2), Time::ms(1), 0, 1)};
-  EXPECT_EQ(*response_time(s, 1), Time::ms(1));
-  EXPECT_EQ(*response_time(s, 2), Time::ms(1));
-}
-
-TEST(Rta, JitterWidensInterference) {
-  TaskSet s;
-  s.tasks = {task(1, Time::ms(10), Time::ms(4), 0),
-             task(2, Time::ms(20), Time::ms(5), 1)};
-  const Time without = *response_time(s, 2);
-  s.tasks[0].jitter = Time::ms(2);
-  const Time with = *response_time(s, 2);
-  EXPECT_GE(with, without);
-}
-
-TEST(Rta, SimulationNeverExceedsAnalysis) {
-  // Property: observed worst responses stay within the RTA bound.
-  TaskSet s;
-  s.tasks = {task(1, Time::ms(5), Time::ms(1), 0),
-             task(2, Time::ms(8), Time::ms(2), 1),
-             task(3, Time::ms(16), Time::ms(4), 2)};
-  ASSERT_TRUE(schedulable_rta(s));
-  sim::Kernel k;
-  FixedPriorityScheduler sched(k, s, 1,
-                               FixedPriorityScheduler::Placement::kPartitioned);
-  sched.run_until(Time::ms(500));
-  for (const auto& t : s.tasks) {
-    EXPECT_LE(sched.worst_response(t.id), *response_time(s, t.id))
-        << "task " << t.id;
-  }
-}
-
-TEST(UtilizationTests, LiuLaylandAndHyperbolic) {
-  TaskSet ok;
-  ok.tasks = {task(1, Time::ms(10), Time::ms(2), 0),
-              task(2, Time::ms(20), Time::ms(4), 1)};  // U = 0.4
-  EXPECT_TRUE(schedulable_liu_layland(ok));
-  EXPECT_TRUE(schedulable_hyperbolic(ok));
-
-  TaskSet marginal;
-  // U = 0.9 with 3 tasks: above LL bound (~0.7797) but possibly RTA-ok.
-  marginal.tasks = {task(1, Time::ms(10), Time::ms(3), 0),
-                    task(2, Time::ms(10), Time::ms(3), 1),
-                    task(3, Time::ms(10), Time::ms(3), 2)};
-  EXPECT_FALSE(schedulable_liu_layland(marginal));
-  // Harmonic periods: RTA proves it fine.
-  EXPECT_TRUE(schedulable_rta(marginal));
-}
-
-TEST(UtilizationTests, HyperbolicDominatesLiuLayland) {
-  // Any set passing LL also passes the hyperbolic bound.
-  for (int w = 1; w <= 7; ++w) {
-    TaskSet s;
-    s.tasks = {task(1, Time::ms(10), Time::ms(w), 0),
-               task(2, Time::ms(14), Time::ms(w), 1),
-               task(3, Time::ms(22), Time::ms(w), 2)};
-    if (schedulable_liu_layland(s)) {
-      EXPECT_TRUE(schedulable_hyperbolic(s)) << "wcet " << w;
-    }
-  }
 }
 
 TEST(NcBridge, TaskArrivalCurve) {

@@ -24,21 +24,7 @@ TEST(TaskSet, UtilizationMath) {
   s.tasks = {task(1, Time::ms(10), Time::ms(2), 0, 0),
              task(2, Time::ms(20), Time::ms(5), 1, 0),
              task(3, Time::ms(10), Time::ms(1), 0, 1)};
-  EXPECT_NEAR(s.total_utilization(), 0.2 + 0.25 + 0.1, 1e-12);
-  EXPECT_NEAR(s.utilization_on_core(0), 0.45, 1e-12);
-  EXPECT_NEAR(s.utilization_on_core(1), 0.1, 1e-12);
   EXPECT_EQ(s.max_core(), 1);
-}
-
-TEST(TaskSet, RateMonotonicAssignment) {
-  TaskSet s;
-  s.tasks = {task(1, Time::ms(50), Time::ms(1), 99),
-             task(2, Time::ms(10), Time::ms(1), 99),
-             task(3, Time::ms(20), Time::ms(1), 99)};
-  s.assign_rate_monotonic();
-  EXPECT_EQ(s.tasks[1].priority, 0);  // shortest period
-  EXPECT_EQ(s.tasks[2].priority, 1);
-  EXPECT_EQ(s.tasks[0].priority, 2);
 }
 
 TEST(Asil, ToString) {

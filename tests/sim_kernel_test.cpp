@@ -105,32 +105,6 @@ TEST(Kernel, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(k.now(), Time::ns(4));
 }
 
-TEST(Kernel, StepExecutesOneEvent) {
-  Kernel k;
-  int ran = 0;
-  k.schedule_at(Time::ns(1), [&] { ++ran; });
-  k.schedule_at(Time::ns(2), [&] { ++ran; });
-  EXPECT_TRUE(k.step());
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(k.step());
-  EXPECT_FALSE(k.step());
-}
-
-TEST(Kernel, ResetClearsState) {
-  Kernel k;
-  k.schedule_at(Time::ns(5), [] {});
-  k.run();
-  k.schedule_at(Time::ns(50), [] {});
-  k.reset();
-  EXPECT_TRUE(k.empty());
-  EXPECT_EQ(k.now(), Time::zero());
-  // Scheduling before the old now() must be legal again after reset.
-  bool fired = false;
-  k.schedule_at(Time::ns(1), [&] { fired = true; });
-  k.run();
-  EXPECT_TRUE(fired);
-}
-
 TEST(Kernel, DeterministicAcrossRuns) {
   auto run_once = [] {
     Kernel k;

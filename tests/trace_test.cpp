@@ -4,9 +4,6 @@
 // results.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -125,22 +122,6 @@ TEST(ChromeTrace, ExportsValidStructureAndPhases) {
   EXPECT_NE(json.find("\"ts\":1.500000"), std::string::npos);   // 1.5 us
   EXPECT_NE(json.find("\"dur\":0.250000"), std::string::npos);  // 250 ns
   EXPECT_NE(json.find("\"value\":3"), std::string::npos);
-}
-
-TEST(ChromeTrace, WriteCreatesParentDirectories) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "pap-trace-test" / "nested";
-  std::filesystem::remove_all(dir.parent_path());
-  Tracer t;
-  t.instant("c", "only");
-  const std::string path = (dir / "out.trace.json").string();
-  ASSERT_TRUE(write_chrome_json(t, path).is_ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
-  std::ostringstream text;
-  text << in.rdbuf();
-  EXPECT_EQ(text.str(), to_chrome_json(t));
-  std::filesystem::remove_all(dir.parent_path());
 }
 
 // A real traced workload: the mixed-criticality scenario with Memguard on,

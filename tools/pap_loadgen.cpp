@@ -244,12 +244,7 @@ int run_churn(const Options& opt) {
   auto exchange = [&](long id, const std::string& line,
                       std::string* reply_out) -> bool {
     const auto sent_at = Clock::now();
-    const pap::Status sent = client.send_line(line);
-    if (!sent) {
-      std::fprintf(stderr, "pap_loadgen: %s\n", sent.message().c_str());
-      return false;
-    }
-    auto reply = client.read_line();
+    auto reply = client.call(line);
     if (!reply) {
       std::fprintf(stderr, "pap_loadgen: %s\n",
                    reply.error_message().c_str());
