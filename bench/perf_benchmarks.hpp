@@ -30,8 +30,6 @@
 #include "core/e2e_analysis.hpp"
 #include "dram/timing.hpp"
 #include "dram/wcd.hpp"
-#include "nc/arena.hpp"
-#include "nc/batch.hpp"
 #include "nc/bounds.hpp"
 #include "nc/ops.hpp"
 #include "nc/reference.hpp"
@@ -243,181 +241,6 @@ inline void BM_NcResidualBlind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NcResidualBlind);
-
-// ---------------------------------------------------------------------------
-// Arena / batch NC engine (nc/batch.hpp) vs the per-call scalar API.
-//
-// Fixtures are pipeline-typical: the curves the admission fixpoint actually
-// juggles are 2-6 pieces (token buckets, rate-latency residuals, short
-// min/sum combinations), so the batch-vs-scalar gap here is dominated by
-// what the batch API removes — one vector allocation + invariant
-// re-validation per intermediate Curve and the function-pointer combine —
-// not by asymptotics. Parameters vary per index so the inputs are not one
-// curve repeated N times.
-// ---------------------------------------------------------------------------
-
-inline nc::Curve batch_concave(std::size_t i) {
-  std::vector<nc::Segment> segs;
-  segs.reserve(5);
-  double x = 0.0;
-  double y = 2.0 + static_cast<double>(i % 7);  // burst
-  for (int p = 0; p < 4; ++p) {
-    const double slope =
-        0.5 * (5 - p) + 0.01 * static_cast<double>(i % 3);  // decreasing
-    segs.push_back(nc::Segment{x, y, slope});
-    const double len = 1.0 + 0.5 * p;
-    x += len;
-    y += slope * len;
-  }
-  return nc::Curve{std::move(segs)};
-}
-
-inline nc::Curve batch_convex(std::size_t i) {
-  std::vector<nc::Segment> segs;
-  segs.reserve(5);
-  double x = 2.0 + static_cast<double>(i % 4);  // latency
-  double y = 0.0;
-  segs.push_back(nc::Segment{0.0, 0.0, 0.0});
-  for (int p = 1; p < 4; ++p) {
-    const double slope =
-        1.2 * p + 0.02 * static_cast<double>(i % 5);  // increasing
-    segs.push_back(nc::Segment{x, y, slope});
-    const double len = 1.0 + 0.5 * p;
-    x += len;
-    y += slope * len;
-  }
-  return nc::Curve{std::move(segs)};
-}
-
-inline void BM_NcBatchCombineAll(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  nc::Arena inputs;  // persistent: inputs survive the output arena resets
-  nc::CurveBatch a(&inputs);
-  nc::CurveBatch b(&inputs);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.push_back(batch_concave(i));
-    b.push_back(batch_concave(i + 3));
-  }
-  nc::Arena arena;
-  nc::CurveBatch out;
-  for (auto _ : state) {
-    arena.reset();
-    nc::combine_all(arena, a, b, nc::CombineOp::kMin, &out);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NcBatchCombineAll)->Arg(256);
-
-inline void BM_NcBatchCombinePerCall(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<nc::Curve> a;
-  std::vector<nc::Curve> b;
-  for (std::size_t i = 0; i < n; ++i) {
-    a.push_back(batch_concave(i));
-    b.push_back(batch_concave(i + 3));
-  }
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto c = nc::min(a[i], b[i]);
-      benchmark::DoNotOptimize(c);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NcBatchCombinePerCall)->Arg(256);
-
-inline void BM_NcBatchDeconvolveAll(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  nc::Arena inputs;
-  nc::CurveBatch f(&inputs);
-  nc::CurveBatch g(&inputs);
-  for (std::size_t i = 0; i < n; ++i) {
-    f.push_back(batch_concave(i));
-    g.push_back(batch_convex(i));
-  }
-  nc::Arena arena;
-  nc::CurveBatch out;
-  for (auto _ : state) {
-    arena.reset();
-    auto bounded = nc::deconvolve_all(arena, f, g, &out);
-    benchmark::DoNotOptimize(bounded);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NcBatchDeconvolveAll)->Arg(256);
-
-inline void BM_NcBatchDeconvolvePerCall(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<nc::Curve> f;
-  std::vector<nc::Curve> g;
-  for (std::size_t i = 0; i < n; ++i) {
-    f.push_back(batch_concave(i));
-    g.push_back(batch_convex(i));
-  }
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto c = nc::deconvolve(f[i], g[i]);
-      benchmark::DoNotOptimize(c);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NcBatchDeconvolvePerCall)->Arg(256);
-
-// The deviation benches include per-pair curve *construction*, mirroring
-// the propagate/e2e inner loop (build alpha + beta, bound them, move on):
-// scalar h/v_deviation is already allocation-free, so construction is where
-// the per-call pipeline actually pays.
-inline void BM_NcBatchDeviationsAll(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  nc::Arena arena;
-  nc::CurveBatch alpha;
-  nc::CurveBatch beta;
-  std::vector<nc::Deviations> devs;
-  for (auto _ : state) {
-    arena.reset();
-    alpha.clear();
-    beta.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      alpha.push_back(nc::affine_view(arena, 2.0 + static_cast<double>(i % 7),
-                                      0.25 + 0.01 * static_cast<double>(i % 3)));
-      beta.push_back(nc::rate_latency_view(
-          arena, 1.0 + 0.1 * static_cast<double>(i % 5),
-          3.0 + static_cast<double>(i % 4)));
-    }
-    nc::deviations_all(alpha, beta, &devs);
-    benchmark::DoNotOptimize(devs.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NcBatchDeviationsAll)->Arg(256);
-
-inline void BM_NcBatchDeviationsPerCall(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto alpha =
-          nc::Curve::affine(2.0 + static_cast<double>(i % 7),
-                            0.25 + 0.01 * static_cast<double>(i % 3));
-      const auto beta =
-          nc::Curve::rate_latency(1.0 + 0.1 * static_cast<double>(i % 5),
-                                  3.0 + static_cast<double>(i % 4));
-      auto h = nc::h_deviation(alpha, beta);
-      auto v = nc::v_deviation(alpha, beta);
-      benchmark::DoNotOptimize(h);
-      benchmark::DoNotOptimize(v);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NcBatchDeviationsPerCall)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // End-to-end admission analysis: the one-pass arena path (e2e_bounds_into,

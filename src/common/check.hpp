@@ -31,3 +31,8 @@ namespace pap::detail {
     if (!(expr)) ::pap::detail::check_failed(#expr, __FILE__, __LINE__,    \
                                              (msg));                       \
   } while (false)
+
+// Marks a path no valid state reaches. check_failed is [[noreturn]], so
+// the enclosing function needs no dummy return after it.
+#define PAP_UNREACHABLE(msg)                                               \
+  ::pap::detail::check_failed("unreachable", __FILE__, __LINE__, (msg))

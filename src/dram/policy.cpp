@@ -247,8 +247,7 @@ std::string to_string(PolicyKind kind) {
     case PolicyKind::kStarvationGuard:
       return "starvation_guard";
   }
-  PAP_CHECK_MSG(false, "unreachable: bad PolicyKind");
-  return {};
+  PAP_UNREACHABLE("bad PolicyKind");
 }
 
 Expected<PolicyKind> parse_policy(const std::string& name) {
@@ -281,8 +280,7 @@ std::unique_ptr<SchedulerPolicy> make_policy(PolicyKind kind) {
     case PolicyKind::kStarvationGuard:
       return std::make_unique<StarvationGuardPolicy>();
   }
-  PAP_CHECK_MSG(false, "unreachable: bad PolicyKind");
-  return nullptr;
+  PAP_UNREACHABLE("bad PolicyKind");
 }
 
 }  // namespace pap::dram

@@ -113,8 +113,7 @@ double Value::as_double() const {
     case Kind::kInt: return static_cast<double>(int_);
     case Kind::kTime: return as_time().nanos();
     default:
-      PAP_CHECK_MSG(false, "Value is not numeric");
-      return 0.0;
+      PAP_UNREACHABLE("Value is not numeric");
   }
 }
 

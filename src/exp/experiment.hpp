@@ -166,8 +166,10 @@ struct Experiment {
   std::function<Result(const Params&)> run;
   int version = 1;
   /// Optional tracing-aware functor (declared after `version` so the
-  /// established `{name, run, version}` aggregate init keeps working).
-  std::function<Result(const Params&, trace::Tracer*)> run_traced;
+  /// established `{name, run, version}` aggregate init keeps working; the
+  /// empty initializer lets that init leave it out without a
+  /// -Wmissing-field-initializers warning).
+  std::function<Result(const Params&, trace::Tracer*)> run_traced{};
 };
 
 /// FNV-1a over the experiment identity and a parameter point — the content

@@ -1,8 +1,9 @@
 // Internal to src/nc: the scratch arena behind the Curve-API adapters.
 //
-// min/combine_pointwise (curve.cpp) and the ops.hpp kernels copy their
-// Curve inputs into this arena, run the view kernel of batch.hpp and copy
-// the result out with to_curve.
+// The Curve named constructors and min/combine_pointwise (curve.cpp) and
+// the ops.hpp entry points run a view kernel of batch.hpp on their
+// arguments' own storage (Curve::view); the kernel writes its result into
+// this arena and the adapter copies it out with to_curve.
 // Each adapter resets the arena on entry and nothing else touches it —
 // never thread_arena(), which E2eAnalysis holds views in across a decision.
 #pragma once

@@ -1,13 +1,12 @@
-// Bump allocator backing the batched NC engine (batch.hpp).
+// Bump allocator backing the NC view kernels (batch.hpp).
 //
-// The linear-time curve kernels (PR 3) made the algebra itself cheap; what
-// remains on the admission/sweep hot paths is allocation — every
-// combine/deconvolve builds fresh std::vector<Segment> storage, and papd
-// plus the sweep engine issue millions of such ops. An Arena turns all of
-// that into pointer bumps: curve storage for one *decision* (one admission
-// check, one sweep point) is carved out of a few large blocks and released
-// wholesale with a single reset() once the decision's results have been
-// copied out.
+// The linear-time curve kernels made the algebra itself cheap; what
+// remains on the admission/sweep hot paths is allocation — every owning
+// Curve result is a fresh heap block, and papd plus the sweep engine issue
+// millions of such ops. An Arena turns all of that into pointer bumps:
+// curve storage for one *decision* (one admission check, one sweep point)
+// is carved out of a few large blocks and released wholesale with a single
+// reset() once the decision's results have been copied out.
 //
 // Lifetime contract (see docs/performance.md):
 //  * allocations live until the next reset()/release() of their arena —

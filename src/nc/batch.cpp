@@ -20,7 +20,7 @@ bool nearly_equal(double a, double b) {
 }
 
 // Segment i of v evaluated at t — the one evaluation expression every
-// kernel here shares with Curve::eval, so values agree bit for bit.
+// kernel here shares with CurveView::eval, so values agree bit for bit.
 double seg_eval(CurveView v, std::uint32_t i, double t) {
   return v.y[i] + v.slope[i] * (t - v.x[i]);
 }
@@ -175,8 +175,7 @@ MutCurveView combine_raw_dispatch(Arena& arena, CurveView a, CurveView b,
     case CombineOp::kSub:
       return combine_raw_mut<CombineOp::kSub>(arena, a, b);
   }
-  PAP_CHECK(false);
-  return MutCurveView{};
+  PAP_UNREACHABLE("bad CombineOp");
 }
 
 MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
@@ -245,41 +244,13 @@ CurveView convolve_convex_view(Arena& arena, CurveView f, CurveView g) {
 
 }  // namespace
 
-double CurveView::eval(double t) const {
-  PAP_CHECK(t >= 0.0);
-  const double* it = std::upper_bound(x, x + n, t);
-  const std::uint32_t i = static_cast<std::uint32_t>(it - x) - 1;
-  return y[i] + slope[i] * (t - x[i]);
-}
-
-// Same tests as Curve::is_concave/is_convex, including the looser shape
-// tolerance (see curve.cpp kShapeEps): slope order noise from closure
-// arithmetic must classify, not crash.
-constexpr double kShapeEps = 1e-6;
-
-bool CurveView::is_concave() const {
-  for (std::uint32_t i = 1; i < n; ++i) {
-    if (slope[i] > slope[i - 1] + kShapeEps) return false;
-  }
-  return true;
-}
-
-bool CurveView::is_convex() const {
-  if (y[0] > kEps) return false;
-  for (std::uint32_t i = 1; i < n; ++i) {
-    if (slope[i] < slope[i - 1] - kShapeEps) return false;
-  }
-  return true;
-}
-
 void normalize_view(MutCurveView* v) {
-  // In-place Curve::normalize() in one pass: segment i is validated and
-  // clamped (identical checks, against the raw segment i + 1), then fed to
-  // two chained compactions — drop zero-width segments (later definition
-  // wins), then merge collinear neighbours (earlier anchor wins). The
-  // latest survivor of the first stays pending in registers until the next
-  // segment shows it is final. Writes land strictly below the read index,
-  // so the arrays compact in place.
+  // One pass: segment i is validated and clamped (against the raw segment
+  // i + 1), then fed to two chained compactions — drop zero-width segments
+  // (later definition wins), then merge collinear neighbours (earlier
+  // anchor wins). The latest survivor of the first stays pending in
+  // registers until the next segment shows it is final. Writes land
+  // strictly below the read index, so the arrays compact in place.
   double* x = v->x;
   double* y = v->y;
   double* sl = v->slope;
@@ -327,15 +298,6 @@ void normalize_view(MutCurveView* v) {
   }
   keep();
   v->n = w;
-}
-
-Curve to_curve(CurveView v) {
-  PAP_CHECK_MSG(v.n > 0, "curve needs at least one segment");
-  std::vector<Segment> segs(v.n);
-  for (std::uint32_t i = 0; i < v.n; ++i) {
-    segs[i] = Segment{v.x[i], v.y[i], v.slope[i]};
-  }
-  return Curve{std::move(segs), Curve::Canonical{}};
 }
 
 CurveView affine_view(Arena& arena, double value0, double slope) {
@@ -417,10 +379,9 @@ CurveView convolve_view(Arena& arena, CurveView f, CurveView g) {
   if (f.is_concave() && g.is_concave()) {
     return combine_view(arena, f, g, CombineOp::kMin);
   }
-  PAP_CHECK_MSG(false,
-                "convolve: supported shapes are convex*convex (service) and "
-                "concave*concave (arrival)");
-  return CurveView{};
+  PAP_UNREACHABLE(
+      "convolve: supported shapes are convex*convex (service) and "
+      "concave*concave (arrival)");
 }
 
 bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
@@ -642,80 +603,6 @@ CurveView convex_minorant_view(Arena& arena, CurveView c) {
   out.n = hn;
   normalize_view(&out);
   return out;
-}
-
-void CurveBatch::push_back(const Curve& c) {
-  PAP_CHECK_MSG(arena_ != nullptr, "CurveBatch has no arena to copy into");
-  views_.push_back(to_view(*arena_, c));
-}
-
-namespace {
-
-template <CombineOp Op>
-void combine_all_impl(Arena& arena, const CurveBatch& a, const CurveBatch& b,
-                      CurveBatch* out) {
-  const std::size_t count = a.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    MutCurveView raw = combine_raw_mut<Op>(arena, a[i], b[i]);
-    normalize_view(&raw);
-    out->push_back(raw.view());
-  }
-}
-
-}  // namespace
-
-void combine_all(Arena& arena, const CurveBatch& a, const CurveBatch& b,
-                 CombineOp op, CurveBatch* out) {
-  PAP_CHECK(a.size() == b.size());
-  out->clear();
-  out->reserve(a.size());
-  switch (op) {
-    case CombineOp::kMin:
-      combine_all_impl<CombineOp::kMin>(arena, a, b, out);
-      break;
-    case CombineOp::kMax:
-      combine_all_impl<CombineOp::kMax>(arena, a, b, out);
-      break;
-    case CombineOp::kAdd:
-      combine_all_impl<CombineOp::kAdd>(arena, a, b, out);
-      break;
-    case CombineOp::kSub:
-      combine_all_impl<CombineOp::kSub>(arena, a, b, out);
-      break;
-  }
-}
-
-std::size_t deconvolve_all(Arena& arena, const CurveBatch& f,
-                           const CurveBatch& g, CurveBatch* out) {
-  PAP_CHECK(f.size() == g.size());
-  out->clear();
-  out->reserve(f.size());
-  std::size_t bounded = 0;
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    CurveView result;
-    if (deconvolve_view(arena, f[i], g[i], &result)) ++bounded;
-    out->push_back(result);
-  }
-  return bounded;
-}
-
-void deviations_all(const CurveBatch& alpha, const CurveBatch& beta,
-                    std::vector<Deviations>* out) {
-  PAP_CHECK(alpha.size() == beta.size());
-  out->clear();
-  out->reserve(alpha.size());
-  for (std::size_t i = 0; i < alpha.size(); ++i) {
-    Deviations d;
-    if (const auto h = h_deviation_view(alpha[i], beta[i])) {
-      d.h = *h;
-      d.h_bounded = true;
-    }
-    if (const auto v = v_deviation_view(alpha[i], beta[i])) {
-      d.v = *v;
-      d.v_bounded = true;
-    }
-    out->push_back(d);
-  }
 }
 
 }  // namespace pap::nc

@@ -20,129 +20,6 @@ bool nearly_equal(double a, double b) {
   return std::fabs(a - b) <= kEps * scale;
 }
 
-double seg_eval(const Segment& s, double x) { return s.y + s.slope * (x - s.x); }
-
-}  // namespace
-
-Curve::Curve() : segments_{Segment{0.0, 0.0, 0.0}} {}
-
-Curve::Curve(std::vector<Segment> segments) : segments_(std::move(segments)) {
-  normalize();
-}
-
-void Curve::normalize() {
-  PAP_CHECK_MSG(!segments_.empty(), "curve needs at least one segment");
-  PAP_CHECK_MSG(nearly_equal(segments_.front().x, 0.0),
-                "first segment must start at x = 0");
-  segments_.front().x = 0.0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    PAP_CHECK_MSG(segments_[i].y >= -kEps, "curve must be non-negative");
-    PAP_CHECK_MSG(segments_[i].slope >= -kEps, "curve must be non-decreasing");
-    if (segments_[i].y < 0.0) segments_[i].y = 0.0;
-    if (segments_[i].slope < 0.0) segments_[i].slope = 0.0;
-    if (i + 1 < segments_.size()) {
-      PAP_CHECK_MSG(segments_[i + 1].x > segments_[i].x + kEps ||
-                        nearly_equal(segments_[i + 1].x, segments_[i].x),
-                    "breakpoints must be increasing");
-      PAP_CHECK_MSG(
-          nearly_equal(seg_eval(segments_[i], segments_[i + 1].x),
-                       segments_[i + 1].y),
-          "curve must be continuous");
-    }
-  }
-  // Drop zero-width segments, then merge collinear neighbours — two
-  // sequential in-place compaction passes (the write index never overtakes
-  // the read index), so construction allocates nothing beyond the caller's
-  // segment vector.
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment s = segments_[i];
-    if (w > 0 && nearly_equal(s.x, segments_[w - 1].x)) {
-      segments_[w - 1] = s;  // later definition wins on a zero-width span
-      if (w == 1) segments_[0].x = 0.0;
-      continue;
-    }
-    segments_[w++] = s;
-  }
-  const std::size_t cleaned = w;
-  w = 0;
-  for (std::size_t i = 0; i < cleaned; ++i) {
-    if (w > 0 && nearly_equal(segments_[w - 1].slope, segments_[i].slope)) {
-      continue;  // same line continues; keep the earlier anchor
-    }
-    segments_[w++] = segments_[i];
-  }
-  segments_.resize(w);
-}
-
-Curve Curve::affine(double value0, double slope) {
-  return Curve{{Segment{0.0, value0, slope}}};
-}
-
-Curve Curve::constant(double value) { return affine(value, 0.0); }
-
-Curve Curve::rate_latency(double rate, double latency) {
-  PAP_CHECK(rate >= 0.0 && latency >= 0.0);
-  if (latency <= 0.0) return affine(0.0, rate);
-  return Curve{{Segment{0.0, 0.0, 0.0}, Segment{latency, 0.0, rate}}};
-}
-
-Curve Curve::from_points(const std::vector<std::pair<double, double>>& points,
-                         double final_slope) {
-  PAP_CHECK_MSG(!points.empty(), "need at least one point");
-  std::vector<Segment> segs;
-  segs.reserve(points.size() + 1);
-  double px = 0.0;
-  double py = 0.0;
-  if (nearly_equal(points.front().first, 0.0)) {
-    py = points.front().second;
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto [x, y] = points[i];
-    if (nearly_equal(x, 0.0)) continue;  // handled as value at 0
-    PAP_CHECK_MSG(x > px, "point abscissae must be strictly increasing");
-    PAP_CHECK_MSG(y >= py - kEps, "point values must be non-decreasing");
-    segs.push_back(Segment{px, py, (y - py) / (x - px)});
-    px = x;
-    py = y;
-  }
-  segs.push_back(Segment{px, py, final_slope});
-  return Curve{std::move(segs)};
-}
-
-double Curve::eval(double x) const {
-  PAP_CHECK(x >= 0.0);
-  // Find the last segment with start <= x.
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), x,
-      [](double v, const Segment& s) { return v < s.x; });
-  --it;
-  return seg_eval(*it, x);
-}
-
-std::optional<double> Curve::inverse(double y) const {
-  if (y <= segments_.front().y) return 0.0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment& s = segments_[i];
-    const bool last = (i + 1 == segments_.size());
-    const double end_value =
-        last ? std::numeric_limits<double>::infinity()
-             : seg_eval(s, segments_[i + 1].x);
-    if (y <= end_value + kEps) {
-      if (s.slope <= 0.0) {
-        // Flat segment: y is only reached if it equals the plateau value;
-        // otherwise keep scanning (the next segment starts higher).
-        if (y <= s.y + kEps) return s.x;
-        if (last) return std::nullopt;
-        continue;
-      }
-      if (y <= s.y) return s.x;
-      return s.x + (y - s.y) / s.slope;
-    }
-  }
-  return std::nullopt;
-}
-
 // Shape classification tolerates slope wobble well above the value
 // tolerance: residual/closure arithmetic on segments with large x can
 // leave adjacent slopes out of order by ~1e-9 (Δy rounding divided by a
@@ -151,24 +28,116 @@ std::optional<double> Curve::inverse(double y) const {
 // correct — a strict gate only turns float noise into a crash.
 constexpr double kShapeEps = 1e-6;
 
-bool Curve::is_concave() const {
-  for (std::size_t i = 1; i < segments_.size(); ++i) {
-    if (segments_[i].slope > segments_[i - 1].slope + kShapeEps) return false;
+}  // namespace
+
+double CurveView::eval(double t) const {
+  PAP_CHECK(t >= 0.0);
+  const double* it = std::upper_bound(x, x + n, t);
+  const std::uint32_t i = static_cast<std::uint32_t>(it - x) - 1;
+  return y[i] + slope[i] * (t - x[i]);
+}
+
+bool CurveView::is_concave() const {
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (slope[i] > slope[i - 1] + kShapeEps) return false;
   }
   return true;
 }
 
-bool Curve::is_convex() const {
-  if (segments_.front().y > kEps) return false;
-  for (std::size_t i = 1; i < segments_.size(); ++i) {
-    if (segments_[i].slope < segments_[i - 1].slope - kShapeEps) return false;
+bool CurveView::is_convex() const {
+  if (y[0] > kEps) return false;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (slope[i] < slope[i - 1] - kShapeEps) return false;
   }
   return true;
+}
+
+Curve::Curve(const std::vector<Segment>& segments)
+    : Curve(static_cast<std::uint32_t>(segments.size())) {
+  const auto n = static_cast<std::uint32_t>(segments.size());
+  double* p = soa_.data();
+  MutCurveView m{p, p + n, p + 2 * static_cast<std::size_t>(n), n, n};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    m.x[i] = segments[i].x;
+    m.y[i] = segments[i].y;
+    m.slope[i] = segments[i].slope;
+  }
+  normalize_view(&m);
+  if (m.n < n) {
+    // Close the gaps the compaction left behind x and y; each block moves
+    // to a lower address, so forward copies are safe.
+    std::copy(m.y, m.y + m.n, p + m.n);
+    std::copy(m.slope, m.slope + m.n, p + 2 * static_cast<std::size_t>(m.n));
+    soa_.resize(3 * static_cast<std::size_t>(m.n));
+  }
+}
+
+Curve to_curve(CurveView v) {
+  PAP_CHECK_MSG(v.n > 0, "curve needs at least one segment");
+  Curve c(v.n);
+  double* p = c.soa_.data();
+  std::copy(v.x, v.x + v.n, p);
+  std::copy(v.y, v.y + v.n, p + v.n);
+  std::copy(v.slope, v.slope + v.n, p + 2 * static_cast<std::size_t>(v.n));
+  return c;
+}
+
+// The named constructors run the view builders of batch.hpp in the
+// adapter arena and copy the result out.
+
+Curve Curve::affine(double value0, double slope) {
+  return to_curve(affine_view(detail::adapter_arena(), value0, slope));
+}
+
+Curve Curve::constant(double value) { return affine(value, 0.0); }
+
+Curve Curve::rate_latency(double rate, double latency) {
+  return to_curve(rate_latency_view(detail::adapter_arena(), rate, latency));
+}
+
+Curve Curve::from_points(const std::vector<std::pair<double, double>>& points,
+                         double final_slope) {
+  Arena& arena = detail::adapter_arena();
+  const auto n = static_cast<std::uint32_t>(points.size());
+  double* px = arena.alloc<double>(n);
+  double* py = arena.alloc<double>(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    px[i] = points[i].first;
+    py[i] = points[i].second;
+  }
+  return to_curve(from_points_view(arena, px, py, n, final_slope));
+}
+
+// Out of line so that CurveView::eval inlines here: the reference oracles
+// evaluate curves in their inner loops.
+double Curve::eval(double x) const { return view().eval(x); }
+
+std::optional<double> Curve::inverse(double y) const {
+  const CurveView v = view();
+  if (y <= v.y[0]) return 0.0;
+  for (std::uint32_t i = 0; i < v.n; ++i) {
+    const bool last = (i + 1 == v.n);
+    const double end_value =
+        last ? std::numeric_limits<double>::infinity()
+             : v.y[i] + v.slope[i] * (v.x[i + 1] - v.x[i]);
+    if (y <= end_value + kEps) {
+      if (v.slope[i] <= 0.0) {
+        // Flat segment: y is only reached if it equals the plateau value;
+        // otherwise keep scanning (the next segment starts higher).
+        if (y <= v.y[i] + kEps) return v.x[i];
+        if (last) return std::nullopt;
+        continue;
+      }
+      if (y <= v.y[i]) return v.x[i];
+      return v.x[i] + (y - v.y[i]) / v.slope[i];
+    }
+  }
+  return std::nullopt;
 }
 
 Curve combine_pointwise(const Curve& a, const Curve& b, CombineOp op) {
-  Arena& arena = detail::adapter_arena();
-  return to_curve(combine_view(arena, to_view(arena, a), to_view(arena, b), op));
+  return to_curve(
+      combine_view(detail::adapter_arena(), a.view(), b.view(), op));
 }
 
 Curve min(const Curve& a, const Curve& b) {
@@ -176,23 +145,24 @@ Curve min(const Curve& a, const Curve& b) {
 }
 
 std::string Curve::to_string() const {
+  const CurveView v = view();
   std::ostringstream os;
   os << "{";
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const auto& s = segments_[i];
+  for (std::uint32_t i = 0; i < v.n; ++i) {
     if (i) os << ", ";
-    os << "(x=" << s.x << ", y=" << s.y << ", m=" << s.slope << ")";
+    os << "(x=" << v.x[i] << ", y=" << v.y[i] << ", m=" << v.slope[i] << ")";
   }
   os << "}";
   return os.str();
 }
 
 bool operator==(const Curve& a, const Curve& b) {
-  if (a.segments_.size() != b.segments_.size()) return false;
-  for (std::size_t i = 0; i < a.segments_.size(); ++i) {
-    if (!nearly_equal(a.segments_[i].x, b.segments_[i].x) ||
-        !nearly_equal(a.segments_[i].y, b.segments_[i].y) ||
-        !nearly_equal(a.segments_[i].slope, b.segments_[i].slope)) {
+  const CurveView u = a.view();
+  const CurveView v = b.view();
+  if (u.n != v.n) return false;
+  for (std::uint32_t i = 0; i < u.n; ++i) {
+    if (!nearly_equal(u.x[i], v.x[i]) || !nearly_equal(u.y[i], v.y[i]) ||
+        !nearly_equal(u.slope[i], v.slope[i])) {
       return false;
     }
   }

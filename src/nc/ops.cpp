@@ -5,37 +5,32 @@
 
 namespace pap::nc {
 
-// Each entry point copies its inputs into the adapter arena, runs the view
-// kernel of batch.cpp and copies the result out.
+// Each entry point runs the view kernel of batch.cpp on its arguments' own
+// storage and copies the result out of the adapter arena.
 
 Curve convolve(const Curve& f, const Curve& g) {
-  Arena& arena = detail::adapter_arena();
-  return to_curve(convolve_view(arena, to_view(arena, f), to_view(arena, g)));
+  return to_curve(convolve_view(detail::adapter_arena(), f.view(), g.view()));
 }
 
 std::optional<Curve> deconvolve(const Curve& f, const Curve& g) {
-  Arena& arena = detail::adapter_arena();
   CurveView out;
-  if (!deconvolve_view(arena, to_view(arena, f), to_view(arena, g), &out)) {
+  if (!deconvolve_view(detail::adapter_arena(), f.view(), g.view(), &out)) {
     return std::nullopt;
   }
   return to_curve(out);
 }
 
 std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
-  Arena& arena = detail::adapter_arena();
-  return h_deviation_view(to_view(arena, alpha), to_view(arena, beta));
+  return h_deviation_view(alpha.view(), beta.view());
 }
 
 std::optional<double> v_deviation(const Curve& alpha, const Curve& beta) {
-  Arena& arena = detail::adapter_arena();
-  return v_deviation_view(to_view(arena, alpha), to_view(arena, beta));
+  return v_deviation_view(alpha.view(), beta.view());
 }
 
 Curve residual_blind(const Curve& beta, const Curve& alpha_cross) {
-  Arena& arena = detail::adapter_arena();
-  return to_curve(residual_blind_view(arena, to_view(arena, beta),
-                                      to_view(arena, alpha_cross)));
+  return to_curve(residual_blind_view(detail::adapter_arena(), beta.view(),
+                                      alpha_cross.view()));
 }
 
 }  // namespace pap::nc

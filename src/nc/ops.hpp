@@ -6,10 +6,10 @@
 // (Sec. IV). The E2E admission control of Sec. V uses exactly this to chain
 // the NoC and DRAM guarantees.
 //
-// Each function here is a thin adapter: it copies its Curve arguments into
-// a private scratch arena, runs the matching view kernel of batch.hpp (the
-// one implementation of each algorithm) and copies the result out. Callers
-// that chain many operations should use the view kernels directly.
+// Each function here is a thin adapter: it runs the matching view kernel of
+// batch.hpp (the one implementation of each algorithm) on its arguments'
+// own storage and copies the result out of a private scratch arena.
+// Callers that chain many operations should use the view kernels directly.
 #pragma once
 
 #include <optional>

@@ -1,11 +1,13 @@
 // Verbatim copies of the pre-optimization kernels. See reference.hpp for
 // why these are kept. Each function body below is the original
 // implementation from curve.cpp / ops.cpp at the time the optimized
-// rewrites landed; only namespacing and helper wiring changed.
+// rewrites landed; only namespacing, helper wiring and the reads of the
+// curve storage (now through Curve::view) changed.
 #include "nc/reference.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/check.hpp"
@@ -25,9 +27,9 @@ bool nearly_equal(double a, double b) {
 /// reported separately via final_slope().
 std::vector<std::pair<double, double>> finite_pieces(const Curve& c) {
   std::vector<std::pair<double, double>> pieces;
-  const auto& segs = c.segments();
-  for (std::size_t i = 0; i + 1 < segs.size(); ++i) {
-    pieces.emplace_back(segs[i].slope, segs[i + 1].x - segs[i].x);
+  const CurveView v = c.view();
+  for (std::uint32_t i = 0; i + 1 < v.n; ++i) {
+    pieces.emplace_back(v.slope[i], v.x[i + 1] - v.x[i]);
   }
   return pieces;
 }
@@ -59,8 +61,10 @@ std::vector<Segment> combine_raw(const Curve& a, const Curve& b,
                                  double (*combine)(double, double)) {
   // Union of breakpoints.
   std::vector<double> xs;
-  for (const auto& s : a.segments()) xs.push_back(s.x);
-  for (const auto& s : b.segments()) xs.push_back(s.x);
+  const CurveView av = a.view();
+  const CurveView bv = b.view();
+  xs.insert(xs.end(), av.x, av.x + av.n);
+  xs.insert(xs.end(), bv.x, bv.x + bv.n);
   std::sort(xs.begin(), xs.end());
   xs.erase(std::unique(xs.begin(), xs.end(),
                        [](double u, double v) { return nearly_equal(u, v); }),
@@ -69,12 +73,9 @@ std::vector<Segment> combine_raw(const Curve& a, const Curve& b,
   // Insert crossing points so the combination is linear on each interval.
   std::vector<double> all = xs;
   auto slope_at = [](const Curve& c, double x) {
-    const auto& segs = c.segments();
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), x,
-        [](double v, const Segment& s) { return v < s.x; });
-    --it;
-    return it->slope;
+    const CurveView v = c.view();
+    const double* it = std::upper_bound(v.x, v.x + v.n, x);
+    return v.slope[it - v.x - 1];
   };
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const double x1 = xs[i];
@@ -125,10 +126,9 @@ Curve convolve(const Curve& f, const Curve& g) {
     return reference::combine_pointwise(
         f, g, [](double u, double v) { return std::min(u, v); });
   }
-  PAP_CHECK_MSG(false,
-                "convolve: supported shapes are convex*convex (service) and "
-                "concave*concave (arrival)");
-  return Curve{};
+  PAP_UNREACHABLE(
+      "convolve: supported shapes are convex*convex (service) and "
+      "concave*concave (arrival)");
 }
 
 std::optional<Curve> deconvolve(const Curve& f, const Curve& g) {
@@ -139,10 +139,10 @@ std::optional<Curve> deconvolve(const Curve& f, const Curve& g) {
   // The result is concave piecewise-linear; all of its breakpoints lie in
   // { a_x - b_x >= 0 } for breakpoints a_x of f and b_x of g. Evaluate the
   // exact supremum at every candidate t and interpolate.
-  std::vector<double> f_bps;
-  std::vector<double> g_bps;
-  for (const auto& s : f.segments()) f_bps.push_back(s.x);
-  for (const auto& s : g.segments()) g_bps.push_back(s.x);
+  const CurveView fv = f.view();
+  const CurveView gv = g.view();
+  const std::vector<double> f_bps(fv.x, fv.x + fv.n);
+  const std::vector<double> g_bps(gv.x, gv.x + gv.n);
 
   std::vector<double> ts{0.0};
   for (double a : f_bps) {
@@ -181,22 +181,24 @@ namespace {
 /// kEps) and alpha rises right after the candidate or v lies above the
 /// plateau; -1 when that does not apply, +inf when the plateau never ends.
 double plateau_exit(const Curve& beta, double v, bool rising) {
-  const auto& segs = beta.segments();
-  std::size_t flat = segs.size();
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    if (segs[i].slope <= 0.0 && nearly_equal(segs[i].y, v)) flat = i;
+  const CurveView b = beta.view();
+  std::uint32_t flat = b.n;
+  for (std::uint32_t i = 0; i < b.n; ++i) {
+    if (b.slope[i] <= 0.0 && nearly_equal(b.y[i], v)) flat = i;
   }
-  if (flat == segs.size() || !(rising || v > segs[flat].y)) return -1.0;
-  if (flat + 1 == segs.size()) return std::numeric_limits<double>::infinity();
-  const Segment& next = segs[flat + 1];
-  return v <= next.y ? next.x : next.x + (v - next.y) / next.slope;
+  if (flat == b.n || !(rising || v > b.y[flat])) return -1.0;
+  if (flat + 1 == b.n) return std::numeric_limits<double>::infinity();
+  const std::uint32_t next = flat + 1;
+  return v <= b.y[next] ? b.x[next]
+                        : b.x[next] + (v - b.y[next]) / b.slope[next];
 }
 
 /// Slope of the segment of c active at t (the one right after t).
 double slope_after(const Curve& c, double t) {
-  double slope = c.segments().front().slope;
-  for (const auto& s : c.segments()) {
-    if (s.x <= t) slope = s.slope;
+  const CurveView v = c.view();
+  double slope = v.slope[0];
+  for (std::uint32_t i = 0; i < v.n; ++i) {
+    if (v.x[i] <= t) slope = v.slope[i];
   }
   return slope;
 }
@@ -209,10 +211,11 @@ std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
   // Candidate abscissae: alpha's breakpoints plus the first times alpha
   // reaches each of beta's breakpoint values; between them
   // t -> beta^{-1}(alpha(t)) - t is linear.
-  std::vector<double> ts;
-  for (const auto& s : alpha.segments()) ts.push_back(s.x);
-  for (const auto& s : beta.segments()) {
-    if (auto t = alpha.inverse(s.y)) ts.push_back(*t);
+  const CurveView av = alpha.view();
+  const CurveView bv = beta.view();
+  std::vector<double> ts(av.x, av.x + av.n);
+  for (std::uint32_t i = 0; i < bv.n; ++i) {
+    if (auto t = alpha.inverse(bv.y[i])) ts.push_back(*t);
   }
   std::sort(ts.begin(), ts.end());
   ts.erase(std::unique(ts.begin(), ts.end(),
@@ -240,9 +243,10 @@ std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
 
 std::optional<double> v_deviation(const Curve& alpha, const Curve& beta) {
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
-  std::vector<double> xs;
-  for (const auto& s : alpha.segments()) xs.push_back(s.x);
-  for (const auto& s : beta.segments()) xs.push_back(s.x);
+  const CurveView av = alpha.view();
+  const CurveView bv = beta.view();
+  std::vector<double> xs(av.x, av.x + av.n);
+  xs.insert(xs.end(), bv.x, bv.x + bv.n);
   std::sort(xs.begin(), xs.end());
   double worst = 0.0;
   for (double x : xs) worst = std::max(worst, alpha.eval(x) - beta.eval(x));

@@ -19,8 +19,7 @@ NodeId Mesh2D::neighbor(NodeId n, Direction d) const {
     case Direction::kLocal:
       return n;
   }
-  PAP_CHECK(false);
-  return n;
+  PAP_UNREACHABLE("bad Direction");
 }
 
 std::vector<Direction> Mesh2D::route(NodeId src, NodeId dst,

@@ -158,7 +158,7 @@ void ResourceManager::on_client_msg(Client* from, MsgType type,
       return;
     }
     default:
-      PAP_CHECK_MSG(false, "unexpected client->RM message type");
+      PAP_UNREACHABLE("unexpected client->RM message type");
   }
 }
 

@@ -48,8 +48,7 @@ Time TdmaSchedule::next_grant(std::uint32_t partition, Time t) const {
       if (t < end) return std::max(t, start);
     }
   }
-  PAP_CHECK(false);
-  return t;
+  PAP_UNREACHABLE("a slot-owning partition is granted within two frames");
 }
 
 Time TdmaSchedule::completion_time(std::uint32_t partition, Time t,

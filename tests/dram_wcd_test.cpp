@@ -299,12 +299,12 @@ TEST(WcdServiceCurve, Ddr3Depth32SegmentsArePinned) {
       {0x1.9168p+11, 0x1.2p+4, 0x1.5015015015015p-6},
   };
   const nc::Curve curve = a.service_curve(32);
-  const auto& got = curve.segments();
-  ASSERT_EQ(got.size(), std::size(want));
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].x, want[i].x) << "segment " << i;
-    EXPECT_EQ(got[i].y, want[i].y) << "segment " << i;
-    EXPECT_EQ(got[i].slope, want[i].slope) << "segment " << i;
+  const nc::CurveView got = curve.view();
+  ASSERT_EQ(got.n, std::size(want));
+  for (std::uint32_t i = 0; i < got.n; ++i) {
+    EXPECT_EQ(got.x[i], want[i].x) << "segment " << i;
+    EXPECT_EQ(got.y[i], want[i].y) << "segment " << i;
+    EXPECT_EQ(got.slope[i], want[i].slope) << "segment " << i;
   }
 }
 

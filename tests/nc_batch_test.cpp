@@ -1,15 +1,15 @@
-// Arena/batch NC engine tests (nc/arena.hpp, nc/batch.hpp).
+// NC kernel and arena tests (nc/arena.hpp, nc/batch.hpp).
 //
 // Two layers of defence:
-//  * seeded property tests (>10k cases across the suite) pin the batched
-//    entry points (combine_all / deconvolve_all / deviations_all) against
-//    the per-call Curve API — a copy-in/copy-out adapter over the same
-//    kernels, so the two must agree at every breakpoint (asserted to 1e-9,
-//    in practice bitwise) — and against the retained nc::reference oracles
-//    at the looser tolerance the property suite uses (the references keep
-//    the old finite-difference probes);
+//  * seeded property tests (>10k cases across the suite) pin the view
+//    kernels (combine_view / deconvolve_view / h_ and v_deviation_view)
+//    against the per-call Curve API — an adapter that runs the same kernel
+//    on each curve's own storage, so the two must agree bit for bit — and
+//    against the retained nc::reference oracles at the looser tolerance the
+//    property suite uses (the references keep the old finite-difference
+//    probes);
 //  * arena-contract tests: epoch bump on reset, storage reuse without fresh
-//    blocks, no aliasing between batch outputs and inputs, and per-thread
+//    blocks, no aliasing between kernel outputs and inputs, and per-thread
 //    isolation of thread_arena() under concurrent workers (the sweep
 //    runner's --jobs shape).
 //
@@ -95,8 +95,8 @@ using pap::Rng;
 using pap::nc::Arena;
 using pap::nc::CombineOp;
 using pap::nc::Curve;
-using pap::nc::CurveBatch;
 using pap::nc::CurveView;
+using pap::nc::MutCurveView;
 using pap::nc::Segment;
 
 // ---------------------------------------------------------------------------
@@ -158,9 +158,10 @@ Curve random_convex(Rng& rng, bool sub_ns) {
 // ---------------------------------------------------------------------------
 
 std::vector<double> probe_points(const Curve& a, const Curve& b) {
-  std::vector<double> xs;
-  for (const auto& s : a.segments()) xs.push_back(s.x);
-  for (const auto& s : b.segments()) xs.push_back(s.x);
+  const CurveView av = a.view();
+  const CurveView bv = b.view();
+  std::vector<double> xs(av.x, av.x + av.n);
+  xs.insert(xs.end(), bv.x, bv.x + bv.n);
   std::sort(xs.begin(), xs.end());
   std::vector<double> out;
   out.reserve(xs.size() * 2 + 2);
@@ -176,35 +177,33 @@ std::vector<double> probe_points(const Curve& a, const Curve& b) {
   return out;
 }
 
-/// Batch entry point vs the per-call Curve API: both run the same kernel,
-/// so segment counts must match and every breakpoint coordinate must agree
-/// to 1e-9 (in practice: bitwise).
-::testing::AssertionResult view_matches_scalar(CurveView got,
-                                               const Curve& want,
-                                               int case_idx) {
-  if (got.n != want.segments().size()) {
+/// Kernel output vs the per-call Curve API: both run the same kernel on the
+/// same input values, so every breakpoint coordinate must agree bit for bit.
+::testing::AssertionResult view_matches_curve(CurveView got,
+                                              const Curve& want,
+                                              int case_idx) {
+  const CurveView w = want.view();
+  if (got.n != w.n) {
     return ::testing::AssertionFailure()
            << "case " << case_idx << ": segment count " << got.n << " vs "
-           << want.segments().size() << "\n  want: " << want.to_string();
+           << w.n << "\n  want: " << want.to_string();
   }
   for (std::uint32_t i = 0; i < got.n; ++i) {
-    const Segment& w = want.segments()[i];
-    const double scale =
-        std::max(1.0, std::max(std::fabs(w.x), std::fabs(w.y)));
-    if (std::fabs(got.x[i] - w.x) > 1e-9 * scale ||
-        std::fabs(got.y[i] - w.y) > 1e-9 * scale ||
-        std::fabs(got.slope[i] - w.slope) > 1e-9 * scale) {
+    if (got.x[i] != w.x[i] || got.y[i] != w.y[i] ||
+        got.slope[i] != w.slope[i]) {
       return ::testing::AssertionFailure()
              << "case " << case_idx << ": segment " << i << " is ("
              << got.x[i] << ", " << got.y[i] << ", " << got.slope[i]
-             << "), want (" << w.x << ", " << w.y << ", " << w.slope << ")";
+             << "), want (" << w.x[i] << ", " << w.y[i] << ", "
+             << w.slope[i] << ")";
     }
   }
   return ::testing::AssertionSuccess();
 }
 
-/// Batch vs the retained naive oracle, at the tolerance the property
-/// suite uses (the reference keeps the old finite-difference slope probes).
+/// Kernel output vs the retained naive oracle, at the tolerance the
+/// property suite uses (the reference keeps the old finite-difference slope
+/// probes).
 ::testing::AssertionResult view_matches_reference(CurveView got,
                                                   const Curve& want,
                                                   int case_idx) {
@@ -232,162 +231,109 @@ Curve random_curve(Rng& rng, bool sub_ns) {
                          : random_convex(rng, sub_ns);
 }
 
+/// A copy of `c` in arena storage, the way the e2e analysis keeps its
+/// inputs next to its intermediates.
+CurveView copy_to(Arena& arena, const Curve& c) {
+  const CurveView v = c.view();
+  MutCurveView m = pap::nc::alloc_curve_view(arena, v.n);
+  std::copy(v.x, v.x + v.n, m.x);
+  std::copy(v.y, v.y + v.n, m.y);
+  std::copy(v.slope, v.slope + v.n, m.slope);
+  m.n = v.n;
+  return m;
+}
+
 // ---------------------------------------------------------------------------
-// combine_all: 1500 random pairs x 3 ops, processed in batch chunks
-// (4500 combine cases)
+// combine_view: 1500 random pairs x 3 ops (4500 combine cases)
 // ---------------------------------------------------------------------------
 
 TEST(NcBatch, CombineAllMatchesScalarAndReference) {
   Rng rng(0xBA7C4001u);
-  const int kChunks = 15;
-  const int kChunk = 100;
-  Arena inputs;
+  const int kCases = 1500;
+  const struct {
+    CombineOp op;
+    double (*fn)(double, double);
+  } kOps[] = {{CombineOp::kMin, min_of},
+              {CombineOp::kMax, max_of},
+              {CombineOp::kAdd, sum_of}};
   Arena arena;
-  CurveBatch a(&inputs);
-  CurveBatch b(&inputs);
-  CurveBatch out;
-  int case_idx = 0;
-  for (int chunk = 0; chunk < kChunks; ++chunk) {
-    std::vector<Curve> sa;
-    std::vector<Curve> sb;
-    inputs.reset();
-    a.clear();
-    b.clear();
-    for (int i = 0; i < kChunk; ++i) {
-      const bool sub_ns = (case_idx + i) % 3 == 0;
-      sa.push_back(random_curve(rng, sub_ns));
-      sb.push_back(random_curve(rng, sub_ns));
-      a.push_back(sa.back());
-      b.push_back(sb.back());
-    }
-    const struct {
-      CombineOp op;
-      double (*fn)(double, double);
-    } kOps[] = {{CombineOp::kMin, min_of},
-                {CombineOp::kMax, max_of},
-                {CombineOp::kAdd, sum_of}};
+  for (int i = 0; i < kCases; ++i) {
+    const bool sub_ns = i % 3 == 0;
+    const Curve a = random_curve(rng, sub_ns);
+    const Curve b = random_curve(rng, sub_ns);
     for (const auto& o : kOps) {
       arena.reset();
-      pap::nc::combine_all(arena, a, b, o.op, &out);
-      ASSERT_EQ(out.size(), static_cast<std::size_t>(kChunk));
-      for (int i = 0; i < kChunk; ++i) {
-        const Curve scalar = pap::nc::combine_pointwise(sa[i], sb[i], o.op);
-        ASSERT_TRUE(view_matches_scalar(out[i], scalar, case_idx + i));
-        const Curve ref =
-            pap::nc::reference::combine_pointwise(sa[i], sb[i], o.fn);
-        ASSERT_TRUE(view_matches_reference(out[i], ref, case_idx + i));
-      }
+      const CurveView got =
+          pap::nc::combine_view(arena, a.view(), b.view(), o.op);
+      const Curve scalar = pap::nc::combine_pointwise(a, b, o.op);
+      ASSERT_TRUE(view_matches_curve(got, scalar, i));
+      const Curve ref = pap::nc::reference::combine_pointwise(a, b, o.fn);
+      ASSERT_TRUE(view_matches_reference(got, ref, i));
     }
-    case_idx += kChunk;
   }
 }
 
 // ---------------------------------------------------------------------------
-// deconvolve_all: 3000 concave/convex pairs in batch chunks
+// deconvolve_view: 3000 concave/convex pairs
 // ---------------------------------------------------------------------------
 
 TEST(NcBatch, DeconvolveAllMatchesScalarAndReference) {
   Rng rng(0xBA7C4002u);
-  const int kChunks = 30;
-  const int kChunk = 100;
-  Arena inputs;
+  const int kCases = 3000;
   Arena arena;
-  CurveBatch f(&inputs);
-  CurveBatch g(&inputs);
-  CurveBatch out;
-  int case_idx = 0;
   int bounded = 0;
-  for (int chunk = 0; chunk < kChunks; ++chunk) {
-    std::vector<Curve> sf;
-    std::vector<Curve> sg;
-    inputs.reset();
-    f.clear();
-    g.clear();
-    for (int i = 0; i < kChunk; ++i) {
-      const bool sub_ns = (case_idx + i) % 3 == 0;
-      sf.push_back(random_concave(rng, sub_ns));
-      sg.push_back(random_convex(rng, sub_ns));
-      f.push_back(sf.back());
-      g.push_back(sg.back());
-    }
+  for (int i = 0; i < kCases; ++i) {
+    const bool sub_ns = i % 3 == 0;
+    const Curve f = random_concave(rng, sub_ns);
+    const Curve g = random_convex(rng, sub_ns);
     arena.reset();
-    const std::size_t got_bounded = pap::nc::deconvolve_all(arena, f, g, &out);
-    ASSERT_EQ(out.size(), static_cast<std::size_t>(kChunk));
-    std::size_t want_bounded = 0;
-    for (int i = 0; i < kChunk; ++i) {
-      const auto scalar = pap::nc::deconvolve(sf[i], sg[i]);
-      ASSERT_EQ(out[i].empty(), !scalar.has_value()) << "case " << case_idx + i;
-      if (!scalar) continue;
-      ++want_bounded;
-      ++bounded;
-      ASSERT_TRUE(view_matches_scalar(out[i], *scalar, case_idx + i));
-      const auto ref = pap::nc::reference::deconvolve(sf[i], sg[i]);
-      ASSERT_TRUE(ref.has_value()) << "case " << case_idx + i;
-      ASSERT_TRUE(view_matches_reference(out[i], *ref, case_idx + i));
-    }
-    ASSERT_EQ(got_bounded, want_bounded);
-    case_idx += kChunk;
+    CurveView got;
+    const bool got_bounded =
+        pap::nc::deconvolve_view(arena, f.view(), g.view(), &got);
+    ASSERT_EQ(got.empty(), !got_bounded) << "case " << i;
+    const auto scalar = pap::nc::deconvolve(f, g);
+    ASSERT_EQ(got_bounded, scalar.has_value()) << "case " << i;
+    if (!scalar) continue;
+    ++bounded;
+    ASSERT_TRUE(view_matches_curve(got, *scalar, i));
+    const auto ref = pap::nc::reference::deconvolve(f, g);
+    ASSERT_TRUE(ref.has_value()) << "case " << i;
+    ASSERT_TRUE(view_matches_reference(got, *ref, i));
   }
-  EXPECT_GT(bounded, (kChunks * kChunk) / 4);  // the suite must exercise both
+  EXPECT_GT(bounded, kCases / 4);  // the suite must exercise both
 }
 
 // ---------------------------------------------------------------------------
-// deviations_all: 3000 (alpha, beta) pairs
+// h_deviation_view / v_deviation_view: 3000 (alpha, beta) pairs
 // ---------------------------------------------------------------------------
 
 TEST(NcBatch, DeviationsAllMatchesScalarAndReference) {
   Rng rng(0xBA7C4003u);
-  const int kChunks = 30;
-  const int kChunk = 100;
-  Arena inputs;
-  CurveBatch alpha(&inputs);
-  CurveBatch beta(&inputs);
-  std::vector<pap::nc::Deviations> devs;
-  int case_idx = 0;
+  const int kCases = 3000;
   int bounded = 0;
-  for (int chunk = 0; chunk < kChunks; ++chunk) {
-    std::vector<Curve> sa;
-    std::vector<Curve> sb;
-    inputs.reset();
-    alpha.clear();
-    beta.clear();
-    for (int i = 0; i < kChunk; ++i) {
-      const bool sub_ns = (case_idx + i) % 3 == 0;
-      sa.push_back(random_concave(rng, sub_ns));
-      sb.push_back(random_convex(rng, sub_ns));
-      alpha.push_back(sa.back());
-      beta.push_back(sb.back());
+  for (int i = 0; i < kCases; ++i) {
+    const bool sub_ns = i % 3 == 0;
+    const Curve alpha = random_concave(rng, sub_ns);
+    const Curve beta = random_convex(rng, sub_ns);
+    const auto h = pap::nc::h_deviation_view(alpha.view(), beta.view());
+    const auto v = pap::nc::v_deviation_view(alpha.view(), beta.view());
+    ASSERT_EQ(h, pap::nc::h_deviation(alpha, beta)) << "case " << i;
+    ASSERT_EQ(v, pap::nc::v_deviation(alpha, beta)) << "case " << i;
+    const auto h_ref = pap::nc::reference::h_deviation(alpha, beta);
+    const auto v_ref = pap::nc::reference::v_deviation(alpha, beta);
+    ASSERT_EQ(h.has_value(), h_ref.has_value()) << "case " << i;
+    ASSERT_EQ(v.has_value(), v_ref.has_value()) << "case " << i;
+    if (h) {
+      ++bounded;
+      ASSERT_NEAR(*h, *h_ref, 1e-6 * std::max(1.0, std::fabs(*h_ref)))
+          << "case " << i;
     }
-    pap::nc::deviations_all(alpha, beta, &devs);
-    ASSERT_EQ(devs.size(), static_cast<std::size_t>(kChunk));
-    for (int i = 0; i < kChunk; ++i) {
-      const auto h = pap::nc::h_deviation(sa[i], sb[i]);
-      const auto v = pap::nc::v_deviation(sa[i], sb[i]);
-      ASSERT_EQ(devs[i].h_bounded, h.has_value()) << "case " << case_idx + i;
-      ASSERT_EQ(devs[i].v_bounded, v.has_value()) << "case " << case_idx + i;
-      if (h) {
-        ++bounded;
-        const double tol = 1e-9 * std::max(1.0, std::fabs(*h));
-        ASSERT_NEAR(devs[i].h, *h, tol) << "case " << case_idx + i;
-        const auto ref = pap::nc::reference::h_deviation(sa[i], sb[i]);
-        ASSERT_TRUE(ref.has_value()) << "case " << case_idx + i;
-        ASSERT_NEAR(devs[i].h, *ref,
-                    1e-6 * std::max(1.0, std::fabs(*ref)))
-            << "case " << case_idx + i;
-      }
-      if (v) {
-        const double tol = 1e-9 * std::max(1.0, std::fabs(*v));
-        ASSERT_NEAR(devs[i].v, *v, tol) << "case " << case_idx + i;
-        const auto ref = pap::nc::reference::v_deviation(sa[i], sb[i]);
-        ASSERT_TRUE(ref.has_value()) << "case " << case_idx + i;
-        ASSERT_NEAR(devs[i].v, *ref,
-                    1e-6 * std::max(1.0, std::fabs(*ref)))
-            << "case " << case_idx + i;
-      }
+    if (v) {
+      ASSERT_NEAR(*v, *v_ref, 1e-6 * std::max(1.0, std::fabs(*v_ref)))
+          << "case " << i;
     }
-    case_idx += kChunk;
   }
-  EXPECT_GT(bounded, (kChunks * kChunk) / 4);
+  EXPECT_GT(bounded, kCases / 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,25 +380,26 @@ TEST(NcBatch, ArenaGrowsAcrossBlocksWithoutInvalidatingEarlierAllocations) {
 
 TEST(NcBatch, BatchOutputsAliasNeitherInputsNorEachOther) {
   // Inputs and outputs share one arena — the e2e analysis does exactly
-  // this — so overlapping storage would silently corrupt results. Compute
-  // scalar expectations first, run the whole batch, then compare: any
+  // this — so overlapping storage would silently corrupt results. Run every
+  // kernel call first, then compare against the Curve API: any
   // cross-output write would surface as a late mismatch.
   Rng rng(0xBA7C4005u);
   Arena arena;
-  CurveBatch a(&arena);
-  CurveBatch b(&arena);
-  CurveBatch out;
   std::vector<Curve> sa;
   std::vector<Curve> sb;
+  std::vector<CurveView> a;
+  std::vector<CurveView> b;
   const int kN = 64;
   for (int i = 0; i < kN; ++i) {
     sa.push_back(random_curve(rng, i % 3 == 0));
     sb.push_back(random_curve(rng, i % 3 == 0));
-    a.push_back(sa.back());
-    b.push_back(sb.back());
+    a.push_back(copy_to(arena, sa.back()));
+    b.push_back(copy_to(arena, sb.back()));
   }
-  pap::nc::combine_all(arena, a, b, CombineOp::kMin, &out);
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kN));
+  std::vector<CurveView> out;
+  for (int i = 0; i < kN; ++i) {
+    out.push_back(pap::nc::combine_view(arena, a[i], b[i], CombineOp::kMin));
+  }
 
   // Used storage ranges [x, x + n) of all views must be pairwise disjoint.
   std::vector<std::pair<const double*, const double*>> spans;
@@ -473,17 +420,17 @@ TEST(NcBatch, BatchOutputsAliasNeitherInputsNorEachOther) {
         << "overlapping arena spans";
   }
 
-  // Late value check: every output still matches its scalar expectation
+  // Late value check: every output still matches its Curve API result
   // after all other pairs were processed.
   for (int i = 0; i < kN; ++i) {
     const Curve scalar = pap::nc::min(sa[i], sb[i]);
-    ASSERT_TRUE(view_matches_scalar(out[i], scalar, i));
+    ASSERT_TRUE(view_matches_curve(out[i], scalar, i));
   }
 }
 
 TEST(NcBatch, ThreadLocalArenasAreIsolated) {
   // The sweep runner hands each worker thread its own thread_arena(); the
-  // batches a worker builds must be unaffected by other workers hammering
+  // curves a worker builds must be unaffected by other workers hammering
   // theirs concurrently.
   const int kThreads = 4;
   const int kCasesPerThread = 200;
@@ -499,12 +446,12 @@ TEST(NcBatch, ThreadLocalArenasAreIsolated) {
         arena.reset();
         const Curve a = random_curve(rng, i % 3 == 0);
         const Curve b = random_curve(rng, i % 3 == 0);
-        const CurveView av = pap::nc::to_view(arena, a);
-        const CurveView bv = pap::nc::to_view(arena, b);
+        const CurveView av = copy_to(arena, a);
+        const CurveView bv = copy_to(arena, b);
         const CurveView got =
             pap::nc::combine_view(arena, av, bv, CombineOp::kAdd);
         const Curve want = pap::nc::combine_pointwise(a, b, CombineOp::kAdd);
-        if (!view_matches_scalar(got, want, i)) ++mismatches[t];
+        if (!view_matches_curve(got, want, i)) ++mismatches[t];
       }
       pap::nc::thread_arena().release();
     });
@@ -573,7 +520,9 @@ TEST(NcBatch, E2eBoundsSteadyStateMakesNoHeapAllocations) {
   ASSERT_EQ(bounds.size(), scalar.size());
   for (std::size_t i = 0; i < bounds.size(); ++i) {
     ASSERT_EQ(bounds[i].has_value(), scalar[i].has_value());
-    if (bounds[i]) EXPECT_EQ(*bounds[i], *scalar[i]);
+    if (bounds[i]) {
+      EXPECT_EQ(*bounds[i], *scalar[i]);
+    }
   }
 #endif
 }

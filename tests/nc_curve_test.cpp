@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "nc/arrival.hpp"
@@ -29,7 +31,7 @@ Curve positive_closure(const std::vector<Segment>& raw) {
 
 Curve convex_minorant(const Curve& c) {
   Arena arena;
-  return to_curve(convex_minorant_view(arena, to_view(arena, c)));
+  return to_curve(convex_minorant_view(arena, c.view()));
 }
 
 TEST(Curve, AffineEval) {
@@ -53,7 +55,7 @@ TEST(Curve, RateLatencyEval) {
 
 TEST(Curve, ZeroLatencyRateLatencyIsAffine) {
   const Curve b = Curve::rate_latency(3.0, 0.0);
-  EXPECT_EQ(b.segments().size(), 1u);
+  EXPECT_EQ(b.view().n, 1u);
   EXPECT_DOUBLE_EQ(b.eval(2.0), 6.0);
   EXPECT_TRUE(b.is_convex());
   EXPECT_TRUE(b.is_concave());  // a line is both
@@ -124,6 +126,67 @@ TEST(Curve, EqualityIsCanonical) {
   const Curve a{std::vector<Segment>{{0.0, 0.0, 2.0}, {5.0, 10.0, 2.0}}};
   const Curve b = Curve::affine(0.0, 2.0);
   EXPECT_EQ(a, b);
+}
+
+// Curve owns its struct-of-arrays storage: view() hands out that storage
+// without a copy, and a copied, moved or reassigned curve reads the same
+// values from storage of its own.
+TEST(Curve, CopiesOwnTheirStorage) {
+  const Curve src{std::vector<Segment>{
+      {0.0, 1.0, 3.0}, {2.0, 7.0, 1.0}, {5.0, 10.0, 0.5}}};
+  const CurveView sv = src.view();
+  ASSERT_EQ(sv.n, 3u);
+  EXPECT_EQ(src.view().x, sv.x);  // the same storage on every call
+  EXPECT_EQ(sv.y, sv.x + 3);      // x | y | slope in one block
+  EXPECT_EQ(sv.slope, sv.x + 6);
+  const double want[3][3] = {{0.0, 1.0, 3.0}, {2.0, 7.0, 1.0},
+                             {5.0, 10.0, 0.5}};
+  const auto holds_src = [&want](const Curve& c) {
+    const CurveView v = c.view();
+    if (v.n != 3) return false;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      if (v.x[i] != want[i][0] || v.y[i] != want[i][1] ||
+          v.slope[i] != want[i][2]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto disjoint = [](const Curve& a, const Curve& b) {
+    const CurveView u = a.view();
+    const CurveView v = b.view();
+    return u.x + 3 * u.n <= v.x || v.x + 3 * v.n <= u.x;
+  };
+  ASSERT_TRUE(holds_src(src));
+
+  Curve copy = src;
+  EXPECT_TRUE(holds_src(copy));
+  EXPECT_TRUE(disjoint(copy, src));
+
+  Curve assigned = Curve::affine(4.0, 2.0);
+  assigned = src;
+  EXPECT_TRUE(holds_src(assigned));
+  EXPECT_TRUE(disjoint(assigned, src));
+  EXPECT_TRUE(disjoint(assigned, copy));
+
+  Curve moved = std::move(copy);
+  EXPECT_TRUE(holds_src(moved));
+  EXPECT_TRUE(disjoint(moved, src));
+  EXPECT_TRUE(disjoint(moved, assigned));
+
+  Curve move_assigned = Curve::constant(1.0);
+  move_assigned = std::move(assigned);
+  EXPECT_TRUE(holds_src(move_assigned));
+  EXPECT_TRUE(disjoint(move_assigned, src));
+  EXPECT_TRUE(disjoint(move_assigned, moved));
+
+  // Reassigning the copies leaves the original untouched.
+  moved = Curve::rate_latency(1.0, 3.0);
+  move_assigned = Curve::affine(0.5, 0.25);
+  EXPECT_TRUE(holds_src(src));
+  EXPECT_EQ(src.view().x, sv.x);
+  EXPECT_EQ(moved, Curve::rate_latency(1.0, 3.0));
+  EXPECT_EQ(move_assigned, Curve::affine(0.5, 0.25));
 }
 
 TEST(Curve, PositiveNondecreasingClosure) {
@@ -223,8 +286,9 @@ TEST(Curve, SubNanosecondCrossingIsExact) {
   EXPECT_NEAR(m.eval(0.25), 1.25, 1e-12);    // the corner itself
   EXPECT_NEAR(m.eval(0.30), 1.30, 1e-12);    // a below b: 1 + 0.3
   bool has_corner = false;
-  for (const auto& s : m.segments()) {
-    if (std::fabs(s.x - 0.25) < 1e-12) has_corner = true;
+  const CurveView mv = m.view();
+  for (std::uint32_t i = 0; i < mv.n; ++i) {
+    if (std::fabs(mv.x[i] - 0.25) < 1e-12) has_corner = true;
   }
   EXPECT_TRUE(has_corner) << m.to_string();
 

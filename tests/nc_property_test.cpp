@@ -24,6 +24,7 @@ namespace {
 
 using pap::Rng;
 using pap::nc::Curve;
+using pap::nc::CurveView;
 using pap::nc::Segment;
 
 // ---------------------------------------------------------------------------
@@ -90,9 +91,10 @@ Curve random_convex(Rng& rng, bool sub_ns) {
 // ---------------------------------------------------------------------------
 
 std::vector<double> probe_points(const Curve& a, const Curve& b) {
-  std::vector<double> xs;
-  for (const auto& s : a.segments()) xs.push_back(s.x);
-  for (const auto& s : b.segments()) xs.push_back(s.x);
+  const CurveView av = a.view();
+  const CurveView bv = b.view();
+  std::vector<double> xs(av.x, av.x + av.n);
+  xs.insert(xs.end(), bv.x, bv.x + bv.n);
   std::sort(xs.begin(), xs.end());
   std::vector<double> out;
   out.reserve(xs.size() * 2 + 2);
