@@ -39,8 +39,8 @@ void Client::send(noc::Packet packet) {
     // First transmission trapped; request admission.
     state_ = State::kAwaitingAdmission;
     stopped_since_ = kernel_.now();
+    ++act_seq_;  // a new logical request; retransmits reuse this seq
     if (hardened()) {
-      ++act_seq_;  // a new logical request; retransmits reuse this seq
       act_retries_ = 0;
       act_rto_ = rm_.protocol_config().rto;
       act_timer_.arm(act_rto_);
@@ -60,60 +60,42 @@ void Client::terminate() {
   }
   settle_degraded();
   disarm_timers();
-  if (hardened()) ++act_seq_;  // terMsg is its own logical request
+  ++act_seq_;  // terMsg is its own logical request
   state_ = State::kTerminated;
   rm_.send_ter(this);
 }
 
 // --------------------------------------------------------------------------
-// Legacy ideal-channel deliveries (behaviour kept bit-identical).
+// Deliveries: act on the first copy; on the lossy channel, ack every copy.
 // --------------------------------------------------------------------------
 
-void Client::on_stop() {
-  if (state_ == State::kTerminated) return;
-  if (state_ == State::kActive) {
-    state_ = State::kStopped;
-    stopped_since_ = kernel_.now();
-  }
-}
-
-void Client::on_configure(int mode, nc::TokenBucket rate) {
-  mode_ = mode;
-  if (state_ == State::kTerminated) return;
-  if (shaper_) {
-    shaper_->reconfigure(rate, kernel_.now());
-  } else {
-    shaper_.emplace(rate, kernel_.now());
-  }
-  if (state_ == State::kStopped || state_ == State::kAwaitingAdmission) {
-    blocked_ += kernel_.now() - stopped_since_;
-  }
-  state_ = State::kActive;
-  pump();
-}
-
-// --------------------------------------------------------------------------
-// Hardened deliveries: ack every copy, act on the first.
-// --------------------------------------------------------------------------
-
-void Client::on_stop(const ControlMessage& msg) {
-  PAP_CHECK(hardened());
-  if (state_ == State::kCrashed) return;  // a dead client cannot ack
+bool Client::accept(const ControlMessage& msg) {
+  if (state_ == State::kCrashed) return false;  // a dead client cannot ack
   if (msg.epoch < epoch_) {
     // Stale: from a transition that has since been superseded.
     ++rm_.mutable_stats().duplicates_discarded;
-    return;
+    return false;
   }
-  const bool dup = is_duplicate(msg.seq);
+  const bool dup = !seen_seqs_.insert(msg.seq).second;
   // Ack every delivered copy — acks are idempotent by seq, and re-acking
   // covers the case where the first ack was the leg that got dropped.
-  ++rm_.mutable_stats().stop_acks;
-  rm_.send_client_msg(this, MsgType::kStopAck, msg.seq);
+  if (hardened()) {
+    ProtocolStats& stats = rm_.mutable_stats();
+    const bool stop = msg.type == MsgType::kStop;
+    ++(stop ? stats.stop_acks : stats.conf_acks);
+    rm_.send_client_msg(this, stop ? MsgType::kStopAck : MsgType::kConfAck,
+                        msg.seq);
+  }
   if (dup) {
     ++rm_.mutable_stats().duplicates_discarded;
-    return;
+    return false;
   }
   epoch_ = msg.epoch;
+  return true;
+}
+
+void Client::on_stop(const ControlMessage& msg) {
+  if (!accept(msg)) return;
   if (state_ == State::kTerminated || state_ == State::kInactive) return;
   settle_degraded();
   if (state_ == State::kActive || state_ == State::kDegraded) {
@@ -124,20 +106,7 @@ void Client::on_stop(const ControlMessage& msg) {
 }
 
 void Client::on_configure(const ControlMessage& msg) {
-  PAP_CHECK(hardened());
-  if (state_ == State::kCrashed) return;
-  if (msg.epoch < epoch_) {
-    ++rm_.mutable_stats().duplicates_discarded;
-    return;
-  }
-  const bool dup = is_duplicate(msg.seq);
-  ++rm_.mutable_stats().conf_acks;
-  rm_.send_client_msg(this, MsgType::kConfAck, msg.seq);
-  if (dup) {
-    ++rm_.mutable_stats().duplicates_discarded;
-    return;
-  }
-  epoch_ = msg.epoch;
+  if (!accept(msg)) return;
   mode_ = msg.mode;
   if (state_ == State::kTerminated) return;
   act_timer_.cancel();  // the confMsg doubles as the actMsg's ack
@@ -283,10 +252,6 @@ void Client::retransmit_act() {
   // Resend the same logical request (same seq): act_msgs counts logical
   // requests, retransmissions counts the extra copies.
   rm_.send_client_msg(this, MsgType::kActivate, act_seq_);
-}
-
-bool Client::is_duplicate(std::uint64_t seq) {
-  return !seen_seqs_.insert(seq).second;
 }
 
 }  // namespace pap::rm

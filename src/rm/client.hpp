@@ -7,15 +7,16 @@
 // trying to conduct the first transmission its request is trapped by the
 // client. It remains blocked until acknowledged by the RM with a confMsg."
 //
-// Under the hardened protocol (ProtocolConfig::hardened) the client also
-// carries its half of the fault-tolerance machinery: it acks stopMsg and
-// confMsg, discards duplicate deliveries by sequence number, retransmits
-// its own actMsg/terMsg with bounded exponential backoff, and runs a
-// watchdog that — when the RM goes quiet while the client is blocked —
-// degrades to a configured safe static rate (Memguard-style fallback)
-// instead of wedging the application forever. Fault injection can crash()
-// and restart() the client; a restarted client re-admits itself through a
-// fresh actMsg.
+// The client acts on each stopMsg/confMsg once, discarding duplicate
+// deliveries by sequence number and stale ones by epoch. On the lossy
+// channel (ProtocolConfig::hardened) it also acks every stopMsg/confMsg
+// copy, retransmits its own actMsg with bounded exponential backoff, and
+// runs a watchdog that — when the RM goes quiet while the client is
+// blocked — degrades to a configured safe static rate (Memguard-style
+// fallback) instead of wedging the application forever. On the ideal
+// channel the RM takes the delivery itself as the ack and no timer runs.
+// Fault injection can crash() and restart() the client; a restarted client
+// re-admits itself through a fresh actMsg.
 #pragma once
 
 #include <deque>
@@ -67,10 +68,8 @@ class Client {
   void restart();
 
   // --- RM-facing interface (invoked after control-message latency) ---
-  void on_stop();  ///< legacy ideal-channel delivery (no header, no ack)
-  void on_configure(int mode, nc::TokenBucket rate);  ///< legacy delivery
-  void on_stop(const ControlMessage& msg);       ///< hardened delivery
-  void on_configure(const ControlMessage& msg);  ///< hardened delivery
+  void on_stop(const ControlMessage& msg);
+  void on_configure(const ControlMessage& msg);
 
   State state() const { return state_; }
   noc::NodeId node() const { return node_; }
@@ -91,13 +90,15 @@ class Client {
   friend class ResourceManager;
 
   void pump();
+  /// Screen one delivered stopMsg/confMsg copy: ack it on the lossy
+  /// channel; true only for the first copy of a current message.
+  bool accept(const ControlMessage& msg);
   void arm_watchdog();    ///< (re)start the RM-silence watchdog
   void disarm_timers();
   void enter_degraded();  ///< Memguard-style fallback to the safe rate
   /// Close an open degraded interval into the shared ProtocolStats.
   void settle_degraded();
   void retransmit_act();
-  bool is_duplicate(std::uint64_t seq);  ///< records seq; true on replay
   bool hardened() const;
 
   sim::Kernel& kernel_;
@@ -115,10 +116,10 @@ class Client {
   std::uint64_t sent_ = 0;
   std::uint64_t rejected_ = 0;
 
-  // --- hardened-protocol state ---
+  // --- message headers and recovery state ---
   std::uint64_t incarnation_ = 0;  ///< bumped on crash; stale events abort
   std::uint64_t epoch_ = 0;        ///< highest transition epoch seen
-  std::uint64_t act_seq_ = 0;      ///< seq of the in-flight actMsg
+  std::uint64_t act_seq_ = 0;      ///< seq of the latest actMsg/terMsg
   int act_retries_ = 0;
   Time act_rto_;
   std::unordered_set<std::uint64_t> seen_seqs_;  ///< RM->client dedup window

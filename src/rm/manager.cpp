@@ -37,7 +37,7 @@ ResourceManager::ResourceManager(sim::Kernel& kernel, noc::Network& network,
       processing_delay_(processing_delay) {}
 
 void ResourceManager::set_protocol_config(ProtocolConfig config) {
-  PAP_CHECK_MSG(!reconfiguring_ && pending_.empty(),
+  PAP_CHECK_MSG(phase_ == Phase::kIdle && pending_.empty(),
                 "protocol config must be set before client traffic");
   PAP_CHECK_MSG(!config.hardened ||
                     (config.rto > Time::zero() && config.backoff >= 1.0 &&
@@ -49,8 +49,8 @@ void ResourceManager::set_protocol_config(ProtocolConfig config) {
 
 void ResourceManager::set_injector(fault::Injector* injector) {
   PAP_CHECK_MSG(injector == nullptr || pcfg_.hardened,
-                "fault injection requires the hardened protocol "
-                "(set_protocol_config first)");
+                "fault injection requires the lossy channel "
+                "(ProtocolConfig::hardened, set_protocol_config first)");
   injector_ = injector;
 }
 
@@ -79,51 +79,33 @@ void ResourceManager::trace_leg(MsgType type, noc::AppId app,
 
 void ResourceManager::send_act(Client* from) {
   ++stats_.act_msgs;
-  const Time nominal = control_latency(from->node());
-  if (pcfg_.hardened) {
-    send_client_msg(from, MsgType::kActivate, from->act_seq_);
-    return;
-  }
-  trace_leg(MsgType::kActivate, from->app(), nominal);
-  kernel_.schedule_in(nominal, [this, from] {
-    pending_.push_back(PendingEvent{true, from});
-    maybe_process_next();
-  });
+  send_client_msg(from, MsgType::kActivate, from->act_seq_);
 }
 
 void ResourceManager::send_ter(Client* from) {
   ++stats_.ter_msgs;
-  const Time nominal = control_latency(from->node());
-  if (pcfg_.hardened) {
-    send_client_msg(from, MsgType::kTerminate, from->act_seq_);
-    return;
-  }
-  trace_leg(MsgType::kTerminate, from->app(), nominal);
-  kernel_.schedule_in(nominal, [this, from] {
-    pending_.push_back(PendingEvent{false, from});
-    maybe_process_next();
-  });
+  send_client_msg(from, MsgType::kTerminate, from->act_seq_);
 }
 
 void ResourceManager::send_client_msg(Client* from, MsgType type,
                                       std::uint64_t seq) {
-  const Time nominal = control_latency(from->node());
+  send_leg(type, *from,
+           [this, from, type, seq] { on_client_msg(from, type, seq); });
+}
+
+void ResourceManager::send_leg(MsgType type, const Client& peer,
+                               sim::EventFn on_arrival) {
+  const Time nominal = control_latency(peer.node());
   fault::LegDecision leg;
   leg.latency = nominal;
   if (injector_ != nullptr) {
     leg = injector_->control_leg(msg_class_of(type),
-                                 leg_label(type, from->app()), nominal);
+                                 leg_label(type, peer.app()), nominal);
   }
   if (leg.dropped) return;
-  trace_leg(type, from->app(), leg.latency);
-  kernel_.schedule_in(leg.latency, [this, from, type, seq] {
-    on_client_msg(from, type, seq);
-  });
-  if (leg.duplicated) {
-    kernel_.schedule_in(leg.dup_latency, [this, from, type, seq] {
-      on_client_msg(from, type, seq);
-    });
-  }
+  trace_leg(type, peer.app(), leg.latency);
+  kernel_.schedule_in(leg.latency, on_arrival);
+  if (leg.duplicated) kernel_.schedule_in(leg.dup_latency, on_arrival);
 }
 
 void ResourceManager::on_client_msg(Client* from, MsgType type,
@@ -143,116 +125,44 @@ void ResourceManager::on_client_msg(Client* from, MsgType type,
       return;
     }
     case MsgType::kStopAck:
-    case MsgType::kConfAck: {
-      for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-        if (outstanding_[i].msg.seq != seq) continue;
-        kernel_.cancel(outstanding_[i].timer);
-        outstanding_.erase(outstanding_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        if (outstanding_.empty()) phase_done();
-        return;
-      }
-      // Ack for a message no longer outstanding: a duplicate (the client
-      // re-acks every replayed delivery) or a straggler after eviction.
-      ++stats_.duplicates_discarded;
+    case MsgType::kConfAck:
+      acknowledge(seq);
       return;
-    }
     default:
       PAP_UNREACHABLE("unexpected client->RM message type");
   }
 }
 
+void ResourceManager::acknowledge(std::uint64_t seq) {
+  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+    if (outstanding_[i].msg.seq != seq) continue;
+    kernel_.cancel(outstanding_[i].timer);
+    outstanding_.erase(outstanding_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (outstanding_.empty()) phase_done();
+    return;
+  }
+  // Ack for a message no longer outstanding: a duplicate (the client
+  // re-acks every replayed delivery) or a straggler after eviction.
+  ++stats_.duplicates_discarded;
+}
+
 void ResourceManager::maybe_process_next() {
-  if (reconfiguring_ || pending_.empty()) return;
+  if (phase_ != Phase::kIdle || pending_.empty()) return;
   // "The activation and termination messages are processed by the RM in
   // their arrival order. Each of them initiate the transition of the
   // system to a different mode."
   PendingEvent ev = pending_.front();
   pending_.pop_front();
-  reconfiguring_ = true;
-  if (pcfg_.hardened) {
-    process_hardened(ev);
-  } else {
-    process(ev);
-  }
+  start_transition(ev);
 }
 
 // --------------------------------------------------------------------------
-// Legacy ideal-channel transition (kept bit-identical for the established
-// benches: no acks, no retries, completion when the last confMsg lands).
+// A transition: stop fan-out -> all stop legs acked (or their clients
+// evicted) -> processing delay -> conf fan-out -> all conf legs acked (or
+// evicted) -> commit.
 // --------------------------------------------------------------------------
 
-void ResourceManager::process(PendingEvent ev) {
-  if (ev.activation) {
-    active_.push_back(ev.client->app());
-  } else {
-    active_.erase(std::remove(active_.begin(), active_.end(),
-                              ev.client->app()),
-                  active_.end());
-  }
-  ++stats_.mode_changes;
-  ++epoch_;
-  transition_start_ = kernel_.now();
-  if (auto* t = kernel_.tracer()) {
-    t->instant("rm", "mode_change/start", "mode");
-  }
-
-  // Phase 1: stop every client that was already active.
-  Time last_stop;
-  for (const auto& c : clients_) {
-    if (c->state() == Client::State::kActive) {
-      const Time lat = control_latency(c->node());
-      ++stats_.stop_msgs;
-      trace_leg(MsgType::kStop, c->app(), lat);
-      kernel_.schedule_in(lat, [client = c.get()] { client->on_stop(); });
-      last_stop = std::max(last_stop, lat);
-    }
-  }
-
-  // Phase 2: once all stops have landed and the RM recomputed the table,
-  // send the new configuration (including to the newly admitted client).
-  const Time conf_at = last_stop + processing_delay_;
-  const int new_mode = static_cast<int>(active_.size());
-  kernel_.schedule_in(conf_at, [this, new_mode] {
-    Time last_conf;
-    std::vector<std::pair<noc::AppId, nc::TokenBucket>> granted;
-    for (const auto& c : clients_) {
-      const bool is_active =
-          std::find(active_.begin(), active_.end(), c->app()) != active_.end();
-      if (!is_active) continue;
-      const auto rate = table_.rate_for(c->app(), active_);
-      granted.emplace_back(c->app(), rate);
-      const Time lat = control_latency(c->node());
-      ++stats_.conf_msgs;
-      trace_leg(MsgType::kConfigure, c->app(), lat);
-      kernel_.schedule_in(
-          lat, [client = c.get(), new_mode, rate] {
-            client->on_configure(new_mode, rate);
-          });
-      last_conf = std::max(last_conf, lat);
-    }
-    // The transition completes when the last confMsg lands.
-    kernel_.schedule_in(last_conf, [this, new_mode, granted] {
-      mode_ = new_mode;
-      transitions_.emplace_back(transition_start_, kernel_.now());
-      if (auto* t = kernel_.tracer()) {
-        t->instant("rm", "mode_change/commit", "mode");
-        t->counter("rm", "mode", static_cast<double>(mode_));
-      }
-      if (on_mode_) on_mode_(kernel_.now(), new_mode, granted);
-      reconfiguring_ = false;
-      maybe_process_next();
-    });
-  });
-}
-
-// --------------------------------------------------------------------------
-// Hardened transition: stop fan-out -> all stop legs acked (or their
-// clients evicted) -> processing delay -> conf fan-out -> all conf legs
-// acked (or evicted) -> commit.
-// --------------------------------------------------------------------------
-
-void ResourceManager::process_hardened(PendingEvent ev) {
+void ResourceManager::start_transition(PendingEvent ev) {
   const bool already_member =
       std::find(active_.begin(), active_.end(), ev.client->app()) !=
       active_.end();
@@ -275,13 +185,18 @@ void ResourceManager::process_hardened(PendingEvent ev) {
   phase_ = Phase::kStopping;
   outstanding_.clear();
   granted_.clear();
-  // Fan out to every member except the event's originator. The RM never
-  // peeks at remote liveness: a crashed member's legs simply go unacked and
-  // retry exhaustion evicts it — that is the RM-side per-client watchdog.
+  // Stop every member except the event's originator and the members that
+  // already terminated (their terMsg is in flight or queued). The RM
+  // never peeks at remote liveness: a crashed member's legs simply go
+  // unacked and retry exhaustion evicts it — the RM-side per-client
+  // watchdog.
   for (const auto& c : clients_) {
     const bool member = std::find(active_.begin(), active_.end(), c->app()) !=
                         active_.end();
-    if (!member || c.get() == ev.client) continue;
+    if (!member || c.get() == ev.client ||
+        c->state() == Client::State::kTerminated) {
+      continue;
+    }
     ControlMessage msg;
     msg.type = MsgType::kStop;
     msg.app = c->app();
@@ -304,38 +219,22 @@ void ResourceManager::send_reliable(Client* to, ControlMessage msg) {
 }
 
 void ResourceManager::transmit(Outstanding& o) {
-  const Time nominal = control_latency(o.client->node());
-  fault::LegDecision leg;
-  leg.latency = nominal;
-  if (injector_ != nullptr) {
-    leg = injector_->control_leg(msg_class_of(o.msg.type),
-                                 leg_label(o.msg.type, o.msg.app), nominal);
-  }
-  if (!leg.dropped) {
-    trace_leg(o.msg.type, o.msg.app, leg.latency);
-    const ControlMessage msg = o.msg;
-    Client* client = o.client;
-    kernel_.schedule_in(leg.latency, [client, msg] {
-      if (msg.type == MsgType::kStop) {
-        client->on_stop(msg);
-      } else {
-        client->on_configure(msg);
-      }
-    });
-    if (leg.duplicated) {
-      kernel_.schedule_in(leg.dup_latency, [client, msg] {
-        if (msg.type == MsgType::kStop) {
-          client->on_stop(msg);
-        } else {
-          client->on_configure(msg);
-        }
-      });
-    }
-  }
+  send_leg(o.msg.type, *o.client,
+           [this, client = o.client, msg = o.msg] { deliver(client, msg); });
+  if (!pcfg_.hardened) return;  // the ideal channel needs no timer
   // The retransmission timer runs regardless of the leg's fate: only the
   // client's ack stops it.
   const std::uint64_t seq = o.msg.seq;
   o.timer = kernel_.schedule_in(o.rto, [this, seq] { on_leg_timeout(seq); });
+}
+
+void ResourceManager::deliver(Client* to, const ControlMessage& msg) {
+  if (msg.type == MsgType::kStop) {
+    to->on_stop(msg);
+  } else {
+    to->on_configure(msg);
+  }
+  if (!pcfg_.hardened) acknowledge(msg.seq);
 }
 
 void ResourceManager::on_leg_timeout(std::uint64_t seq) {
@@ -421,7 +320,6 @@ void ResourceManager::begin_configure() {
 }
 
 void ResourceManager::commit() {
-  phase_ = Phase::kIdle;
   mode_ = static_cast<int>(active_.size());
   transitions_.emplace_back(transition_start_, kernel_.now());
   if (auto* t = kernel_.tracer()) {
@@ -429,7 +327,7 @@ void ResourceManager::commit() {
     t->counter("rm", "mode", static_cast<double>(mode_));
   }
   if (on_mode_) on_mode_(kernel_.now(), mode_, granted_);
-  reconfiguring_ = false;
+  phase_ = Phase::kIdle;
   maybe_process_next();
 }
 

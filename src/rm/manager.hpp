@@ -6,26 +6,29 @@
 // information, the RM may decrease or increase the injection rates for a
 // particular node ... dynamically depending on the current system mode."
 //
-// Reconfiguration procedure, as in the paper: activation and termination
-// messages are processed in arrival order; each starts a mode transition:
-// stopMsg to every active client, then (once all stops have landed) a
-// confMsg per client carrying the new mode and rate; clients adjust their
-// shapers and unblock.
+// One transition machine runs the paper's procedure: activation and
+// termination messages are processed in arrival order; each starts a mode
+// transition: stopMsg to every other member, then (once every stop is
+// acknowledged) a confMsg per member carrying the new mode and rate, and
+// the mode commits when every confMsg is acknowledged. Clients adjust
+// their shapers and unblock as their confMsg lands.
 //
-// Two control planes share this class:
+// What "acknowledged" means is a property of the channel
+// (ProtocolConfig::hardened):
 //
-//  * The legacy ideal channel (default): every message arrives exactly
-//    once, in order — the paper's idealized protocol, kept bit-identical
-//    for the established benches.
-//  * The hardened protocol (ProtocolConfig::hardened): messages carry
-//    sequence/epoch headers and may be dropped, duplicated, delayed or
-//    reordered by an attached fault::Injector. stopMsg/confMsg are acked
-//    and retransmitted with bounded exponential backoff; a per-client
-//    watchdog (retry exhaustion) evicts silent clients so one dead node
-//    cannot wedge a mode transition; clients degrade to a safe static rate
-//    when the RM itself goes quiet. ProtocolStats accounts for the
-//    recovery work — the overhead side of the trade-off analysis the
-//    paper asks for.
+//  * Ideal channel (default): every leg arrives exactly once, in order, so
+//    a leg's delivery is its acknowledgement. No ack leg is sent and no
+//    timer is armed; this is the paper's idealized protocol.
+//  * Lossy channel: legs may be dropped, duplicated, delayed or reordered
+//    by an attached fault::Injector. Clients ack stopMsg/confMsg; the RM
+//    retransmits unacked legs with bounded exponential backoff and evicts
+//    a client whose retries run out, so one dead node cannot wedge a
+//    transition; clients degrade to a safe static rate when the RM goes
+//    quiet. ProtocolStats accounts for the recovery work, the overhead
+//    side of the trade-off analysis the paper asks for.
+//
+// Messages carry their seq/epoch headers on both channels; only the lossy
+// one ever sees a duplicate or a stale copy.
 #pragma once
 
 #include <deque>
@@ -50,15 +53,15 @@ class ResourceManager {
                   noc::NodeId rm_node, RateTable table,
                   Time processing_delay = Time::ns(50));
 
-  /// Select the protocol variant and its reliability knobs. Call before any
-  /// client traffic; the default is the legacy ideal channel.
+  /// Select the channel and its reliability knobs. Call before any client
+  /// traffic; the default is the ideal channel.
   void set_protocol_config(ProtocolConfig config);
   const ProtocolConfig& protocol_config() const { return pcfg_; }
 
   /// Attach a fault injector (not owned; nullptr detaches). Every control
-  /// leg — both directions, acks included — is interposed. Only meaningful
-  /// together with the hardened protocol: injecting faults into the legacy
-  /// ideal channel would simply lose messages with no recovery.
+  /// leg — both directions, acks included — is interposed. Requires the
+  /// lossy channel: on the ideal channel a delivery is its own ack, so a
+  /// lost leg would never be recovered.
   void set_injector(fault::Injector* injector);
   fault::Injector* injector() const { return injector_; }
 
@@ -69,8 +72,8 @@ class ResourceManager {
   // --- protocol endpoints (invoked by clients; latency applied here) ---
   void send_act(Client* from);
   void send_ter(Client* from);
-  /// Hardened protocol: a client ack (or a client actMsg/terMsg
-  /// retransmission) leg; `seq` identifies the acked message.
+  /// One client -> RM leg: actMsg/terMsg (`seq` is the client's request
+  /// id) or, on the lossy channel, an ack (`seq` names the acked message).
   void send_client_msg(Client* from, MsgType type, std::uint64_t seq);
 
   const std::vector<noc::AppId>& active_apps() const { return active_; }
@@ -79,7 +82,7 @@ class ResourceManager {
   /// trace fires), never while stop/conf messages are still in the air.
   int mode() const { return mode_; }
   /// Mode-transition epoch: increments when a transition starts; stamped
-  /// into every hardened control message so stale copies are recognizable.
+  /// into every RM -> client message so stale copies are recognizable.
   std::uint64_t epoch() const { return epoch_; }
   const ProtocolStats& stats() const { return stats_; }
   const RateTable& table() const { return table_; }
@@ -115,13 +118,17 @@ class ResourceManager {
   Time control_latency(noc::NodeId node) const;
   /// Trace one leg as a span on the "rm" track (no-op without a tracer).
   void trace_leg(MsgType type, noc::AppId app, Time latency) const;
-  void process(PendingEvent ev);  ///< runs one mode transition (legacy)
+  /// One leg between the RM and `peer`, either direction, through the
+  /// injector: `on_arrival` runs once per delivered copy.
+  void send_leg(MsgType type, const Client& peer, sim::EventFn on_arrival);
   void maybe_process_next();
-
-  // --- hardened-protocol machinery ---
-  void process_hardened(PendingEvent ev);
+  void start_transition(PendingEvent ev);  ///< membership update, stop fan-out
   void send_reliable(Client* to, ControlMessage msg);
-  void transmit(Outstanding& o);  ///< one leg through the injector
+  void transmit(Outstanding& o);  ///< one leg, plus its retransmission timer
+  /// A stopMsg/confMsg reaches its client; on the ideal channel the
+  /// delivery also acknowledges it.
+  void deliver(Client* to, const ControlMessage& msg);
+  void acknowledge(std::uint64_t seq);
   void on_leg_timeout(std::uint64_t seq);
   void evict(std::size_t outstanding_index);
   void on_client_msg(Client* from, MsgType type, std::uint64_t seq);
@@ -140,14 +147,13 @@ class ResourceManager {
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<noc::AppId> active_;
   std::deque<PendingEvent> pending_;
-  bool reconfiguring_ = false;
   int mode_ = 0;  ///< committed mode (see mode())
   ProtocolStats stats_;
   ModeTraceFn on_mode_;
   std::vector<std::pair<Time, Time>> transitions_;
   Time transition_start_;
 
-  // --- hardened in-flight transition state ---
+  // --- in-flight transition state ---
   std::uint64_t epoch_ = 0;
   std::uint64_t next_seq_ = 1;  ///< RM -> client message ids
   Phase phase_ = Phase::kIdle;

@@ -6,7 +6,9 @@
 // over the chip; the model charges each one its zero-load NoC latency from
 // source to the RM's node (real deployments give control traffic a
 // dedicated virtual channel precisely so it does not contend with data —
-// see DESIGN.md).
+// see DESIGN.md). The same four messages run over either an ideal channel
+// (a delivery is its own ack) or a lossy one (acks, retransmission timers
+// and watchdogs); ProtocolConfig selects which.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,8 @@ enum class MsgType : std::uint8_t {
   kTerminate,  ///< terMsg: client -> RM, app finished
   kStop,       ///< stopMsg: RM -> client, block NoC access for reconfig
   kConfigure,  ///< confMsg: RM -> client, new system mode + rate
-  kStopAck,    ///< client -> RM, stopMsg received (hardened protocol only)
-  kConfAck,    ///< client -> RM, confMsg received (hardened protocol only)
+  kStopAck,    ///< client -> RM, stopMsg received (lossy channel only)
+  kConfAck,    ///< client -> RM, confMsg received (lossy channel only)
 };
 
 std::string to_string(MsgType t);
@@ -35,23 +37,23 @@ struct ControlMessage {
   noc::NodeId node = 0;  ///< client's node
   int mode = 0;          ///< system mode (confMsg)
   nc::TokenBucket rate;  ///< granted injection rate (confMsg)
-  /// Hardened-protocol header. `seq` uniquely identifies a logical message
-  /// (retransmitted copies carry the same seq, so receivers discard
-  /// duplicates and acks stay idempotent); `epoch` counts mode transitions,
-  /// so messages surviving from before a crash are recognizably stale.
-  /// Both stay 0 on the legacy ideal-channel path.
+  /// Header. `seq` uniquely identifies a logical message (retransmitted
+  /// copies carry the same seq, so receivers discard duplicates and acks
+  /// stay idempotent); `epoch` counts mode transitions, so messages
+  /// surviving from before a crash are recognizably stale.
   std::uint64_t seq = 0;
   std::uint64_t epoch = 0;
 };
 
-/// Reliability knobs for the hardened control plane. Default-constructed
-/// (`hardened == false`) selects the legacy ideal-channel protocol — no
-/// acks, retries or watchdogs — preserving byte-identical behaviour of all
-/// pre-existing benches. Hardened mode adds ack + timeout + bounded
-/// exponential-backoff retransmission for stopMsg/confMsg, an RM-side
-/// per-client watchdog that evicts silent clients, and a client-side
-/// watchdog that falls back to a safe static rate (Memguard-style) when
-/// the RM goes quiet.
+/// The control channel the one RM protocol runs over. Default-constructed
+/// (`hardened == false`) it is the paper's ideal channel: every leg arrives
+/// exactly once, its delivery counts as its ack, and no ack leg, timer or
+/// watchdog exists. `hardened == true` selects a lossy channel: stopMsg and
+/// confMsg are acked and retransmitted after a timeout with bounded
+/// exponential backoff, an RM-side per-client watchdog evicts silent
+/// clients, and a client-side watchdog falls back to a safe static rate
+/// (Memguard-style) when the RM goes quiet. The knobs below apply to the
+/// lossy channel only.
 struct ProtocolConfig {
   bool hardened = false;
   Time rto = Time::us(2);    ///< initial retransmission timeout
@@ -67,8 +69,8 @@ struct ProtocolConfig {
 
 /// Protocol accounting, for the trade-off analysis the paper asks for
 /// ("a trade-off analysis is required at design time to determine the
-/// overhead of the synchronization protocol"). The recovery counters stay
-/// zero on the legacy path.
+/// overhead of the synchronization protocol"). The ack and recovery
+/// counters stay zero on the ideal channel.
 struct ProtocolStats {
   std::uint64_t act_msgs = 0;
   std::uint64_t ter_msgs = 0;
@@ -76,7 +78,7 @@ struct ProtocolStats {
   std::uint64_t conf_msgs = 0;
   std::uint64_t mode_changes = 0;
 
-  // --- hardened-protocol recovery accounting ---
+  // --- lossy-channel ack and recovery accounting ---
   std::uint64_t stop_acks = 0;  ///< acks sent by clients
   std::uint64_t conf_acks = 0;
   std::uint64_t retransmissions = 0;  ///< RM resends after timeout

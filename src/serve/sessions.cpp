@@ -13,6 +13,10 @@ HandlerOutcome bad(const std::string& msg) {
   return HandlerOutcome::fail(ErrorCode::kBadRequest, msg);
 }
 
+HandlerOutcome unknown_session(std::int64_t sid) {
+  return bad("unknown session " + std::to_string(sid));
+}
+
 }  // namespace
 
 bool SessionRegistry::is_session_op(const std::string& op) {
@@ -42,11 +46,19 @@ std::size_t SessionRegistry::open_sessions() const {
   return sessions_.size();
 }
 
-std::shared_ptr<SessionRegistry::Session> SessionRegistry::find(
-    std::int64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second;
+SessionRegistry::Locked SessionRegistry::acquire(std::int64_t id) const {
+  Locked out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) return out;
+    out.session = it->second;
+  }
+  out.lock = std::unique_lock<std::mutex>(out.session->mu);
+  // A close that locked the session first has already reported its
+  // decision count; this op must not add an uncounted one.
+  if (out.session->closed) return Locked{};
+  return out;
 }
 
 HandlerOutcome SessionRegistry::open(const exp::Params& params) {
@@ -115,9 +127,8 @@ HandlerOutcome SessionRegistry::admit(const exp::Params& params) {
     return bad("'route_order' must be \"xy\" or \"yx\"");
   }
 
-  auto session = find(sid);
-  if (!session) return bad("unknown session " + std::to_string(sid));
-  std::lock_guard<std::mutex> lock(session->mu);
+  const auto [session, lock] = acquire(sid);
+  if (!session) return unknown_session(sid);
 
   const auto& noc = session->controller.analysis().model().noc;
   if (sx >= noc.cols || dx >= noc.cols || sy >= noc.rows || dy >= noc.rows) {
@@ -172,9 +183,8 @@ HandlerOutcome SessionRegistry::release(const exp::Params& params) {
   r.finish();
   if (r.failed()) return bad(r.error());
 
-  auto session = find(sid);
-  if (!session) return bad("unknown session " + std::to_string(sid));
-  std::lock_guard<std::mutex> lock(session->mu);
+  const auto [session, lock] = acquire(sid);
+  if (!session) return unknown_session(sid);
 
   ++session->decisions;
   const Status s =
@@ -194,9 +204,8 @@ HandlerOutcome SessionRegistry::stats(const exp::Params& params) {
   r.finish();
   if (r.failed()) return bad(r.error());
 
-  auto session = find(sid);
-  if (!session) return bad("unknown session " + std::to_string(sid));
-  std::lock_guard<std::mutex> lock(session->mu);
+  const auto [session, lock] = acquire(sid);
+  if (!session) return unknown_session(sid);
 
   const core::AdmissionController& ac = session->controller;
   exp::Result out("admission_stats");
@@ -230,15 +239,15 @@ HandlerOutcome SessionRegistry::close(const exp::Params& params) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = sessions_.find(sid);
-    if (it == sessions_.end()) {
-      return bad("unknown session " + std::to_string(sid));
-    }
+    if (it == sessions_.end()) return unknown_session(sid);
     session = std::move(it->second);
     sessions_.erase(it);
   }
-  // An op racing close may still hold the shared_ptr; it completes against
-  // the detached session and the state dies with the last reference.
+  // An op racing close may still hold the shared_ptr. Ops that lock the
+  // session before this point are counted below; ops that lock it after
+  // see `closed` and answer "unknown session".
   std::lock_guard<std::mutex> lock(session->mu);
+  session->closed = true;
   exp::Result out("admission_close");
   out.add("session", sid);
   out.add("decisions", static_cast<std::int64_t>(session->decisions));

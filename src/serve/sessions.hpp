@@ -60,6 +60,7 @@ class SessionRegistry {
     std::mutex mu;
     core::AdmissionController controller;
     std::uint64_t decisions = 0;  // admit + release calls
+    bool closed = false;  // set by admission_close, under `mu`
 
     Session(core::PlatformModel model, core::AdmissionEngine engine)
         : controller(std::move(model), engine) {}
@@ -71,8 +72,16 @@ class SessionRegistry {
   HandlerOutcome stats(const exp::Params& params);
   HandlerOutcome close(const exp::Params& params);
 
-  /// nullptr + error outcome when the id is unknown.
-  std::shared_ptr<Session> find(std::int64_t id) const;
+  /// An open session with its mutex held.
+  struct Locked {
+    std::shared_ptr<Session> session;
+    /// Declared after `session`, so it unlocks before the last reference
+    /// to the session (and its mutex) can go.
+    std::unique_lock<std::mutex> lock;
+  };
+  /// Session `id`, locked; a null session when the id is unknown or a
+  /// close locked the session first.
+  Locked acquire(std::int64_t id) const;
 
   HandlerLimits limits_;
   mutable std::mutex mu_;

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/rng.hpp"
 #include "rm/manager.hpp"
 #include "rm/rate_table.hpp"
 #include "sim/kernel.hpp"
+#include "trace/tracer.hpp"
 
 namespace pap::rm {
 namespace {
@@ -140,11 +142,24 @@ TEST(Protocol, StoppedClientQueuesTraffic) {
   auto* c1 = f.rm.add_client(f.net.mesh().node(1, 0), 1);
   c1->send(f.packet(1, f.net.mesh().node(1, 0)));
   f.kernel.run();
-  c1->on_stop();  // direct injection of a stop (as during a mode change)
+  // Direct injection of a stop and a conf (as during a mode change), with
+  // seqs the RM has not used and the current epoch.
+  ControlMessage stop;
+  stop.type = MsgType::kStop;
+  stop.app = c1->app();
+  stop.node = c1->node();
+  stop.seq = 1000;
+  stop.epoch = f.rm.epoch();
+  c1->on_stop(stop);
   c1->send(f.packet(1, f.net.mesh().node(1, 0)));
   EXPECT_EQ(c1->queued(), 1u);
   EXPECT_EQ(c1->state(), Client::State::kStopped);
-  c1->on_configure(1, nc::TokenBucket{4.0, 0.01});
+  ControlMessage conf = stop;
+  conf.type = MsgType::kConfigure;
+  conf.mode = 1;
+  conf.rate = nc::TokenBucket{4.0, 0.01};
+  conf.seq = 1001;
+  c1->on_configure(conf);
   f.kernel.run();
   EXPECT_EQ(c1->queued(), 0u);
   EXPECT_GT(c1->blocked_time(), Time::zero());
@@ -315,6 +330,117 @@ TEST(Protocol, TerminateBeforeFirstConfMsg) {
   EXPECT_EQ(f.rm.stats().act_msgs, 1u);
   EXPECT_EQ(f.rm.stats().ter_msgs, 1u);
   EXPECT_EQ(f.rm.stats().mode_changes, 2u);
+}
+
+// Pins one ideal-channel run to the picosecond: overlapping activations, a
+// terminate before admission, and a terMsg queued behind another actMsg
+// while its client is still a member. Transition instants, every protocol
+// counter, each client's blocked time / packets sent / final state and the
+// "rm" trace track are all fixed here, so a change to the transition
+// machine that moves any event shows up as a diff of this dump.
+TEST(Protocol, IdealChannelRunIsPinned) {
+  Fixture f;
+  trace::Tracer tracer;
+  f.kernel.set_tracer(&tracer);
+  auto* c1 = f.rm.add_client(f.net.mesh().node(1, 0), 1);
+  auto* c2 = f.rm.add_client(f.net.mesh().node(3, 3), 2);
+  auto* c3 = f.rm.add_client(f.net.mesh().node(0, 2), 3);
+  auto* c4 = f.rm.add_client(f.net.mesh().node(2, 1), 4);
+  const auto send_at = [&](Time at, Client* c, int n) {
+    f.kernel.schedule_at(at, [&f, c, n] {
+      for (int i = 0; i < n; ++i) c->send(f.packet(c->app(), c->node()));
+    });
+  };
+  // Overlapping activations: c2's actMsg lands during c1's transition.
+  send_at(Time::zero(), c1, 5);
+  send_at(Time::ns(3), c2, 3);
+  // Terminate before admission: c3 quits while its actMsg is in flight.
+  send_at(Time::ns(1), c3, 1);
+  f.kernel.schedule_at(Time::ns(6), [c3] { c3->terminate(); });
+  // c1 keeps sending through the later transitions.
+  send_at(Time::ns(400), c1, 2);
+  // c2 terminates just after c4 activates: c2's terMsg queues behind c4's
+  // actMsg while c2 is still a member but already terminated.
+  send_at(Time::ns(2000), c4, 4);
+  f.kernel.schedule_at(Time::ns(2001), [c2] { c2->terminate(); });
+  send_at(Time::ns(2030), c1, 3);
+  f.kernel.run();
+
+  std::ostringstream out;
+  for (const auto& [start, commit] : f.rm.transitions()) {
+    out << "transition " << start.picos() << " " << commit.picos() << "\n";
+  }
+  const ProtocolStats& s = f.rm.stats();
+  out << "stats act=" << s.act_msgs << " ter=" << s.ter_msgs
+      << " stop=" << s.stop_msgs << " conf=" << s.conf_msgs
+      << " modes=" << s.mode_changes << " stop_acks=" << s.stop_acks
+      << " conf_acks=" << s.conf_acks << " retx=" << s.retransmissions
+      << " timeouts=" << s.timeouts << " dups=" << s.duplicates_discarded
+      << " evictions=" << s.evictions << " degraded=" << s.degraded_entries
+      << " degraded_ps=" << s.degraded_time.picos() << "\n";
+  for (const Client* c : {c1, c2, c3, c4}) {
+    out << "client " << c->app() << " blocked=" << c->blocked_time().picos()
+        << " sent=" << c->sent() << " state=" << static_cast<int>(c->state())
+        << "\n";
+  }
+  for (const auto& e : tracer.events()) {
+    if (e.component != "rm") continue;
+    out << e.ts_ps << " " << e.dur_ps << " " << static_cast<int>(e.type)
+        << " " << e.name << " " << e.category << " " << e.value << "\n";
+  }
+  EXPECT_EQ(out.str(), R"(transition 12000 74000
+transition 74000 153000
+transition 153000 227000
+transition 227000 326000
+transition 2022000 2121000
+transition 2121000 2215000
+stats act=4 ter=2 stop=6 conf=11 modes=6 stop_acks=0 conf_acks=0 retx=0 timeouts=0 dups=0 evictions=0 degraded=0 degraded_ps=0
+client 1 blocked=394000 sent=10 state=2
+client 2 blocked=323000 sent=3 state=6
+client 3 blocked=0 sent=0 state=6
+client 4 blocked=178000 sent=4 state=2
+0 12000 2 actMsg/app1 msg 0
+1000 17000 2 actMsg/app3 msg 0
+3000 37000 2 actMsg/app2 msg 0
+6000 17000 2 terMsg/app3 msg 0
+12000 0 3 mode_change/start mode 0
+62000 12000 2 confMsg/app1 msg 0
+74000 0 3 mode_change/commit mode 0
+74000 0 4 mode  1
+74000 0 3 mode_change/start mode 0
+74000 12000 2 stopMsg/app1 msg 0
+136000 12000 2 confMsg/app1 msg 0
+136000 17000 2 confMsg/app3 msg 0
+153000 0 3 mode_change/commit mode 0
+153000 0 4 mode  2
+153000 0 3 mode_change/start mode 0
+153000 12000 2 stopMsg/app1 msg 0
+215000 12000 2 confMsg/app1 msg 0
+227000 0 3 mode_change/commit mode 0
+227000 0 4 mode  1
+227000 0 3 mode_change/start mode 0
+227000 12000 2 stopMsg/app1 msg 0
+289000 12000 2 confMsg/app1 msg 0
+289000 37000 2 confMsg/app2 msg 0
+326000 0 3 mode_change/commit mode 0
+326000 0 4 mode  2
+2000000 22000 2 actMsg/app4 msg 0
+2001000 37000 2 terMsg/app2 msg 0
+2022000 0 3 mode_change/start mode 0
+2022000 12000 2 stopMsg/app1 msg 0
+2084000 12000 2 confMsg/app1 msg 0
+2084000 37000 2 confMsg/app2 msg 0
+2084000 22000 2 confMsg/app4 msg 0
+2121000 0 3 mode_change/commit mode 0
+2121000 0 4 mode  3
+2121000 0 3 mode_change/start mode 0
+2121000 12000 2 stopMsg/app1 msg 0
+2121000 22000 2 stopMsg/app4 msg 0
+2193000 12000 2 confMsg/app1 msg 0
+2193000 22000 2 confMsg/app4 msg 0
+2215000 0 3 mode_change/commit mode 0
+2215000 0 4 mode  2
+)");
 }
 
 TEST(Protocol, DuplicateAppRegistrationForbidden) {

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/service.hpp"
@@ -256,6 +258,65 @@ TEST(ServeSession, RegistryIsDirectlyDrivable) {
   const auto reopened = reg.dispatch("admission_open", open);
   ASSERT_TRUE(reopened.ok);
   EXPECT_EQ(reopened.result.at("session").as_int(), 2);
+}
+
+// An admit or release that found the session before admission_close erased
+// it must not complete against the detached session: every op reply that
+// says ok must be one of the decisions the close reply counts. Several
+// threads keep the session mutex contended so that, in most rounds, some
+// of them hold the session pointer and wait on its mutex while the close
+// runs.
+TEST(ServeSession, OpsRacingCloseAreCountedOrRefused) {
+  constexpr int kRounds = 40;
+  constexpr int kThreads = 4;
+  HandlerLimits limits;
+  SessionRegistry reg(limits);
+  for (int round = 0; round < kRounds; ++round) {
+    const auto opened = reg.dispatch("admission_open", exp::Params{});
+    ASSERT_TRUE(opened.ok);
+    const std::int64_t sid = opened.result.at("session").as_int();
+
+    std::atomic<std::int64_t> ok_replies{0};
+    std::atomic<int> finished{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&reg, &ok_replies, &finished, sid, t] {
+        exp::Params admit;
+        admit.set("session", exp::Value{sid});
+        admit.set("app", exp::Value{static_cast<std::int64_t>(t + 1)});
+        admit.set("rate", exp::Value{0.01});
+        admit.set("dst_x", exp::Value{static_cast<std::int64_t>(3)});
+        admit.set("dst_y", exp::Value{static_cast<std::int64_t>(t)});
+        exp::Params release;
+        release.set("session", exp::Value{sid});
+        release.set("app", exp::Value{static_cast<std::int64_t>(t + 1)});
+        for (bool admitting = true;; admitting = !admitting) {
+          const auto reply =
+              reg.dispatch(admitting ? "admission_admit" : "admission_release",
+                           admitting ? admit : release);
+          if (!reply.ok) {
+            EXPECT_NE(reply.error.message.find("unknown session"),
+                      std::string::npos)
+                << reply.error.message;
+            finished.fetch_add(1);
+            return;
+          }
+          ok_replies.fetch_add(1);
+        }
+      });
+    }
+    while (ok_replies.load() < 8 * kThreads && finished.load() < kThreads) {
+      std::this_thread::yield();
+    }
+    exp::Params close;
+    close.set("session", exp::Value{sid});
+    const auto closed = reg.dispatch("admission_close", close);
+    for (auto& w : workers) w.join();
+    ASSERT_TRUE(closed.ok);
+    EXPECT_EQ(ok_replies.load(), closed.result.at("decisions").as_int())
+        << "round " << round;
+  }
+  EXPECT_EQ(reg.open_sessions(), 0u);
 }
 
 }  // namespace
