@@ -20,6 +20,7 @@
 // optimized-vs-reference speedup floors. See docs/performance.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,7 +41,9 @@ struct Result {
 };
 
 /// Collects per-iteration results while still printing the familiar console
-/// table, so interactive runs remain readable.
+/// table, so interactive runs remain readable. A benchmark run with
+/// --benchmark_repetitions keeps one result: its fastest repetition by real
+/// time, the one least disturbed by the rest of the machine.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -55,7 +58,14 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : r.counters) {
         res.counters.emplace_back(name, counter.value);
       }
-      results_.push_back(std::move(res));
+      auto seen = std::find_if(
+          results_.begin(), results_.end(),
+          [&](const Result& other) { return other.name == res.name; });
+      if (seen == results_.end()) {
+        results_.push_back(std::move(res));
+      } else if (res.real_ns < seen->real_ns) {
+        *seen = std::move(res);
+      }
     }
     ConsoleReporter::ReportRuns(runs);
   }

@@ -123,11 +123,12 @@ void IncrementalAdmission::dirty_closure(std::vector<FlowSlot>* out) {
 
 void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
                                     const std::vector<FlowSlot>& dirty,
-                                    bool dram_set_changed, Eval* ev) {
+                                    bool refresh_dram, Eval* ev) {
   nc::Arena& arena = nc::thread_arena();
   arena.reset();
   ev->flows.clear();
   ev->converged = true;
+  ev->dram_refreshed = refresh_dram;
   ev->dram_clean.clear();
   ev->dram_clean_bounds.clear();
   for (const FlowSlot s : dirty) ev->flows.push_back(flows_[s].req);
@@ -137,22 +138,12 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
   ev->chains.assign(n, nc::RateLatency{});
   ev->chain_ok.assign(n, 0);
 
-  bool any_dram = dram_set_changed;
-  for (const auto& f : ev->flows) {
-    if (any_dram) break;
-    any_dram = f.uses_dram;
-  }
-  dram_ptrs_.clear();
-  if (any_dram) {
-    // The tentative uses_dram population in admission order: the exact
-    // subsequence the batch oracle hands its DramResiduals.
-    for (const auto& [seq, s] : dram_by_seq_) dram_ptrs_.push_back(&flows_[s].req);
-    if (candidate && candidate->uses_dram) dram_ptrs_.push_back(candidate);
-  }
-  // One residual table for the dirty loop and the clean-DRAM refresh: every
-  // DRAM user of a contract class shares one curve pipeline.
-  core::E2eAnalysis::DramResiduals dram(analysis_, dram_ptrs_.data(),
-                                        dram_ptrs_.size(), arena);
+  // One residual table over the tentative DRAM population for the dirty
+  // loop and the clean-DRAM refresh: every DRAM user of a contract class
+  // shares one curve pipeline.
+  core::DramLoad load = dram_load_;
+  if (candidate && candidate->uses_dram) load.add(candidate->traffic);
+  core::E2eAnalysis::DramResiduals dram(analysis_, load, arena);
 
   if (n > 0) {
     const core::E2eAnalysis::FlatPaths paths =
@@ -176,22 +167,35 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
     }
   }
 
-  if (dram_set_changed) {
+  if (refresh_dram) {
     // The DRAM residual of every *clean* dram flow shifted under it; its
     // NoC component did not, so the cached chain over the fresh DRAM
     // service reproduces the batch value exactly.
     for (const auto& [seq, s] : dram_by_seq_) {
       if (flows_[s].mark == epoch_) continue;  // dirty: evaluated above
       flows_[s].mark = epoch_;
-      const FlowState& fs = flows_[s];
-      std::optional<Time> b;
-      if (fs.chain_valid) {
-        b = analysis_.bound_over_chain(fs.req, fs.chain, dram, arena);
-      }
       ev->dram_clean.push_back(s);
-      ev->dram_clean_bounds.push_back(b);
+      ev->dram_clean_bounds.push_back(dram_bound(s, dram, arena));
     }
   }
+}
+
+std::optional<Time> IncrementalAdmission::dram_bound(
+    FlowSlot s, core::E2eAnalysis::DramResiduals& dram,
+    nc::Arena& arena) const {
+  const FlowState& fs = flows_[s];
+  if (!fs.chain_valid) return std::nullopt;
+  return analysis_.bound_over_chain(fs.req, fs.chain, dram, arena);
+}
+
+void IncrementalAdmission::refresh_dram() {
+  nc::Arena& arena = nc::thread_arena();
+  arena.reset();
+  core::E2eAnalysis::DramResiduals dram(analysis_, dram_load_, arena);
+  for (const auto& [seq, s] : dram_by_seq_) {
+    set_bound(s, dram_bound(s, dram, arena));
+  }
+  dram_stale_ = false;
 }
 
 std::string IncrementalAdmission::first_failure(
@@ -297,6 +301,7 @@ void IncrementalAdmission::apply_eval(const std::vector<FlowSlot>& dirty,
     // Chain untouched: only the DRAM residual moved.
     set_bound(ev->dram_clean[k], ev->dram_clean_bounds[k]);
   }
+  if (ev->dram_refreshed) dram_stale_ = false;
 }
 
 void IncrementalAdmission::set_bound(FlowSlot s, std::optional<Time> b) {
@@ -372,7 +377,9 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
     stats_.dirty_flows_total += dirty_.size();
     stats_.dirty_links_total += marked_links_;
 
-    evaluate(&candidate, dirty_, candidate.uses_dram, &ev_);
+    // A DRAM newcomer shifts every DRAM residual; a stale refresh left by
+    // a release is due before any decision reads the bounds.
+    evaluate(&candidate, dirty_, candidate.uses_dram || dram_stale_, &ev_);
     std::string error = first_failure(req, &candidate, dirty_, ev_);
     if (!error.empty()) {
       if (attempt == 0) first_error = std::move(error);
@@ -397,7 +404,10 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
     fs.chain = ev_.chains.back();
     set_bound(s, ev_.bounds.back());
     app_index_.insert(candidate.app, s);
-    if (candidate.uses_dram) dram_by_seq_.emplace(fs.seq, s);
+    if (candidate.uses_dram) {
+      dram_by_seq_.emplace(fs.seq, s);
+      dram_load_.add(candidate.traffic);
+    }
 
     ++stats_.admissions;
     core::AdmissionGrant grant;
@@ -435,7 +445,7 @@ Status IncrementalAdmission::release(noc::AppId app) {
   const bool dram_changed = flows_[slot].req.uses_dram;
 
   // Unregister before re-proving: the evaluation must see the post-release
-  // flow set (and the post-release DRAM population).
+  // flow set (and the post-release DRAM load).
   FlowState& fs = flows_[slot];
   for (const std::uint32_t idx : fs.links) {
     auto& members = links_[idx].members;
@@ -447,7 +457,10 @@ Status IncrementalAdmission::release(noc::AppId app) {
     }
   }
   app_index_.erase(app);
-  if (dram_changed) dram_by_seq_.erase(fs.seq);
+  if (dram_changed) {
+    dram_by_seq_.erase(fs.seq);
+    dram_load_.remove(fs.req.traffic);
+  }
   failing_seqs_.erase(fs.seq);
   if (fs.diverged) --diverged_count_;
   fs.live = false;
@@ -457,15 +470,20 @@ Status IncrementalAdmission::release(noc::AppId app) {
   fs.links.clear();
   free_slots_.push_back(slot);
 
-  evaluate(nullptr, dirty_, dram_changed, &ev_);
+  // The clean DRAM flows' bounds are not re-derived here: a release rejects
+  // nothing, so their refresh waits for the next request or DRAM
+  // current_bound, which runs it before reading any bound.
+  evaluate(nullptr, dirty_, /*refresh_dram=*/false, &ev_);
   apply_eval(dirty_, &ev_);
+  dram_stale_ = dram_stale_ || dram_changed;
   ++stats_.releases;
   return Status::ok();
 }
 
-std::optional<Time> IncrementalAdmission::current_bound(noc::AppId app) const {
+std::optional<Time> IncrementalAdmission::current_bound(noc::AppId app) {
   const FlowSlot slot = app_index_.find(app);
   if (slot == kInvalidSlot) return std::nullopt;
+  if (dram_stale_ && flows_[slot].req.uses_dram) refresh_dram();
   // A diverged component anywhere makes the global fixpoint miss its
   // iteration cap, which the batch analysis reports as "nothing provable".
   if (diverged_count_ > 0) return std::nullopt;

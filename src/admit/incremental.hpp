@@ -29,16 +29,21 @@
 // tests/admit_incremental_test.cpp and bench/admission_churn.cpp pin this.
 //
 // DRAM is the one globally shared resource: its residual service depends
-// on the whole uses_dram set, not on NoC sharing. The engine therefore
-// caches each DRAM flow's NoC chain — a rate-latency curve, kept as its
-// (rate, latency) pair — and, when the DRAM population changes, re-derives
-// affected bounds by convolving the cached chain with the fresh DRAM
-// residual — O(dram flows) bound refreshes per DRAM churn event,
-// independent of the NoC component sizes, and still bit-identical (the
-// chain is a pure function of the flow's unchanged component). The fresh
-// residuals come from one E2eAnalysis::DramResiduals per evaluation, so
-// the refresh runs one curve pipeline per distinct exclusion bucket plus
-// an O(dram flows) scalar sum per flow.
+// on the whole uses_dram set, not on NoC sharing. The engine keeps that
+// set's exact bucket totals resident (core::DramLoad, O(1) per DRAM admit
+// or release) and caches each DRAM flow's NoC chain — a rate-latency
+// curve, kept as its (rate, latency) pair. When the DRAM population
+// changes, it re-derives the clean DRAM flows' bounds by convolving each
+// cached chain with the fresh DRAM residual: O(dram flows) bound refreshes
+// per DRAM churn event, independent of the NoC component sizes, and still
+// bit-identical (the chain is a pure function of the flow's unchanged
+// component, and the exact totals do not depend on order). The residuals
+// come from one E2eAnalysis::DramResiduals per evaluation: O(1) scalar
+// work per flow, and one curve pipeline per distinct contract. A DRAM
+// admission refreshes at once, since the decision reads the new bounds.
+// A DRAM release rejects nothing, so it only marks the clean DRAM bounds
+// stale; the next request, or current_bound of a DRAM flow, refreshes them
+// before reading any, and consecutive releases share one refresh.
 //
 // Per-decision bookkeeping stays off O(flows): links are found through a
 // table indexed by the packed link id (one uint32 per router port), and
@@ -100,8 +105,10 @@ class IncrementalAdmission {
   Status release(noc::AppId app);
 
   /// Cached bound of an admitted app — the value the last batch run over
-  /// the full flow set would report, served O(1) without re-analysis.
-  std::optional<Time> current_bound(noc::AppId app) const;
+  /// the full flow set would report, served O(1) without re-analysis. The
+  /// first query of a DRAM flow after a DRAM release first refreshes the
+  /// stale DRAM bounds, O(dram flows).
+  std::optional<Time> current_bound(noc::AppId app);
 
   bool contains(noc::AppId app) const;
   std::size_t size() const { return app_index_.size(); }
@@ -216,6 +223,7 @@ class IncrementalAdmission {
     std::vector<std::optional<Time>> bounds;  // parallel to flows
     std::vector<nc::RateLatency> chains;      // NoC chains of dram flows
     std::vector<char> chain_ok;
+    bool dram_refreshed = false;              // dram_clean lists them all
     std::vector<FlowSlot> dram_clean;         // clean dram flows re-bounded
     std::vector<std::optional<Time>> dram_clean_bounds;
   };
@@ -224,9 +232,18 @@ class IncrementalAdmission {
   /// BFS over the membership graph from already-marked seed links; fills
   /// `out` with the (marked) reachable live flows, ascending seq.
   void dirty_closure(std::vector<FlowSlot>* out);
+  /// With `refresh_dram`, the clean DRAM flows are re-bounded against the
+  /// tentative DRAM population too.
   void evaluate(const core::AppRequirement* candidate,
-                const std::vector<FlowSlot>& dirty, bool dram_set_changed,
+                const std::vector<FlowSlot>& dirty, bool refresh_dram,
                 Eval* ev);
+  /// The bound of DRAM flow `s` over its cached chain and `dram`.
+  std::optional<Time> dram_bound(FlowSlot s,
+                                 core::E2eAnalysis::DramResiduals& dram,
+                                 nc::Arena& arena) const;
+  /// Re-bound every DRAM flow against the committed DRAM load and clear
+  /// dram_stale_.
+  void refresh_dram();
   /// Empty string when every tentative flow keeps its guarantee; otherwise
   /// the exact batch rejection message (admission-order-first failure).
   std::string first_failure(const core::AppRequirement& req,
@@ -252,9 +269,13 @@ class IncrementalAdmission {
   std::vector<std::uint32_t> link_by_id_;
   std::size_t live_links_ = 0;
   AppTable app_index_;
-  /// The DRAM users in canonical admission order (seq -> slot): the
-  /// batch-order DRAM summation sequence.
+  /// The DRAM users in admission order (seq -> slot), so a refresh lists
+  /// them in the order the rejection scan reports failures in.
   std::map<std::uint64_t, FlowSlot> dram_by_seq_;
+  /// Exact bucket totals of the live DRAM users.
+  core::DramLoad dram_load_;
+  /// Set by a DRAM release: the clean DRAM flows' cached bounds predate it.
+  bool dram_stale_ = false;
   /// Live flows whose cached bound misses (nullopt or past the deadline),
   /// seq -> slot — consulted so a decision can report the admission-order
   /// first failure without touching clean flows.
@@ -270,7 +291,6 @@ class IncrementalAdmission {
   std::vector<FlowSlot> dirty_;
   std::vector<core::PathLink> cand_links_;
   std::vector<std::uint32_t> bfs_stack_;
-  std::vector<const core::AppRequirement*> dram_ptrs_;
   Eval ev_;
   std::uint64_t marked_links_ = 0;
 

@@ -101,7 +101,7 @@ Status AdmissionController::release(noc::AppId app) {
   return Status::ok();
 }
 
-std::optional<Time> AdmissionController::current_bound(noc::AppId app) const {
+std::optional<Time> AdmissionController::current_bound(noc::AppId app) {
   if (incremental_) return incremental_->current_bound(app);
   const auto it = index_.find(app);
   if (it == index_.end()) return std::nullopt;

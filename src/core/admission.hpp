@@ -56,8 +56,10 @@ class AdmissionController {
   Status release(noc::AppId app);
 
   /// Bound of an admitted app under the current mix — the value the last
-  /// full analysis proved, served from the decision cache (no re-analysis).
-  std::optional<Time> current_bound(noc::AppId app) const;
+  /// full analysis proved, served from the decision cache (no re-analysis;
+  /// the incremental engine may first refresh DRAM bounds a release left
+  /// stale).
+  std::optional<Time> current_bound(noc::AppId app);
 
   /// Admitted applications in admission order. O(1) on the batch engine;
   /// the incremental engine gathers its resident state on each call.

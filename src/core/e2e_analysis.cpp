@@ -13,53 +13,19 @@ namespace {
 constexpr int kMaxFixpointIters = 200;
 constexpr double kBurstDivergenceCap = 1e7;  // packets; clearly unstable
 
-/// Table hash of a DramResiduals key (five words), chained through
+/// Table hash of a DramResiduals key (two words), chained through
 /// splitmix64's finalizer like propagate_flat's link table.
 std::uint64_t hash_key(const std::uint64_t* key) {
-  std::uint64_t h = splitmix64_mix(key[0]);
-  for (int i = 1; i < 5; ++i) h = splitmix64_mix(h ^ key[i]);
-  return h;
+  return splitmix64_mix(splitmix64_mix(key[0]) ^ key[1]);
 }
 
-/// The two DRAM exclusion buckets of one user: the background writes plus
-/// every other user's bucket, and the other users' buckets alone.
-struct ExclusionSums {
-  nc::TokenBucket writes;
-  nc::TokenBucket reads;
-  bool any = false;  // some other user exists
-};
-
-/// Both exclusion sums of `app` in one pass over the list, in list order.
-/// Kept out of line: inlined into DramResiduals::service_for, GCC 12 kept
-/// two of the accumulators on the stack and the loop ran ~2x slower.
-[[gnu::noinline]] ExclusionSums exclusion_sums(const noc::AppId* apps,
-                                               const nc::TokenBucket* buckets,
-                                               std::size_t n, noc::AppId app,
-                                               nc::TokenBucket background) {
-  ExclusionSums out;
-  out.writes = background;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (apps[i] == app) continue;
-    out.writes.burst += buckets[i].burst;
-    out.writes.rate += buckets[i].rate;
-    out.reads.burst += buckets[i].burst;
-    out.reads.rate += buckets[i].rate;
-    out.any = true;
-  }
-  return out;
-}
-
-/// The uses_dram flows of `flows` in vector order, as an arena pointer
-/// list for DramResiduals; *n receives the count.
-const AppRequirement* const* dram_users(
-    const std::vector<AppRequirement>& flows, nc::Arena& arena,
-    std::size_t* n) {
-  auto** out = arena.alloc<const AppRequirement*>(flows.size());
-  *n = 0;
+/// The exact load of the uses_dram flows of `flows`.
+DramLoad dram_load(const std::vector<AppRequirement>& flows) {
+  DramLoad load;
   for (const auto& f : flows) {
-    if (f.uses_dram) out[(*n)++] = &f;
+    if (f.uses_dram) load.add(f.traffic);
   }
-  return out;
+  return load;
 }
 
 }  // namespace
@@ -156,9 +122,7 @@ void E2eAnalysis::e2e_bounds_into(const std::vector<AppRequirement>& flows,
   const FlatPaths paths = flat_paths(flows, arena);
   const PropagatedFlat propagated = propagate_flat(flows, paths, arena);
   if (!propagated.converged) return;  // fixpoint diverged: nothing bounded
-  std::size_t ndram = 0;
-  const AppRequirement* const* dram = dram_users(flows, arena, &ndram);
-  DramResiduals residuals(*this, dram, ndram, arena);
+  DramResiduals residuals(*this, dram_load(flows), arena);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (propagated.flow_unbounded[i]) continue;
     const auto chain = chain_for(flows, i, propagated, paths);
@@ -406,19 +370,10 @@ std::optional<Time> E2eAnalysis::bound_over_chain(const AppRequirement& req,
   return Time::from_ns(*h);
 }
 
-E2eAnalysis::DramResiduals::DramResiduals(
-    const E2eAnalysis& analysis, const AppRequirement* const* dram_flows,
-    std::size_t n, nc::Arena& arena)
-    : analysis_(analysis),
-      apps_(arena.alloc<noc::AppId>(n)),
-      buckets_(arena.alloc<nc::TokenBucket>(n)),
-      n_(n),
-      arena_(arena) {
-  for (std::size_t i = 0; i < n; ++i) {
-    apps_[i] = dram_flows[i]->app;
-    buckets_[i] = dram_flows[i]->traffic;
-  }
-}
+E2eAnalysis::DramResiduals::DramResiduals(const E2eAnalysis& analysis,
+                                          const DramLoad& load,
+                                          nc::Arena& arena)
+    : analysis_(analysis), load_(load), arena_(arena) {}
 
 E2eAnalysis::DramResiduals::Entry* E2eAnalysis::DramResiduals::find_slot(
     const std::uint64_t* key) const {
@@ -427,7 +382,7 @@ E2eAnalysis::DramResiduals::Entry* E2eAnalysis::DramResiduals::find_slot(
       static_cast<std::uint32_t>(hash_key(key)) & (cap_ - 1);
   for (;;) {
     Entry& e = slots_[slot];
-    if (!e.used || std::equal(key, key + 5, e.key)) return &e;
+    if (!e.used || std::equal(key, key + 2, e.key)) return &e;
     slot = (slot + 1) & (cap_ - 1);
   }
 }
@@ -447,21 +402,12 @@ void E2eAnalysis::DramResiduals::grow() {
 }
 
 nc::CurveView E2eAnalysis::DramResiduals::service_for(
-    const AppRequirement& req) {
-  // Aggregate write pressure at the controller: the background bucket plus
-  // every other DRAM user's traffic (conservatively all of it counted as
-  // writes for the batch interference — writes are the traffic class that
-  // interrupts reads under FR-FCFS). The other users' reads occupy queue
-  // positions ahead of ours: their bucket sum is subtracted from the
-  // aggregate read service. Both sums run in list (admission) order.
-  const PlatformModel& model = analysis_.model_;
-  const ExclusionSums sums =
-      exclusion_sums(apps_, buckets_, n_, req.app, model.background_writes);
-  const std::uint64_t key[5] = {
-      std::bit_cast<std::uint64_t>(sums.writes.burst),
-      std::bit_cast<std::uint64_t>(sums.writes.rate),
-      std::bit_cast<std::uint64_t>(sums.reads.burst),
-      std::bit_cast<std::uint64_t>(sums.reads.rate), sums.any ? 1u : 0u};
+    const AppRequirement& user) {
+  // Against one load a user's buckets are a function of its own bucket, so
+  // that is the key: a repeat contract costs one probe.
+  const std::uint64_t key[2] = {
+      std::bit_cast<std::uint64_t>(user.traffic.burst),
+      std::bit_cast<std::uint64_t>(user.traffic.rate)};
   if (cap_ == 0) grow();  // first lookup: a NoC-only pass never builds it
   Entry* e = find_slot(key);
   if (e->used) return e->service;
@@ -469,40 +415,58 @@ nc::CurveView E2eAnalysis::DramResiduals::service_for(
     grow();
     e = find_slot(key);
   }
-
-  dram::WcdAnalysis wcd(model.dram, model.dram_ctrl, sums.writes);
-  const nc::CurveView convex = nc::convex_minorant_view(
-      arena_, wcd.service_curve_view(model.dram_service_depth, arena_));
-  const nc::CurveView service =
-      sums.any ? nc::residual_blind_view(
-                     arena_, convex,
-                     nc::affine_view(arena_, sums.reads.burst, sums.reads.rate))
-               : convex;
-  std::copy(key, key + 5, e->key);
-  e->service = service;
+  std::copy(key, key + 2, e->key);
+  e->service = analysis_.dram_residual(load_, &user.traffic, arena_);
   e->used = true;
   ++used_;
-  return service;
+  return e->service;
+}
+
+nc::CurveView E2eAnalysis::dram_residual(const DramLoad& load,
+                                         const nc::TokenBucket* self,
+                                         nc::Arena& arena) const {
+  // Aggregate write pressure at the controller: the background bucket plus
+  // every other DRAM user's traffic (conservatively all of it counted as
+  // writes for the batch interference — writes are the traffic class that
+  // interrupts reads under FR-FCFS). The other users' reads occupy queue
+  // positions ahead of ours: their bucket is subtracted from the aggregate
+  // read service.
+  const nc::TokenBucket own = self ? *self : nc::TokenBucket{0.0, 0.0};
+  const nc::TokenBucket bg = model_.background_writes;
+  const nc::TokenBucket writes{load.burst.value_with({-own.burst, bg.burst}),
+                               load.rate.value_with({-own.rate, bg.rate})};
+  dram::WcdAnalysis wcd(model_.dram, model_.dram_ctrl, writes);
+  const nc::CurveView convex = nc::convex_minorant_view(
+      arena, wcd.service_curve_view(model_.dram_service_depth, arena));
+  if (load.users <= (self ? 1u : 0u)) return convex;  // no other user
+  return nc::residual_blind_view(
+      arena, convex,
+      nc::affine_view(arena, load.burst.value_with({-own.burst}),
+                      load.rate.value_with({-own.rate})));
 }
 
 nc::CurveView E2eAnalysis::dram_service_from(
     const AppRequirement& req, const AppRequirement* const* dram_flows,
     std::size_t n, nc::Arena& arena) const {
-  return DramResiduals(*this, dram_flows, n, arena).service_for(req);
+  // The other users' totals directly: one exact sum per coordinate.
+  DramLoad others;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dram_flows[i]->app != req.app) others.add(dram_flows[i]->traffic);
+  }
+  return dram_residual(others, nullptr, arena);
 }
 
 std::optional<Time> E2eAnalysis::e2e_bound(
     const AppRequirement& req,
     const std::vector<AppRequirement>& others) const {
-  // The flow set with `req` included exactly once: an entry of `others`
-  // with req's app id stands for it (the last one, if several do),
-  // otherwise req is appended.
+  // The flow set with `req` included: an entry of `others` with req's app
+  // id is replaced by it, otherwise req is appended.
   std::vector<AppRequirement> flows;
   flows.reserve(others.size() + 1);
   std::size_t self_idx = others.size();
   for (const auto& o : others) {
     if (o.app == req.app) self_idx = flows.size();
-    flows.push_back(o);
+    flows.push_back(o.app == req.app ? req : o);
   }
   if (self_idx == others.size()) {
     self_idx = flows.size();
@@ -518,9 +482,7 @@ std::optional<Time> E2eAnalysis::e2e_bound(
   }
   const auto chain = chain_for(flows, self_idx, propagated, paths);
   if (!chain) return std::nullopt;
-  std::size_t ndram = 0;
-  const AppRequirement* const* dram = dram_users(flows, arena, &ndram);
-  DramResiduals residuals(*this, dram, ndram, arena);
+  DramResiduals residuals(*this, dram_load(flows), arena);
   return bound_over_chain(req, *chain, residuals, arena);
 }
 

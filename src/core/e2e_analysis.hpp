@@ -37,6 +37,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/exact_sum.hpp"
 #include "core/qos_spec.hpp"
 #include "dram/controller.hpp"
 #include "dram/timing.hpp"
@@ -91,6 +92,27 @@ double link_delay(nc::RateLatency link, double burst);
 std::optional<double> rate_latency_deviation(nc::TokenBucket alpha,
                                              nc::RateLatency beta);
 
+/// The DRAM users of a flow set, as exact totals of their token buckets.
+/// The totals do not depend on the order users are added or removed in, so
+/// a load kept resident and updated per admit and release equals one summed
+/// afresh from the set, bit for bit after rounding.
+struct DramLoad {
+  ExactSum burst;
+  ExactSum rate;
+  std::size_t users = 0;
+
+  void add(nc::TokenBucket b) {
+    burst.add(b.burst);
+    rate.add(b.rate);
+    ++users;
+  }
+  void remove(nc::TokenBucket b) {
+    burst.add(-b.burst);
+    rate.add(-b.rate);
+    --users;
+  }
+};
+
 class E2eAnalysis {
  public:
   explicit E2eAnalysis(PlatformModel model);
@@ -108,7 +130,7 @@ class E2eAnalysis {
 
   /// Full end-to-end bound of `req` against the admitted set `others`:
   /// NoC path (+ DRAM when used). An entry of `others` with req's app id
-  /// stands for req in the flow set; otherwise req is appended. Runs the
+  /// is replaced by req in the flow set; otherwise req is appended. Runs the
   /// slice API below for that one index on the calling thread's
   /// nc::Arena (reset on entry, like e2e_bounds_into).
   std::optional<Time> e2e_bound(const AppRequirement& req,
@@ -120,9 +142,10 @@ class E2eAnalysis {
   /// are computed once and shared. The admission controller re-proves every
   /// admitted application on each decision, which is exactly this shape;
   /// the flow-by-flow form repeats the fixpoint N times on identical input.
-  /// (*out)[i] is empty when flow i has no bounded delay. The whole
-  /// analysis — paths, the burst-propagation fixpoint, every intermediate
-  /// curve — runs on the calling thread's nc::Arena (reset once on entry),
+  /// (*out)[i] is empty when flow i has no bounded delay. A flow set holds
+  /// each app id at most once. The whole analysis — paths, the
+  /// burst-propagation fixpoint, every intermediate curve — runs on the
+  /// calling thread's nc::Arena (reset once on entry),
   /// so a warm steady state (arena blocks grown, *out at capacity) makes
   /// zero heap allocations per decision.
   void e2e_bounds_into(const std::vector<AppRequirement>& flows,
@@ -138,7 +161,9 @@ class E2eAnalysis {
   // batch pipeline over a subset. The arithmetic is order-sensitive only in
   // the per-link user summation, which follows the (vector index, hop)
   // order of `flows`; a caller that presents flows in admission order gets
-  // bit-identical values to the full batch run (docs/admission.md).
+  // bit-identical values to the full batch run (docs/admission.md). The
+  // DRAM buckets are exact sums (DramLoad), so they depend on the set of
+  // DRAM users alone, not on its order.
 
   /// All flows' paths concatenated: flow f's links are
   /// links[off[f] .. off[f + 1]). Both arrays live in the arena.
@@ -191,32 +216,33 @@ class E2eAnalysis {
       const PropagatedFlat& propagated, const FlatPaths& paths) const;
 
   /// Residual DRAM read services of one flow set's DRAM users, shared per
-  /// distinct exclusion bucket. A user's residual depends on the set only
-  /// through two scalar sums over the *other* users: the write bucket
-  /// (background plus their traffic, which feeds the write-batch
-  /// interference) and the read bucket (their traffic, which occupies
-  /// queue positions ahead). service_for() forms both sums in one O(n)
-  /// pass and runs the curve pipeline (WCD service curve, convex minorant,
-  /// blind residual) only for a bucket it has not seen; users in the same
-  /// (b, r) contract class mostly hit (their sums differ only in where the
-  /// skipped entry sat). Equal input bits give equal output bits,
-  /// so sharing never changes a value. The table and every view it returns
-  /// live in `arena`.
+  /// contract. A user's residual depends on the set only through two
+  /// buckets over the *other* users: the write bucket (background plus
+  /// their traffic, which feeds the write-batch interference) and the read
+  /// bucket (their traffic, which occupies queue positions ahead). Both
+  /// come from the set's exact DramLoad in O(1): round(background + total
+  /// - self) and round(total - self). Against one load they are therefore
+  /// a function of the user's own (b, r) bucket, and the table is keyed on
+  /// its bits: the curve pipeline (WCD service curve, convex minorant,
+  /// blind residual) runs once per distinct contract, and every other user
+  /// of that contract costs one probe. Equal input bits give equal output
+  /// bits, so sharing never changes a value. The table and every view it
+  /// returns live in `arena`.
   class DramResiduals {
    public:
-    /// `dram_flows[0..n)` must hold exactly the uses_dram flows of the
-    /// set, in admission order (the vector order of the batch oracle).
-    DramResiduals(const E2eAnalysis& analysis,
-                  const AppRequirement* const* dram_flows, std::size_t n,
+    DramResiduals(const E2eAnalysis& analysis, const DramLoad& load,
                   nc::Arena& arena);
 
-    /// The residual read service of `req` against every list entry with
-    /// another app id (entries with req's app id are skipped).
-    nc::CurveView service_for(const AppRequirement& req);
+    /// The residual read service of `user` — one of the load's users,
+    /// counted in it with user.traffic — against all the others.
+    nc::CurveView service_for(const AppRequirement& user);
+
+    /// Curve pipelines run so far: the distinct contracts looked up.
+    std::uint32_t pipelines() const { return used_; }
 
    private:
     struct Entry {
-      std::uint64_t key[5];  // bits of writes (b, r), reads (b, r); any
+      std::uint64_t key[2];  // bits of the user's own (b, r)
       nc::CurveView service;
       bool used;
     };
@@ -224,11 +250,7 @@ class E2eAnalysis {
     void grow();
 
     const E2eAnalysis& analysis_;
-    // The list's app ids and buckets, gathered once into arena arrays so
-    // the per-lookup exclusion sums scan contiguous memory.
-    noc::AppId* apps_;
-    nc::TokenBucket* buckets_;
-    std::size_t n_;
+    DramLoad load_;
     nc::Arena& arena_;
     Entry* slots_ = nullptr;
     std::uint32_t cap_ = 0;
@@ -245,15 +267,26 @@ class E2eAnalysis {
                                        DramResiduals& dram,
                                        nc::Arena& arena) const;
 
-  /// The residual DRAM read service of `req` alone: a one-lookup
-  /// DramResiduals over `dram_flows[0..n)` (same contract). Callers that
-  /// need the residual of several users of one set share a DramResiduals
-  /// instead.
+  /// The residual DRAM read service of `req` against the entries of
+  /// `dram_flows[0..n)` with another app id: their buckets are summed
+  /// exactly, so the result is bit-equal to DramResiduals::service_for(req)
+  /// over the same set, in any order. Callers that need the residual of
+  /// several users of one set share a DramResiduals instead.
   nc::CurveView dram_service_from(const AppRequirement& req,
                                   const AppRequirement* const* dram_flows,
                                   std::size_t n, nc::Arena& arena) const;
 
  private:
+  /// The residual read service of a DRAM user against `load`, where
+  /// `self` is the user's own bucket when the load counts it, or null when
+  /// the load holds the other users only: the WCD service curve under the
+  /// write bucket (background plus the others' traffic), its convex
+  /// minorant, and the blind residual under the read bucket (the others'
+  /// traffic). Each bucket is rounded once from the exact totals.
+  nc::CurveView dram_residual(const DramLoad& load,
+                              const nc::TokenBucket* self,
+                              nc::Arena& arena) const;
+
   /// Writes req's path (hop_count + 2 links, links_into's order) to out.
   void write_path(const AppRequirement& req, PathLink* out) const;
 

@@ -55,13 +55,18 @@ void Client::send(noc::Packet packet) {
 void Client::terminate() {
   PAP_CHECK_MSG(state_ != State::kTerminated, "double termination");
   if (state_ == State::kInactive || state_ == State::kCrashed) {
+    // No terMsg: the app never activated, or the supervisor is down (or
+    // restarted and has not re-admitted). The client stays deaf, so a
+    // membership the RM still holds ends like a crashed member's: its legs
+    // go unacked and retry exhaustion evicts it.
     state_ = State::kTerminated;
-    return;  // never activated (or its state is already gone)
+    return;
   }
   settle_degraded();
   disarm_timers();
   ++act_seq_;  // terMsg is its own logical request
   state_ = State::kTerminated;
+  ter_sent_ = true;
   rm_.send_ter(this);
 }
 
@@ -70,7 +75,11 @@ void Client::terminate() {
 // --------------------------------------------------------------------------
 
 bool Client::accept(const ControlMessage& msg) {
-  if (state_ == State::kCrashed) return false;  // a dead client cannot ack
+  // A dead client cannot ack, nor can one that ended without a terMsg.
+  if (state_ == State::kCrashed ||
+      (state_ == State::kTerminated && !ter_sent_)) {
+    return false;
+  }
   if (msg.epoch < epoch_) {
     // Stale: from a transition that has since been superseded.
     ++rm_.mutable_stats().duplicates_discarded;

@@ -72,6 +72,11 @@ class Client {
   void on_configure(const ControlMessage& msg);
 
   State state() const { return state_; }
+  /// True once terminate() has sent a terMsg. The RM stops no such member:
+  /// its termination is already on the way. A client that terminated
+  /// without one (while inactive or crashed) acks nothing, so a membership
+  /// it still holds ends by eviction.
+  bool ter_sent() const { return ter_sent_; }
   noc::NodeId node() const { return node_; }
   noc::AppId app() const { return app_; }
   std::size_t queued() const { return queue_.size(); }
@@ -120,6 +125,7 @@ class Client {
   std::uint64_t incarnation_ = 0;  ///< bumped on crash; stale events abort
   std::uint64_t epoch_ = 0;        ///< highest transition epoch seen
   std::uint64_t act_seq_ = 0;      ///< seq of the latest actMsg/terMsg
+  bool ter_sent_ = false;          ///< terminate() sent a terMsg
   int act_retries_ = 0;
   Time act_rto_;
   std::unordered_set<std::uint64_t> seen_seqs_;  ///< RM->client dedup window

@@ -186,17 +186,15 @@ void ResourceManager::start_transition(PendingEvent ev) {
   outstanding_.clear();
   granted_.clear();
   // Stop every member except the event's originator and the members that
-  // already terminated (their terMsg is in flight or queued). The RM
-  // never peeks at remote liveness: a crashed member's legs simply go
-  // unacked and retry exhaustion evicts it — the RM-side per-client
+  // already sent their terMsg (it is in flight or queued). The RM never
+  // peeks at remote liveness: a crashed member's legs — or those of a
+  // member that terminated while crashed, without a terMsg — simply go
+  // unacked and retry exhaustion evicts it: the RM-side per-client
   // watchdog.
   for (const auto& c : clients_) {
     const bool member = std::find(active_.begin(), active_.end(), c->app()) !=
                         active_.end();
-    if (!member || c.get() == ev.client ||
-        c->state() == Client::State::kTerminated) {
-      continue;
-    }
+    if (!member || c.get() == ev.client || c->ter_sent()) continue;
     ControlMessage msg;
     msg.type = MsgType::kStop;
     msg.app = c->app();

@@ -6,6 +6,7 @@
 // the alternate-route retry path and DRAM-coupled mixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <string>
@@ -218,12 +219,15 @@ TEST(AdmitIncremental, DramClassChurnIsPsExactAfterEveryDecision) {
           << "decision " << d << " app " << flows[i].app;
     }
     dram_flows.clear();
+    core::DramLoad load;
     for (const auto& f : flows) {
-      if (f.uses_dram) dram_flows.push_back(&f);
+      if (!f.uses_dram) continue;
+      dram_flows.push_back(&f);
+      load.add(f.traffic);
     }
     shared_arena.reset();
-    core::E2eAnalysis::DramResiduals shared(
-        inc.analysis(), dram_flows.data(), dram_flows.size(), shared_arena);
+    core::E2eAnalysis::DramResiduals shared(inc.analysis(), load,
+                                            shared_arena);
     for (const core::AppRequirement* f : dram_flows) {
       fresh_arena.reset();
       const nc::Curve fresh = nc::to_curve(inc.analysis().dram_service_from(
@@ -240,6 +244,136 @@ TEST(AdmitIncremental, DramClassChurnIsPsExactAfterEveryDecision) {
     ASSERT_TRUE(inc.request(r)) << "decision " << d;
     expect_exact(d);
   }
+}
+
+// A DRAM release leaves the clean DRAM bounds stale until the next
+// request. Two releases in a row, then a NoC-only newcomer that breaks a
+// DRAM flow it shares links with: the rejection prints that flow's bound
+// under the DRAM population left by both releases, and must match the
+// batch engine's string exactly; afterwards every cached bound must too.
+TEST(AdmitIncremental, NocRejectionAfterTwoDramReleasesMatchesOracle) {
+  noc::Mesh2D mesh(4, 4);
+  // app4 runs along row 0; the other DRAM users sit on rows of their own.
+  const auto dram_user = [&](noc::AppId id, int row, Time deadline) {
+    return app(id, 1.0, 2e-6 * static_cast<double>(id), mesh.node(0, row),
+               mesh.node(3, row), deadline, /*dram=*/true);
+  };
+  Time deadline = Time::ms(50);
+  {
+    // app4's bound with all four DRAM users admitted, plus 1 ns, is its
+    // deadline: admissible, but with no room for more NoC cross traffic.
+    core::AdmissionController probe(model(4, 4));
+    for (noc::AppId id = 1; id <= 3; ++id) {
+      ASSERT_TRUE(probe.request(dram_user(id, static_cast<int>(id), deadline)));
+    }
+    ASSERT_TRUE(probe.request(dram_user(4, 0, deadline)));
+    deadline = *probe.current_bound(4) + Time::ns(1);
+  }
+  core::AdmissionController batch(model(4, 4));
+  admit::IncrementalAdmission inc(model(4, 4));
+  for (noc::AppId id = 1; id <= 4; ++id) {
+    const auto r = id == 4 ? dram_user(4, 0, deadline)
+                           : dram_user(id, static_cast<int>(id), Time::ms(50));
+    ASSERT_TRUE(batch.request(r)) << id;
+    ASSERT_TRUE(inc.request(r)) << id;
+  }
+  for (const noc::AppId id : {noc::AppId{1}, noc::AppId{2}}) {
+    ASSERT_TRUE(batch.release(id).is_ok());
+    ASSERT_TRUE(inc.release(id).is_ok());
+  }
+  const auto noc_only =
+      app(5, 4.0, 0.01, mesh.node(0, 0), mesh.node(3, 0), Time::ms(50));
+  const auto rb = batch.request(noc_only);
+  const auto ri = inc.request(noc_only);
+  ASSERT_FALSE(rb.has_value());
+  ASSERT_FALSE(ri.has_value());
+  EXPECT_NE(rb.error_message().find("would break 'app4': bound"),
+            std::string::npos)
+      << rb.error_message();
+  EXPECT_EQ(ri.error_message(), rb.error_message());
+  for (const noc::AppId id : {noc::AppId{3}, noc::AppId{4}}) {
+    ASSERT_TRUE(inc.current_bound(id).has_value()) << id;
+    EXPECT_EQ(inc.current_bound(id)->picos(), batch.current_bound(id)->picos())
+        << id;
+  }
+}
+
+// A release's refresh runs on the next current_bound of a DRAM flow: the
+// bound it serves is ps-exact against one batch pass over the flows left,
+// and smaller than before the release.
+TEST(AdmitIncremental, CurrentBoundAfterDramReleaseIsPsExact) {
+  admit::IncrementalAdmission inc(model(8, 8));
+  noc::Mesh2D mesh(8, 8);
+  for (noc::AppId id = 1; id <= 12; ++id) {
+    const int k = static_cast<int>(id) - 1;
+    ASSERT_TRUE(inc.request(app(id, 1.0 + k % 2, 1e-6 * (1 + k % 3),
+                                mesh.node(2 * (k % 4), k / 4),
+                                mesh.node(2 * (k % 4) + 1, k / 4),
+                                Time::ms(50), /*dram=*/k % 4 != 3)));
+  }
+  const Time before = *inc.current_bound(1);
+  ASSERT_TRUE(inc.release(2).is_ok());
+  const auto flows = inc.flows();
+  std::vector<std::optional<Time>> oracle;
+  inc.analysis().e2e_bounds_into(flows, &oracle);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto cached = inc.current_bound(flows[i].app);
+    ASSERT_TRUE(cached.has_value()) << flows[i].app;
+    ASSERT_TRUE(oracle[i].has_value()) << flows[i].app;
+    EXPECT_EQ(cached->picos(), oracle[i]->picos()) << flows[i].app;
+  }
+  EXPECT_LT(*inc.current_bound(1), before);
+}
+
+// Exact DRAM totals make a DRAM bound a function of the DRAM population,
+// not of its admission order: the same users admitted in two orders on
+// link-disjoint paths get bit-identical bounds, and the users of one
+// contract share one residual pipeline.
+TEST(AdmitIncremental, DramBoundsDoNotDependOnAdmissionOrder) {
+  noc::Mesh2D mesh(8, 8);
+  std::vector<core::AppRequirement> users;
+  for (noc::AppId id = 1; id <= 32; ++id) {
+    const int k = static_cast<int>(id) - 1;
+    // Three contracts, with rates that are not short binary fractions.
+    users.push_back(app(id, 1.0 + k % 3, 1.1e-6 * (1 + k % 3) / 3.0,
+                        mesh.node(2 * (k % 4), k / 4),
+                        mesh.node(2 * (k % 4) + 1, k / 4), Time::ms(50),
+                        /*dram=*/true));
+  }
+  std::vector<core::AppRequirement> shuffled = users;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(3));
+  admit::IncrementalAdmission in_order(model(8, 8));
+  admit::IncrementalAdmission out_of_order(model(8, 8));
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    ASSERT_TRUE(in_order.request(users[i]));
+    ASSERT_TRUE(out_of_order.request(shuffled[i]));
+  }
+  for (const auto& u : users) {
+    const auto a = in_order.current_bound(u.app);
+    const auto b = out_of_order.current_bound(u.app);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << u.app;
+    EXPECT_EQ(a->picos(), b->picos()) << u.app;
+  }
+
+  nc::Arena arena_a;
+  nc::Arena arena_b;
+  core::DramLoad load_a;
+  core::DramLoad load_b;
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    load_a.add(users[i].traffic);
+    load_b.add(shuffled[i].traffic);
+  }
+  core::E2eAnalysis::DramResiduals residuals_a(in_order.analysis(), load_a,
+                                               arena_a);
+  core::E2eAnalysis::DramResiduals residuals_b(in_order.analysis(), load_b,
+                                               arena_b);
+  for (const auto& u : users) {
+    EXPECT_TRUE(nc::to_curve(residuals_a.service_for(u)) ==
+                nc::to_curve(residuals_b.service_for(u)))
+        << u.app;
+  }
+  EXPECT_EQ(residuals_a.pipelines(), 3u);
+  EXPECT_EQ(residuals_b.pipelines(), 3u);
 }
 
 TEST(AdmitIncremental, ChurnSaturationEdge) {

@@ -1,10 +1,17 @@
-// Unit tests for the common substrate: Time, Rate, statistics, RNG, tables.
+// Unit tests for the common substrate: Time, Rate, statistics, RNG, tables,
+// exact summation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <vector>
 
 #include "common/csv.hpp"
+#include "common/exact_sum.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -204,6 +211,150 @@ TEST(CsvWriter, WritesHeaderAndEscapes) {
   std::getline(in, line);
   EXPECT_EQ(line, "3,\"with\"\"quote\"");
   std::remove(path.c_str());
+}
+
+double exact_sum_of(const std::vector<double>& terms) {
+  ExactSum sum;
+  for (const double t : terms) sum.add(t);
+  return sum.value();
+}
+
+/// Python's math.fsum, written out plainly: the reference ExactSum's two
+/// representations must both agree with.
+double fsum_reference(const std::vector<double>& terms) {
+  std::vector<double> partials;
+  for (double x : terms) {
+    std::size_t kept = 0;
+    for (double y : partials) {
+      if (std::fabs(x) < std::fabs(y)) std::swap(x, y);
+      const double hi = x + y;
+      const double lo = y - (hi - x);
+      if (lo != 0.0) partials[kept++] = lo;
+      x = hi;
+    }
+    partials.resize(kept);
+    partials.push_back(x);
+  }
+  double hi = 0.0;
+  std::size_t n = partials.size();
+  if (n > 0) {
+    hi = partials[--n];
+    double lo = 0.0;
+    while (n > 0) {
+      const double x = hi;
+      const double y = partials[--n];
+      hi = x + y;
+      lo = y - (hi - x);
+      if (lo != 0.0) break;
+    }
+    if (n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) ||
+                  (lo > 0.0 && partials[n - 1] > 0.0))) {
+      const double y = lo * 2.0;
+      const double x = hi + y;
+      if (y == x - hi) hi = x;
+    }
+  }
+  return hi + 0.0;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ExactSum, RoundsTheExactTotalOnce) {
+  EXPECT_EQ(exact_sum_of({}), 0.0);
+  // Left to right this reads 0.9999999999999999.
+  EXPECT_EQ(exact_sum_of(std::vector<double>(10, 0.1)), 1.0);
+  EXPECT_EQ(exact_sum_of({1e100, 1.0, -1e100}), 1.0);
+  // Ties go to even unless a lower term pulls past the halfway point.
+  EXPECT_EQ(exact_sum_of({1.0, std::ldexp(1.0, -53)}), 1.0);
+  EXPECT_EQ(exact_sum_of({1.0, std::ldexp(1.0, -53), std::ldexp(1.0, -106)}),
+            1.0 + std::ldexp(1.0, -52));
+  EXPECT_EQ(exact_sum_of({1.0 + std::ldexp(1.0, -52), std::ldexp(1.0, -53)}),
+            1.0 + std::ldexp(1.0, -51));
+  EXPECT_EQ(exact_sum_of({1e-16, 1.0, 1e16}), 1.0000000000000002e16);
+  EXPECT_EQ(bits_of(exact_sum_of({0.5, -0.5})), bits_of(0.0));
+  EXPECT_EQ(exact_sum_of({-3.0, 1.0}), -2.0);
+}
+
+TEST(ExactSum, AgreesWithMathFsumAcrossRepresentations) {
+  // Seeded term sets: a few binary orders of magnitude (fixed point),
+  // hundreds (partials), subnormals, huge terms, and mixed signs with heavy
+  // cancellation. value() and value_with() must both equal the reference.
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int spread = trial % 4 == 0 ? 4 : trial % 4 == 1 ? 60 : 600;
+    const int n = 1 + static_cast<int>(rng() % 200);
+    std::vector<double> terms;
+    for (int i = 0; i < n; ++i) {
+      const int e = static_cast<int>(rng() % spread) - spread / 2;
+      double t = std::ldexp(mantissa(rng), e);
+      if (rng() % 3 == 0) t = -t;
+      if (trial % 7 == 0 && i % 5 == 0) t = std::ldexp(t, -1060);
+      if (trial % 11 == 0 && i % 9 == 0 && spread < 600) {
+        t = std::ldexp(t, 900);
+      }
+      ASSERT_TRUE(std::isfinite(t));
+      terms.push_back(t);
+    }
+    if (trial % 5 == 0) {  // cancel most of the set again
+      const std::vector<double> head(terms.begin(), terms.begin() + n / 2);
+      for (const double t : head) terms.push_back(-t);
+    }
+    const double want = fsum_reference(terms);
+    EXPECT_EQ(bits_of(exact_sum_of(terms)), bits_of(want)) << "trial " << trial;
+    // value_with reads the same sum with its last terms left out of it.
+    ExactSum head;
+    for (std::size_t i = 0; i + 2 < terms.size(); ++i) head.add(terms[i]);
+    if (terms.size() >= 2) {
+      EXPECT_EQ(bits_of(head.value_with({terms[terms.size() - 2],
+                                         terms.back()})),
+                bits_of(want))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(ExactSum, ValueDependsOnTheMultisetOnly) {
+  // Terms over 40 and over 400 binary orders of magnitude, both signs:
+  // every order of adding them, and any detour of adds and matching
+  // subtractions, reads the same bits.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  for (const int spread : {40, 400}) {
+    std::vector<double> terms;
+    for (int i = 0; i < 200; ++i) {
+      const double sign = i % 3 == 0 ? -1.0 : 1.0;
+      terms.push_back(sign * std::ldexp(mantissa(rng), -(i % spread)));
+    }
+    const double want = exact_sum_of(terms);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::shuffle(terms.begin(), terms.end(), rng);
+      ExactSum sum;
+      for (const double t : terms) {
+        sum.add(t);
+        sum.add(1e-3 * t);  // a detour, taken back below
+      }
+      for (const double t : terms) sum.add(-1e-3 * t);
+      EXPECT_EQ(bits_of(sum.value()), bits_of(want))
+          << "spread " << spread << " trial " << trial;
+    }
+  }
+}
+
+TEST(ExactSum, WideSumsCancelBackToFixedPoint) {
+  // Terms 60 binary orders apart do not fit one fixed-point window; once
+  // they cancel, the sum starts over and copies keep their own state.
+  ExactSum sum;
+  for (int k = 0; k < 12; ++k) sum.add(std::ldexp(1.0, 500 - 60 * k));
+  EXPECT_EQ(sum.value(), std::ldexp(1.0, 500));
+  const ExactSum copy = sum;
+  for (int k = 11; k >= 0; --k) sum.add(-std::ldexp(1.0, 500 - 60 * k));
+  EXPECT_EQ(bits_of(sum.value()), bits_of(0.0));
+  sum.add(3.0);
+  sum.add(1e-300);
+  sum.add(-1e-300);
+  EXPECT_EQ(sum.value(), 3.0);
+  EXPECT_EQ(copy.value(), std::ldexp(1.0, 500));
 }
 
 }  // namespace

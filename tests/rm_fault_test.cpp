@@ -275,6 +275,35 @@ TEST(HardenedProtocol, StormNeverWedgesATransition) {
   EXPECT_EQ(f.rm.transitions().size(), f.rm.stats().mode_changes);
 }
 
+// A member that crashes and then terminates sends no terMsg; it must still
+// leave. It acks nothing, so the next transition's stop leg to it exhausts
+// its retries and the RM evicts it before configuring the others.
+TEST(HardenedProtocol, CrashedThenTerminatedMemberIsEvicted) {
+  Fixture f("");
+  auto* c1 = f.add(1, 1);
+  auto* c2 = f.add(2, 2);
+  auto* c3 = f.add(3, 3);
+  f.send(c1);
+  f.send(c2);
+  f.kernel.run();
+  ASSERT_EQ(f.rm.mode(), 2);
+  c2->crash();
+  c2->terminate();
+  EXPECT_FALSE(c2->ter_sent());
+  f.send(c3);
+  f.kernel.run();
+  EXPECT_EQ(f.rm.active_apps(), (std::vector<noc::AppId>{1, 3}));
+  EXPECT_EQ(f.rm.mode(), 2);
+  EXPECT_EQ(f.rm.stats().evictions, 1u);
+  EXPECT_EQ(f.rm.stats().ter_msgs, 0u);
+  // The two members share the budget: 8 Gb/s of 64-byte packets, halved,
+  // is 1/128 packet per ns.
+  ASSERT_TRUE(c1->shaper().has_value());
+  EXPECT_NEAR(c1->shaper()->params().rate, 0.0078125, 1e-12);
+  EXPECT_EQ(c3->state(), Client::State::kActive);
+  EXPECT_EQ(f.rm.transitions().size(), f.rm.stats().mode_changes);
+}
+
 TEST(HardenedProtocol, InjectorRequiresHardenedConfig) {
   sim::Kernel kernel;
   noc::NocConfig cfg;

@@ -3,14 +3,15 @@
 #
 #   tools/unreachable_scan.sh <build-dir>
 #
-# Configures the repository and the perfbench package as Debug builds
-# with -O0 -fno-inline -ffunction-sections -fdata-sections, links with
-# --gc-sections, and builds every executable under bench/, examples/ and
-# tools/ plus perfbench. It then prints, one per line and sorted, the
-# demangled name of every pap:: function that is defined (nm type T or W)
-# in a src/ library but kept in none of those executables. Each mangled
-# name is one line, so constructor and destructor variants count
-# separately; std:: instantiations are not counted.
+# Configures the repository as a Debug build with -O0 -fno-inline
+# -ffunction-sections -fdata-sections, links with --gc-sections, and builds
+# every executable under bench/, examples/ and tools/. perfbench's sources
+# are compiled with the same flags and linked against that build's src/
+# libraries, so src/ is compiled once. It then prints, one per line and
+# sorted, the demangled name of every pap:: function that is defined (nm
+# type T or W) in a src/ library but kept in none of those executables.
+# Each mangled name is one line, so constructor and destructor variants
+# count separately; std:: instantiations are not counted.
 #
 # CI diffs the output against tools/unreachable_baseline.txt and fails on
 # any name that the baseline does not list.
@@ -35,12 +36,28 @@ configure() {  # <source-dir> <binary-dir>
 }
 
 configure "$root" "$out/main"
-configure "$root/perfbench" "$out/perfbench"
 # bench/ is built in benchbuild/ (see the top-level CMakeLists.txt).
 for dir in benchbuild examples tools; do
   make -C "$out/main/$dir" -j "$jobs" > /dev/null
 done
-make -C "$out/perfbench" -j "$jobs" perfbench > /dev/null
+
+# perfbench (perfbench/CMakeLists.txt builds these sources into one binary
+# against pap_serve, pap_scenario and pap_core), on the libraries above.
+cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$out/main/CMakeCache.txt")"
+mkdir -p "$out/perfbench"
+objs=()
+pids=()
+for src in "$root"/perfbench/src/*.cpp; do
+  obj="$out/perfbench/$(basename "$src" .cpp).o"
+  objs+=("$obj")
+  # shellcheck disable=SC2086  # $flags is a list of flags
+  "$cxx" -std=c++20 -g $flags -I"$root/src" -I"$root/perfbench/src" \
+    -c "$src" -o "$obj" &
+  pids+=("$!")
+done
+for pid in "${pids[@]}"; do wait "$pid"; done
+"$cxx" -Wl,--gc-sections "${objs[@]}" -Wl,--start-group "$out"/main/src/*.a \
+  -Wl,--end-group -pthread -o "$out/perfbench/perfbench"
 
 exes=()
 for dir in bench examples tools; do
