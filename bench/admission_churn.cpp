@@ -21,7 +21,10 @@
 //      e2e_bounds_into pass over the resident set, measured directly at
 //      10^4 — and the same pass, run over the churned engine's canonical
 //      flow order at 10^4 and at 10^5, must reproduce every cached bound
-//      ps-exact.
+//      ps-exact. Releases and re-admits over 50 warm tiles are also timed
+//      apart (medians, BM_AdmitRelease and BM_AdmitRequest at 10^5): a
+//      release only unregisters its flow and the re-admit re-proves its
+//      component, so a release must cost at most a quarter of a re-admit.
 //
 //   3. DRAM scaling: d DRAM users on link-disjoint one-hop paths, churned.
 //      Every admission changes the DRAM population, so it re-derives all d
@@ -190,7 +193,8 @@ bool run_determinism_sweep(const exp::CliOptions& cli) {
 /// Flows of tile t on a mesh of `side` routers: 6 flows between the four
 /// routers of the 2x2 block at (2*(t % tiles_per_side), 2*(t /
 /// tiles_per_side)). XY routing never leaves the block, so tiles are
-/// link-disjoint and every churn decision's dirty component is one tile.
+/// link-disjoint and every churn decision's dirty component lies in one
+/// tile.
 struct TileLayout {
   int tiles = 0;
   int tiles_per_side = 0;
@@ -210,8 +214,9 @@ core::AppRequirement tile_flow(const noc::Mesh2D& mesh, const TileLayout& l,
                                int tile, int f) {
   const int bx = 2 * (tile % l.tiles_per_side);
   const int by = 2 * (tile / l.tiles_per_side);
-  // Six routes over the block's four routers; they share the block's links
-  // (a real component, not six independent flows) but nothing outside it.
+  // Six routes over the block's four routers. Routes 0, 1, 4 share links
+  // and so do 2, 3, 5: two components of three flows (not six independent
+  // flows), and nothing shared outside the block.
   static constexpr int kRoutes[6][4] = {{0, 0, 1, 0}, {1, 0, 1, 1},
                                         {1, 1, 0, 1}, {0, 1, 0, 0},
                                         {0, 0, 1, 1}, {1, 1, 0, 0}};
@@ -225,6 +230,8 @@ core::AppRequirement tile_flow(const noc::Mesh2D& mesh, const TileLayout& l,
 struct ScaleResult {
   double fill_ns_per_flow = 0.0;
   double churn_ns_per_decision = 0.0;
+  double release_ns = 0.0;  // median release on a warm tile
+  double request_ns = 0.0;  // median re-admit on a warm tile
   long long churn_decisions = 0;
   long long resident = 0;
 };
@@ -276,13 +283,42 @@ bool scale_point(long nflows, long rounds, bool oracle_check,
       std::chrono::duration<double, std::nano>(Clock::now() - churn0).count() /
       static_cast<double>(out->churn_decisions);
 
+  // Releases and re-admits timed apart, over the first 50 tiles only. With
+  // those tiles in cache this measures each call's own work; on a cold tile
+  // the misses fall on whichever call touches it first, the release.
+  LatencyHistogram release_ps;
+  LatencyHistogram request_ps;
+  const auto since = [](Clock::time_point t0, Clock::time_point t1) {
+    return Time::ps(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() *
+        1000);
+  };
+  const auto warm_tiles = static_cast<std::uint32_t>(std::min(l.tiles, 50));
+  for (long r = 0; r < rounds; ++r) {
+    const int t = static_cast<int>(next() % warm_tiles);
+    const int f = static_cast<int>(next() % 6);
+    const auto req = tile_flow(mesh, l, t, f);
+    const auto t0 = Clock::now();
+    if (!engine.release(req.app).is_ok()) return false;
+    const auto t1 = Clock::now();
+    if (!engine.request(req)) return false;
+    release_ps.add(since(t0, t1));
+    request_ps.add(since(t1, Clock::now()));
+  }
+  out->release_ns =
+      static_cast<double>(release_ps.percentile(50).picos()) / 1e3;
+  out->request_ns =
+      static_cast<double>(request_ps.percentile(50).picos()) / 1e3;
+
   const auto stats = engine.stats();
   std::printf("  n=%lld: fill %.0f ns/flow, churn %.0f ns/decision "
-              "(%lld decisions, last dirty %llu flows / %llu links)\n",
+              "(%lld decisions, last dirty %llu flows / %llu links); "
+              "warm tiles: release %.0f ns, re-admit %.0f ns (medians)\n",
               out->resident, out->fill_ns_per_flow,
               out->churn_ns_per_decision, out->churn_decisions,
               static_cast<unsigned long long>(stats.last_dirty_flows),
-              static_cast<unsigned long long>(stats.last_dirty_links));
+              static_cast<unsigned long long>(stats.last_dirty_links),
+              out->release_ns, out->request_ns);
   check(stats.diverged_flows == 0, "no diverged components under churn");
 
   if (oracle_check) {
@@ -451,6 +487,10 @@ int main(int argc, char** argv) {
                           r10k.churn_ns_per_decision, r10k.churn_decisions});
   rows.push_back(BenchRow{"BM_AdmitChurnIncremental/100000",
                           r100k.churn_ns_per_decision, r100k.churn_decisions});
+  rows.push_back(BenchRow{"BM_AdmitRelease/100000", r100k.release_ns,
+                          rounds});
+  rows.push_back(BenchRow{"BM_AdmitRequest/100000", r100k.request_ns,
+                          rounds});
   rows.push_back(BenchRow{"BM_AdmitFill/100000", r100k.fill_ns_per_flow,
                           r100k.resident});
   if (std::getenv("PAP_CHURN_FULL") != nullptr) {
@@ -471,6 +511,9 @@ int main(int argc, char** argv) {
           : 1e9;
   std::printf("per-decision growth 10^4 -> 10^5: %.2fx\n", growth);
   check(growth < 4.0, "per-decision latency flat in resident flows (< 4x)");
+  // A release only unregisters its flow; the re-admit re-proves its component.
+  check(r100k.release_ns <= 0.25 * r100k.request_ns,
+        "a release costs at most a quarter of a re-admit (warm tiles, 10^5)");
 
   std::printf("== scaling: DRAM-coupled churn ==\n");
   double dram_ns_1000 = 0.0;

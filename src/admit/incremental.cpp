@@ -96,6 +96,13 @@ void IncrementalAdmission::begin_mark() {
   bfs_stack_.clear();
 }
 
+void IncrementalAdmission::seed(std::uint32_t l) {
+  if (links_[l].mark == epoch_) return;
+  links_[l].mark = epoch_;
+  ++marked_links_;
+  bfs_stack_.push_back(l);
+}
+
 void IncrementalAdmission::dirty_closure(std::vector<FlowSlot>* out) {
   out->clear();
   while (!bfs_stack_.empty()) {
@@ -105,13 +112,7 @@ void IncrementalAdmission::dirty_closure(std::vector<FlowSlot>* out) {
       if (flows_[s].mark == epoch_) continue;
       flows_[s].mark = epoch_;
       out->push_back(s);
-      for (const std::uint32_t fl : flows_[s].links) {
-        if (links_[fl].mark != epoch_) {
-          links_[fl].mark = epoch_;
-          ++marked_links_;
-          bfs_stack_.push_back(fl);
-        }
-      }
+      for (const std::uint32_t fl : flows_[s].links) seed(fl);
     }
   }
   // Canonical (admission) order: the batch oracle's vector order, which
@@ -124,6 +125,8 @@ void IncrementalAdmission::dirty_closure(std::vector<FlowSlot>* out) {
 void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
                                     const std::vector<FlowSlot>& dirty,
                                     bool refresh_dram, Eval* ev) {
+  stats_.dirty_flows_total += dirty.size();
+  stats_.dirty_links_total += marked_links_;
   nc::Arena& arena = nc::thread_arena();
   arena.reset();
   ev->flows.clear();
@@ -172,30 +175,27 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
     // NoC component did not, so the cached chain over the fresh DRAM
     // service reproduces the batch value exactly.
     for (const auto& [seq, s] : dram_by_seq_) {
-      if (flows_[s].mark == epoch_) continue;  // dirty: evaluated above
-      flows_[s].mark = epoch_;
+      FlowState& fs = flows_[s];
+      if (fs.mark == epoch_) continue;  // dirty: evaluated above
+      fs.mark = epoch_;
       ev->dram_clean.push_back(s);
-      ev->dram_clean_bounds.push_back(dram_bound(s, dram, arena));
+      ev->dram_clean_bounds.push_back(
+          fs.chain_valid
+              ? analysis_.bound_over_chain(fs.req, fs.chain, dram, arena)
+              : std::nullopt);
     }
   }
 }
 
-std::optional<Time> IncrementalAdmission::dram_bound(
-    FlowSlot s, core::E2eAnalysis::DramResiduals& dram,
-    nc::Arena& arena) const {
-  const FlowState& fs = flows_[s];
-  if (!fs.chain_valid) return std::nullopt;
-  return analysis_.bound_over_chain(fs.req, fs.chain, dram, arena);
-}
-
-void IncrementalAdmission::refresh_dram() {
-  nc::Arena& arena = nc::thread_arena();
-  arena.reset();
-  core::E2eAnalysis::DramResiduals dram(analysis_, dram_load_, arena);
-  for (const auto& [seq, s] : dram_by_seq_) {
-    set_bound(s, dram_bound(s, dram, arena));
+void IncrementalAdmission::flush(bool dram) {
+  if (pending_links_.empty() && !(dram && pending_dram_)) return;
+  begin_mark();
+  for (const std::uint32_t l : pending_links_) {
+    if (!links_[l].members.empty()) seed(l);  // else died in a later release
   }
-  dram_stale_ = false;
+  dirty_closure(&dirty_);
+  evaluate(nullptr, dirty_, dram && pending_dram_, &ev_);
+  apply_eval(dirty_, &ev_);
 }
 
 std::string IncrementalAdmission::first_failure(
@@ -222,46 +222,35 @@ std::string IncrementalAdmission::first_failure(
     return saturated_msg(req.name, first->name);
   }
 
-  std::uint64_t best_seq = UINT64_MAX;
+  // The first clean failure on record, unless a re-evaluated flow fails
+  // before it; the dirty and the re-bounded clean DRAM flows ascend in seq.
+  FlowSlot best = kInvalidSlot;
   std::optional<Time> best_bound;
-  Time best_deadline;
-  const std::string* best_name = nullptr;
   for (const auto& [seq, s] : failing_seqs_) {
     if (flows_[s].mark == epoch_) continue;  // re-evaluated in this attempt
-    best_seq = seq;
+    best = s;
     best_bound = flows_[s].bound;
-    best_deadline = flows_[s].req.deadline;
-    best_name = &flows_[s].req.name;
     break;
   }
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    const FlowSlot s = dirty[i];
-    if (flows_[s].seq >= best_seq) break;
-    const auto& b = ev.bounds[i];
-    if (!b || *b > flows_[s].req.deadline) {
-      best_seq = flows_[s].seq;
-      best_bound = b;
-      best_deadline = flows_[s].req.deadline;
-      best_name = &flows_[s].req.name;
-      break;
+  const auto scan = [&](const std::vector<FlowSlot>& slots,
+                        const std::vector<std::optional<Time>>& bounds) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const FlowState& fs = flows_[slots[i]];
+      if (best != kInvalidSlot && fs.seq >= flows_[best].seq) return;
+      if (!bounds[i] || *bounds[i] > fs.req.deadline) {
+        best = slots[i];
+        best_bound = bounds[i];
+        return;
+      }
     }
-  }
-  for (std::size_t k = 0; k < ev.dram_clean.size(); ++k) {
-    const FlowSlot s = ev.dram_clean[k];
-    if (flows_[s].seq >= best_seq) break;
-    const auto& b = ev.dram_clean_bounds[k];
-    if (!b || *b > flows_[s].req.deadline) {
-      best_seq = flows_[s].seq;
-      best_bound = b;
-      best_deadline = flows_[s].req.deadline;
-      best_name = &flows_[s].req.name;
-      break;
-    }
-  }
-  if (best_name) {
-    return !best_bound
-               ? saturated_msg(req.name, *best_name)
-               : broken_msg(req.name, *best_name, *best_bound, best_deadline);
+  };
+  scan(dirty, ev.bounds);
+  scan(ev.dram_clean, ev.dram_clean_bounds);
+  if (best != kInvalidSlot) {
+    const core::AppRequirement& victim = flows_[best].req;
+    return !best_bound ? saturated_msg(req.name, victim.name)
+                       : broken_msg(req.name, victim.name, *best_bound,
+                                    victim.deadline);
   }
   if (candidate) {
     const auto& b = ev.bounds.back();
@@ -301,7 +290,10 @@ void IncrementalAdmission::apply_eval(const std::vector<FlowSlot>& dirty,
     // Chain untouched: only the DRAM residual moved.
     set_bound(ev->dram_clean[k], ev->dram_clean_bounds[k]);
   }
-  if (ev->dram_refreshed) dram_stale_ = false;
+  if (ev->dram_refreshed) pending_dram_ = false;
+  // Both callers evaluate a closure that contains the pending one.
+  for (const std::uint32_t idx : pending_links_) links_[idx].pending = 0;
+  pending_links_.clear();
 }
 
 void IncrementalAdmission::set_bound(FlowSlot s, std::optional<Time> b) {
@@ -351,6 +343,21 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
         "app " + std::to_string(req.app) + " already admitted");
   }
 
+  const std::uint64_t flows_before = stats_.dirty_flows_total;
+  const std::uint64_t links_before = stats_.dirty_links_total;
+  const auto note_work = [&] {
+    stats_.last_dirty_flows = stats_.dirty_flows_total - flows_before;
+    stats_.last_dirty_links = stats_.dirty_links_total - links_before;
+  };
+  const auto candidate_closure = [this] {
+    begin_mark();
+    for (const core::PathLink& l : cand_links_) {
+      const std::uint32_t idx = link_by_id_[link_id(l)];
+      if (idx != kNoLink) seed(idx);
+    }
+    dirty_closure(&dirty_);
+  };
+
   // Route computation (Sec. IV), mirrored from the batch controller: the
   // requested dimension order first, then the flipped order.
   std::string first_error;
@@ -363,23 +370,22 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
     }
     analysis_.links_into(candidate, &cand_links_);
 
-    begin_mark();
-    for (const core::PathLink& l : cand_links_) {
-      const std::uint32_t idx = link_by_id_[link_id(l)];
-      if (idx == kNoLink || links_[idx].mark == epoch_) continue;
-      links_[idx].mark = epoch_;
-      ++marked_links_;
-      bfs_stack_.push_back(idx);
+    // A closure that covers the pending one re-proves it in this
+    // evaluation; otherwise the pending closure is committed on its own
+    // first (the flush reuses the marks, so the closure is redone).
+    candidate_closure();
+    if (!std::all_of(pending_links_.begin(), pending_links_.end(),
+                     [this](std::uint32_t l) {
+                       return links_[l].members.empty() ||
+                              links_[l].mark == epoch_;
+                     })) {
+      flush(/*dram=*/false);
+      candidate_closure();
     }
-    dirty_closure(&dirty_);
-    stats_.last_dirty_flows = dirty_.size();
-    stats_.last_dirty_links = marked_links_;
-    stats_.dirty_flows_total += dirty_.size();
-    stats_.dirty_links_total += marked_links_;
 
     // A DRAM newcomer shifts every DRAM residual; a stale refresh left by
     // a release is due before any decision reads the bounds.
-    evaluate(&candidate, dirty_, candidate.uses_dram || dram_stale_, &ev_);
+    evaluate(&candidate, dirty_, candidate.uses_dram || pending_dram_, &ev_);
     std::string error = first_failure(req, &candidate, dirty_, ev_);
     if (!error.empty()) {
       if (attempt == 0) first_error = std::move(error);
@@ -410,6 +416,7 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
     }
 
     ++stats_.admissions;
+    note_work();
     core::AdmissionGrant grant;
     grant.app = req.app;
     grant.noc_shaper = req.traffic;
@@ -417,7 +424,11 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
     grant.route_order = candidate.route_order;
     return grant;
   }
+  // Rejected: nothing was committed, so the pending closure (if both
+  // attempts folded it) is still owed; commit it now, once.
+  flush(/*dram=*/false);
   ++stats_.rejections;
+  note_work();
   return Expected<core::AdmissionGrant>::error(first_error +
                                                " (alternate route also fails)");
 }
@@ -428,54 +439,34 @@ Status IncrementalAdmission::release(noc::AppId app) {
     return Status::error("app " + std::to_string(app) + " not admitted");
   }
 
-  begin_mark();
-  flows_[slot].mark = epoch_;  // the leaver is not part of the dirty set
-  for (const std::uint32_t idx : flows_[slot].links) {
-    if (links_[idx].mark == epoch_) continue;
-    links_[idx].mark = epoch_;
-    ++marked_links_;
-    bfs_stack_.push_back(idx);
-  }
-  dirty_closure(&dirty_);
-  stats_.last_dirty_flows = dirty_.size();
-  stats_.last_dirty_links = marked_links_;
-  stats_.dirty_flows_total += dirty_.size();
-  stats_.dirty_links_total += marked_links_;
-
-  const bool dram_changed = flows_[slot].req.uses_dram;
-
-  // Unregister before re-proving: the evaluation must see the post-release
-  // flow set (and the post-release DRAM load).
+  // Unregister only: a release can break no guarantee, so the leaver's
+  // component is re-proved by whatever reads it next.
   FlowState& fs = flows_[slot];
   for (const std::uint32_t idx : fs.links) {
-    auto& members = links_[idx].members;
-    members.erase(slot);
-    if (members.empty()) {
-      link_by_id_[links_[idx].id] = kNoLink;
+    LinkState& ls = links_[idx];
+    ls.members.erase(slot);
+    if (ls.members.empty()) {
+      link_by_id_[ls.id] = kNoLink;
       --live_links_;
       free_links_.push_back(idx);
+    } else if (!ls.pending) {
+      ls.pending = 1;
+      pending_links_.push_back(idx);
     }
   }
   app_index_.erase(app);
-  if (dram_changed) {
+  if (fs.req.uses_dram) {
     dram_by_seq_.erase(fs.seq);
     dram_load_.remove(fs.req.traffic);
+    pending_dram_ = true;
   }
   failing_seqs_.erase(fs.seq);
   if (fs.diverged) --diverged_count_;
-  fs.live = false;
-  fs.diverged = false;
-  fs.chain_valid = false;
-  fs.bound.reset();
-  fs.links.clear();
+  fs.live = false;  // a commit re-initialises every other field on reuse
   free_slots_.push_back(slot);
 
-  // The clean DRAM flows' bounds are not re-derived here: a release rejects
-  // nothing, so their refresh waits for the next request or DRAM
-  // current_bound, which runs it before reading any bound.
-  evaluate(nullptr, dirty_, /*refresh_dram=*/false, &ev_);
-  apply_eval(dirty_, &ev_);
-  dram_stale_ = dram_stale_ || dram_changed;
+  stats_.last_dirty_flows = 0;
+  stats_.last_dirty_links = 0;
   ++stats_.releases;
   return Status::ok();
 }
@@ -483,7 +474,7 @@ Status IncrementalAdmission::release(noc::AppId app) {
 std::optional<Time> IncrementalAdmission::current_bound(noc::AppId app) {
   const FlowSlot slot = app_index_.find(app);
   if (slot == kInvalidSlot) return std::nullopt;
-  if (dram_stale_ && flows_[slot].req.uses_dram) refresh_dram();
+  flush(flows_[slot].req.uses_dram);
   // A diverged component anywhere makes the global fixpoint miss its
   // iteration cap, which the batch analysis reports as "nothing provable".
   if (diverged_count_ > 0) return std::nullopt;
@@ -509,7 +500,8 @@ std::vector<core::AppRequirement> IncrementalAdmission::flows() const {
   return out;
 }
 
-EngineStats IncrementalAdmission::stats() const {
+EngineStats IncrementalAdmission::stats() {
+  flush(/*dram=*/false);
   EngineStats s = stats_;
   s.live_flows = app_index_.size();
   s.live_links = live_links_;

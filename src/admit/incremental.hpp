@@ -39,11 +39,14 @@
 // bit-identical (the chain is a pure function of the flow's unchanged
 // component, and the exact totals do not depend on order). The residuals
 // come from one E2eAnalysis::DramResiduals per evaluation: O(1) scalar
-// work per flow, and one curve pipeline per distinct contract. A DRAM
-// admission refreshes at once, since the decision reads the new bounds.
-// A DRAM release rejects nothing, so it only marks the clean DRAM bounds
-// stale; the next request, or current_bound of a DRAM flow, refreshes them
-// before reading any, and consecutive releases share one refresh.
+// work per flow, and one curve pipeline per distinct contract.
+//
+// A release rejects nothing, so it re-proves nothing: it unregisters the
+// flow and adds its still-live links (and a bit if the DRAM load changed)
+// to a pending set. The next request folds that closure into its own
+// evaluation when its dirty closure covers it, or commits it first;
+// current_bound and stats() commit it before reading, so every value a
+// caller sees is the exact post-release one.
 //
 // Per-decision bookkeeping stays off O(flows): links are found through a
 // table indexed by the packed link id (one uint32 per router port), and
@@ -75,9 +78,9 @@ struct EngineStats {
   std::uint64_t admissions = 0;
   std::uint64_t rejections = 0;
   std::uint64_t releases = 0;
-  /// Dirty-set sizes, summed over all decisions (both route attempts) and
-  /// for the most recent one — the per-decision work the engine actually
-  /// did, as opposed to the O(live_flows) a batch run would have done.
+  /// Dirty-set sizes: the totals sum every evaluation (route attempts and
+  /// pending closures), last_* is the most recent request's share (0 after
+  /// a release) — the work done, not the O(live_flows) of a batch run.
   std::uint64_t dirty_flows_total = 0;
   std::uint64_t dirty_links_total = 0;
   std::uint64_t last_dirty_flows = 0;
@@ -100,14 +103,13 @@ class IncrementalAdmission {
   /// exactly as the batch scan reports it).
   Expected<core::AdmissionGrant> request(const core::AppRequirement& req);
 
-  /// Remove a flow and re-prove only its component. Always succeeds for an
-  /// admitted app; the freed capacity is visible to the next decision.
+  /// Unregister a flow, O(path); its component is re-proved by the next
+  /// request, current_bound or stats(). Always succeeds for an admitted app.
   Status release(noc::AppId app);
 
   /// Cached bound of an admitted app — the value the last batch run over
-  /// the full flow set would report, served O(1) without re-analysis. The
-  /// first query of a DRAM flow after a DRAM release first refreshes the
-  /// stale DRAM bounds, O(dram flows).
+  /// the full flow set would report, served O(1) once what releases left
+  /// pending is re-proved (for a DRAM flow, also the DRAM bounds).
   std::optional<Time> current_bound(noc::AppId app);
 
   bool contains(noc::AppId app) const;
@@ -118,8 +120,13 @@ class IncrementalAdmission {
   /// tests and introspection.
   std::vector<core::AppRequirement> flows() const;
 
-  /// Counters with live_flows/live_links/diverged_flows filled in.
-  EngineStats stats() const;
+  /// Counters with live_flows/live_links/diverged_flows filled in. Re-proves
+  /// the pending closure first, so diverged_flows is the post-release count.
+  EngineStats stats();
+
+  /// Pending links, each listed once: at most the links live when the run
+  /// of releases began, 0 after a request. For tests and introspection.
+  std::size_t pending_links() const { return pending_links_.size(); }
 
   const core::E2eAnalysis& analysis() const { return analysis_; }
 
@@ -209,14 +216,15 @@ class IncrementalAdmission {
   };
 
   struct LinkState {
-    std::uint32_t id = 0;         // packed link id (link_id())
+    std::uint32_t id : 31 = 0;    // packed link id (link_id())
+    std::uint32_t pending : 1 = 0;  // listed in pending_links_
     std::uint32_t mark = 0;       // BFS visitation epoch
     InlineList<6> members;        // live members, ascending seq
   };
 
   /// One tentative evaluation: the dirty component(s) re-run cold, plus
   /// the DRAM-coupled bound refreshes. Nothing is committed until the
-  /// decision passes (admit) or unconditionally (release).
+  /// decision passes (admit) or unconditionally (flush).
   struct Eval {
     std::vector<core::AppRequirement> flows;  // dirty reqs (+candidate last)
     bool converged = true;
@@ -229,21 +237,18 @@ class IncrementalAdmission {
   };
 
   void begin_mark();
+  void seed(std::uint32_t l);  // mark and queue link l unless marked
   /// BFS over the membership graph from already-marked seed links; fills
   /// `out` with the (marked) reachable live flows, ascending seq.
   void dirty_closure(std::vector<FlowSlot>* out);
-  /// With `refresh_dram`, the clean DRAM flows are re-bounded against the
-  /// tentative DRAM population too.
+  /// Counts `dirty` into the totals. With `refresh_dram`, the clean DRAM
+  /// flows are re-bounded against the tentative DRAM population too.
   void evaluate(const core::AppRequirement* candidate,
                 const std::vector<FlowSlot>& dirty, bool refresh_dram,
                 Eval* ev);
-  /// The bound of DRAM flow `s` over its cached chain and `dram`.
-  std::optional<Time> dram_bound(FlowSlot s,
-                                 core::E2eAnalysis::DramResiduals& dram,
-                                 nc::Arena& arena) const;
-  /// Re-bound every DRAM flow against the committed DRAM load and clear
-  /// dram_stale_.
-  void refresh_dram();
+  /// Re-prove and commit the pending closure; with `dram`, re-bound the
+  /// clean DRAM flows against the committed DRAM load too.
+  void flush(bool dram);
   /// Empty string when every tentative flow keeps its guarantee; otherwise
   /// the exact batch rejection message (admission-order-first failure).
   std::string first_failure(const core::AppRequirement& req,
@@ -274,8 +279,10 @@ class IncrementalAdmission {
   std::map<std::uint64_t, FlowSlot> dram_by_seq_;
   /// Exact bucket totals of the live DRAM users.
   core::DramLoad dram_load_;
-  /// Set by a DRAM release: the clean DRAM flows' cached bounds predate it.
-  bool dram_stale_ = false;
+  /// The pending set: links of flows released since the last re-proof
+  /// (skipped once dead), and whether the DRAM load changed since.
+  std::vector<std::uint32_t> pending_links_;
+  bool pending_dram_ = false;
   /// Live flows whose cached bound misses (nullopt or past the deadline),
   /// seq -> slot — consulted so a decision can report the admission-order
   /// first failure without touching clean flows.

@@ -57,8 +57,8 @@ class AdmissionController {
 
   /// Bound of an admitted app under the current mix — the value the last
   /// full analysis proved, served from the decision cache (no re-analysis;
-  /// the incremental engine may first refresh DRAM bounds a release left
-  /// stale).
+  /// the incremental engine may first re-prove what releases left
+  /// pending).
   std::optional<Time> current_bound(noc::AppId app);
 
   /// Admitted applications in admission order. O(1) on the batch engine;
@@ -75,7 +75,9 @@ class AdmissionController {
   }
 
   /// The incremental engine, for stats introspection; null on kBatch.
-  const admit::IncrementalAdmission* incremental() const {
+  /// Mutable, because IncrementalAdmission::stats() first re-proves what
+  /// releases left pending.
+  admit::IncrementalAdmission* incremental() const {
     return incremental_.get();
   }
 

@@ -36,6 +36,9 @@ struct AppRequirement {
   noc::NodeId src = 0;
   noc::NodeId dst = 0;
   noc::Mesh2D::RouteOrder route_order = noc::Mesh2D::RouteOrder::kXY;
+  /// Defaults to true here, but papd's admission_check and admission_admit
+  /// default their `uses_dram` parameter to false (docs/serving.md). The
+  /// pinned bounds rest on both defaults, so neither follows the other.
   bool uses_dram = true;
   double dram_row_hit_fraction = 0.0;  ///< 0 = all row misses (conservative)
 

@@ -216,7 +216,7 @@ HandlerOutcome SessionRegistry::stats(const exp::Params& params) {
   out.add("decisions", static_cast<std::int64_t>(session->decisions));
   out.add("admissions", static_cast<std::int64_t>(ac.admissions()));
   out.add("rejections", static_cast<std::int64_t>(ac.rejections()));
-  if (const auto* inc = ac.incremental()) {
+  if (auto* inc = ac.incremental()) {
     const auto s = inc->stats();
     out.add("releases", static_cast<std::int64_t>(s.releases));
     out.add("live_links", static_cast<std::int64_t>(s.live_links));

@@ -325,6 +325,212 @@ TEST(AdmitIncremental, CurrentBoundAfterDramReleaseIsPsExact) {
   EXPECT_LT(*inc.current_bound(1), before);
 }
 
+/// Flow f (0-5) of 2x2-router tile t on an 8x8 mesh: six XY routes over
+/// the tile's four routers, so tiles share no link. Flow 5 of each tile
+/// also uses the DRAM.
+core::AppRequirement tile_app(int tile, int f) {
+  static constexpr int kRoutes[6][4] = {{0, 0, 1, 0}, {1, 0, 1, 1},
+                                        {1, 1, 0, 1}, {0, 1, 0, 0},
+                                        {0, 0, 1, 1}, {1, 1, 0, 0}};
+  const noc::Mesh2D mesh(8, 8);
+  const int bx = 2 * (tile % 4);
+  const int by = 2 * (tile / 4);
+  const auto id = static_cast<noc::AppId>(1 + 6 * tile + f);
+  const auto src = mesh.node(bx + kRoutes[f][0], by + kRoutes[f][1]);
+  const auto dst = mesh.node(bx + kRoutes[f][2], by + kRoutes[f][3]);
+  if (f == 5) return app(id, 1.0, 1e-6 * (1 + tile % 3), src, dst, Time::ms(50),
+                         /*dram=*/true);
+  return app(id, 1.0 + f, 0.001 + 0.0005 * f, src, dst, Time::us(5));
+}
+
+// Releases only unregister; the next request, current_bound or stats()
+// re-proves what they left pending. NoC and DRAM releases in disjoint
+// tiles, then (a) a request in a third tile, (b) current_bound in
+// another, (c) a request rejected on both routes and (d) a re-admit into
+// the tile of a release: every decision and rejection string equals the
+// batch engine's, and after each step every cached bound is ps-exact.
+TEST(AdmitIncremental, LazyReleasesInDisjointTilesMatchOracle) {
+  core::AdmissionController batch(model(8, 8));
+  admit::IncrementalAdmission inc(model(8, 8));
+  const auto both_request = [&](const core::AppRequirement& r) {
+    const auto rb = batch.request(r);
+    const auto ri = inc.request(r);
+    ASSERT_EQ(rb.has_value(), ri.has_value()) << r.name;
+    if (rb) {
+      EXPECT_EQ(rb.value().e2e_bound.picos(), ri.value().e2e_bound.picos());
+      EXPECT_EQ(rb.value().route_order, ri.value().route_order);
+    } else {
+      EXPECT_EQ(rb.error_message(), ri.error_message());
+    }
+  };
+  const auto both_release = [&](int tile, int f) {
+    const noc::AppId id = tile_app(tile, f).app;
+    ASSERT_TRUE(batch.release(id).is_ok());
+    ASSERT_TRUE(inc.release(id).is_ok());
+  };
+  std::vector<std::optional<Time>> oracle;
+  const auto expect_exact = [&](const char* step) {
+    EXPECT_EQ(inc.pending_links(), 0u) << step;
+    const auto flows = inc.flows();
+    inc.analysis().e2e_bounds_into(flows, &oracle);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const auto cached = inc.current_bound(flows[i].app);
+      ASSERT_TRUE(cached.has_value() && oracle[i].has_value()) << step;
+      EXPECT_EQ(cached->picos(), oracle[i]->picos())
+          << step << " app " << flows[i].app;
+      EXPECT_EQ(cached->picos(), batch.current_bound(flows[i].app)->picos())
+          << step << " app " << flows[i].app;
+    }
+  };
+  for (int t = 0; t < 4; ++t) {
+    for (int f = 0; f < 6; ++f) both_request(tile_app(t, f));
+  }
+  ASSERT_EQ(inc.size(), 24u);
+
+  both_release(0, 1);
+  both_release(1, 5);
+  EXPECT_GT(inc.pending_links(), 0u);
+  auto newcomer = tile_app(2, 4);
+  newcomer.app = 100;
+  newcomer.name = "app100";
+  both_request(newcomer);
+  expect_exact("(a) request in a third tile");
+
+  both_release(2, 2);
+  both_release(3, 5);
+  EXPECT_GT(inc.pending_links(), 0u);
+  const noc::AppId noc_flow = tile_app(0, 0).app;
+  EXPECT_EQ(inc.current_bound(noc_flow)->picos(),
+            batch.current_bound(noc_flow)->picos());
+  EXPECT_EQ(inc.pending_links(), 0u);
+  const noc::AppId dram_flow = tile_app(0, 5).app;
+  EXPECT_EQ(inc.current_bound(dram_flow)->picos(),
+            batch.current_bound(dram_flow)->picos());
+  expect_exact("(b) current_bound in another tile");
+
+  both_release(1, 0);
+  both_release(0, 5);
+  auto hopeless = tile_app(3, 4);
+  hopeless.app = 200;
+  hopeless.name = "app200";
+  hopeless.deadline = Time::ps(1);
+  both_request(hopeless);
+  EXPECT_FALSE(inc.contains(hopeless.app));
+  expect_exact("(c) request rejected on both routes");
+
+  both_release(2, 3);
+  both_request(tile_app(2, 3));
+  expect_exact("(d) re-admit into the released tile");
+}
+
+// What the lazy release costs in re-proved flows. With C the component a
+// release leaves behind: the re-admit that folds it in evaluates |C| flows
+// for both decisions (re-proving at the release would take 2|C|); a
+// release evaluates nothing itself; a request rejected elsewhere evaluates
+// the pending closure once; and one rejected on both routes inside the
+// component evaluates it once more than its two attempts do, as often as a
+// release that re-proved at once would have.
+TEST(AdmitIncremental, LazyReleaseReprovesTheComponentOnce) {
+  admit::IncrementalAdmission inc(model(8, 8));
+  for (int t = 0; t < 3; ++t) {
+    for (int f = 0; f < 6; ++f) ASSERT_TRUE(inc.request(tile_app(t, f)));
+  }
+  const auto x = tile_app(0, 2);
+  const auto s0 = inc.stats();
+  ASSERT_TRUE(inc.release(x.app).is_ok());
+  ASSERT_TRUE(inc.request(x));
+  const auto s1 = inc.stats();
+  const std::uint64_t folded = s1.dirty_flows_total - s0.dirty_flows_total;
+  EXPECT_EQ(s1.last_dirty_flows, folded);
+
+  ASSERT_TRUE(inc.release(x.app).is_ok());
+  const auto s2 = inc.stats();  // re-proves the pending closure on its own
+  EXPECT_EQ(s2.last_dirty_flows, 0u);
+  EXPECT_EQ(s2.last_dirty_links, 0u);
+  const std::uint64_t c = s2.dirty_flows_total - s1.dirty_flows_total;
+  EXPECT_GT(c, 0u);
+  EXPECT_EQ(folded, c);
+  ASSERT_TRUE(inc.request(x));
+  const auto s3 = inc.stats();
+  EXPECT_EQ(s3.dirty_flows_total - s2.dirty_flows_total, c);
+
+  // Rejected in an empty tile: the candidate's closures are empty, so all
+  // the work is the pending closure, evaluated once.
+  auto far = tile_app(7, 4);
+  far.app = 300;
+  far.name = "app300";
+  far.deadline = Time::ps(1);
+  ASSERT_TRUE(inc.release(x.app).is_ok());
+  ASSERT_FALSE(inc.request(far).has_value());
+  EXPECT_EQ(inc.pending_links(), 0u);
+  const auto s4 = inc.stats();
+  EXPECT_EQ(s4.dirty_flows_total - s3.dirty_flows_total, c);
+  EXPECT_EQ(s4.last_dirty_flows, c);
+  ASSERT_TRUE(inc.request(x));
+
+  // Rejected on both routes inside the component: the two attempts plus
+  // the pending closure once, which is what the same rejection costs with
+  // nothing pending, plus |C|.
+  auto near = x;
+  near.app = 301;
+  near.name = "app301";
+  near.deadline = Time::ps(1);
+  const auto s5 = inc.stats();
+  ASSERT_TRUE(inc.release(x.app).is_ok());
+  ASSERT_FALSE(inc.request(near).has_value());
+  EXPECT_EQ(inc.pending_links(), 0u);
+  const auto s6 = inc.stats();
+  ASSERT_FALSE(inc.request(near).has_value());
+  const auto s7 = inc.stats();
+  EXPECT_EQ(s6.dirty_flows_total - s5.dirty_flows_total,
+            s7.dirty_flows_total - s6.dirty_flows_total + c);
+}
+
+// The pending set lists each link once: releasing every flow of a session,
+// one by one with nothing in between, never holds more entries than the
+// links live before the first release, although three flows share every
+// path. The next request and current_bound see an empty engine.
+TEST(AdmitIncremental, PendingSetIsBoundedByLiveLinks) {
+  core::AdmissionController batch(model(8, 8));
+  admit::IncrementalAdmission inc(model(8, 8));
+  const auto copy = [](int tile, int f, int k) {
+    auto r = tile_app(tile, f);
+    r.app += static_cast<noc::AppId>(1000 * k);
+    r.name = "app" + std::to_string(r.app);
+    return r;
+  };
+  for (int k = 0; k < 3; ++k) {
+    for (int t = 0; t < 4; ++t) {
+      for (int f = 0; f < 6; ++f) {
+        ASSERT_TRUE(inc.request(copy(t, f, k)));
+        ASSERT_TRUE(batch.request(copy(t, f, k)));
+      }
+    }
+  }
+  const std::size_t live_links = inc.stats().live_links;
+  for (int k = 0; k < 3; ++k) {
+    for (int f = 0; f < 6; ++f) {
+      for (int t = 0; t < 4; ++t) {
+        ASSERT_TRUE(inc.release(copy(t, f, k).app).is_ok());
+        ASSERT_TRUE(batch.release(copy(t, f, k).app).is_ok());
+        ASSERT_LE(inc.pending_links(), live_links);
+      }
+    }
+  }
+  EXPECT_EQ(inc.size(), 0u);
+  const auto r = tile_app(2, 4);
+  const auto gi = inc.request(r);
+  const auto gb = batch.request(r);
+  ASSERT_TRUE(gi.has_value() && gb.has_value());
+  EXPECT_EQ(gi.value().e2e_bound.picos(), gb.value().e2e_bound.picos());
+  EXPECT_EQ(inc.pending_links(), 0u);
+  EXPECT_EQ(inc.current_bound(r.app)->picos(),
+            batch.current_bound(r.app)->picos());
+  const auto s = inc.stats();
+  EXPECT_EQ(s.live_flows, 1u);
+  EXPECT_EQ(s.diverged_flows, 0u);
+}
+
 // Exact DRAM totals make a DRAM bound a function of the DRAM population,
 // not of its admission order: the same users admitted in two orders on
 // link-disjoint paths get bit-identical bounds, and the users of one
