@@ -450,6 +450,7 @@ bool write_report(const std::string& path, const std::vector<BenchRow>& rows) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": \"pap-bench-v1\",\n");
   std::fprintf(f, "  \"suite\": \"admit\",\n");
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", PAP_BUILD_TYPE);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];

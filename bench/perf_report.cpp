@@ -6,6 +6,7 @@
 //   {
 //     "schema": "pap-bench-v1",
 //     "suite": "nc",
+//     "build_type": "Release",
 //     "benchmarks": [
 //       {"name": "BM_NcDeconvolve", "real_ns": 1.23e3,
 //        "cpu_ns": 1.20e3, "iterations": 567890},
@@ -14,7 +15,8 @@
 //   }
 //
 // No timestamps or host info on purpose: reruns on the same machine diff
-// cleanly except for the numbers. tools/bench_compare.py consumes these
+// cleanly except for the numbers. The build type is recorded because a
+// Debug run is no baseline for a Release one. tools/bench_compare.py consumes these
 // files, both to compare a fresh run against the committed baselines (warn
 // or fail on >25% regressions) and to enforce machine-independent
 // optimized-vs-reference speedup floors. See docs/performance.md.
@@ -92,6 +94,7 @@ bool write_suite(const std::string& path, const std::string& suite,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": \"pap-bench-v1\",\n");
   std::fprintf(f, "  \"suite\": \"%s\",\n", suite.c_str());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", PAP_BUILD_TYPE);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

@@ -19,7 +19,11 @@
 //      hits, and the fleet must sustain >= 100k req/s aggregate;
 //   5. disk warm restart — a service restarted over the same --cache-dir
 //      must answer previously computed requests from the disk tier
-//      (disk_hits > 0) with exactly the bytes the first run produced.
+//      (disk_hits > 0) with exactly the bytes the first run produced;
+//   6. request intake — the per-request layers in isolation, on
+//      serve_mix-shaped admission_check lines: parse_request (2 and 16
+//      apps), Request::key() and the handler's ParamReader pass (16 apps).
+//      Rows only, no gate: they say which layer a serving change moved.
 //
 // Results go to BENCH_serve.json in the pap-bench-v1 schema consumed by
 // tools/bench_compare.py; the committed baseline lives at the repo root
@@ -27,6 +31,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -42,6 +47,7 @@
 #include "dram/timing.hpp"
 #include "dram/wcd.hpp"
 #include "serve/client.hpp"
+#include "serve/param_reader.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 
@@ -430,6 +436,101 @@ BenchRow bench_disk_warm_restart() {
                   static_cast<long long>(gbps.size())};
 }
 
+/// A serve_mix-shaped admission_check line: `apps` apps on an 8x8 mesh,
+/// in the member order perfbench's serve_mix writes.
+std::string intake_line(int apps) {
+  auto num = [](double v) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  std::string p = "{\"mesh_cols\":8,\"mesh_rows\":8,\"apps\":[";
+  for (int i = 0; i < apps; ++i) {
+    if (i > 0) p += ',';
+    p += "{\"burst\":" + std::to_string(1 + i % 8) +
+         ",\"rate\":" + num(0.001 * (1 + i % 12)) +
+         ",\"src_x\":" + std::to_string(i % 8) +
+         ",\"src_y\":" + std::to_string((i / 8) % 8) +
+         ",\"dst_x\":" + std::to_string((i + 3) % 8) +
+         ",\"dst_y\":" + std::to_string((i + 5) % 8) +
+         ",\"deadline_ns\":" + num(100.0 * (10 + i % 50) + 0.125 * i) +
+         ",\"uses_dram\":" + (i % 4 == 0 ? "true" : "false") +
+         ",\"critical\":" + (i % 3 != 0 ? "true" : "false") + "}";
+  }
+  p += "]}";
+  return "{\"id\":12345,\"op\":\"admission_check\",\"params\":" + p + "}";
+}
+
+/// Mean ns per call of `op` over at least 0.2 s of batched calls.
+template <class Op>
+BenchRow time_layer(const std::string& name, Op&& op) {
+  constexpr long kBatch = 256;
+  long iterations = 0;
+  const auto t0 = Clock::now();
+  double elapsed_ns = 0.0;
+  do {
+    for (long i = 0; i < kBatch; ++i) op();
+    iterations += kBatch;
+    elapsed_ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+  } while (elapsed_ns < 2e8);
+  const double ns = elapsed_ns / static_cast<double>(iterations);
+  std::printf("%-28s %10.0f ns/op\n", name.c_str(), ns);
+  return BenchRow{name, ns, iterations};
+}
+
+/// The parameter reads handle_admission_check makes, in its order.
+bool read_admission_params(const pap::exp::Params& params) {
+  pap::serve::ParamReader r(params);
+  r.get_int("mesh_cols", 4, 2, 16);
+  r.get_int("mesh_rows", 4, 2, 16);
+  r.get_double("noc_budget_gbps", 64.0, 0.001, 1e6);
+  r.get_double("burst_packets", 4.0, 0.0, 1e6);
+  const int n = r.count_indexed("apps", 32);
+  for (int i = 0; i < n; ++i) {
+    const std::string k = "apps." + std::to_string(i) + ".";
+    r.get_double(k + "burst", 1.0, 0.0, 1e6);
+    r.require(k + "rate");
+    r.get_double(k + "rate", 0.0, 0.0, 1e6);
+    r.get_int(k + "src_x", 0, 0, 7);
+    r.get_int(k + "src_y", 0, 0, 7);
+    r.get_int(k + "dst_x", 7, 0, 7);
+    r.get_int(k + "dst_y", 0, 0, 7);
+    r.get_double(k + "deadline_ns", 2000.0, 0.001, 1e9);
+    r.get_bool(k + "uses_dram", false);
+    r.get_bool(k + "critical", true);
+  }
+  r.finish();
+  return !r.failed();
+}
+
+/// Section 6: the request-intake layers, one row each.
+std::vector<BenchRow> bench_intake_layers() {
+  std::vector<BenchRow> rows;
+  std::size_t sink = 0;
+  for (int apps : {2, 16}) {
+    const std::string line = intake_line(apps);
+    const auto parsed = pap::serve::parse_request(line);
+    check(parsed.has_value(), std::to_string(apps) + "-app intake line parses");
+    rows.push_back(time_layer(
+        "BM_ServeParseRequest/" + std::to_string(apps), [&] {
+          sink += pap::serve::parse_request(line).value().params.size();
+        }));
+  }
+  const auto req = pap::serve::parse_request(intake_line(16));
+  if (!req.has_value()) return rows;
+  const pap::serve::Request& r = req.value();
+  check(r.params.size() == 16 * 9 + 2, "16-app line flattens to 146 keys");
+  rows.push_back(time_layer("BM_ServeRequestKey/16",
+                            [&] { sink += r.key().size(); }));
+  check(read_admission_params(r.params),
+        "16-app admission_check parameters read without error");
+  rows.push_back(time_layer("BM_ServeParamRead/16", [&] {
+    sink += read_admission_params(r.params) ? 1 : 0;
+  }));
+  if (sink == 0) std::printf("(unreachable: keeps the timed calls)\n");
+  return rows;
+}
+
 bool write_report(const std::string& path, const std::vector<BenchRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -440,6 +541,7 @@ bool write_report(const std::string& path, const std::vector<BenchRow>& rows) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": \"pap-bench-v1\",\n");
   std::fprintf(f, "  \"suite\": \"serve\",\n");
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", PAP_BUILD_TYPE);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -479,6 +581,8 @@ int main(int argc, char** argv) {
   rows.push_back(bench_sharded_fleet());
   std::printf("== disk warm restart ==\n");
   rows.push_back(bench_disk_warm_restart());
+  std::printf("== request intake ==\n");
+  for (auto& row : bench_intake_layers()) rows.push_back(std::move(row));
 
   if (!write_report(out_dir + "/BENCH_serve.json", rows)) return 1;
   if (g_failures > 0) {

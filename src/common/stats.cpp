@@ -72,6 +72,48 @@ std::string LatencyHistogram::summary() const {
   return os.str();
 }
 
+std::size_t LogHistogram::bucket_of(std::int64_t ps) {
+  const auto v = static_cast<std::uint64_t>(std::max<std::int64_t>(ps, 0));
+  constexpr std::uint64_t kSub = std::uint64_t{1} << kSubBits;
+  if (v < kSub) return static_cast<std::size_t>(v);
+  const int octave = std::min(63 - __builtin_clzll(v), kTopOctave);
+  const int shift = octave - kSubBits;
+  const std::uint64_t sub = std::min((v >> shift) - kSub, kSub - 1);
+  return (static_cast<std::size_t>(shift + 1) << kSubBits) +
+         static_cast<std::size_t>(sub);
+}
+
+std::int64_t LogHistogram::bucket_mid(std::size_t b) {
+  constexpr std::size_t kSub = std::size_t{1} << kSubBits;
+  if (b < kSub) return static_cast<std::int64_t>(b);
+  const int shift = static_cast<int>(b >> kSubBits) - 1;
+  const std::uint64_t lo = (kSub + (b & (kSub - 1))) << shift;
+  const std::uint64_t width = std::uint64_t{1} << shift;
+  return static_cast<std::int64_t>(lo + (width - 1) / 2);
+}
+
+void LogHistogram::add(Time sample) {
+  if (buckets_.empty()) buckets_.resize(kBuckets);
+  ++buckets_[bucket_of(sample.picos())];
+  if (count_ == 0 || sample.picos() > max_) max_ = sample.picos();
+  ++count_;
+}
+
+Time LogHistogram::percentile(double p) const {
+  PAP_CHECK(count_ > 0);
+  PAP_CHECK(p >= 0.0 && p <= 100.0);
+  // Nearest rank, as LatencyHistogram::percentile.
+  auto rank = static_cast<std::uint64_t>(
+      std::ceil(p / 100.0 * static_cast<double>(count_)));
+  rank = std::clamp<std::uint64_t>(rank, 1, count_);
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    seen += buckets_[b];
+    if (seen >= rank) return Time::ps(std::min(bucket_mid(b), max_));
+  }
+  return Time::ps(max_);
+}
+
 Counters::Id Counters::id(const std::string& name) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].first == name) return Id{static_cast<std::uint32_t>(i)};

@@ -50,6 +50,42 @@ class LatencyHistogram {
   mutable bool sorted_ = true;
 };
 
+/// Latency histogram in fixed memory, for long-running services that
+/// cannot keep every sample.
+///
+/// `count()` and `max()` are exact. Samples fall into log-spaced buckets,
+/// 64 per power of two (exact below 64 ps), so a nearest-rank percentile is
+/// reported as the middle of the bucket that holds the exact one: within
+/// `kRelativeError` of `LatencyHistogram::percentile` over the same samples
+/// (for samples below 2^47 ps, about 140 s; longer ones share the top
+/// bucket). The buckets take 21 KiB whatever the number of samples,
+/// allocated by the first add(), so an unused histogram costs nothing.
+class LogHistogram {
+ public:
+  static constexpr double kRelativeError = 1.0 / 128;
+
+  void add(Time sample);
+  std::size_t count() const { return static_cast<std::size_t>(count_); }
+  bool empty() const { return count_ == 0; }
+  Time max() const { return Time::ps(max_); }
+  /// Nearest-rank percentile, p in [0, 100], within kRelativeError.
+  Time percentile(double p) const;
+
+ private:
+  static constexpr int kSubBits = 6;    // 64 sub-buckets per octave
+  static constexpr int kTopOctave = 47;  // samples >= 2^47 ps share a bucket
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kTopOctave - kSubBits + 2) << kSubBits;
+
+  static std::size_t bucket_of(std::int64_t ps);
+  /// The middle of bucket `b`'s value range.
+  static std::int64_t bucket_mid(std::size_t b);
+
+  std::vector<std::uint64_t> buckets_;  // kBuckets counts once in use
+  std::uint64_t count_ = 0;
+  std::int64_t max_ = 0;
+};
+
 /// Counter map utility: named monotonically increasing counters, used by the
 /// cache / DRAM / NoC models to expose occurrence counts (hits, misses,
 /// row conflicts, switches, stalls, ...).

@@ -1,5 +1,7 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,18 +21,28 @@ std::string double_repr(double v) {
   return buf;
 }
 
+void escape_into(std::string* out, const std::string& s) {
+  if (std::none_of(s.begin(), s.end(), [](char c) {
+        return c == '\\' || c == '\t' || c == '\n' || c == '\r';
+      })) {
+    *out += s;
+    return;
+  }
+  for (char c : s) {
+    switch (c) {
+      case '\\': *out += "\\\\"; break;
+      case '\t': *out += "\\t"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      default: *out += c;
+    }
+  }
+}
+
 std::string escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
+  escape_into(&out, s);
   return out;
 }
 
@@ -61,6 +73,38 @@ char kind_tag(Value::Kind k) {
     case Value::Kind::kTime: return 't';
   }
   return '?';
+}
+
+/// "<kind tag>:<payload>": ints, bools and times as decimal integers,
+/// doubles as hexfloat, strings escaped.
+void append_canonical(std::string* out, const Value& v) {
+  *out += kind_tag(v.kind());
+  *out += ':';
+  char buf[64];
+  std::int64_t i = 0;
+  switch (v.kind()) {
+    case Value::Kind::kDouble: {
+      // A normal double's %a is "0x" + its shortest hex to_chars form;
+      // zero, subnormals, inf and nan take printf's own spelling.
+      const double d = v.as_double();
+      if (std::isnormal(d)) {
+        if (d < 0) *out += '-';
+        *out += "0x";
+        const auto r = std::to_chars(buf, buf + sizeof buf, std::fabs(d),
+                                     std::chars_format::hex);
+        out->append(buf, r.ptr);
+      } else {
+        *out += double_repr(d);
+      }
+      return;
+    }
+    case Value::Kind::kString: escape_into(out, v.as_string()); return;
+    case Value::Kind::kBool: i = v.as_bool() ? 1 : 0; break;
+    case Value::Kind::kTime: i = v.as_time().picos(); break;
+    case Value::Kind::kInt: i = v.as_int(); break;
+  }
+  const auto r = std::to_chars(buf, buf + sizeof buf, i);
+  out->append(buf, r.ptr);
 }
 
 std::vector<std::string> split_tabs(const std::string& line) {
@@ -196,13 +240,8 @@ std::string Value::json() const {
 }
 
 std::string Value::canonical() const {
-  std::string out(1, kind_tag(kind_));
-  out += ':';
-  switch (kind_) {
-    case Kind::kDouble: out += double_repr(dbl_); break;
-    case Kind::kString: out += escape(str_); break;
-    default: out += std::to_string(int_);
-  }
+  std::string out;
+  append_canonical(&out, *this);
   return out;
 }
 
@@ -255,10 +294,24 @@ std::string ParamMap::label() const {
 
 std::string ParamMap::canonical() const {
   std::string out;
-  for (const auto& [k, v] : entries_) {
-    out += escape(k) + '\t' + v.canonical() + '\n';
-  }
+  canonical_into(&out);
   return out;
+}
+
+void ParamMap::canonical_into(std::string* out) const {
+  // Doubles take at most 24 bytes of hexfloat, plus tag, tab and newline.
+  std::size_t bytes = out->size();
+  for (const auto& [k, v] : entries_) {
+    bytes += k.size() + 28 +
+             (v.kind() == Value::Kind::kString ? v.as_string().size() : 0);
+  }
+  out->reserve(bytes);
+  for (const auto& [k, v] : entries_) {
+    escape_into(out, k);
+    *out += '\t';
+    append_canonical(out, v);
+    *out += '\n';
+  }
 }
 
 Result& Result::set(std::string name, Value v) {

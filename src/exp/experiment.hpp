@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -85,6 +87,18 @@ class Value {
 class ParamMap {
  public:
   ParamMap& set(std::string key, Value v);
+  /// Append without set()'s scan for an existing key: the caller knows the
+  /// key is new (a parser whose paths are unique by construction). The
+  /// entry is built in place from the key and Value's constructor
+  /// arguments.
+  template <class... ValueArgs>
+  ParamMap& add(std::string_view key, ValueArgs&&... value_args) {
+    entries_.emplace_back(
+        std::piecewise_construct, std::forward_as_tuple(key),
+        std::forward_as_tuple(std::forward<ValueArgs>(value_args)...));
+    return *this;
+  }
+  void reserve(std::size_t n) { entries_.reserve(n); }
   const Value* find(const std::string& key) const;
   /// Checked lookup; missing keys are a programming error in the sweep.
   const Value& at(const std::string& key) const;
@@ -107,6 +121,8 @@ class ParamMap {
   std::string label() const;
   /// Stable representation for content hashing.
   std::string canonical() const;
+  /// Append canonical() to *out, with no temporary per entry.
+  void canonical_into(std::string* out) const;
 
   bool operator==(const ParamMap& o) const { return entries_ == o.entries_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "core/admission.hpp"
 #include "dram/timing.hpp"
@@ -23,26 +22,6 @@ namespace {
 
 HandlerOutcome bad(const std::string& msg) {
   return HandlerOutcome::fail(ErrorCode::kBadRequest, msg);
-}
-
-/// Number of contiguously indexed `apps.K.*` groups; -1 on a gap.
-int count_indexed(const exp::Params& p, const std::string& prefix, int cap) {
-  int n = 0;
-  while (n < cap) {
-    const std::string group = prefix + "." + std::to_string(n) + ".";
-    bool present = false;
-    for (const auto& [key, v] : p.entries()) {
-      if (key.rfind(group, 0) == 0) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) break;
-    ++n;
-  }
-  // A group past the cap or past a gap will surface as an unknown key in
-  // ParamReader::finish(), so no separate contiguity error is needed here.
-  return n;
 }
 
 }  // namespace
@@ -77,7 +56,7 @@ HandlerOutcome handle_admission_check(const exp::Params& params,
   const double budget_gbps =
       r.get_double("noc_budget_gbps", 64.0, 0.001, 1e6);
   const double burst_packets = r.get_double("burst_packets", 4.0, 0.0, 1e6);
-  const int n_apps = count_indexed(params, "apps", limits.max_apps);
+  const int n_apps = r.count_indexed("apps", limits.max_apps);
   if (n_apps == 0) return bad("admission_check needs at least one apps.0.*");
 
   core::PlatformModel model;

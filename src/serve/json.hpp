@@ -5,25 +5,30 @@
 // permissively: hard limits on input size and nesting depth, no recovery
 // heuristics, and every syntax violation reported as an error message that
 // names the byte offset — never a crash, never a partially-applied parse
-// (asserted by the fuzz test in tests/serve_protocol_test.cpp).
+// (asserted by the fuzz and differential tests in
+// tests/serve_protocol_test.cpp).
+//
+// One reader (grammar, strings, escapes, numbers, literals, limits) lives
+// in json.cpp and feeds two builders: `json_parse` builds the JsonValue
+// tree, and `parse_request` (protocol.hpp, implemented in json.cpp next to
+// the reader it shares) writes a request's flattened exp::Params in the
+// same pass, with no tree in between.
 //
 // The value model is deliberately tiny (null/bool/number/string plus
 // object/array of those): it exists to carry request envelopes and
-// parameter maps, not to be a general JSON library. Numbers whose source
-// text is integral (no '.', no exponent) and fits an int64 parse as
-// kInt; everything else parses as kDouble — the distinction keeps the
-// flattened exp::Params canonical encoding stable, which the coalescing
-// and cache keys depend on.
+// replies, not to be a general JSON library. Numbers whose source text is
+// integral (no '.', no exponent) and fits an int64 parse as kInt;
+// everything else parses as kDouble — the distinction keeps the flattened
+// exp::Params canonical encoding stable, which the coalescing and cache
+// keys depend on.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
-#include "exp/experiment.hpp"
 
 namespace pap::serve {
 
@@ -63,13 +68,5 @@ Expected<JsonValue> json_parse(const std::string& text,
 
 /// Escape + quote `s` as a JSON string literal.
 std::string json_quote(const std::string& s);
-
-/// Flatten a parsed JSON object into an exp::Params map. Nested objects
-/// become dotted keys ("service.rate"), arrays indexed keys ("apps.0.burst"
-/// — a stable two-digit-free encoding in element order). Scalars map to
-/// exp::Value of the matching kind; null and empty containers are rejected
-/// (they have no Value representation, and silently dropping them would
-/// let two different requests share a cache key).
-Expected<exp::Params> json_flatten(const JsonValue& object);
 
 }  // namespace pap::serve

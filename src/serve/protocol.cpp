@@ -13,44 +13,6 @@ const char* error_code_name(ErrorCode code) {
   return "?";
 }
 
-Expected<Request> parse_request(const std::string& line,
-                                const ParseLimits& limits) {
-  JsonLimits jl;
-  jl.max_bytes = limits.max_bytes;
-  jl.max_depth = limits.max_depth;
-  auto parsed = json_parse(line, jl);
-  if (!parsed) return Expected<Request>::error(parsed.error_message());
-  const JsonValue& root = parsed.value();
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Expected<Request>::error("request must be a JSON object");
-  }
-  Request req;
-  bool saw_id = false;
-  for (const auto& [key, member] : root.object_v) {
-    if (key == "id") {
-      if (member.kind != JsonValue::Kind::kInt || member.int_v < 0) {
-        return Expected<Request>::error("'id' must be a non-negative integer");
-      }
-      req.id = member.int_v;
-      saw_id = true;
-    } else if (key == "op") {
-      if (member.kind != JsonValue::Kind::kString || member.str_v.empty()) {
-        return Expected<Request>::error("'op' must be a non-empty string");
-      }
-      req.op = member.str_v;
-    } else if (key == "params") {
-      auto flat = json_flatten(member);
-      if (!flat) return Expected<Request>::error(flat.error_message());
-      req.params = std::move(flat).value();
-    } else {
-      return Expected<Request>::error("unknown request member '" + key + "'");
-    }
-  }
-  if (!saw_id) return Expected<Request>::error("missing 'id'");
-  if (req.op.empty()) return Expected<Request>::error("missing 'op'");
-  return req;
-}
-
 std::string ok_reply(std::int64_t id, const std::string& result_payload) {
   return "{\"id\":" + std::to_string(id) +
          ",\"ok\":true,\"result\":" + result_payload + "}";

@@ -43,8 +43,14 @@ struct Request {
   exp::Params params;
 
   /// Cache/coalescing identity: op plus the canonical parameter encoding
-  /// (exactly the scheme exp::content_hash uses for the result cache).
-  std::string key() const { return op + '\n' + params.canonical(); }
+  /// (exactly the scheme exp::content_hash uses for the result cache),
+  /// written into one buffer.
+  std::string key() const {
+    std::string k = op;
+    k += '\n';
+    params.canonical_into(&k);
+    return k;
+  }
 };
 
 struct ParseLimits {
@@ -54,7 +60,11 @@ struct ParseLimits {
 
 /// Strict parse of one request line. Requirements: a JSON object with
 /// integer `id` >= 0, non-empty string `op`, optional object `params`;
-/// any other member is rejected. Never throws, never aborts.
+/// any other member is rejected. Never throws, never aborts. One pass over
+/// the bytes writes the flattened params (implemented in json.cpp, on the
+/// reader json_parse uses): object members sorted per level, arrays in
+/// element order. A syntax error anywhere wins over a semantic one; among
+/// semantic errors the first in that key order wins.
 Expected<Request> parse_request(const std::string& line,
                                 const ParseLimits& limits = {});
 

@@ -74,10 +74,11 @@ constexpr std::size_t kShards = 16;
 
 /// Per-endpoint latency capture (wall time of accepted analysis replies,
 /// measured submit -> reply-dispatch). Counts live in the CounterRegistry;
-/// only the histogram needs its own lock.
+/// only the histogram needs its own lock. The histogram is log-bucketed,
+/// so a daemon's memory does not grow with the requests it has served.
 struct OpLatency {
   std::mutex mu;
-  LatencyHistogram hist;  // wall latency carried as Time (ns resolution)
+  LogHistogram hist;  // wall latency carried as Time (ns resolution)
 
   void record(double us) {
     std::lock_guard<std::mutex> lock(mu);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <malloc.h>
 #include <random>
 #include <vector>
 
@@ -117,6 +118,55 @@ TEST(LatencyHistogram, SummaryAndChart) {
   LatencyHistogram h;
   for (int i = 0; i < 50; ++i) h.add(Time::ns(10 + i % 5));
   EXPECT_NE(h.summary().find("n=50"), std::string::npos);
+}
+
+// papd's per-endpoint latency stats: a long-running daemon records every
+// request, so the histogram must not grow, and its percentiles must stay
+// within the stated error of the exact histogram over the same samples.
+TEST(LogHistogram, MillionRecordsDoNotGrowMemory) {
+  LogHistogram h;
+  std::mt19937_64 rng(17);
+  std::lognormal_distribution<double> us(std::log(200.0), 1.0);
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const std::size_t unused = mallinfo2().uordblks;
+#endif
+  h.add(Time::from_ns(us(rng) * 1000.0));  // allocates the buckets
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const std::size_t before = mallinfo2().uordblks;
+  EXPECT_LE(before - unused, 32u * 1024u);
+#endif
+  for (int i = 1; i < 1'000'000; ++i) h.add(Time::from_ns(us(rng) * 1000.0));
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  EXPECT_EQ(mallinfo2().uordblks, before);
+#endif
+  EXPECT_EQ(h.count(), 1'000'000u);
+}
+
+TEST(LogHistogram, PercentilesWithinStatedErrorOfExact) {
+  LogHistogram approx;
+  LatencyHistogram exact;
+  std::mt19937_64 rng(23);
+  std::lognormal_distribution<double> us(std::log(150.0), 1.5);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Mostly microseconds, with sub-64 ps samples and multi-second ones.
+    const Time t = i % 1000 == 0   ? Time::ps(static_cast<std::int64_t>(i % 64))
+                   : i % 997 == 0 ? Time::ms(1500 + i % 7)
+                                  : Time::from_ns(us(rng) * 1000.0);
+    approx.add(t);
+    exact.add(t);
+  }
+  ASSERT_EQ(approx.count(), exact.count());
+  EXPECT_EQ(approx.max(), exact.max());
+  for (double p : {0.05, 1.0, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0}) {
+    const double want = static_cast<double>(exact.percentile(p).picos());
+    const double got = static_cast<double>(approx.percentile(p).picos());
+    EXPECT_LE(std::abs(got - want), LogHistogram::kRelativeError * want)
+        << "p" << p << ": " << got << " vs " << want;
+  }
+  LogHistogram tiny;  // below 64 ps every bucket is one value wide
+  for (int v : {3, 9, 9, 40}) tiny.add(Time::ps(v));
+  EXPECT_EQ(tiny.percentile(50), Time::ps(9));
+  EXPECT_EQ(tiny.percentile(100), Time::ps(40));
 }
 
 TEST(Counters, IncrementAndLookup) {

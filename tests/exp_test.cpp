@@ -5,8 +5,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,6 +42,26 @@ TEST(Value, EqualityIsExact) {
   EXPECT_NE(Value{1.0 / 3.0}, Value{0.333333});
   EXPECT_NE(Value{1}, Value{1.0});  // kind matters
   EXPECT_EQ(Value{Time::us(3)}, Value{Time::us(3)});
+}
+
+TEST(Value, CanonicalDoublesAreExactlyPrintfHexfloat) {
+  // Cache keys, routing and content hashes all read these bytes.
+  std::mt19937_64 rng(99);
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.5, 0.1, 1e-310, -4e-320,
+                                DBL_MIN, DBL_MAX, -DBL_TRUE_MIN,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 0; i < 100000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 2 == 0) bits &= ~((std::uint64_t{1} << (rng() % 52)) - 1);
+    values.push_back(std::bit_cast<double>(bits));
+  }
+  char buf[64];
+  for (double d : values) {
+    std::snprintf(buf, sizeof buf, "%a", d);
+    ASSERT_EQ(Value{d}.canonical(), std::string("d:") + buf);
+  }
 }
 
 TEST(Result, SerializationRoundTripsBitExact) {

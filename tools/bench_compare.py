@@ -21,8 +21,13 @@ speedup  -- machine-independent gate: within ONE run, require the optimized
                   --pair BM_NcDeconvolve:BM_NcDeconvolveReference:5 \
                   --pair 'BM_WcdServiceCurve/128:BM_WcdServiceCurveReference/128:5'
 
+regress prints the "build_type" both files record and exits 2 when they
+differ (a Debug run is no measure of a Release baseline); a file without
+the field counts as unknown, which only warns.
+
 Exit status: 0 = all checks passed (or --warn-only), 1 = failures, 2 = bad
-input (missing file, malformed JSON, unknown benchmark name).
+input (missing file, malformed JSON, unknown benchmark name, different
+build types).
 """
 
 import argparse
@@ -72,12 +77,29 @@ def load(path):
     out = {}
     for b in doc.get("benchmarks", []):
         out[b["name"]] = float(b["real_ns"])
-    return out
+    return out, doc.get("build_type")
 
 
 def cmd_regress(args):
-    baseline = load(args.baseline)
-    current = load(args.current)
+    baseline, base_type = load(args.baseline)
+    current, cur_type = load(args.current)
+    print(
+        f"  build type: baseline {base_type or 'unknown'}, "
+        f"current {cur_type or 'unknown'}"
+    )
+    if base_type is None or cur_type is None:
+        print(
+            "bench_compare: warning: build type unknown, cannot check that "
+            "the two runs are comparable",
+            file=sys.stderr,
+        )
+    elif base_type != cur_type:
+        print(
+            f"bench_compare: build types differ ({base_type} baseline, "
+            f"{cur_type} current); the times are not comparable",
+            file=sys.stderr,
+        )
+        return 2
     failures = []
     rows = []
     for name, base_ns in sorted(baseline.items()):
@@ -145,7 +167,7 @@ def parse_pair(spec, default_floor):
 def cmd_speedup(args):
     current = {}
     for path in args.current:
-        current.update(load(path))
+        current.update(load(path)[0])
     failures = []
     rows = []
     for spec in args.pair:
