@@ -34,6 +34,7 @@
 #include "nc/ops.hpp"
 #include "nc/reference.hpp"
 #include "noc/topology.hpp"
+#include "platform/scenario.hpp"
 #include "scenario/generate.hpp"
 #include "scenario/run.hpp"
 #include "sim/kernel.hpp"
@@ -416,19 +417,21 @@ BENCHMARK(BM_KernelSameTimestampBurst);
 // ---------------------------------------------------------------------------
 // SoC simulator: one generated scenario end to end (L1 -> DSU L3 -> Memguard
 // -> FR-FCFS DRAM on the event kernel). Besides the time per run, reports
-// `ns_per_access`: host nanoseconds per simulated memory access.
+// `ns_per_access`: host nanoseconds per simulated memory access, and
+// `events_per_access`: kernel events per simulated memory access, a
+// deterministic count.
 // ---------------------------------------------------------------------------
 
 inline void BM_SocGeneratedMember(benchmark::State& state) {
   const scenario::Scenario member =
       scenario::generate_scenario("hog_mix", 2021, 0).value();
-  std::int64_t accesses = 0;
+  std::uint64_t accesses = 0;
+  std::uint64_t events = 0;
   for (auto _ : state) {
-    const exp::Result r = scenario::run_parsed(member).value();
-    accesses = 0;
-    for (const char* name : {"rt_accesses", "hog_accesses", "trace_accesses"}) {
-      if (const exp::Value* v = r.find(name)) accesses += v->as_int();
-    }
+    const platform::ScenarioResult r =
+        platform::run_scenario(member.soc, member.name).value();
+    accesses = r.rt_latency.count() + r.hog_accesses + r.trace_accesses;
+    events = r.kernel_events;
     benchmark::DoNotOptimize(accesses);
   }
   // Seconds per (iteration x accesses), scaled so the counter reads in ns.
@@ -436,6 +439,8 @@ inline void BM_SocGeneratedMember(benchmark::State& state) {
       static_cast<double>(accesses) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
+  state.counters["events_per_access"] =
+      static_cast<double>(events) / static_cast<double>(accesses);
 }
 BENCHMARK(BM_SocGeneratedMember);
 

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -210,10 +211,24 @@ BenchRow bench_overload() {
   config.queue_capacity = 4;
   config.coalesce = false;
   config.cache_entries = 0;  // force every request through the queue
+  // The worker parks before running a job until the flood is over, so the
+  // worker and the queue stay provably full however fast a job runs.
+  struct Hold {
+    std::promise<void> release;
+    std::shared_future<void> released{release.get_future().share()};
+    std::atomic<bool> parked{false};
+  };
+  const auto hold = std::make_shared<Hold>();
+  config.before_dispatch = [hold](const std::string&) {
+    hold->parked.store(true);
+    hold->released.wait();
+  };
   AnalysisService service(config);
 
-  // Fill the worker + queue with slow scenario simulations (distinct sim
-  // times, so they cannot coalesce even if coalescing were on).
+  // Fill the worker + queue with scenario simulations (distinct sim times,
+  // so they cannot coalesce even if coalescing were on). The worker pops
+  // the first job and parks (before_dispatch runs after the pop); only
+  // then do the other four fill the queue to its capacity.
   std::atomic<int> slow_done{0};
   std::vector<std::string> slow;
   for (int i = 0; i < 5; ++i) {
@@ -222,12 +237,17 @@ BenchRow bench_overload() {
                    std::to_string(1 + i % 3) +
                    ", \"sim_time_us\": " + std::to_string(2000 + i) + "}}");
   }
-  for (const auto& line : slow) {
-    service.submit(line, [&](std::string) { slow_done.fetch_add(1); });
+  service.submit(slow[0], [&](std::string) { slow_done.fetch_add(1); });
+  for (int i = 0; i < 100000 && !hold->parked.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  check(hold->parked.load(), "worker parked on the first job");
+  for (std::size_t i = 1; i < slow.size(); ++i) {
+    service.submit(slow[i], [&](std::string) { slow_done.fetch_add(1); });
   }
 
-  // Flood with distinct admission checks; queue is full, so all but a
-  // handful must bounce immediately.
+  // Flood with distinct admission checks. The worker is parked and the
+  // queue is full for the whole flood, so every submit must bounce.
   constexpr long kFlood = 50000;
   const long rss_before = rss_kb();
   pap::LatencyHistogram overload_latency;
@@ -264,7 +284,8 @@ BenchRow bench_overload() {
   std::printf("overload: %ld flooded, %ld overloaded, %ld accepted, "
               "RSS %ld -> %ld kB\n",
               kFlood, overloaded, accepted, rss_before, rss_after);
-  check(overloaded > kFlood / 2, "backpressure engaged under flood");
+  check(overloaded == kFlood && slow_done.load() == 0,
+        "backpressure engaged under flood (every submit bounced)");
   const double p99_ms = overload_latency.empty()
                             ? 1e9
                             : overload_latency.percentile(99).nanos() / 1e6;
@@ -277,6 +298,7 @@ BenchRow bench_overload() {
   check(rss_after - rss_before < 64 * 1024,
         "flat RSS under sustained overload (< 64 MB growth)");
 
+  hold->release.set_value();
   service.shutdown();
   const double mean_ns = overload_latency.empty()
                              ? 0.0

@@ -121,17 +121,6 @@ void Controller::set_master_priority(std::uint32_t master,
   master_priorities_.emplace_back(master, priority);
 }
 
-std::uint8_t Controller::master_priority(std::uint32_t master) const {
-  for (const auto& [m, p] : master_priorities_) {
-    if (m == master) return p;
-  }
-  return 255;
-}
-
-bool Controller::row_open_hit(const Request& r) const {
-  return !rows_stay_closed_ && banks_[r.bank].is_hit(r.row);
-}
-
 void Controller::switch_mode(Mode m, Time turnaround) {
   mode_ = m;
   ready_at_ = std::max(ready_at_, kernel_.now()) + turnaround;
@@ -189,25 +178,23 @@ void Controller::dispatch() {
       kernel_.schedule_at(ready_at_, [this] { dispatch(); });
       return;
     }
-    const int idx = policy_->pick_read(*this);
-    if (idx < 0) {
+    const RequestQueue::Pos pos = policy_->pick_read(*this);
+    if (pos == RequestQueue::kNone) {
       busy_ = false;  // idle; next submit() or refresh kicks us
       return;
     }
-    Request r = read_q_[static_cast<std::size_t>(idx)];
-    const bool hit = row_open_hit(r);
+    const bool hit = row_open_hit(read_q_[pos]);
     if (hit) {
       // A hit served from a non-head position was promoted over an older
       // request (under FCFS-ordered policies the pick is always the class
       // head, so this never fires).
-      if (idx != 0) counters_.inc(ids_.read_hit_promotions);
+      if (pos != read_q_.front()) counters_.inc(ids_.read_hit_promotions);
       ++hit_streak_;
     } else {
       hit_streak_ = 0;
     }
     must_serve_read_ = false;
-    read_q_.erase(read_q_.begin() + idx);
-    serve(r, hit);
+    serve(read_q_.take(pos), hit);
     return;
   }
 
@@ -218,15 +205,13 @@ void Controller::dispatch() {
     kernel_.schedule_at(ready_at_, [this] { dispatch(); });
     return;
   }
-  const std::size_t idx = policy_->pick_write(*this);
-  Request w = write_q_[idx];
-  const bool hit = row_open_hit(w);
-  write_q_.erase(write_q_.begin() + static_cast<std::ptrdiff_t>(idx));
+  const RequestQueue::Pos pos = policy_->pick_write(*this);
+  const bool hit = row_open_hit(write_q_[pos]);
   ++writes_in_batch_;
-  serve(w, hit);
+  serve(write_q_.take(pos), hit);
 }
 
-void Controller::serve(Request r, bool is_hit) {
+void Controller::serve(const Request& r, bool is_hit) {
   const Time now = std::max(kernel_.now(), ready_at_);
   Time completion;
   if (is_hit) {
@@ -276,6 +261,7 @@ void Controller::serve(Request r, bool is_hit) {
                                    counters_.get(ids_.write_misses)),
                trace::CounterKind::kMonotonic);
   }
+  if (on_serve_) on_serve_(r, completion);
   if (on_complete_) {
     PAP_CHECK(completions_head_ == completions_.size() ||
               completions_.back().second <= completion);

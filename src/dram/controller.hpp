@@ -27,9 +27,21 @@
 // counters, MPAM priority classes) stays here. The default FR-FCFS policy
 // is bit-identical to the pre-strategy monolithic FR-FCFS controller
 // (pinned by bench/golden/ablation_dram_policy_frfcfs_ddr3.csv).
+//
+// Completion notices. The engine prices a request when it serves it, so
+// the completion instant is known from then on. Two hooks report it:
+//  * the completion handler is called *at* the completion instant, from a
+//    kernel event (priority -1) scheduled when the request is served; a
+//    bounded `kernel.run(until)` therefore delivers exactly the
+//    completions at or before `until`;
+//  * the serve handler is called synchronously when the request is
+//    served, with its future completion instant, and costs no event.
+// The controller schedules a completion event per request only while a
+// completion handler is installed. A model that acts on completions at a
+// later instant anyway (the Soc retires a read after the interconnect
+// return trip) takes the serve notice and schedules its own event.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -38,6 +50,7 @@
 #include "dram/bank.hpp"
 #include "dram/policy.hpp"
 #include "dram/request.hpp"
+#include "dram/request_queue.hpp"
 #include "dram/timing.hpp"
 #include "sim/kernel.hpp"
 
@@ -132,7 +145,15 @@ class Controller {
   /// class. Lower value = more important; unset masters default to the
   /// lowest (255).
   void set_master_priority(std::uint32_t master, std::uint8_t priority);
-  std::uint8_t master_priority(std::uint32_t master) const;
+  std::uint8_t master_priority(std::uint32_t master) const {
+    for (const auto& [m, p] : master_priorities_) {
+      if (m == master) return p;
+    }
+    return 255;
+  }
+  /// Has any master a priority class set? Without one every request is in
+  /// the same (lowest) class.
+  bool has_master_priorities() const { return !master_priorities_.empty(); }
 
   /// Fault injection: freeze command issue until `until` — a transient
   /// stall window (thermal throttle, RAS scrub, rank power event). Requests
@@ -141,8 +162,14 @@ class Controller {
   /// "injected_stalls" (fault::Injector's dram-stall handler binds here).
   void inject_stall(Time until);
 
-  /// Called with every completed request and its completion time.
+  /// Called with every completed request and its completion time, at the
+  /// completion instant (see the file comment). Installing one costs a
+  /// kernel event per served request.
   void set_completion_handler(CompletionFn fn) { on_complete_ = std::move(fn); }
+
+  /// Called synchronously whenever the engine serves a request, with the
+  /// instant its data transfer will complete (see the file comment).
+  void set_serve_handler(CompletionFn fn) { on_serve_ = std::move(fn); }
 
   /// Called on every read<->write/refresh mode change (for Fig. 5 traces).
   using ModeTraceFn =
@@ -162,12 +189,14 @@ class Controller {
   const SchedulerPolicy& policy() const { return *policy_; }
 
   // --- read-only scheduling state, for SchedulerPolicy implementations ---
-  const std::deque<Request>& read_queue() const { return read_q_; }
-  const std::deque<Request>& write_queue() const { return write_q_; }
+  const RequestQueue& read_queue() const { return read_q_; }
+  const RequestQueue& write_queue() const { return write_q_; }
   /// Would `r` hit an open row right now? False whenever row management
   /// (page policy or an auto-precharging scheduler policy) keeps rows
   /// closed.
-  bool row_open_hit(const Request& r) const;
+  bool row_open_hit(const Request& r) const {
+    return !rows_stay_closed_ && banks_[r.bank].is_hit(r.row);
+  }
   bool must_serve_read() const { return must_serve_read_; }
   int hit_streak() const { return hit_streak_; }
   int writes_in_batch() const { return writes_in_batch_; }
@@ -181,7 +210,7 @@ class Controller {
   void init();           ///< shared constructor tail (validates params_)
   void kick();           ///< schedule a dispatch if the engine is idle
   void dispatch();       ///< pick and serve the next command
-  void serve(Request r, bool is_hit);
+  void serve(const Request& r, bool is_hit);
   /// Hand the oldest pending completion to the completion handler.
   void complete_next();
   void do_refresh();
@@ -196,8 +225,8 @@ class Controller {
   bool rows_stay_closed_ = false;
 
   std::vector<Bank> banks_;
-  std::deque<Request> read_q_;
-  std::deque<Request> write_q_;
+  RequestQueue read_q_;
+  RequestQueue write_q_;
 
   Mode mode_ = Mode::kRead;
   bool busy_ = false;
@@ -216,6 +245,7 @@ class Controller {
   std::vector<std::pair<std::uint32_t, std::uint8_t>> master_priorities_;
 
   CompletionFn on_complete_;
+  CompletionFn on_serve_;
   /// Served requests whose completion event has not fired yet, in serve
   /// order. Completion times never decrease and the events share one
   /// priority, so they fire in this order.

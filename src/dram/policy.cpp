@@ -10,53 +10,55 @@ namespace pap::dram {
 namespace {
 
 // --- building blocks shared between policies -------------------------------
+//
+// Every per-request test below (row hit, priority class) is an inline
+// Controller accessor, so a pick scans its queue without a call per
+// queued request.
+
+using Pos = RequestQueue::Pos;
 
 /// Highest-priority (lowest value) master class present in the read queue.
 /// MPAM priority partitioning restricts every read pick to this class.
+/// With no priorities set, every request is in the lowest class.
 std::uint8_t best_read_priority(const Controller& c) {
+  if (!c.has_master_priorities()) return 255;
+  const RequestQueue& q = c.read_queue();
   std::uint8_t best = 255;
-  for (const Request& r : c.read_queue()) {
-    best = std::min(best, c.master_priority(r.master));
+  for (Pos p = q.front(); p != RequestQueue::kNone; p = q.next(p)) {
+    best = std::min(best, c.master_priority(q[p].master));
   }
   return best;
 }
 
 /// Oldest request of the selected class: FCFS within the class.
-int class_fcfs_head(const Controller& c, std::uint8_t best_prio) {
-  const auto& q = c.read_queue();
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (c.master_priority(q[i].master) == best_prio) {
-      return static_cast<int>(i);
-    }
-  }
-  return 0;  // unreachable: best_prio comes from the queue
+Pos class_fcfs_head(const Controller& c, std::uint8_t best_prio) {
+  return c.read_queue().find_first([&c, best_prio](const Request& r) {
+    return c.master_priority(r.master) == best_prio;
+  });
 }
 
 /// FR-FCFS read pick: the oldest eligible row hit is promoted over older
 /// misses, but only for up to N_cap consecutive promotions; then FCFS.
-int frfcfs_pick_read(const Controller& c) {
-  const auto& q = c.read_queue();
-  if (q.empty()) return -1;
+Pos frfcfs_pick_read(const Controller& c) {
+  const RequestQueue& q = c.read_queue();
+  if (q.empty()) return RequestQueue::kNone;
   const std::uint8_t best_prio = best_read_priority(c);
   if (c.hit_streak() < c.params().n_cap) {
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      const Request& r = q[i];
-      if (c.master_priority(r.master) == best_prio && c.row_open_hit(r)) {
-        return static_cast<int>(i);
-      }
-    }
+    const Pos hit = q.find_first([&c, best_prio](const Request& r) {
+      return c.master_priority(r.master) == best_prio && c.row_open_hit(r);
+    });
+    if (hit != RequestQueue::kNone) return hit;
   }
   return class_fcfs_head(c, best_prio);
 }
 
 /// Oldest row hit first (no cap on the write side: writes are not
 /// latency-critical, Sec. IV-A), else FCFS.
-std::size_t frfcfs_pick_write(const Controller& c) {
-  const auto& q = c.write_queue();
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (c.row_open_hit(q[i])) return i;
-  }
-  return 0;
+Pos frfcfs_pick_write(const Controller& c) {
+  const RequestQueue& q = c.write_queue();
+  const Pos hit =
+      q.find_first([&c](const Request& r) { return c.row_open_hit(r); });
+  return hit != RequestQueue::kNone ? hit : q.front();
 }
 
 /// Fig. 5: in read mode, go to writes when the read queue is empty and at
@@ -93,10 +95,10 @@ bool watermark_batch_done(const Controller& c) {
 class FrFcfsPolicy final : public SchedulerPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kFrFcfs; }
-  int pick_read(const Controller& c) const override {
+  Pos pick_read(const Controller& c) const override {
     return frfcfs_pick_read(c);
   }
-  std::size_t pick_write(const Controller& c) const override {
+  Pos pick_write(const Controller& c) const override {
     return frfcfs_pick_write(c);
   }
   bool switch_to_writes(const Controller& c) const override {
@@ -117,11 +119,13 @@ class FrFcfsPolicy final : public SchedulerPolicy {
 class FcfsPolicy final : public SchedulerPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kFcfs; }
-  int pick_read(const Controller& c) const override {
-    if (c.read_queue().empty()) return -1;
+  Pos pick_read(const Controller& c) const override {
+    if (c.read_queue().empty()) return RequestQueue::kNone;
     return class_fcfs_head(c, best_read_priority(c));
   }
-  std::size_t pick_write(const Controller&) const override { return 0; }
+  Pos pick_write(const Controller& c) const override {
+    return c.write_queue().front();
+  }
   bool switch_to_writes(const Controller& c) const override {
     return watermark_switch_to_writes(c);
   }
@@ -140,11 +144,13 @@ class FcfsPolicy final : public SchedulerPolicy {
 class ClosePagePolicy final : public SchedulerPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kClosePage; }
-  int pick_read(const Controller& c) const override {
-    if (c.read_queue().empty()) return -1;
+  Pos pick_read(const Controller& c) const override {
+    if (c.read_queue().empty()) return RequestQueue::kNone;
     return class_fcfs_head(c, best_read_priority(c));
   }
-  std::size_t pick_write(const Controller&) const override { return 0; }
+  Pos pick_write(const Controller& c) const override {
+    return c.write_queue().front();
+  }
   bool switch_to_writes(const Controller& c) const override {
     return watermark_switch_to_writes(c);
   }
@@ -165,10 +171,10 @@ class ClosePagePolicy final : public SchedulerPolicy {
 class WriteDrainPolicy final : public SchedulerPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kWriteDrain; }
-  int pick_read(const Controller& c) const override {
+  Pos pick_read(const Controller& c) const override {
     return frfcfs_pick_read(c);
   }
-  std::size_t pick_write(const Controller& c) const override {
+  Pos pick_write(const Controller& c) const override {
     return frfcfs_pick_write(c);
   }
   bool switch_to_writes(const Controller& c) const override {
@@ -195,22 +201,22 @@ class WriteDrainPolicy final : public SchedulerPolicy {
 class StarvationGuardPolicy final : public SchedulerPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kStarvationGuard; }
-  int pick_read(const Controller& c) const override {
-    const auto& q = c.read_queue();
-    if (q.empty()) return -1;
+  Pos pick_read(const Controller& c) const override {
+    const RequestQueue& q = c.read_queue();
+    if (q.empty()) return RequestQueue::kNone;
     const std::uint8_t best_prio = best_read_priority(c);
     // The queue is in arrival order, so the first eligible request past the
     // age cap is the most starved one.
     const Time now = c.now();
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      if (c.master_priority(q[i].master) == best_prio &&
-          now - q[i].arrival > c.params().age_cap) {
-        return static_cast<int>(i);
-      }
-    }
-    return frfcfs_pick_read(c);
+    const Time age_cap = c.params().age_cap;
+    const Pos starved =
+        q.find_first([&c, best_prio, now, age_cap](const Request& r) {
+          return c.master_priority(r.master) == best_prio &&
+                 now - r.arrival > age_cap;
+        });
+    return starved != RequestQueue::kNone ? starved : frfcfs_pick_read(c);
   }
-  std::size_t pick_write(const Controller& c) const override {
+  Pos pick_write(const Controller& c) const override {
     return frfcfs_pick_write(c);
   }
   bool switch_to_writes(const Controller& c) const override {

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "dram/request_queue.hpp"
 #include "dram/timing.hpp"
 
 namespace pap::dram {
@@ -77,12 +78,12 @@ class SchedulerPolicy {
 
   virtual PolicyKind kind() const = 0;
 
-  /// Index into the read queue of the request to serve next, or -1 when
-  /// the queue is empty.
-  virtual int pick_read(const Controller& c) const = 0;
+  /// Position in the read queue of the request to serve next, or
+  /// RequestQueue::kNone when the queue is empty.
+  virtual RequestQueue::Pos pick_read(const Controller& c) const = 0;
 
-  /// Index into the (non-empty) write queue of the write to serve next.
-  virtual std::size_t pick_write(const Controller& c) const = 0;
+  /// Position in the (non-empty) write queue of the write to serve next.
+  virtual RequestQueue::Pos pick_write(const Controller& c) const = 0;
 
   /// In read mode: leave the read queue and start serving writes?
   virtual bool switch_to_writes(const Controller& c) const = 0;

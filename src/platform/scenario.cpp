@@ -542,6 +542,7 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
     }
   }
   result.injected_dram_stalls = injector.stats().dram_stalls;
+  result.kernel_events = kernel.events_executed();
   result.core_latency.reserve(static_cast<std::size_t>(cores));
   for (int c = 0; c < cores; ++c) {
     result.core_latency.push_back(soc.core_latency(c));

@@ -221,6 +221,10 @@ struct ScenarioResult {
   /// global core). This is the ps-exact ground truth trace replay is
   /// pinned against.
   std::vector<LatencyHistogram> core_latency;
+  /// Kernel events the run executed: the simulator's own cost measure
+  /// (events per simulated access). Not a simulated statistic, so it is
+  /// not rendered into results.
+  std::uint64_t kernel_events = 0;
 
   /// Inflation of the given percentile vs. a baseline run.
   static double inflation(const ScenarioResult& base,

@@ -23,6 +23,11 @@ Soc::Soc(sim::Kernel& kernel, const SocConfig& config)
   }
   dram_ = std::make_unique<dram::Controller>(kernel_, cfg_.dram,
                                                    cfg_.dram_ctrl);
+  // The DSU is functional (no kernel handle); it shares the kernel's
+  // tracer so L3 portion-occupancy gauges flow into the same stream.
+  if (trace::Tracer* tracer = kernel_.tracer()) {
+    for (auto& cl : clusters_) cl->set_tracer(tracer);
+  }
   scheme_of_core_.assign(static_cast<std::size_t>(cores), 0);
   core_latency_.resize(static_cast<std::size_t>(cores));
 
@@ -33,16 +38,31 @@ Soc::Soc(sim::Kernel& kernel, const SocConfig& config)
                     counters_.id("memguard_stalls"),
                     counters_.id("mpam_bw_stalls")};
 
-  dram_->set_completion_handler(
-      [this](const dram::Request& r, Time completion) {
-        // Posted writes complete without a waiter (their slot is gone).
-        if (r.op == dram::Op::kWrite) return;
-        // Finish the read after the return trip through the interconnect.
-        PAP_CHECK_MSG(r.id < inflight_.size(),
-                      "read completion for unknown request");
-        finish_at(completion + cfg_.interconnect_latency,
-                  static_cast<std::uint32_t>(r.id));
-      });
+  // Reads finish after the return trip through the interconnect. The
+  // controller reports the completion instant when it serves the read, so
+  // the finish is scheduled right then, with no completion event between.
+  // Posted writes have no waiter (their slot is gone): they need neither.
+  dram_->set_serve_handler([this](const dram::Request& r, Time completion) {
+    if (r.op == dram::Op::kWrite) return;
+    PAP_CHECK_MSG(r.id < inflight_.size(),
+                  "read completion for unknown request");
+    // The finish is inserted as of `completion`: among the events at its
+    // instant and priority it fires after every one scheduled before
+    // `completion` and ahead of every one scheduled at or after it. That
+    // is the order a completion event at `completion` (priority -1) would
+    // give it by scheduling it there, because such an event would be the
+    // first at its instant to schedule anything: the only events that run
+    // ahead of priority -1 are Memguard's replenishments (priority -10),
+    // and they schedule nothing but their own next firing. Scheduled
+    // plainly now, the finish would instead overtake every same-instant
+    // event scheduled between serve time and `completion`: a hog's
+    // think-time wake-up, or a Memguard/MPAM admit landing on
+    // `completion`.
+    const auto slot = static_cast<std::uint32_t>(r.id);
+    kernel_.schedule_as_of(completion,
+                           completion + cfg_.interconnect_latency,
+                           [this, slot] { complete(slot); });
+  });
 }
 
 std::uint32_t Soc::acquire_slot(int core, Time issued, DoneFn done) {
@@ -133,10 +153,6 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
   counters_.inc(ids_.accesses);
   trace::Tracer* tracer = kernel_.tracer();
   if (tracer) {
-    // The DSU is functional (no kernel handle); keep its tracer in sync
-    // with the kernel's so L3 portion-occupancy gauges flow into the same
-    // stream.
-    for (auto& cl : clusters_) cl->set_tracer(tracer);
     tracer->counter("soc", "accesses",
                     static_cast<double>(counters_.get(ids_.accesses)),
                     trace::CounterKind::kMonotonic);
@@ -192,16 +208,20 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
   std::tie(a.bank, a.row) = addr_to_bank_row(addr);
   a.write = write;
   const Time at_controller = admit + cfg_.interconnect_latency;
-  kernel_.schedule_at(at_controller, [this, slot] { submit_to_dram(slot); });
   if (write) {
     // Writes are posted: the core retires them once handed to the memory
-    // system ("the latter are not, and can be deferred", Sec. IV-A). The
-    // retirement runs after the submit event, which still reads the slot.
-    finish_at(at_controller, slot);
+    // system ("the latter are not, and can be deferred", Sec. IV-A), in
+    // the same event, right after the submit that still reads the slot.
+    kernel_.schedule_at(at_controller, [this, slot] {
+      submit_to_dram(slot);
+      complete(slot);
+    });
+    return;
   }
   // Reads stall the issuing core until the data returns ("the former are
-  // on the critical path for the master requesting them"): the DRAM
-  // completion handler finishes them.
+  // on the critical path for the master requesting them"): the DRAM serve
+  // handler finishes them.
+  kernel_.schedule_at(at_controller, [this, slot] { submit_to_dram(slot); });
 }
 
 }  // namespace pap::platform

@@ -50,6 +50,9 @@ struct SocConfig {
 
 class Soc {
  public:
+  /// Builds the memory system on `kernel`. A tracer attached to the kernel
+  /// reaches the functional DSU clusters only if it is attached before the
+  /// Soc is built.
   Soc(sim::Kernel& kernel, const SocConfig& config);
 
   /// Completion callback carries the access's total latency.
@@ -119,7 +122,7 @@ class Soc {
     bool write = false;
   };
   std::uint32_t acquire_slot(int core, Time issued, DoneFn done);
-  /// Schedule the slot's completion at `finish`.
+  /// Schedule the slot's completion at `finish` (cache hits).
   void finish_at(Time finish, std::uint32_t slot);
   /// Record the latency, free the slot, then run its callback.
   void complete(std::uint32_t slot);

@@ -15,6 +15,7 @@
 #include <unordered_set>
 
 #include "common/log.hpp"
+#include "serve/inbox.hpp"
 #include "serve/protocol.hpp"
 
 namespace pap::serve {
@@ -155,24 +156,19 @@ class Server::Reactor {
   }
 
   /// Hand a freshly accepted connection to this reactor. Thread-safe.
+  /// Once the loop has exited the connection is dropped here, which
+  /// closes its socket.
   void add_conn(std::shared_ptr<Conn> conn) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inbox_.push_back(std::move(conn));
-    }
-    wake();
+    if (inbox_.push(conn)) wake();
   }
 
   /// Ask the loop to finish flushing (or reap) a connection that has
   /// queued output or just delivered its last in-flight reply after EOF.
-  /// Thread-safe; callers reach this through the Conn's weak_ptr, so a
-  /// retired reactor is never touched.
+  /// Thread-safe; callers reach this through the Conn's weak_ptr. Once the
+  /// loop has exited the request is dropped: the caller's reference is
+  /// then the only thing keeping the connection open.
   void request_flush(std::shared_ptr<Conn> conn) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      flush_inbox_.push_back(std::move(conn));
-    }
-    wake();
+    if (flush_inbox_.push(conn)) wake();
   }
 
   void request_stop() {
@@ -191,6 +187,21 @@ class Server::Reactor {
   }
 
   void run() {
+    loop();
+    retire();
+  }
+
+  /// The loop has exited: refuse later hand-offs and release every
+  /// connection this reactor holds, so each socket closes once no reply
+  /// closure needs it, not when the Reactor object is destroyed.
+  void retire() {
+    (void)inbox_.close();
+    (void)flush_inbox_.close();
+    writable_.clear();
+    conns_.clear();
+  }
+
+  void loop() {
     epoll_event events[64];
     for (;;) {
       // Block indefinitely only while no connection has queued output;
@@ -217,14 +228,7 @@ class Server::Reactor {
   void drain_wake() {
     std::uint64_t count = 0;
     (void)!::read(wake_fd_, &count, sizeof count);
-    std::vector<std::shared_ptr<Conn>> fresh;
-    std::vector<std::shared_ptr<Conn>> flushes;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fresh.swap(inbox_);
-      flushes.swap(flush_inbox_);
-    }
-    for (auto& conn : fresh) {
+    for (auto& conn : inbox_.take()) {
       epoll_event ev{};
       ev.events = conn->events;
       ev.data.fd = conn->fd;
@@ -233,7 +237,7 @@ class Server::Reactor {
       }
       conns_.emplace(conn->fd, std::move(conn));
     }
-    for (auto& conn : flushes) try_flush(conn);
+    for (auto& conn : flush_inbox_.take()) try_flush(conn);
   }
 
   void on_event(int fd, std::uint32_t ev) {
@@ -387,9 +391,8 @@ class Server::Reactor {
   Server* server_ = nullptr;
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::mutex mu_;
-  std::vector<std::shared_ptr<Conn>> inbox_;        // guarded by mu_
-  std::vector<std::shared_ptr<Conn>> flush_inbox_;  // guarded by mu_
+  Inbox<std::shared_ptr<Conn>> inbox_;        // freshly accepted
+  Inbox<std::shared_ptr<Conn>> flush_inbox_;  // flush/reap requests
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // loop thread only
   std::unordered_set<int> writable_;  // conns with queued output; loop only
 };

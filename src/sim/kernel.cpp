@@ -14,6 +14,7 @@ bool Kernel::before(std::uint32_t a, std::uint32_t b) const {
   const Entry& eb = pool_[b];
   if (ea.at != eb.at) return ea.at < eb.at;
   if (ea.priority != eb.priority) return ea.priority < eb.priority;
+  if (ea.inserted != eb.inserted) return ea.inserted < eb.inserted;
   return ea.seq < eb.seq;
 }
 
@@ -73,6 +74,17 @@ void Kernel::release_slot(std::uint32_t slot) {
 
 EventId Kernel::schedule_at(Time at, EventFn fn, int priority) {
   PAP_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
+  return insert(at, now_, priority, std::move(fn));
+}
+
+EventId Kernel::schedule_as_of(Time as_of, Time at, EventFn fn,
+                               int priority) {
+  PAP_CHECK_MSG(as_of >= now_ && at >= as_of,
+                "cannot schedule an event in the past");
+  return insert(at, as_of, priority, std::move(fn));
+}
+
+EventId Kernel::insert(Time at, Time inserted, int priority, EventFn&& fn) {
   const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_.empty()) {
@@ -84,6 +96,7 @@ EventId Kernel::schedule_at(Time at, EventFn fn, int priority) {
   }
   Entry& e = pool_[slot];
   e.at = at;
+  e.inserted = inserted;
   e.priority = priority;
   e.seq = seq;
   e.fn = std::move(fn);

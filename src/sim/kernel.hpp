@@ -7,7 +7,10 @@
 // configuration must produce bit-identical traces.
 //
 // Events scheduled for the same timestamp fire in (priority, insertion-order)
-// order, which makes tie-breaking explicit instead of accidental.
+// order, which makes tie-breaking explicit instead of accidental. Insertion
+// order is the instant an event was scheduled at, then the order of the
+// schedule calls; `schedule_as_of` lets a model that knows an event early
+// insert it at the later instant it would have been scheduled at.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +57,15 @@ class Kernel {
   /// Lower `priority` runs first among same-timestamp events.
   EventId schedule_at(Time at, EventFn fn, int priority = 0);
 
+  /// Schedule `fn` to run at `at`, inserted as if the first event to run
+  /// at instant `as_of` (now() <= as_of <= at) had scheduled it: among
+  /// the events of the same (at, priority) it fires after every event
+  /// scheduled before `as_of` and ahead of every event scheduled at or
+  /// after `as_of`. A model that learns of an event before the instant
+  /// it would schedule it at gets that firing order this way, with no
+  /// event at `as_of` to schedule it.
+  EventId schedule_as_of(Time as_of, Time at, EventFn fn, int priority = 0);
+
   /// Schedule `fn` to run `delay` after the current time.
   EventId schedule_in(Time delay, EventFn fn, int priority = 0) {
     return schedule_at(now_ + delay, std::move(fn), priority);
@@ -97,8 +109,9 @@ class Kernel {
   //    the four children share a cache line of slot indices.
   struct Entry {
     Time at;
-    int priority = 0;
+    Time inserted;               // instant of insertion (see schedule_as_of)
     std::uint64_t seq = 0;       // insertion order; 0 = free slot
+    int priority = 0;
     std::uint32_t heap_pos = 0;  // index into heap_ while scheduled
     EventFn fn;
   };
@@ -106,8 +119,11 @@ class Kernel {
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
   /// True when pool_[a] fires strictly before pool_[b]
-  /// ((at, priority, seq) lexicographic).
+  /// ((at, priority, inserted, seq) lexicographic). `inserted` only ever
+  /// departs from the seq order for schedule_as_of events: every other
+  /// event is inserted at now(), which never decreases as seq grows.
   bool before(std::uint32_t a, std::uint32_t b) const;
+  EventId insert(Time at, Time inserted, int priority, EventFn&& fn);
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
   /// Detach the heap root and return its slot (heap_pos becomes kNoPos).

@@ -298,6 +298,138 @@ TEST(SocSimSet, RenderedResultsKeepTheirDigest) {
   EXPECT_EQ(digest_results(rendered), 0xc68048f43c061049ull);
 }
 
+/// FNV-1a step over the eight bytes of `v`.
+void fnv_add(std::uint64_t* h, std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    *h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffu;
+    *h *= 1099511628211ull;
+  }
+}
+
+void fnv_add(std::uint64_t* h, const LatencyHistogram& lat) {
+  fnv_add(h, static_cast<std::int64_t>(lat.count()));
+  for (const std::int64_t ps : lat.sorted_samples()) fnv_add(h, ps);
+}
+
+/// Every simulated statistic of one SoC run, ps-exact: the counts and
+/// throttles plus every latency sample of every core, RT reader and
+/// replay master.
+void fnv_add(std::uint64_t* h, const platform::ScenarioResult& r) {
+  for (const char c : r.label) fnv_add(h, c);
+  fnv_add(h, r.rt_latency);
+  fnv_add(h, r.rt_batch);
+  fnv_add(h, r.trace_latency);
+  for (const LatencyHistogram& core : r.core_latency) fnv_add(h, core);
+  for (const std::int64_t v :
+       {static_cast<std::int64_t>(r.hog_accesses),
+        static_cast<std::int64_t>(r.trace_accesses),
+        static_cast<std::int64_t>(r.memguard_throttles),
+        r.memguard_overhead.picos(),
+        static_cast<std::int64_t>(r.mpam_throttles),
+        static_cast<std::int64_t>(r.injected_dram_stalls)}) {
+    fnv_add(h, v);
+  }
+}
+
+/// Hand-written worlds for the cases where the order of same-instant
+/// events is easiest to disturb: Memguard and MPAM admits that defer a
+/// DRAM access to a later instant, and hog think times that wake a core
+/// at an instant fixed one access earlier.
+const char* const kTieWorlds[] = {
+    "scenario soc\nname tie_memguard_think\nsim_time 300us\nhogs 2\n"
+    "memguard on\nhog_budget 12\nmemguard_period 5us\n"
+    "master aux1 hog base=34359738368 working_set=4194304 "
+    "write_fraction=0.3 think_time=20ns seed=3\n"
+    "master aux2 hog base=38654705664 working_set=1048576 "
+    "write_fraction=0.5 think_time=15ns seed=4\n",
+    "scenario soc\nname tie_mpam_think\nsim_time 300us\nhogs 3\n"
+    "mpam_bw on\nhog_budget 10\nmemguard_period 2us\n"
+    "master aux1 hog base=34359738368 working_set=8388608 "
+    "write_fraction=0.25 think_time=16ns seed=5\n"
+    "master rd reader period=3us reads_per_batch=24 base=42949672960 "
+    "working_set=262144 writes=on\n",
+    "scenario soc\nname tie_both_regulators\nsim_time 300us\nhogs 2\n"
+    "memguard on\nmpam_bw on\nhog_budget 8\nmemguard_period 4us\n"
+    "dram_device lpddr4_3200\n"
+    "master aux1 hog base=34359738368 working_set=4194304 "
+    "write_fraction=0.6 think_time=1ns seed=6\n"
+    "master aux2 hog base=38654705664 working_set=4194304 "
+    "write_fraction=0.1 think_time=40ns seed=7\n",
+    "scenario soc\nname tie_think_policies\nsim_time 300us\nhogs 1\n"
+    "memguard on\nhog_budget 20\nmemguard_period 1us\n"
+    "dram_policy starvation_guard\n"
+    "master aux1 hog base=34359738368 working_set=2097152 "
+    "write_fraction=0.4 think_time=25ns seed=8\n"
+    "master aux2 hog base=38654705664 working_set=2097152 "
+    "write_fraction=0.4 think_time=25ns seed=9\n",
+};
+
+/// A wider ps-exact pin than the benchmark set: members 0-7 of each
+/// generated family at generator seed 2021 plus the hand-written worlds
+/// above, each digested over every latency sample it produced. Any
+/// reordering of same-instant events in the SoC, the regulators or the
+/// DRAM controller moves it.
+TEST(SocSimSet, WiderSetKeepsItsPsExactDigest) {
+  std::vector<Scenario> set;
+  for (const char* family : {"hog_mix", "mode_storm", "flash_crowd",
+                             "diurnal"}) {
+    for (int i = 0; i < 8; ++i) {
+      const auto gen = generate_scenario(family, 2021, i);
+      ASSERT_TRUE(gen) << gen.error_message();
+      set.push_back(gen.value());
+    }
+  }
+  for (const char* text : kTieWorlds) {
+    const auto parsed = parse_scenario(text);
+    ASSERT_TRUE(parsed) << parsed.error_message();
+    set.push_back(parsed.value());
+  }
+  std::uint64_t h = 1469598103934665603ull;
+  for (const Scenario& s : set) {
+    ASSERT_EQ(s.kind, Kind::kSoc) << s.name;
+    const auto r = platform::run_scenario(s.soc, s.name);
+    ASSERT_TRUE(r) << s.name << ": " << r.error_message();
+    fnv_add(&h, r.value());
+  }
+  EXPECT_EQ(h, 0x85848cab5233ca2aull);
+}
+
+std::uint64_t soc_accesses(const platform::ScenarioResult& r) {
+  return r.rt_latency.count() + r.hog_accesses + r.trace_accesses;
+}
+
+/// The simulator's cost in kernel events, counted rather than timed: one
+/// fixed generated member pins its exact event count (any event added back
+/// per access moves it), and the SoC members of the benchmark set stay
+/// under 2.65 events per simulated access.
+TEST(SocEvents, EventsPerAccessArePinned) {
+  const auto member = generate_scenario("hog_mix", 2021, 0);
+  ASSERT_TRUE(member) << member.error_message();
+  const auto r = platform::run_scenario(member.value().soc, "member");
+  ASSERT_TRUE(r) << r.error_message();
+  EXPECT_EQ(soc_accesses(r.value()), 6579u);
+  EXPECT_EQ(r.value().kernel_events, 18122u);
+
+  std::uint64_t events = 0;
+  std::uint64_t accesses = 0;
+  for (const char* family : {"hog_mix", "mode_storm", "flash_crowd",
+                             "diurnal"}) {
+    for (int i = 0; i < 4; ++i) {
+      const auto gen = generate_scenario(family, 2021, i);
+      ASSERT_TRUE(gen) << gen.error_message();
+      const auto run = platform::run_scenario(gen.value().soc, family);
+      ASSERT_TRUE(run) << run.error_message();
+      events += run.value().kernel_events;
+      accesses += soc_accesses(run.value());
+    }
+  }
+  ASSERT_GT(accesses, 0u);
+  const double per_access =
+      static_cast<double>(events) / static_cast<double>(accesses);
+  EXPECT_LE(per_access, 2.65) << events << " events, " << accesses
+                              << " accesses";
+}
+
 /// One fixed SoC run that drives every counter the Soc, its DRAM
 /// controller and its L3 publish: an RT reader, read/write hogs under
 /// Memguard and MPAM regulation, a core whose L3 scheme owns no way (every

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/inbox.hpp"
 #include "serve/server.hpp"
 
 namespace pap::serve {
@@ -137,6 +139,46 @@ struct RawConn {
     }
   }
 };
+
+/// A socket end owned through a shared_ptr, like a reactor's Conn: the
+/// socket closes when the last reference drops.
+struct OwnedSocket {
+  int fd;
+  ~OwnedSocket() { ::close(fd); }
+};
+
+/// True when `fd` reads end-of-file right now (its peer is closed).
+bool peer_closed(int fd) {
+  char c;
+  return ::recv(fd, &c, 1, MSG_DONTWAIT) == 0;
+}
+
+/// A reactor whose loop has exited closes its inboxes. A connection handed
+/// to it afterwards (an accept racing the exit, or a flush request from a
+/// worker of an abandoned drain) must not be parked where nothing reads
+/// it: the push is refused and the caller's drop closes the socket.
+TEST(ReactorInbox, HandOffAfterLoopExitIsRefusedAndClosesTheSocket) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  Inbox<std::shared_ptr<OwnedSocket>> inbox;
+  std::shared_ptr<OwnedSocket> early(new OwnedSocket{::dup(sv[0])});
+  ASSERT_TRUE(inbox.push(early));
+  EXPECT_EQ(early, nullptr);  // moved into the inbox
+  // Closing hands back what the loop never took.
+  auto leftover = inbox.close();
+  ASSERT_EQ(leftover.size(), 1u);
+  leftover.clear();
+
+  std::shared_ptr<OwnedSocket> late(new OwnedSocket{sv[0]});
+  EXPECT_FALSE(inbox.push(late));
+  ASSERT_NE(late, nullptr);  // still the caller's
+  EXPECT_EQ(late.use_count(), 1);
+  EXPECT_TRUE(inbox.take().empty());
+  EXPECT_FALSE(peer_closed(sv[1]));
+  late.reset();
+  EXPECT_TRUE(peer_closed(sv[1]));
+  ::close(sv[1]);
+}
 
 TEST(Server, UnixSocketEndToEnd) {
   ServerConfig cfg;

@@ -32,6 +32,25 @@ TEST(Kernel, SameTimestampUsesPriorityThenInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
 }
 
+TEST(Kernel, ScheduleAsOfTakesTheInsertionOrderOfItsInstant) {
+  Kernel k;
+  std::vector<char> order;
+  const Time at = Time::ns(10);
+  auto mark = [&order](char c) { return [&order, c] { order.push_back(c); }; };
+  k.schedule_at(at, mark('a'));
+  // Inserted as of 5 ns, though scheduled at 0.
+  k.schedule_as_of(Time::ns(5), at, mark('c'));
+  // Scheduled at 3 ns: before the as-of instant, so ahead of 'c'.
+  k.schedule_at(Time::ns(3), [&] { k.schedule_at(at, mark('b')); });
+  // Scheduled at 5 ns and 7 ns: at or after it, so behind 'c'.
+  k.schedule_at(Time::ns(5), [&] { k.schedule_at(at, mark('d')); });
+  k.schedule_at(Time::ns(7), [&] { k.schedule_at(at, mark('e')); });
+  // Priority still comes first.
+  k.schedule_as_of(Time::ns(5), at, mark('z'), /*priority=*/1);
+  k.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd', 'e', 'z'}));
+}
+
 TEST(Kernel, ScheduleInIsRelative) {
   Kernel k;
   Time seen;
