@@ -24,6 +24,10 @@
 //      serve_mix-shaped admission_check lines: parse_request (2 and 16
 //      apps), Request::key() and the handler's ParamReader pass (16 apps).
 //      Rows only, no gate: they say which layer a serving change moved.
+//   7. cold-request worker stages — the admission_check handler alone
+//      (2 and 16 apps on 8x8; 2 apps on 16x16, where the admission
+//      engine's per-link tables are largest for the least work) and
+//      render_result of a 16-app result. Rows only, no gate.
 //
 // Results go to BENCH_serve.json in the pap-bench-v1 schema consumed by
 // tools/bench_compare.py; the committed baseline lives at the repo root
@@ -48,6 +52,7 @@
 #include "dram/timing.hpp"
 #include "dram/wcd.hpp"
 #include "serve/client.hpp"
+#include "serve/handlers.hpp"
 #include "serve/param_reader.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
@@ -458,14 +463,16 @@ BenchRow bench_disk_warm_restart() {
                   static_cast<long long>(gbps.size())};
 }
 
-/// A serve_mix-shaped admission_check line: `apps` apps on an 8x8 mesh,
-/// in the member order perfbench's serve_mix writes.
-std::string intake_line(int apps) {
+/// A serve_mix-shaped admission_check line: `apps` apps on a `mesh` x
+/// `mesh` mesh (endpoints in its 8x8 corner), in the member order
+/// perfbench's serve_mix writes.
+std::string intake_line(int apps, int mesh = 8) {
   auto num = [](double v) {
     char buf[32];
     return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   };
-  std::string p = "{\"mesh_cols\":8,\"mesh_rows\":8,\"apps\":[";
+  std::string p = "{\"mesh_cols\":" + std::to_string(mesh) +
+                  ",\"mesh_rows\":" + std::to_string(mesh) + ",\"apps\":[";
   for (int i = 0; i < apps; ++i) {
     if (i > 0) p += ',';
     p += "{\"burst\":" + std::to_string(1 + i % 8) +
@@ -496,7 +503,7 @@ BenchRow time_layer(const std::string& name, Op&& op) {
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
   } while (elapsed_ns < 2e8);
   const double ns = elapsed_ns / static_cast<double>(iterations);
-  std::printf("%-28s %10.0f ns/op\n", name.c_str(), ns);
+  std::printf("%-40s %10.0f ns/op\n", name.c_str(), ns);
   return BenchRow{name, ns, iterations};
 }
 
@@ -548,6 +555,41 @@ std::vector<BenchRow> bench_intake_layers() {
         "16-app admission_check parameters read without error");
   rows.push_back(time_layer("BM_ServeParamRead/16", [&] {
     sink += read_admission_params(r.params) ? 1 : 0;
+  }));
+  if (sink == 0) std::printf("(unreachable: keeps the timed calls)\n");
+  return rows;
+}
+
+/// Section 7: the two worker stages of a cold admission_check, one row
+/// each: the handler (dispatch) and render_result.
+std::vector<BenchRow> bench_worker_stages() {
+  struct Case {
+    std::string name;
+    int apps, mesh;
+  };
+  const std::vector<Case> cases = {
+      {"BM_ServeAdmissionCheckDispatch/2", 2, 8},
+      {"BM_ServeAdmissionCheckDispatch/16", 16, 8},
+      {"BM_ServeAdmissionCheckDispatch/2/mesh16", 2, 16}};
+  const pap::serve::HandlerLimits limits;
+  std::vector<BenchRow> rows;
+  std::size_t sink = 0;
+  pap::exp::Result sixteen;
+  for (const Case& c : cases) {
+    const auto req = pap::serve::parse_request(intake_line(c.apps, c.mesh));
+    const auto out = pap::serve::dispatch(req.value().op, req.value().params,
+                                          limits);
+    check(out.ok, c.name + " line is answered");
+    if (!out.ok) continue;
+    if (c.apps == 16) sixteen = out.result;
+    rows.push_back(time_layer(c.name, [&] {
+      sink += pap::serve::dispatch(req.value().op, req.value().params, limits)
+                  .result.metrics()
+                  .size();
+    }));
+  }
+  rows.push_back(time_layer("BM_ServeRenderResult/16", [&] {
+    sink += pap::serve::render_result(sixteen).size();
   }));
   if (sink == 0) std::printf("(unreachable: keeps the timed calls)\n");
   return rows;
@@ -605,6 +647,8 @@ int main(int argc, char** argv) {
   rows.push_back(bench_disk_warm_restart());
   std::printf("== request intake ==\n");
   for (auto& row : bench_intake_layers()) rows.push_back(std::move(row));
+  std::printf("== cold-request worker stages ==\n");
+  for (auto& row : bench_worker_stages()) rows.push_back(std::move(row));
 
   if (!write_report(out_dir + "/BENCH_serve.json", rows)) return 1;
   if (g_failures > 0) {

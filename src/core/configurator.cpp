@@ -91,7 +91,7 @@ Expected<MechanismConfig> Configurator::configure(
   out.rate_table = std::move(table).value();
 
   // --- 4. Validate with the formal end-to-end analysis. ------------------
-  AdmissionController admission(model_);
+  AdmissionController admission(model_, AdmissionEngine::kIncremental);
   // Admit critical apps first so a failure names the responsible mix.
   for (const auto* a : by_criticality) {
     auto grant = admission.request(*a);

@@ -107,6 +107,29 @@ void append_canonical(std::string* out, const Value& v) {
   out->append(buf, r.ptr);
 }
 
+/// The one number formatter of machine() and json_into(): ints in decimal,
+/// doubles as %.17g, Time as nanoseconds with %.3f. std::to_chars with an
+/// explicit format and precision is defined to print what printf prints
+/// for the matching conversion, without printf's format parsing.
+void append_number(std::string* out, const Value& v) {
+  char buf[64];
+  std::to_chars_result r{};
+  switch (v.kind()) {
+    case Value::Kind::kDouble:
+      r = std::to_chars(buf, buf + sizeof buf, v.as_double(),
+                        std::chars_format::general, 17);
+      break;
+    case Value::Kind::kTime:
+      r = std::to_chars(buf, buf + sizeof buf, v.as_time().nanos(),
+                        std::chars_format::fixed, 3);
+      break;
+    default:
+      r = std::to_chars(buf, buf + sizeof buf, v.as_int());
+      break;
+  }
+  out->append(buf, r.ptr);
+}
+
 std::vector<std::string> split_tabs(const std::string& line) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -177,66 +200,64 @@ Time Value::as_time() const {
 }
 
 std::string Value::display() const {
-  char buf[64];
   switch (kind_) {
-    case Kind::kInt:
-      return std::to_string(int_);
     case Kind::kBool:
       return int_ ? "true" : "false";
-    case Kind::kString:
-      return str_;
     case Kind::kDouble: {
+      char buf[64];
       std::snprintf(buf, sizeof buf, "%.*f", precision_, dbl_);
       return buf;
     }
-    case Kind::kTime: {
-      std::snprintf(buf, sizeof buf, "%.3f", Time::ps(int_).nanos());
-      return buf;
-    }
+    default:
+      return machine();  // ints, strings, Time as ns: the same bytes
   }
-  return {};
 }
 
 std::string Value::machine() const {
-  char buf[64];
   switch (kind_) {
-    case Kind::kDouble:
-      std::snprintf(buf, sizeof buf, "%.17g", dbl_);
-      return buf;
     case Kind::kBool:
       return int_ ? "1" : "0";
-    case Kind::kTime:
-      std::snprintf(buf, sizeof buf, "%.3f", Time::ps(int_).nanos());
-      return buf;
-    default:
-      return display();
+    case Kind::kString:
+      return str_;
+    default: {
+      std::string out;
+      append_number(&out, *this);
+      return out;
+    }
   }
 }
 
-std::string Value::json() const {
-  switch (kind_) {
-    case Kind::kString: {
-      std::string out = "\"";
-      for (char c : str_) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c;
-        }
-      }
-      return out + "\"";
-    }
-    case Kind::kBool:
-      return int_ ? "true" : "false";
-    case Kind::kDouble:
-      if (!std::isfinite(dbl_)) return "null";
-      return machine();
-    default:
-      return machine();
+void Value::json_into(std::string* out) const {
+  if (kind_ == Kind::kString) {
+    json_string_into(out, str_);
+  } else if (kind_ == Kind::kBool) {
+    *out += int_ ? "true" : "false";
+  } else if (kind_ == Kind::kDouble && !std::isfinite(dbl_)) {
+    *out += "null";
+  } else {
+    append_number(out, *this);
   }
+}
+
+void json_string_into(std::string* out, std::string_view s) {
+  *out += '"';
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char* esc = nullptr;
+    switch (s[i]) {
+      case '"': esc = "\\\""; break;
+      case '\\': esc = "\\\\"; break;
+      case '\n': esc = "\\n"; break;
+      case '\t': esc = "\\t"; break;
+      case '\r': esc = "\\r"; break;
+      default: continue;
+    }
+    out->append(s.data() + run, i - run);
+    *out += esc;
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+  *out += '"';
 }
 
 std::string Value::canonical() const {

@@ -64,10 +64,13 @@ class Value {
   /// Human rendering, identical to the `TextTable::cell` overloads: ints
   /// verbatim, doubles fixed with `precision`, Time as ns with 3 decimals.
   std::string display() const;
-  /// Machine rendering for CSV: full-precision doubles (%.17g), Time as ns.
+  /// Machine rendering for CSV: full-precision doubles (%.17g), Time as ns
+  /// (%.3f), both through the number formatter json_into uses.
   std::string machine() const;
-  /// JSON literal for the JSON-lines sink.
-  std::string json() const;
+  /// Append the JSON literal for the JSON-lines sink and served replies:
+  /// machine()'s numbers, non-finite doubles as null, booleans as
+  /// true/false, strings through json_string_into.
+  void json_into(std::string* out) const;
   /// Stable, lossless representation used for hashing and the result cache
   /// (doubles as hexfloat). Includes a kind tag.
   std::string canonical() const;
@@ -81,6 +84,11 @@ class Value {
   std::string str_;
   int precision_ = 3;
 };
+
+/// Append `s` to *out as a JSON string literal. Escapes '"', '\\', '\n',
+/// '\t' and '\r'; every other byte, other control bytes included, is
+/// copied as is (the rendering results have always had).
+void json_string_into(std::string* out, std::string_view s);
 
 /// An ordered key -> Value map; insertion order is the column order every
 /// sink uses, so sweeps render reproducibly.

@@ -77,30 +77,35 @@ JsonlSink::JsonlSink(const std::string& path) {
 void JsonlSink::on_result(const SweepSummary& sweep, std::size_t index) {
   if (!out_.is_open()) return;
   const PointOutcome& outcome = sweep.points[index];
-  out_ << "{\"experiment\":" << Value{sweep.experiment}.json()
-       << ",\"point\":" << index << ",\"status\":\""
-       << status_name(outcome.status) << "\",\"label\":"
-       << Value{outcome.result.label()}.json() << ",\"params\":{";
-  bool first = true;
-  for (const auto& [key, v] : outcome.params.entries()) {
-    if (!first) out_ << ',';
-    first = false;
-    out_ << Value{key}.json() << ':' << v.json();
-  }
-  out_ << "},\"metrics\":{";
-  first = true;
-  for (const auto& [name, v] : outcome.result.metrics()) {
-    if (!first) out_ << ',';
-    first = false;
-    out_ << Value{name}.json() << ':' << v.json();
-  }
-  out_ << '}';
+  std::string line = "{\"experiment\":";
+  json_string_into(&line, sweep.experiment);
+  line += ",\"point\":" + std::to_string(index) + ",\"status\":\"" +
+          status_name(outcome.status) + "\",\"label\":";
+  json_string_into(&line, outcome.result.label());
+  const auto members = [&line](const auto& entries) {
+    line += '{';
+    bool first = true;
+    for (const auto& [name, v] : entries) {
+      if (!first) line += ',';
+      first = false;
+      json_string_into(&line, name);
+      line += ':';
+      v.json_into(&line);
+    }
+    line += '}';
+  };
+  line += ",\"params\":";
+  members(outcome.params.entries());
+  line += ",\"metrics\":";
+  members(outcome.result.metrics());
   if (timing_) {
     char wall[32];
     std::snprintf(wall, sizeof wall, "%.3f", outcome.wall_ms);
-    out_ << ",\"wall_ms\":" << wall;
+    line += ",\"wall_ms\":";
+    line += wall;
   }
-  out_ << "}\n";
+  line += "}\n";
+  out_ << line;
 }
 
 void TraceDirSink::on_result(const SweepSummary& sweep, std::size_t index) {

@@ -73,7 +73,7 @@ RE run_admission(const Scenario& s, const RunOptions& opts) {
   core::PlatformModel model;
   model.noc.cols = a.mesh_cols;
   model.noc.rows = a.mesh_rows;
-  core::AdmissionController ac(model);
+  core::AdmissionController ac(model, core::AdmissionEngine::kIncremental);
   noc::Mesh2D mesh(a.mesh_cols, a.mesh_rows);
 
   std::vector<core::AppRequirement> requests;

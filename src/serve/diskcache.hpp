@@ -35,12 +35,15 @@ class DiskCache {
   /// The verified payload for `key`, or nullopt on miss / corruption /
   /// truncation / filename-hash collision. Never fails hard.
   std::optional<std::string> load(const std::string& key) const {
+    if (!enabled()) return std::nullopt;
     return store_.load(path_for(key), key);
   }
 
   /// Persist `payload` for `key`. Failures are swallowed — the disk tier is
-  /// an optimization, not a guarantee.
+  /// an optimization, not a guarantee. A no-op, with no key hashing, when
+  /// the tier is off.
   void store(const std::string& key, const std::string& payload) const {
+    if (!enabled()) return;
     store_.store(path_for(key), key, payload);
   }
 

@@ -100,8 +100,10 @@ HandlerOutcome handle_admission_check(const exp::Params& params,
                                             burst_packets, qos);
 
   // Admission: apps are offered in index order; each decision is taken
-  // with everything previously admitted still in place.
-  core::AdmissionController ac(model);
+  // with everything previously admitted still in place. The incremental
+  // engine re-proves only each decision's dirty component; its grants,
+  // bounds and rejection text are those of the batch oracle.
+  core::AdmissionController ac(model, core::AdmissionEngine::kIncremental);
   exp::Result out("admission_check");
   int admitted = 0;
   for (const auto& a : apps) {

@@ -14,8 +14,14 @@ const char* error_code_name(ErrorCode code) {
 }
 
 std::string ok_reply(std::int64_t id, const std::string& result_payload) {
-  return "{\"id\":" + std::to_string(id) +
-         ",\"ok\":true,\"result\":" + result_payload + "}";
+  std::string out;
+  out.reserve(result_payload.size() + 48);  // the envelope and id fit in 48
+  out += "{\"id\":";
+  out += std::to_string(id);
+  out += ",\"ok\":true,\"result\":";
+  out += result_payload;
+  out += '}';
+  return out;
 }
 
 std::string error_reply(std::int64_t id, ErrorCode code,
@@ -26,13 +32,26 @@ std::string error_reply(std::int64_t id, ErrorCode code,
 }
 
 std::string render_result(const exp::Result& result) {
-  std::string out = "{\"label\":" + exp::Value{result.label()}.json() +
-                    ",\"metrics\":{";
+  // One buffer, sized up front: a number renders in at most 24 bytes, and
+  // names and strings rarely need escapes.
+  std::size_t bytes = 32 + result.label().size();
+  for (const auto& [name, v] : result.metrics()) {
+    bytes += name.size() + 28 +
+             (v.kind() == exp::Value::Kind::kString ? v.as_string().size()
+                                                    : 0);
+  }
+  std::string out;
+  out.reserve(bytes);
+  out += "{\"label\":";
+  exp::json_string_into(&out, result.label());
+  out += ",\"metrics\":{";
   bool first = true;
   for (const auto& [name, v] : result.metrics()) {
     if (!first) out += ',';
     first = false;
-    out += exp::Value{name}.json() + ':' + v.json();
+    exp::json_string_into(&out, name);
+    out += ':';
+    v.json_into(&out);
   }
   out += "}}";
   return out;

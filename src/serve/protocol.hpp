@@ -9,9 +9,9 @@
 //
 // The full grammar, endpoint table and error codes live in
 // docs/serving.md. Rendering is deterministic: metrics are emitted in the
-// handler's insertion order with exp::Value::json() — the exact rendering
-// the offline JsonlSink uses — so a served result is byte-comparable with
-// the batch pipeline's output for the same parameters.
+// handler's insertion order with exp::Value::json_into() — the exact
+// rendering the offline JsonlSink uses — so a served result is
+// byte-comparable with the batch pipeline's output for the same parameters.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +75,10 @@ std::string error_reply(std::int64_t id, ErrorCode code,
                         const std::string& message);
 
 /// Serialize a handler Result as the "result" object of an ok reply:
-///   {"label":<json>,"metrics":{<name>:<Value::json()>,...}}
-/// Metric order is insertion order — deterministic for a deterministic
-/// handler, and identical to the offline JsonlSink rendering of the same
-/// Result.
+///   {"label":<json>,"metrics":{<name>:<Value::json_into>,...}}
+/// in one pass into one reserved buffer. Metric order is insertion order —
+/// deterministic for a deterministic handler, and identical to the offline
+/// JsonlSink rendering of the same Result.
 std::string render_result(const exp::Result& result);
 
 }  // namespace pap::serve

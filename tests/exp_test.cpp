@@ -7,6 +7,7 @@
 #include <atomic>
 #include <bit>
 #include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,6 +63,78 @@ TEST(Value, CanonicalDoublesAreExactlyPrintfHexfloat) {
     std::snprintf(buf, sizeof buf, "%a", d);
     ASSERT_EQ(Value{d}.canonical(), std::string("d:") + buf);
   }
+}
+
+std::string json_of(const Value& v) {
+  std::string out;
+  v.json_into(&out);
+  return out;
+}
+
+TEST(Value, JsonAndMachineNumbersAreExactlyPrintf) {
+  // CSV cells, JSONL lines and papd replies all read these bytes; they
+  // must be what %.17g (doubles) and %.3f (Time in ns) have always given.
+  std::mt19937_64 rng(1717);
+  std::vector<double> doubles = {0.0, -0.0, 1.0, -1.5, 0.1, 1e308, -1e308,
+                                 1e-310, -4e-320, DBL_MIN, DBL_MAX,
+                                 DBL_TRUE_MIN, -DBL_TRUE_MIN, 123456789.0,
+                                 1e16, 1e17, 0.000123};
+  for (int i = 0; i < 100000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 2 == 0) bits &= ~((std::uint64_t{1} << (rng() % 52)) - 1);
+    doubles.push_back(std::bit_cast<double>(bits));
+  }
+  char buf[64];
+  for (double d : doubles) {
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+    ASSERT_EQ(Value{d}.machine(), buf);
+    ASSERT_EQ(json_of(Value{d}), std::isfinite(d) ? buf : "null");
+  }
+  for (double d : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::quiet_NaN()}) {
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+    EXPECT_EQ(Value{d}.machine(), buf);  // CSV keeps printf's inf / nan
+    EXPECT_EQ(json_of(Value{d}), "null");
+  }
+
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::int64_t> picos = {0, 1, -1, 499, 500, 501, -500, 1500,
+                                     -123456789, kMax, kMin, kMax - 1,
+                                     kMin + 1, kMax / 3, kMin / 7};
+  for (int i = 0; i < 100000; ++i) {
+    const auto p = static_cast<std::int64_t>(rng());
+    picos.push_back(i % 2 == 0 ? p : p >> (rng() % 63));
+  }
+  for (std::int64_t p : picos) {
+    std::snprintf(buf, sizeof buf, "%.3f", Time::ps(p).nanos());
+    ASSERT_EQ(Value{Time::ps(p)}.machine(), buf) << p;
+    ASSERT_EQ(json_of(Value{Time::ps(p)}), buf) << p;
+    ASSERT_EQ(Value{Time::ps(p)}.display(), buf) << p;
+    ASSERT_EQ(json_of(Value{p}), std::to_string(p));
+    ASSERT_EQ(Value{p}.display(), std::to_string(p));
+  }
+
+  std::string into = "x";
+  Value{2.5}.json_into(&into);
+  Value{Time::ps(1)}.json_into(&into);
+  Value{std::int64_t{-7}}.json_into(&into);
+  Value{std::numeric_limits<double>::infinity()}.json_into(&into);
+  EXPECT_EQ(into, "x2.50.001-7null");
+}
+
+TEST(Value, JsonStringsEscapeOnlyTheFiveBytes) {
+  EXPECT_EQ(json_of(Value{"a\"b\\c\nd\te\rf"}),
+            R"("a\"b\\c\nd\te\rf")");
+  // Other control bytes have always passed through raw.
+  EXPECT_EQ(json_of(Value{std::string("\x01\x1f\x7f", 3)}),
+            std::string("\"\x01\x1f\x7f\"", 5));
+  std::string out = "[";
+  json_string_into(&out, "\"\"");
+  json_string_into(&out, "");
+  EXPECT_EQ(out, std::string("[") + R"("\"\"")" + R"("")");
 }
 
 TEST(Result, SerializationRoundTripsBitExact) {

@@ -17,12 +17,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
+#include "serve/handlers.hpp"
 #include "serve/json.hpp"
 #include "serve/param_reader.hpp"
 #include "serve/protocol.hpp"
@@ -267,6 +271,29 @@ TEST(Replies, RenderResultMatchesJsonlOrderAndRendering) {
             R"({"label":"wcd_bound","metrics":{"upper":123.456,)"
             R"("iterations":13,"converged":true}})");
   EXPECT_TRUE(json_parse(ok_reply(1, payload)).has_value());
+
+  // Labels, names and string values escape '"', '\\', '\n', '\t' and
+  // '\r'; Time renders as ns, a non-finite double as null.
+  exp::Result s("say \"hi\"");
+  s.add("app1.reason", std::string("a \"b\" \\ c\nd\te\rf"));
+  s.add("tab\tname", Time::ps(-1500));
+  s.add("nan", exp::Value{std::nan("")});
+  s.add("neg", exp::Value{-0.0});
+  const std::string escaped = render_result(s);
+  EXPECT_EQ(escaped,
+            R"({"label":"say \"hi\"","metrics":{)"
+            R"("app1.reason":"a \"b\" \\ c\nd\te\rf",)"
+            R"("tab\tname":-1.500,"nan":null,"neg":-0}})");
+  const auto back = json_parse(ok_reply(-3, escaped));
+  ASSERT_TRUE(back.has_value()) << escaped;
+  EXPECT_EQ(ok_reply(-3, "{}"), R"({"id":-3,"ok":true,"result":{}})");
+
+  // Other control bytes have always passed through raw; replies keep them.
+  exp::Result raw("raw");
+  raw.add("c", std::string("\x01\x1f", 2));
+  EXPECT_EQ(render_result(raw),
+            std::string(R"({"label":"raw","metrics":{"c":")") + "\x01\x1f" +
+                "\"}}");
 }
 
 TEST(ErrorCodes, NamesAreStable) {
@@ -556,10 +583,13 @@ TEST(ParseRequestDifferential, ArraysKeepElementOrderAndEscapesDecode) {
 
 // serve_mix-shaped requests (admission_check with 2-16 apps, wcd_bound,
 // nc_delay), with member order shuffled at every level and random
-// whitespace between tokens.
+// whitespace between tokens. With `saturating`, one admission_check in
+// four crowds its apps onto the first two mesh rows at up to 12x the rate,
+// so that route flips and rejections are common.
 class MixWriter {
  public:
-  explicit MixWriter(std::uint32_t seed) : rng_(seed) {}
+  explicit MixWriter(std::uint32_t seed, bool saturating = false)
+      : rng_(seed), saturating_(saturating) {}
 
   std::string request(std::int64_t id) {
     out_.clear();
@@ -599,6 +629,9 @@ class MixWriter {
     return o + "}";
   }
   std::string admission() {
+    const bool hot = saturating_ && rng_() % 4 == 0;
+    const int rate_scale = hot ? 12 : 1;
+    const int max_y = hot ? 1 : 7;
     const int n = 2 + static_cast<int>(rng_() % 15);
     std::string apps = "[";
     apps += ws();
@@ -606,11 +639,11 @@ class MixWriter {
       if (i) apps += ',';
       apps += ws();
       apps += object({{"burst", uniform(1, 8)},
-                      {"rate", num(0.001 * (1 + rng_() % 12))},
+                      {"rate", num(0.001 * rate_scale * (1 + rng_() % 12))},
                       {"src_x", uniform(0, 7)},
-                      {"src_y", uniform(0, 7)},
+                      {"src_y", uniform(0, max_y)},
                       {"dst_x", uniform(0, 7)},
-                      {"dst_y", uniform(0, 7)},
+                      {"dst_y", uniform(0, max_y)},
                       {"deadline_ns", num(100.0 * (10 + rng_() % 51) +
                                           (rng_() % 4 ? 0.0 : 20000.0) +
                                           1e-3 * (rng_() % 1000))},
@@ -638,6 +671,7 @@ class MixWriter {
   }
 
   std::mt19937 rng_;
+  bool saturating_;
   std::string out_;
 };
 
@@ -648,6 +682,52 @@ TEST(ParseRequestDifferential, ServeMixShapedRequestsMatchTheOracle) {
     const auto req = parse_like_oracle(line);
     ASSERT_TRUE(req.has_value()) << line << ": " << req.error_message();
   }
+}
+
+// The bytes papd answers a cold request with: ok_reply(id,
+// render_result(dispatch(...))) (or error_reply) over a seeded
+// serve_mix-shaped set, folded into one FNV-1a digest. A change to an
+// admission engine, a handler or the renderer that moves a single byte of
+// any reply fails here, which a verifier rendering with the same code
+// cannot catch. The counts pin the set's shape: many admission_check
+// requests, with grants, rejections and rejections on both routes.
+TEST(Replies, ServeMixReplyBytesKeepTheirDigest) {
+  MixWriter writer(0xD16E57u, /*saturating=*/true);
+  std::uint64_t digest = kFnv1aOffset;
+  int admission = 0, granted = 0, rejected = 0, both_routes = 0,
+      saturated = 0, errors = 0;
+  const auto count = [](const std::string& s, const std::string& needle) {
+    int n = 0;
+    for (auto p = s.find(needle); p != s.npos; p = s.find(needle, p + 1)) ++n;
+    return n;
+  };
+  for (std::int64_t i = 0; i < 5200; ++i) {
+    const auto req = parse_request(writer.request(i));
+    ASSERT_TRUE(req.has_value()) << req.error_message();
+    const Request& r = req.value();
+    const HandlerOutcome out = dispatch(r.op, r.params, HandlerLimits{});
+    const std::string reply =
+        out.ok ? ok_reply(r.id, render_result(out.result))
+               : error_reply(r.id, out.error.code, out.error.message);
+    digest = fnv1a_byte(fnv1a(reply, digest), '\n');
+    if (!out.ok) ++errors;
+    if (r.op != "admission_check") continue;
+    ++admission;
+    granted += count(reply, ".admitted\":true");
+    rejected += count(reply, ".admitted\":false");
+    both_routes += count(reply, "(alternate route also fails)");
+    saturated += count(reply, "without a bounded");
+  }
+  EXPECT_EQ(admission, 2038);
+  EXPECT_EQ(granted, 14315);
+  EXPECT_EQ(rejected, 3946);
+  EXPECT_EQ(both_routes, rejected);  // each rejection tried the flipped route
+  EXPECT_EQ(saturated, 2523);
+  EXPECT_EQ(errors, 0);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest));
+  EXPECT_STREQ(hex, "e8569ab22a35eb3a");
 }
 
 }  // namespace
