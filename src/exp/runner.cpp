@@ -1,6 +1,5 @@
 #include "exp/runner.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +7,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 #include "fault/plan.hpp"
 #include "nc/arena.hpp"
 #include "trace/chrome_trace.hpp"
@@ -180,19 +180,6 @@ std::string cli_usage(const std::string& prog) {
 
 namespace {
 
-// Strict non-negative integer parse: whole string, base 10, no atoi
-// garbage-to-0. Returns false on any malformed or out-of-range input.
-bool parse_jobs(const char* s, int* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  if (v < 0 || v > 100000) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
 Expected<CliOptions> cli_error(const std::string& msg) {
   return Expected<CliOptions>::error(msg);
 }
@@ -202,13 +189,7 @@ Expected<CliOptions> cli_error(const std::string& msg) {
 /// scenario layer (exp sits below it).
 bool family_spec_shape_ok(const std::string& spec) {
   const std::size_t comma = spec.find(',');
-  const std::string family = spec.substr(0, comma);
-  if (family.empty()) return false;
-  for (char c : family) {
-    const bool ok =
-        (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-    if (!ok) return false;
-  }
+  if (!is_name(std::string_view(spec).substr(0, comma))) return false;
   std::size_t start = comma;
   while (start != std::string::npos) {
     ++start;
@@ -223,9 +204,9 @@ bool family_spec_shape_ok(const std::string& spec) {
     } else {
       return false;
     }
-    if (part.size() == digits) return false;
-    for (std::size_t i = digits; i < part.size(); ++i) {
-      if (part[i] < '0' || part[i] > '9') return false;
+    std::uint64_t value = 0;
+    if (!parse_u64(std::string_view(part).substr(digits), &value)) {
+      return false;
     }
     start = next;
   }
@@ -241,12 +222,12 @@ Expected<CliOptions> parse_cli_args(int argc, const char* const* argv) {
     if (a == "--help" || a == "-h") {
       cli.help = true;
     } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!parse_jobs(a.c_str() + 7, &cli.jobs)) {
+      if (!parse_int(a.substr(7), 0, 100000, &cli.jobs)) {
         return cli_error("invalid value for --jobs: '" + a.substr(7) + "'");
       }
     } else if (a == "--jobs" || a == "-j") {
       if (i + 1 >= argc) return cli_error(a + " requires a value");
-      if (!parse_jobs(argv[++i], &cli.jobs)) {
+      if (!parse_int(argv[++i], 0, 100000, &cli.jobs)) {
         return cli_error("invalid value for " + a + ": '" + argv[i] + "'");
       }
     } else if (a == "--cache") {

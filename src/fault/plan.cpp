@@ -1,9 +1,9 @@
 #include "fault/plan.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <climits>
+#include <string_view>
+
+#include "common/grammar.hpp"
 
 namespace pap::fault {
 
@@ -35,54 +35,6 @@ std::string to_string(MsgClass cls) {
 
 namespace {
 
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_prob(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < 0.0 || v > 1.0) return false;
-  *out = v;
-  return true;
-}
-
-/// "200ns" / "1.5us" / "2ms" -> Time. Strict: unit suffix required.
-bool parse_duration(const std::string& s, Time* out) {
-  if (s.size() < 3) return false;
-  double mult = 0.0;
-  std::size_t unit = 0;
-  if (s.size() >= 2 && s.compare(s.size() - 2, 2, "ns") == 0) {
-    mult = 1.0;
-    unit = 2;
-  } else if (s.size() >= 2 && s.compare(s.size() - 2, 2, "us") == 0) {
-    mult = 1e3;
-    unit = 2;
-  } else if (s.size() >= 2 && s.compare(s.size() - 2, 2, "ms") == 0) {
-    mult = 1e6;
-    unit = 2;
-  } else {
-    return false;
-  }
-  const std::string num = s.substr(0, s.size() - unit);
-  if (num.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(num.c_str(), &end);
-  if (errno != 0 || end == num.c_str() || *end != '\0' || v < 0.0) return false;
-  *out = Time::from_ns(v * mult);
-  return true;
-}
-
 bool parse_msg_class(const std::string& s, MsgClass* out) {
   for (const MsgClass c :
        {MsgClass::kAct, MsgClass::kTer, MsgClass::kStop, MsgClass::kConf,
@@ -112,13 +64,10 @@ Expected<FaultPlan> plan_error(const std::string& entry,
   return Expected<FaultPlan>::error("bad fault entry '" + entry + "': " + why);
 }
 
-const char kPortLetters[] = "LEWNS";  ///< noc::Direction enumerator order
+constexpr std::string_view kPortLetters = "LEWNS";  ///< noc::Direction order
 
-int port_from_letter(char c) {
-  for (int i = 0; i < 5; ++i) {
-    if (kPortLetters[i] == c) return i;
-  }
-  return -1;
+bool parse_positive_duration(std::string_view s, Time* out) {
+  return parse_duration(s, out) && *out > Time::zero();
 }
 
 /// `drop=[TYPE:]P[:N]` / `dup=...` value part; delay/reorder additionally
@@ -128,14 +77,15 @@ bool parse_msg_fault(FaultSpec* spec, const std::string& value,
   auto fields = split(value, ':');
   std::size_t i = 0;
   if (i < fields.size() && parse_msg_class(fields[i], &spec->msg_class)) ++i;
-  if (i >= fields.size() || !parse_prob(fields[i], &spec->probability)) {
+  if (i >= fields.size() || !parse_double(fields[i], &spec->probability) ||
+      spec->probability < 0.0 || spec->probability > 1.0) {
     *why = "expected probability in [0,1]";
     return false;
   }
   ++i;
   if (has_duration) {
-    if (i >= fields.size() || !parse_duration(fields[i], &spec->delay) ||
-        spec->delay <= Time::zero()) {
+    if (i >= fields.size() ||
+        !parse_positive_duration(fields[i], &spec->delay)) {
       *why = "expected positive duration (e.g. 200ns)";
       return false;
     }
@@ -209,40 +159,36 @@ Expected<FaultPlan> FaultPlan::parse(const std::string& text) {
       std::string target = value;
       const std::size_t plus = target.find('+');
       if (plus != std::string::npos) {
-        if (!parse_duration(target.substr(plus + 1), &spec.duration) ||
-            spec.duration <= Time::zero()) {
+        if (!parse_positive_duration(target.substr(plus + 1),
+                                     &spec.duration)) {
           return plan_error(entry, "expected positive restart delay after '+'");
         }
         target = target.substr(0, plus);
       }
-      std::uint64_t app = 0;
-      if (target.rfind("app", 0) != 0 || !parse_u64(target.substr(3), &app)) {
+      if (target.rfind("app", 0) != 0 ||
+          !parse_int(target.substr(3), 0, INT_MAX, &spec.app)) {
         return plan_error(entry, "expected appN target");
       }
-      spec.app = static_cast<int>(app);
     } else if (key == "link") {
       if (!timed) return plan_error(entry, "expected link@T=rR:D:DUR");
       spec.kind = FaultKind::kLinkDown;
       const auto fields = split(value, ':');
-      std::uint64_t router = 0;
       if (fields.size() != 3 || fields[0].rfind('r', 0) != 0 ||
-          !parse_u64(fields[0].substr(1), &router)) {
+          !parse_int(fields[0].substr(1), 0, INT_MAX, &spec.router)) {
         return plan_error(entry, "expected rR:D:DUR");
       }
-      spec.router = static_cast<int>(router);
-      if (fields[1].size() != 1 ||
-          (spec.port = port_from_letter(fields[1][0])) < 0) {
+      const std::size_t port = kPortLetters.find(fields[1]);
+      if (fields[1].size() != 1 || port == std::string_view::npos) {
         return plan_error(entry, "port must be one of L,E,W,N,S");
       }
-      if (!parse_duration(fields[2], &spec.duration) ||
-          spec.duration <= Time::zero()) {
+      spec.port = static_cast<int>(port);
+      if (!parse_positive_duration(fields[2], &spec.duration)) {
         return plan_error(entry, "expected positive down window");
       }
     } else if (key == "dram") {
       if (!timed) return plan_error(entry, "expected dram@T=DUR");
       spec.kind = FaultKind::kDramStall;
-      if (!parse_duration(value, &spec.duration) ||
-          spec.duration <= Time::zero()) {
+      if (!parse_positive_duration(value, &spec.duration)) {
         return plan_error(entry, "expected positive stall window");
       }
     } else {
@@ -261,16 +207,14 @@ Status FaultPlan::validate() const {
     switch (s.kind) {
       case FaultKind::kMsgDrop:
       case FaultKind::kMsgDup:
-        if (s.probability < 0.0 || s.probability > 1.0) {
-          return Status::error("fault probability must be in [0,1]");
-        }
-        break;
       case FaultKind::kMsgDelay:
       case FaultKind::kMsgReorder:
-        if (s.probability < 0.0 || s.probability > 1.0) {
+        if (!(s.probability >= 0.0 && s.probability <= 1.0)) {  // NaN too
           return Status::error("fault probability must be in [0,1]");
         }
-        if (s.delay <= Time::zero()) {
+        if ((s.kind == FaultKind::kMsgDelay ||
+             s.kind == FaultKind::kMsgReorder) &&
+            s.delay <= Time::zero()) {
           return Status::error(to_string(s.kind) +
                                " fault needs a positive duration");
         }
@@ -306,56 +250,39 @@ FaultPlan FaultPlan::merged_with(const FaultPlan& other) const {
   return out;
 }
 
-namespace {
-
-std::string fmt_duration(Time t) {
-  char buf[48];
-  const std::int64_t ps = t.picos();
-  if (ps % 1'000'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(ps / 1'000'000'000));
-  } else if (ps % 1'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(ps / 1'000'000));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.3fns",
-                  static_cast<double>(ps) / 1000.0);
-  }
-  return buf;
-}
-
-std::string fmt_prob(double p) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", p);
-  return buf;
-}
-
-}  // namespace
-
 std::string FaultSpec::canonical() const {
-  std::string out;
+  std::string out = to_string(kind);
+  if (kind == FaultKind::kClientCrash || kind == FaultKind::kLinkDown ||
+      kind == FaultKind::kDramStall) {
+    out.append("@").append(format_duration(at));
+  }
+  out += '=';
   switch (kind) {
     case FaultKind::kMsgDrop:
     case FaultKind::kMsgDup:
     case FaultKind::kMsgDelay:
     case FaultKind::kMsgReorder:
-      out = to_string(kind) + "=";
-      if (msg_class != MsgClass::kAny) out += to_string(msg_class) + ":";
-      out += fmt_prob(probability);
+      if (msg_class != MsgClass::kAny) out.append(to_string(msg_class)) += ':';
+      out += format_double(probability);
       if (kind == FaultKind::kMsgDelay || kind == FaultKind::kMsgReorder) {
-        out += ":" + fmt_duration(delay);
+        out.append(":").append(format_duration(delay));
       }
-      if (max_count != 0) out += ":" + std::to_string(max_count);
-      return out;
+      if (max_count != 0) out.append(":").append(std::to_string(max_count));
+      break;
     case FaultKind::kClientCrash:
-      out = "crash@" + fmt_duration(at) + "=app" + std::to_string(app);
-      if (duration > Time::zero()) out += "+" + fmt_duration(duration);
-      return out;
+      out.append("app").append(std::to_string(app));
+      if (duration > Time::zero()) {
+        out.append("+").append(format_duration(duration));
+      }
+      break;
     case FaultKind::kLinkDown:
-      return "link@" + fmt_duration(at) + "=r" + std::to_string(router) + ":" +
-             std::string(1, kPortLetters[port]) + ":" + fmt_duration(duration);
+      out.append("r").append(std::to_string(router)).append(":");
+      out.append(1, kPortLetters[port]).append(":");
+      out.append(format_duration(duration));
+      break;
     case FaultKind::kDramStall:
-      return "dram@" + fmt_duration(at) + "=" + fmt_duration(duration);
+      out.append(format_duration(duration));
+      break;
   }
   return out;
 }

@@ -26,7 +26,7 @@
 // TYPE restricts message faults to one leg kind (act, ter, stop, conf,
 // stopack, confack; default any). N caps how many times the fault fires
 // (0 / omitted: unlimited). T and DUR are durations like `200ns`, `1.5us`,
-// `2ms`.
+// `2ms`; values follow the shared grammar of common/grammar.hpp.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,12 @@
 #include "platform/scenario.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
 #include "cache/dsu.hpp"
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 #include "common/units.hpp"
 #include "fault/injector.hpp"
 #include "trace/tracer.hpp"
@@ -23,10 +23,6 @@ double ScenarioResult::inflation(const ScenarioResult& base,
 
 namespace {
 
-bool is_master_name_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-}
-
 /// True for the built-in names "rt" and "hog<digits>" that extra masters
 /// may not shadow.
 bool is_builtin_master_name(const std::string& name) {
@@ -39,7 +35,7 @@ bool is_builtin_master_name(const std::string& name) {
 Status validate_master(const MasterSpec& m) {
   const std::string who = "master '" + m.name + "': ";
   if (m.name.empty()) return Status::error("master name must not be empty");
-  if (!std::all_of(m.name.begin(), m.name.end(), is_master_name_char)) {
+  if (!is_name(m.name)) {
     return Status::error("master name '" + m.name +
                          "' must match [a-z0-9_]+");
   }
@@ -170,8 +166,8 @@ Status ScenarioConfig::validate() const {
       known = true;
     } else if (p.master.size() > 3 && p.master.compare(0, 3, "hog") == 0 &&
                is_builtin_master_name(p.master)) {
-      const long idx = std::strtol(p.master.c_str() + 3, nullptr, 10);
-      if (idx < 1 || idx > k.hogs) {
+      int idx = 0;
+      if (!parse_int(std::string_view(p.master).substr(3), 1, k.hogs, &idx)) {
         return Status::error(who + "targets '" + p.master + "' but only " +
                              std::to_string(k.hogs) + " hogs are configured");
       }

@@ -131,6 +131,9 @@ struct ScenarioKnobs {
 class ScenarioConfig {
  public:
   ScenarioConfig() = default;
+  /// Every knob at once (the `.pap` parser's commit); unvalidated, like the
+  /// setters.
+  explicit ScenarioConfig(ScenarioKnobs knobs) : knobs_(std::move(knobs)) {}
 
   ScenarioConfig& hogs(int n) { return (knobs_.hogs = n, *this); }
   ScenarioConfig& dsu_partitioning(bool on = true) {
@@ -173,14 +176,8 @@ class ScenarioConfig {
   ScenarioConfig& add_master(MasterSpec spec) {
     return (knobs_.masters.push_back(std::move(spec)), *this);
   }
-  ScenarioConfig& masters(std::vector<MasterSpec> m) {
-    return (knobs_.masters = std::move(m), *this);
-  }
   ScenarioConfig& add_phase(PhaseSpec phase) {
     return (knobs_.phases.push_back(std::move(phase)), *this);
-  }
-  ScenarioConfig& phases(std::vector<PhaseSpec> p) {
-    return (knobs_.phases = std::move(p), *this);
   }
   ScenarioConfig& tracer(trace::Tracer* t) {
     return (knobs_.tracer = t, *this);

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 
 namespace pap::platform {
 
@@ -14,20 +15,6 @@ namespace {
 
 constexpr std::string_view kMagic = "# pap-trace-v1";
 constexpr std::string_view kHeader = "time_ps,core,addr,size,write,crit";
-
-/// Strict decimal u64: digits only, no sign, no whitespace.
-bool parse_u64_field(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  out = v;
-  return true;
-}
 
 Expected<TraceRecord> parse_record_line(std::string_view line) {
   using E = Expected<TraceRecord>;
@@ -44,24 +31,24 @@ Expected<TraceRecord> parse_record_line(std::string_view line) {
   if (n != 6) return E::error("expected 6 comma-separated fields, got " +
                               std::to_string(n));
   std::uint64_t time_ps = 0, core = 0, addr = 0, size = 0, write = 0, crit = 0;
-  if (!parse_u64_field(fields[0], time_ps) ||
+  if (!parse_u64(fields[0], &time_ps) ||
       time_ps > static_cast<std::uint64_t>(INT64_MAX)) {
     return E::error("bad time_ps '" + std::string(fields[0]) + "'");
   }
-  if (!parse_u64_field(fields[1], core) || core > 4096) {
+  if (!parse_u64(fields[1], &core) || core > 4096) {
     return E::error("bad core '" + std::string(fields[1]) + "'");
   }
-  if (!parse_u64_field(fields[2], addr)) {
+  if (!parse_u64(fields[2], &addr)) {
     return E::error("bad addr '" + std::string(fields[2]) + "'");
   }
-  if (!parse_u64_field(fields[3], size) || size == 0) {
+  if (!parse_u64(fields[3], &size) || size == 0) {
     return E::error("bad size '" + std::string(fields[3]) + "'");
   }
-  if (!parse_u64_field(fields[4], write) || write > 1) {
+  if (!parse_u64(fields[4], &write) || write > 1) {
     return E::error("bad write flag '" + std::string(fields[4]) +
                     "' (want 0 or 1)");
   }
-  if (!parse_u64_field(fields[5], crit) || crit > 1) {
+  if (!parse_u64(fields[5], &crit) || crit > 1) {
     return E::error("bad crit flag '" + std::string(fields[5]) +
                     "' (want 0 or 1)");
   }

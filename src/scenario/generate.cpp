@@ -1,10 +1,9 @@
 #include "scenario/generate.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/grammar.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "dram/policy.hpp"
@@ -242,22 +241,15 @@ Expected<FamilySpec> parse_family_spec(const std::string& text) {
       spec.family = part;
     } else if (part.rfind("seed=", 0) == 0) {
       const std::string v = part.substr(5);
-      char* end = nullptr;
-      errno = 0;
-      spec.seed = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || errno != 0 || *end != '\0') {
+      if (!parse_u64(v, &spec.seed)) {
         return FE::error("bad family seed '" + v + "' in '" + text + "'");
       }
     } else if (part.rfind("n=", 0) == 0) {
       const std::string v = part.substr(2);
-      char* end = nullptr;
-      errno = 0;
-      const long long n = std::strtoll(v.c_str(), &end, 10);
-      if (v.empty() || errno != 0 || *end != '\0' || n < 1 || n > 100000) {
+      if (!parse_int(v, 1, 100000, &spec.count)) {
         return FE::error("bad family count '" + v + "' in '" + text +
                          "' (want n=1..100000)");
       }
-      spec.count = static_cast<int>(n);
     } else {
       return FE::error("bad family spec part '" + part + "' in '" + text +
                        "' (want NAME[,seed=S][,n=K])");

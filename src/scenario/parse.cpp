@@ -1,5 +1,12 @@
 // Parser and canonical printer for the `.pap` scenario format.
 //
+// The knob tables below (kSocKnobs, kDramKnobs, kAdmissionKnobs,
+// kMasterKnobs, kAppKnobs) are the single list of `.pap` knobs: each entry
+// names a key, the field it sets and, through that field's type, its value
+// format. One generic driver parses through them, prints them in table
+// order and maps validator messages back to the line that set a knob.
+// Values follow the shared grammar of common/grammar.hpp.
+//
 // Parsing is strict and eager: the first offence wins and every error
 // carries the 1-based `line L, col C:` position of the offending token
 // (the serve::json convention). Printing is canonical: fixed knob order,
@@ -9,15 +16,16 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <array>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
-#include <map>
-#include <set>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <variant>
 
+#include "common/grammar.hpp"
 #include "dram/controller.hpp"
 #include "dram/policy.hpp"
 #include "dram/timing.hpp"
@@ -36,210 +44,261 @@ std::string to_string(Kind kind) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Value formats (canonical printing).
+// The knob tables.
 
-std::string fmt_duration(Time t) {
-  char buf[48];
-  const std::int64_t ps = t.picos();
-  if (ps % 1'000'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(ps / 1'000'000'000));
-  } else if (ps % 1'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(ps / 1'000'000));
-  } else if (ps % 1'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%lldns",
-                  static_cast<long long>(ps / 1'000));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.3fns", static_cast<double>(ps) / 1000.0);
-  }
-  return buf;
-}
+/// Two ints spelled `A<sep>B`: `mesh CxR`, `src=X,Y`.
+template <class T>
+struct IntPair {
+  int T::*first;
+  int T::*second;
+  char sep;
+};
 
-/// Shortest decimal that round-trips to exactly `v` through strtod.
-std::string fmt_double(double v) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+/// A double that also accepts the exact rational `A/B` (how fig6 writes
+/// packet rates); the quotient must be finite like any other double.
+template <class T>
+struct Rate {
+  double T::*field;
+};
 
-const char* fmt_bool(bool b) { return b ? "on" : "off"; }
+/// The field a knob sets; its type picks the value format: on|off,
+/// integer, double, duration, non-empty token, DRAM policy name, fault
+/// plan, rate or int pair.
+template <class T>
+using Field = std::variant<bool T::*, int T::*, std::uint64_t T::*,
+                           double T::*, Time T::*, std::string T::*,
+                           dram::PolicyKind T::*, fault::FaultPlan T::*,
+                           Rate<T>, IntPair<T>>;
+
+constexpr int kCountMax = 1'000'000;    ///< hogs, reads per batch
+constexpr int kIntMax = 1'000'000'000;  ///< every other int knob
+
+/// Master kinds a master key applies to, one bit per MasterSpec::Kind.
+constexpr unsigned kReader = 1u << 0, kHog = 1u << 1, kTrace = 1u << 2;
+constexpr unsigned kAnyKind = kReader | kHog | kTrace;
+
+template <class T>
+struct Knob {
+  const char* key;
+  Field<T> field;
+  int max = kIntMax;  ///< int knobs: largest accepted value
+  /// The word validate() messages start with when they name this knob, if
+  /// it is not `key`.
+  const char* validator_name = nullptr;
+  unsigned kinds = kAnyKind;  ///< master knobs only
+  bool required = false;      ///< app knobs only
+};
+
+using Soc = platform::ScenarioKnobs;
+constexpr Knob<Soc> kSocKnobs[] = {
+    {.key = "sim_time", .field = &Soc::sim_time},
+    {.key = "hogs", .field = &Soc::hogs, .max = kCountMax},
+    {.key = "dsu", .field = &Soc::dsu_partitioning},
+    {.key = "memguard", .field = &Soc::memguard},
+    {.key = "mpam_bw", .field = &Soc::mpam_bw},
+    {.key = "stop_the_world", .field = &Soc::stop_the_world},
+    {.key = "hog_budget", .field = &Soc::hog_budget_per_period,
+     .validator_name = "hog_budget_per_period"},
+    {.key = "memguard_period", .field = &Soc::memguard_period},
+    // "scenario has no masters (rt_enabled is false, ...)"
+    {.key = "rt", .field = &Soc::rt_enabled, .validator_name = "scenario"},
+    {.key = "rt_period", .field = &Soc::rt_period},
+    {.key = "rt_reads_per_batch", .field = &Soc::rt_reads_per_batch,
+     .max = kCountMax},
+    {.key = "rt_working_set", .field = &Soc::rt_working_set},
+    {.key = "dram_policy", .field = &Soc::dram_policy},
+    {.key = "dram_device", .field = &Soc::dram_device},
+    // "fault plan: ..."
+    {.key = "faults", .field = &Soc::fault_plan, .validator_name = "fault"},
+};
+
+constexpr Knob<DramScenario> kDramKnobs[] = {
+    {.key = "sim_time", .field = &DramScenario::sim_time},
+    {.key = "device", .field = &DramScenario::device},
+    {.key = "banks", .field = &DramScenario::banks},
+    {.key = "w_high", .field = &DramScenario::w_high},
+    {.key = "w_low", .field = &DramScenario::w_low},
+    {.key = "n_wd", .field = &DramScenario::n_wd},
+    {.key = "read_period", .field = &DramScenario::read_period},
+    {.key = "read_bank", .field = &DramScenario::read_bank},
+    {.key = "read_stride", .field = &DramScenario::read_stride},
+    {.key = "write_rate_gbps", .field = &DramScenario::write_rate_gbps},
+    {.key = "write_burst", .field = &DramScenario::write_burst},
+    {.key = "write_bank", .field = &DramScenario::write_bank},
+};
+
+using Adm = AdmissionScenario;
+constexpr Knob<Adm> kAdmissionKnobs[] = {
+    {.key = "mesh",
+     .field = IntPair<Adm>{&Adm::mesh_cols, &Adm::mesh_rows, 'x'}},
+    {.key = "link_rate_gbps", .field = &Adm::link_rate_gbps},
+    {.key = "rm_node", .field = &Adm::rm_node},
+    {.key = "burst_factor", .field = &Adm::burst_factor},
+    {.key = "packets", .field = &Adm::packets},
+    {.key = "enforce", .field = &Adm::enforce},
+};
+
+/// `master NAME reader|hog|trace key=value ...`; one ordered list yields
+/// every kind's print order.
+using Master = platform::MasterSpec;
+constexpr const char* kMasterKindNames[] = {"reader", "hog", "trace"};
+constexpr Knob<Master> kMasterKnobs[] = {
+    {.key = "period", .field = &Master::period, .kinds = kReader},
+    {.key = "reads_per_batch", .field = &Master::reads_per_batch,
+     .max = kCountMax, .kinds = kReader},
+    {.key = "base", .field = &Master::base, .kinds = kReader | kHog},
+    {.key = "working_set", .field = &Master::working_set,
+     .kinds = kReader | kHog},
+    {.key = "writes", .field = &Master::writes, .kinds = kReader},
+    {.key = "write_fraction", .field = &Master::write_fraction, .kinds = kHog},
+    {.key = "think_time", .field = &Master::think_time, .kinds = kHog},
+    {.key = "seed", .field = &Master::seed, .kinds = kHog},
+    {.key = "file", .field = &Master::trace_path, .kinds = kTrace},
+    {.key = "critical", .field = &Master::critical},
+    {.key = "paused", .field = &Master::start_paused},
+};
+
+/// `app ID key=value ...`
+using App = AdmissionApp;
+constexpr Knob<App> kAppKnobs[] = {
+    {.key = "burst", .field = &App::burst, .required = true},
+    {.key = "rate", .field = Rate<App>{&App::rate}, .required = true},
+    {.key = "src", .field = IntPair<App>{&App::src_x, &App::src_y, ','},
+     .required = true},
+    {.key = "dst", .field = IntPair<App>{&App::dst_x, &App::dst_y, ','},
+     .required = true},
+    {.key = "deadline", .field = &App::deadline, .required = true},
+    {.key = "dram", .field = &App::uses_dram},
+};
+
+/// Position slots per scalar table; master and app keys are `seen` bits.
+constexpr std::size_t kMaxKnobs = std::max(
+    {std::size(kSocKnobs), std::size(kDramKnobs), std::size(kAdmissionKnobs)});
+static_assert(std::size(kMasterKnobs) <= 32 && std::size(kAppKnobs) <= 32);
 
 // ---------------------------------------------------------------------------
-// Value parsers (strict: the whole token must be consumed).
+// Value formats.
 
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 20) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
+template <class... F>
+struct Overload : F... {
+  using F::operator()...;
+};
+template <class... F>
+Overload(F...) -> Overload<F...>;
 
-bool parse_int(const std::string& s, int* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, &v) || v > 1'000'000'000ull) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double_strict(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (!(v == v) || v > 1e300 || v < -1e300) return false;  // NaN / inf
-  *out = v;
-  return true;
-}
-
-/// `0.5` or the exact rational `A/B` (how fig6 writes packet rates).
-bool parse_rate(const std::string& s, double* out) {
-  const std::size_t slash = s.find('/');
-  if (slash == std::string::npos) return parse_double_strict(s, out);
-  double num = 0.0, den = 0.0;
-  if (!parse_double_strict(s.substr(0, slash), &num) ||
-      !parse_double_strict(s.substr(slash + 1), &den) || den == 0.0) {
-    return false;
-  }
-  *out = num / den;
-  return true;
-}
-
-bool parse_onoff(const std::string& s, bool* out) {
+bool parse_onoff(std::string_view s, bool* out) {
   if (s == "on") return (*out = true, true);
   if (s == "off") return (*out = false, true);
   return false;
 }
 
-/// "200ns" / "1.5us" / "2ms" -> Time. Strict: unit suffix required.
-bool parse_duration(const std::string& s, Time* out) {
-  if (s.size() < 3) return false;
-  double mult = 0.0;
-  if (s.compare(s.size() - 2, 2, "ns") == 0) {
-    mult = 1.0;
-  } else if (s.compare(s.size() - 2, 2, "us") == 0) {
-    mult = 1e3;
-  } else if (s.compare(s.size() - 2, 2, "ms") == 0) {
-    mult = 1e6;
-  } else {
+bool parse_rate(std::string_view s, double* out) {
+  const std::size_t slash = s.find('/');
+  if (slash == std::string_view::npos) return parse_double(s, out);
+  double num = 0.0, den = 0.0;
+  if (!parse_double(s.substr(0, slash), &num) ||
+      !parse_double(s.substr(slash + 1), &den) || den == 0.0) {
     return false;
   }
-  const std::string num = s.substr(0, s.size() - 2);
-  double v = 0.0;
-  if (!parse_double_strict(num, &v) || v < 0.0) return false;
-  *out = Time::from_ns(v * mult);
+  *out = num / den;
+  return std::isfinite(*out);
+}
+
+bool parse_name(std::string_view s, std::string* out) {
+  if (s.size() > 64 || !is_name(s)) return false;
+  out->assign(s);
   return true;
 }
 
-bool is_name_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+/// Parses `v` into `obj`'s knob `k`. False on a bad value; `why` is set
+/// when the knob's own parser explains the rejection (policy, fault plan).
+template <class T>
+bool parse_value(const Knob<T>& k, std::string_view v, T& obj,
+                 std::string* why) {
+  const auto take = [why](auto parsed, auto& into) {
+    if (!parsed) return (*why = parsed.error_message(), false);
+    into = std::move(parsed).value();
+    return true;
+  };
+  return std::visit(
+      Overload{
+          [&](bool T::*f) { return parse_onoff(v, &(obj.*f)); },
+          [&](int T::*f) { return parse_int(v, 0, k.max, &(obj.*f)); },
+          [&](std::uint64_t T::*f) { return parse_u64(v, &(obj.*f)); },
+          [&](double T::*f) { return parse_double(v, &(obj.*f)); },
+          [&](Time T::*f) { return parse_duration(v, &(obj.*f)); },
+          [&](std::string T::*f) {
+            (obj.*f).assign(v);
+            return !v.empty();
+          },
+          [&](dram::PolicyKind T::*f) {
+            return take(dram::parse_policy(std::string(v)), obj.*f);
+          },
+          [&](fault::FaultPlan T::*f) {
+            return take(fault::FaultPlan::parse(std::string(v)), obj.*f);
+          },
+          [&](Rate<T> r) { return parse_rate(v, &(obj.*r.field)); },
+          [&](IntPair<T> p) {
+            const std::size_t sep = v.find(p.sep);
+            return sep != std::string_view::npos &&
+                   parse_int(v.substr(0, sep), 0, k.max, &(obj.*p.first)) &&
+                   parse_int(v.substr(sep + 1), 0, k.max, &(obj.*p.second));
+          },
+      },
+      k.field);
 }
 
-bool parse_name(const std::string& s, std::string* out) {
-  if (s.empty() || s.size() > 64) return false;
-  for (char c : s) {
-    if (!is_name_char(c)) return false;
-  }
-  *out = s;
-  return true;
+/// Appends the canonical spelling of `obj`'s knob `k`.
+template <class T>
+void append_value(const Knob<T>& k, const T& obj, std::string* out) {
+  std::visit(
+      Overload{
+          [&](bool T::*f) { out->append(obj.*f ? "on" : "off"); },
+          [&](int T::*f) { out->append(std::to_string(obj.*f)); },
+          [&](std::uint64_t T::*f) { out->append(std::to_string(obj.*f)); },
+          [&](double T::*f) { out->append(format_double(obj.*f)); },
+          [&](Time T::*f) { out->append(format_duration(obj.*f)); },
+          [&](std::string T::*f) { out->append(obj.*f); },
+          [&](dram::PolicyKind T::*f) {
+            out->append(dram::to_string(obj.*f));
+          },
+          [&](fault::FaultPlan T::*f) { out->append((obj.*f).canonical()); },
+          [&](Rate<T> r) { out->append(format_double(obj.*r.field)); },
+          [&](IntPair<T> p) {
+            out->append(std::to_string(obj.*p.first));
+            out->push_back(p.sep);
+            out->append(std::to_string(obj.*p.second));
+          },
+      },
+      k.field);
 }
 
-/// "X,Y" mesh coordinates.
-bool parse_coord(const std::string& s, int* x, int* y) {
-  const std::size_t comma = s.find(',');
-  if (comma == std::string::npos) return false;
-  return parse_int(s.substr(0, comma), x) &&
-         parse_int(s.substr(comma + 1), y);
-}
-
-// ---------------------------------------------------------------------------
-// Tokenizer.
-
-struct Tok {
-  std::string text;
-  int col = 1;  ///< 1-based byte column of the token's first character
-};
-
-std::vector<Tok> tokenize(const std::string& line) {
-  std::vector<Tok> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    if (line[i] == ' ' || line[i] == '\t') {
-      ++i;
-      continue;
+/// `key value` lines in table order; a knob with an empty value (the
+/// empty fault plan) prints no line.
+template <class T, std::size_t N>
+void print_scalars(const Knob<T> (&table)[N], const T& obj, std::string* out) {
+  for (const Knob<T>& k : table) {
+    const std::size_t line_start = out->size();
+    out->append(k.key).push_back(' ');
+    const std::size_t value_start = out->size();
+    append_value(k, obj, out);
+    if (out->size() == value_start) {
+      out->resize(line_start);
+    } else {
+      out->push_back('\n');
     }
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    out.push_back({line.substr(start, i - start), static_cast<int>(start) + 1});
   }
-  return out;
 }
 
-struct Kv {
-  std::string key;
-  std::string value;
-  int val_col = 1;
-};
-
-bool split_kv(const Tok& t, Kv* kv) {
-  const std::size_t eq = t.text.find('=');
-  if (eq == std::string::npos || eq == 0) return false;
-  kv->key = t.text.substr(0, eq);
-  kv->value = t.text.substr(eq + 1);
-  kv->val_col = t.col + static_cast<int>(eq) + 1;
-  return true;
-}
-
-std::string position(int line, int col) {
-  return "line " + std::to_string(line) + ", col " + std::to_string(col) +
-         ": ";
-}
-
-// ---------------------------------------------------------------------------
-// Final-validation position mapping: the knob validators (ScenarioConfig /
-// DramScenario / AdmissionScenario ::validate) name the offending knob at
-// the start of every message; look the knob's definition line back up so
-// cross-field errors still carry a position.
-
-using PosMap = std::map<std::string, std::pair<int, int>>;
-
-std::string map_validate_error(const std::string& msg, const PosMap& pos,
-                               int fallback_line) {
-  std::string key;
-  if (msg.rfind("master '", 0) == 0) {
-    const std::size_t close = msg.find('\'', 8);
-    if (close != std::string::npos) key = "master:" + msg.substr(8, close - 8);
-  } else if (msg.rfind("master name '", 0) == 0) {
-    const std::size_t close = msg.find('\'', 13);
-    if (close != std::string::npos) {
-      key = "master:" + msg.substr(13, close - 13);
-    }
-  } else if (msg.rfind("phase", 0) == 0) {
-    key = "phase";
-  } else if (msg.rfind("fault plan", 0) == 0) {
-    key = "faults";
-  } else if (msg.rfind("app ", 0) == 0) {
-    const std::size_t sp = msg.find(':', 4);
-    if (sp != std::string::npos) key = "app:" + msg.substr(4, sp - 4);
-  } else {
-    const std::size_t sp = msg.find_first_of(" :");
-    key = msg.substr(0, sp == std::string::npos ? msg.size() : sp);
+/// ` key=value` for every knob of `table` that applies to `kind_bit`.
+template <class T, std::size_t N>
+void print_kv(const Knob<T> (&table)[N], unsigned kind_bit, const T& obj,
+              std::string* out) {
+  for (const Knob<T>& k : table) {
+    if ((k.kinds & kind_bit) == 0) continue;
+    out->append(" ").append(k.key).push_back('=');
+    append_value(k, obj, out);
   }
-  const auto it = pos.find(key);
-  const auto [line, col] =
-      it != pos.end() ? it->second : std::make_pair(fallback_line, 1);
-  return position(line, col) + msg;
 }
 
 }  // namespace
@@ -272,11 +331,11 @@ Status DramScenario::validate() const {
   }
   if (write_rate_gbps <= 0.0) {
     return Status::error("write_rate_gbps must be positive, got " +
-                         fmt_double(write_rate_gbps));
+                         format_double(write_rate_gbps));
   }
   if (write_burst < 1.0) {
     return Status::error("write_burst must be >= 1, got " +
-                         fmt_double(write_burst));
+                         format_double(write_burst));
   }
   if (write_bank < 0 || write_bank >= banks) {
     return Status::error("write_bank must be in [0, " + std::to_string(banks) +
@@ -301,7 +360,7 @@ Status AdmissionScenario::validate() const {
   }
   if (link_rate_gbps <= 0.0) {
     return Status::error("link_rate_gbps must be positive, got " +
-                         fmt_double(link_rate_gbps));
+                         format_double(link_rate_gbps));
   }
   if (rm_node < 0 || rm_node >= mesh_cols * mesh_rows) {
     return Status::error("rm_node must be a mesh node in [0, " +
@@ -310,7 +369,7 @@ Status AdmissionScenario::validate() const {
   }
   if (burst_factor < 1.0) {
     return Status::error("burst_factor must be >= 1, got " +
-                         fmt_double(burst_factor));
+                         format_double(burst_factor));
   }
   if (packets < 1 || packets > 1'000'000) {
     return Status::error("packets must be in [1, 1000000], got " +
@@ -332,11 +391,11 @@ Status AdmissionScenario::validate() const {
     }
     if (a.burst <= 0.0) {
       return Status::error(who + "burst must be positive, got " +
-                           fmt_double(a.burst));
+                           format_double(a.burst));
     }
     if (a.rate <= 0.0) {
       return Status::error(who + "rate must be positive, got " +
-                           fmt_double(a.rate));
+                           format_double(a.rate));
     }
     if (a.src_x < 0 || a.src_x >= mesh_cols || a.src_y < 0 ||
         a.src_y >= mesh_rows) {
@@ -363,102 +422,39 @@ Status AdmissionScenario::validate() const {
 // ---------------------------------------------------------------------------
 // Canonical printer.
 
-namespace {
-
-void print_soc(const platform::ScenarioConfig& cfg, std::string* out) {
-  const platform::ScenarioKnobs& k = cfg.knobs();
-  *out += "sim_time " + fmt_duration(k.sim_time) + "\n";
-  *out += "hogs " + std::to_string(k.hogs) + "\n";
-  *out += "dsu " + std::string(fmt_bool(k.dsu_partitioning)) + "\n";
-  *out += "memguard " + std::string(fmt_bool(k.memguard)) + "\n";
-  *out += "mpam_bw " + std::string(fmt_bool(k.mpam_bw)) + "\n";
-  *out += "stop_the_world " + std::string(fmt_bool(k.stop_the_world)) + "\n";
-  *out += "hog_budget " + std::to_string(k.hog_budget_per_period) + "\n";
-  *out += "memguard_period " + fmt_duration(k.memguard_period) + "\n";
-  *out += "rt " + std::string(fmt_bool(k.rt_enabled)) + "\n";
-  *out += "rt_period " + fmt_duration(k.rt_period) + "\n";
-  *out += "rt_reads_per_batch " + std::to_string(k.rt_reads_per_batch) + "\n";
-  *out += "rt_working_set " + std::to_string(k.rt_working_set) + "\n";
-  *out += "dram_policy " + dram::to_string(k.dram_policy) + "\n";
-  *out += "dram_device " + k.dram_device + "\n";
-  if (const std::string plan = k.fault_plan.canonical(); !plan.empty()) {
-    *out += "faults " + plan + "\n";
-  }
-  for (const platform::MasterSpec& m : k.masters) {
-    *out += "master " + m.name + " ";
-    switch (m.kind) {
-      case platform::MasterSpec::Kind::kRtReader:
-        *out += "reader period=" + fmt_duration(m.period) +
-                " reads_per_batch=" + std::to_string(m.reads_per_batch) +
-                " base=" + std::to_string(m.base) +
-                " working_set=" + std::to_string(m.working_set) +
-                " writes=" + fmt_bool(m.writes);
-        break;
-      case platform::MasterSpec::Kind::kBandwidthHog:
-        *out += "hog base=" + std::to_string(m.base) +
-                " working_set=" + std::to_string(m.working_set) +
-                " write_fraction=" + fmt_double(m.write_fraction) +
-                " think_time=" + fmt_duration(m.think_time) +
-                " seed=" + std::to_string(m.seed);
-        break;
-      case platform::MasterSpec::Kind::kTraceReplay:
-        *out += "trace file=" + m.trace_path;
-        break;
-    }
-    *out += " critical=" + std::string(fmt_bool(m.critical)) +
-            " paused=" + std::string(fmt_bool(m.start_paused)) + "\n";
-  }
-  for (const platform::PhaseSpec& p : k.phases) {
-    *out += "phase " + fmt_duration(p.at) + " " +
-            (p.action == platform::PhaseSpec::Action::kStart ? "start"
-                                                             : "stop") +
-            " " + p.master + "\n";
-  }
-}
-
-void print_dram(const DramScenario& d, std::string* out) {
-  *out += "sim_time " + fmt_duration(d.sim_time) + "\n";
-  *out += "device " + d.device + "\n";
-  *out += "banks " + std::to_string(d.banks) + "\n";
-  *out += "w_high " + std::to_string(d.w_high) + "\n";
-  *out += "w_low " + std::to_string(d.w_low) + "\n";
-  *out += "n_wd " + std::to_string(d.n_wd) + "\n";
-  *out += "read_period " + fmt_duration(d.read_period) + "\n";
-  *out += "read_bank " + std::to_string(d.read_bank) + "\n";
-  *out += "read_stride " + std::to_string(d.read_stride) + "\n";
-  *out += "write_rate_gbps " + fmt_double(d.write_rate_gbps) + "\n";
-  *out += "write_burst " + fmt_double(d.write_burst) + "\n";
-  *out += "write_bank " + std::to_string(d.write_bank) + "\n";
-}
-
-void print_admission(const AdmissionScenario& a, std::string* out) {
-  *out += "mesh " + std::to_string(a.mesh_cols) + "x" +
-          std::to_string(a.mesh_rows) + "\n";
-  *out += "link_rate_gbps " + fmt_double(a.link_rate_gbps) + "\n";
-  *out += "rm_node " + std::to_string(a.rm_node) + "\n";
-  *out += "burst_factor " + fmt_double(a.burst_factor) + "\n";
-  *out += "packets " + std::to_string(a.packets) + "\n";
-  *out += "enforce " + std::string(fmt_bool(a.enforce)) + "\n";
-  for (const AdmissionApp& app : a.apps) {
-    *out += "app " + std::to_string(app.id) + " burst=" +
-            fmt_double(app.burst) + " rate=" + fmt_double(app.rate) +
-            " src=" + std::to_string(app.src_x) + "," +
-            std::to_string(app.src_y) + " dst=" + std::to_string(app.dst_x) +
-            "," + std::to_string(app.dst_y) +
-            " deadline=" + fmt_duration(app.deadline) +
-            " dram=" + fmt_bool(app.uses_dram) + "\n";
-  }
-}
-
-}  // namespace
-
 std::string Scenario::canonical() const {
-  std::string out = "scenario " + to_string(kind) + "\n";
-  out += "name " + name + "\n";
+  std::string out = "scenario " + to_string(kind) + "\nname " + name + "\n";
   switch (kind) {
-    case Kind::kSoc: print_soc(soc, &out); break;
-    case Kind::kDram: print_dram(dram, &out); break;
-    case Kind::kAdmission: print_admission(admission, &out); break;
+    case Kind::kSoc: {
+      const platform::ScenarioKnobs& k = soc.knobs();
+      print_scalars(kSocKnobs, k, &out);
+      for (const platform::MasterSpec& m : k.masters) {
+        const auto kind_index = static_cast<std::size_t>(m.kind);
+        out.append("master ").append(m.name).push_back(' ');
+        out.append(kMasterKindNames[kind_index]);
+        print_kv(kMasterKnobs, 1u << kind_index, m, &out);
+        out.push_back('\n');
+      }
+      for (const platform::PhaseSpec& p : k.phases) {
+        out.append("phase ").append(format_duration(p.at));
+        out.append(p.action == platform::PhaseSpec::Action::kStart
+                       ? " start "
+                       : " stop ");
+        out.append(p.master).push_back('\n');
+      }
+      break;
+    }
+    case Kind::kDram:
+      print_scalars(kDramKnobs, dram, &out);
+      break;
+    case Kind::kAdmission:
+      print_scalars(kAdmissionKnobs, admission, &out);
+      for (const AdmissionApp& app : admission.apps) {
+        out.append("app ").append(std::to_string(app.id));
+        print_kv(kAppKnobs, kAnyKind, app, &out);
+        out.push_back('\n');
+      }
+      break;
   }
   return out;
 }
@@ -468,467 +464,371 @@ std::string Scenario::canonical() const {
 
 namespace {
 
-using E = Expected<Scenario>;
+struct Tok {
+  std::string_view text;
+  int col = 1;  ///< 1-based byte column of the token's first character
+};
 
-E parse_error(int line, int col, const std::string& msg) {
-  return E::error(position(line, col) + msg);
+void tokenize(std::string_view line, std::vector<Tok>* out) {
+  out->clear();
+  std::size_t i = 0;
+  while (i < line.size()) {
+    if (line[i] == ' ' || line[i] == '\t') {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    out->push_back({line.substr(start, i - start), static_cast<int>(start + 1)});
+  }
+}
+
+/// Where a knob was set; line 0 = not set.
+struct Pos {
+  int line = 0;
+  int col = 1;
+};
+
+Status error_at(int line, int col, const std::string& msg) {
+  return Status::error("line " + std::to_string(line) + ", col " +
+                       std::to_string(col) + ": " + msg);
+}
+
+/// Everything one parse records about where knobs were set, for duplicate
+/// detection and for positioning validator messages.
+struct Positions {
+  std::array<Pos, kMaxKnobs> knob;  ///< scalar knobs, by table index
+  Pos name, phase;                  ///< `name`; the first `phase` line
+  std::vector<Pos> masters;         ///< parallel to ScenarioKnobs::masters
+  std::vector<Pos> apps;            ///< parallel to AdmissionScenario::apps
+};
+
+/// The `key=value` tokens of a master or app line (from `toks[first]` on)
+/// into `obj`, through the knobs of `table` that apply to `kind_bit`.
+/// `what` names the line in messages ("master", "app"); `kind_what` is how
+/// an unknown key's line is named ("hog master", "app"). `seen_out` gets
+/// the table indices that were set, one bit each.
+template <class T, std::size_t N>
+Status parse_kv(const Knob<T> (&table)[N], unsigned kind_bit,
+                const std::vector<Tok>& toks, std::size_t first, int line,
+                const std::string& what, const std::string& kind_what,
+                T& obj, std::uint32_t* seen_out = nullptr) {
+  std::uint32_t seen = 0;
+  std::string why;
+  for (std::size_t i = first; i < toks.size(); ++i) {
+    const Tok& t = toks[i];
+    const std::size_t eq = t.text.find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      return error_at(line, t.col,
+                      "expected key=value, got '" + std::string(t.text) + "'");
+    }
+    const std::string_view key = t.text.substr(0, eq);
+    const std::string_view value = t.text.substr(eq + 1);
+    std::size_t k = 0;
+    while (k < N && !(table[k].key == key && (table[k].kinds & kind_bit))) ++k;
+    if (k == N) {
+      return error_at(line, t.col, "unknown " + kind_what + " key '" +
+                                       std::string(key) + "'");
+    }
+    if (seen & (1u << k)) {
+      return error_at(line, t.col, "duplicate " + what + " key '" +
+                                       std::string(key) + "'");
+    }
+    seen |= 1u << k;
+    if (!parse_value(table[k], value, obj, &why)) {
+      return error_at(line, t.col + static_cast<int>(eq) + 1,
+                      "bad value '" + std::string(value) + "' for " + what +
+                          " key '" + std::string(key) + "'");
+    }
+  }
+  if (seen_out != nullptr) *seen_out = seen;
+  return Status::ok();
 }
 
 /// `master NAME reader|hog|trace k=v ...`
-Expected<platform::MasterSpec> parse_master_line(const std::vector<Tok>& toks,
-                                                 int line) {
-  using ME = Expected<platform::MasterSpec>;
-  auto fail = [line](int col, const std::string& msg) {
-    return ME::error(position(line, col) + msg);
-  };
+Status parse_master_line(const std::vector<Tok>& toks, int line,
+                         platform::ScenarioKnobs& soc, Positions& pos) {
   if (toks.size() < 3) {
-    return fail(toks[0].col,
-                "expected 'master NAME reader|hog|trace [key=value...]'");
+    return error_at(line, toks[0].col,
+                    "expected 'master NAME reader|hog|trace [key=value...]'");
   }
   platform::MasterSpec m;
   if (!parse_name(toks[1].text, &m.name)) {
-    return fail(toks[1].col,
-                "master name must match [a-z0-9_]+ (max 64 chars), got '" +
-                    toks[1].text + "'");
+    return error_at(line, toks[1].col,
+                    "master name must match [a-z0-9_]+ (max 64 chars), got '" +
+                        std::string(toks[1].text) + "'");
   }
-  const std::string& kind = toks[2].text;
-  if (kind == "reader") {
-    m.kind = platform::MasterSpec::Kind::kRtReader;
-  } else if (kind == "hog") {
-    m.kind = platform::MasterSpec::Kind::kBandwidthHog;
-  } else if (kind == "trace") {
-    m.kind = platform::MasterSpec::Kind::kTraceReplay;
-  } else {
-    return fail(toks[2].col,
-                "master kind must be reader, hog or trace, got '" + kind +
-                    "'");
+  const std::string kind(toks[2].text);
+  std::size_t kind_index = 0;
+  while (kind_index < 3 && kind != kMasterKindNames[kind_index]) ++kind_index;
+  if (kind_index == 3) {
+    return error_at(line, toks[2].col,
+                    "master kind must be reader, hog or trace, got '" + kind +
+                        "'");
   }
-  std::set<std::string> seen;
-  for (std::size_t i = 3; i < toks.size(); ++i) {
-    Kv kv;
-    if (!split_kv(toks[i], &kv)) {
-      return fail(toks[i].col, "expected key=value, got '" + toks[i].text +
-                                   "'");
-    }
-    if (!seen.insert(kv.key).second) {
-      return fail(toks[i].col, "duplicate master key '" + kv.key + "'");
-    }
-    bool ok = true;
-    std::uint64_t u = 0;
-    if (kv.key == "critical") {
-      ok = parse_onoff(kv.value, &m.critical);
-    } else if (kv.key == "paused") {
-      ok = parse_onoff(kv.value, &m.start_paused);
-    } else if (kv.key == "period" &&
-               m.kind == platform::MasterSpec::Kind::kRtReader) {
-      ok = parse_duration(kv.value, &m.period);
-    } else if (kv.key == "reads_per_batch" &&
-               m.kind == platform::MasterSpec::Kind::kRtReader) {
-      ok = parse_u64(kv.value, &u) && u <= 1'000'000;
-      m.reads_per_batch = static_cast<int>(u);
-    } else if (kv.key == "writes" &&
-               m.kind == platform::MasterSpec::Kind::kRtReader) {
-      ok = parse_onoff(kv.value, &m.writes);
-    } else if (kv.key == "base" &&
-               m.kind != platform::MasterSpec::Kind::kTraceReplay) {
-      ok = parse_u64(kv.value, &u);
-      m.base = u;
-    } else if (kv.key == "working_set" &&
-               m.kind != platform::MasterSpec::Kind::kTraceReplay) {
-      ok = parse_u64(kv.value, &u);
-      m.working_set = u;
-    } else if (kv.key == "write_fraction" &&
-               m.kind == platform::MasterSpec::Kind::kBandwidthHog) {
-      ok = parse_double_strict(kv.value, &m.write_fraction);
-    } else if (kv.key == "think_time" &&
-               m.kind == platform::MasterSpec::Kind::kBandwidthHog) {
-      ok = parse_duration(kv.value, &m.think_time);
-    } else if (kv.key == "seed" &&
-               m.kind == platform::MasterSpec::Kind::kBandwidthHog) {
-      ok = parse_u64(kv.value, &m.seed);
-    } else if (kv.key == "file" &&
-               m.kind == platform::MasterSpec::Kind::kTraceReplay) {
-      ok = !kv.value.empty();
-      m.trace_path = kv.value;
-    } else {
-      return fail(toks[i].col, "unknown " + kind + " master key '" + kv.key +
-                                   "'");
-    }
-    if (!ok) {
-      return fail(kv.val_col, "bad value '" + kv.value + "' for master key '" +
-                                  kv.key + "'");
-    }
+  m.kind = static_cast<platform::MasterSpec::Kind>(kind_index);
+  if (Status st = parse_kv(kMasterKnobs, 1u << kind_index, toks, 3, line,
+                           "master", kind + " master", m);
+      !st.is_ok()) {
+    return st;
   }
-  return m;
+  soc.masters.push_back(std::move(m));
+  pos.masters.push_back({line, toks[1].col});
+  return Status::ok();
 }
 
 /// `phase DUR start|stop NAME`
-Expected<platform::PhaseSpec> parse_phase_line(const std::vector<Tok>& toks,
-                                               int line) {
-  using PE = Expected<platform::PhaseSpec>;
-  auto fail = [line](int col, const std::string& msg) {
-    return PE::error(position(line, col) + msg);
-  };
+Status parse_phase_line(const std::vector<Tok>& toks, int line,
+                        platform::ScenarioKnobs& soc, Positions& pos) {
   if (toks.size() != 4) {
-    return fail(toks[0].col, "expected 'phase DURATION start|stop MASTER'");
+    return error_at(line, toks[0].col,
+                    "expected 'phase DURATION start|stop MASTER'");
   }
   platform::PhaseSpec p;
   if (!parse_duration(toks[1].text, &p.at)) {
-    return fail(toks[1].col, "bad phase time '" + toks[1].text +
-                                 "' (want e.g. 200us)");
+    return error_at(line, toks[1].col, "bad phase time '" +
+                                           std::string(toks[1].text) +
+                                           "' (want e.g. 200us)");
   }
   if (toks[2].text == "start") {
     p.action = platform::PhaseSpec::Action::kStart;
   } else if (toks[2].text == "stop") {
     p.action = platform::PhaseSpec::Action::kStop;
   } else {
-    return fail(toks[2].col, "phase action must be start or stop, got '" +
-                                 toks[2].text + "'");
+    return error_at(line, toks[2].col,
+                    "phase action must be start or stop, got '" +
+                        std::string(toks[2].text) + "'");
   }
-  if (!parse_name(toks[1 + 2].text, &p.master)) {
-    return fail(toks[3].col, "bad phase master name '" + toks[3].text + "'");
+  if (!parse_name(toks[3].text, &p.master)) {
+    return error_at(line, toks[3].col,
+                    "bad phase master name '" + std::string(toks[3].text) +
+                        "'");
   }
-  return p;
+  soc.phases.push_back(std::move(p));
+  if (pos.phase.line == 0) pos.phase = {line, toks[0].col};
+  return Status::ok();
 }
 
 /// `app ID burst=F rate=R src=X,Y dst=X,Y deadline=DUR [dram=on|off]`
-Expected<AdmissionApp> parse_app_line(const std::vector<Tok>& toks, int line) {
-  using AE = Expected<AdmissionApp>;
-  auto fail = [line](int col, const std::string& msg) {
-    return AE::error(position(line, col) + msg);
-  };
+Status parse_app_line(const std::vector<Tok>& toks, int line,
+                      AdmissionScenario& adm, Positions& pos) {
   if (toks.size() < 2) {
-    return fail(toks[0].col, "expected 'app ID key=value...'");
+    return error_at(line, toks[0].col, "expected 'app ID key=value...'");
   }
   AdmissionApp a;
-  if (!parse_int(toks[1].text, &a.id)) {
-    return fail(toks[1].col, "bad app id '" + toks[1].text + "'");
+  if (!parse_int(toks[1].text, 0, kIntMax, &a.id)) {
+    return error_at(line, toks[1].col,
+                    "bad app id '" + std::string(toks[1].text) + "'");
   }
-  std::set<std::string> seen;
-  for (std::size_t i = 2; i < toks.size(); ++i) {
-    Kv kv;
-    if (!split_kv(toks[i], &kv)) {
-      return fail(toks[i].col,
-                  "expected key=value, got '" + toks[i].text + "'");
-    }
-    if (!seen.insert(kv.key).second) {
-      return fail(toks[i].col, "duplicate app key '" + kv.key + "'");
-    }
-    bool ok = true;
-    if (kv.key == "burst") {
-      ok = parse_double_strict(kv.value, &a.burst);
-    } else if (kv.key == "rate") {
-      ok = parse_rate(kv.value, &a.rate);
-    } else if (kv.key == "src") {
-      ok = parse_coord(kv.value, &a.src_x, &a.src_y);
-    } else if (kv.key == "dst") {
-      ok = parse_coord(kv.value, &a.dst_x, &a.dst_y);
-    } else if (kv.key == "deadline") {
-      ok = parse_duration(kv.value, &a.deadline);
-    } else if (kv.key == "dram") {
-      ok = parse_onoff(kv.value, &a.uses_dram);
-    } else {
-      return fail(toks[i].col, "unknown app key '" + kv.key + "'");
-    }
-    if (!ok) {
-      return fail(kv.val_col,
-                  "bad value '" + kv.value + "' for app key '" + kv.key + "'");
+  std::uint32_t seen = 0;
+  if (Status st = parse_kv(kAppKnobs, kAnyKind, toks, 2, line, "app", "app",
+                           a, &seen);
+      !st.is_ok()) {
+    return st;
+  }
+  for (std::size_t k = 0; k < std::size(kAppKnobs); ++k) {
+    if (kAppKnobs[k].required && !(seen & (1u << k))) {
+      return error_at(line, toks[0].col,
+                      "app " + std::to_string(a.id) +
+                          " is missing required key '" + kAppKnobs[k].key +
+                          "'");
     }
   }
-  for (const char* required : {"burst", "rate", "src", "dst", "deadline"}) {
-    if (!seen.count(required)) {
-      return fail(toks[0].col, "app " + std::to_string(a.id) +
-                                   " is missing required key '" + required +
-                                   "'");
+  adm.apps.push_back(a);
+  pos.apps.push_back({line, toks[0].col});
+  return Status::ok();
+}
+
+/// A scalar `key value` line of the kind whose knobs are `table`.
+template <class T, std::size_t N>
+Status parse_scalar(const Knob<T> (&table)[N], const std::vector<Tok>& toks,
+                    int line, Kind kind, T& obj, Positions& pos) {
+  const Tok& key = toks[0];
+  std::size_t k = 0;
+  while (k < N && table[k].key != key.text) ++k;
+  if (k == N) {
+    return error_at(line, key.col,
+                    "unknown key '" + std::string(key.text) + "' for a " +
+                        to_string(kind) + " scenario");
+  }
+  if (pos.knob[k].line != 0) {
+    return error_at(line, key.col,
+                    "duplicate key '" + std::string(key.text) + "'");
+  }
+  const Tok& val = toks[1];
+  std::string why;
+  if (!parse_value(table[k], val.text, obj, &why)) {
+    return error_at(line, val.col,
+                    why.empty() ? "bad value '" + std::string(val.text) +
+                                      "' for '" + table[k].key +
+                                      "' (want a canonical " + table[k].key +
+                                      " value)"
+                                : why);
+  }
+  pos.knob[k] = {line, val.col};
+  return Status::ok();
+}
+
+/// Validator messages name the offending knob at their start; find the
+/// line that set it so cross-field errors still carry a position.
+template <class T, std::size_t N>
+Pos validator_position(const std::string& msg, const Knob<T> (&table)[N],
+                       const Positions& pos,
+                       const platform::ScenarioKnobs& soc,
+                       const AdmissionScenario& adm) {
+  const auto starts = [&msg](const std::string& prefix) {
+    return msg.rfind(prefix, 0) == 0;
+  };
+  // Masters and apps: the last line defining that name / id.
+  for (std::size_t i = soc.masters.size(); i-- > 0;) {
+    const std::string quoted = "'" + soc.masters[i].name + "'";
+    if (starts("master " + quoted) || starts("master name " + quoted)) {
+      return pos.masters[i];
     }
   }
-  return a;
+  for (std::size_t i = adm.apps.size(); i-- > 0;) {
+    if (starts("app " + std::to_string(adm.apps[i].id) + ":")) {
+      return pos.apps[i];
+    }
+  }
+  const std::string_view word =
+      std::string_view(msg).substr(0, msg.find_first_of(" :"));
+  if (word == "phase") return pos.phase;
+  for (std::size_t k = 0; k < N; ++k) {
+    const Knob<T>& knob = table[k];
+    if ((knob.validator_name ? knob.validator_name : knob.key) == word) {
+      return pos.knob[k];
+    }
+  }
+  return {};
 }
 
 }  // namespace
 
 Expected<Scenario> parse_scenario(const std::string& text) {
+  using E = Expected<Scenario>;
   if (text.size() > 1'000'000) {
-    return parse_error(1, 1, "scenario text exceeds 1 MiB");
+    return E::error(error_at(1, 1, "scenario text exceeds 1 MiB").message());
   }
   Scenario s;
   bool saw_scenario = false;
   int scenario_line = 1;
-  std::set<std::string> seen;  ///< scalar keys, for duplicate detection
-  PosMap pos;
-
-  // `soc` payload is accumulated in raw knob form and committed to the
-  // builder at the end (the builder owns cross-field validation).
+  Positions pos;
   platform::ScenarioKnobs soc;
-  std::vector<platform::MasterSpec> masters;
-  std::vector<platform::PhaseSpec> phases;
+  std::vector<Tok> toks;
 
-  std::istringstream lines(text);
-  std::string raw;
+  const std::string_view all(text);
   int line_no = 0;
-  while (std::getline(lines, raw)) {
+  for (std::size_t start = 0; start < all.size();) {
+    const std::size_t nl = all.find('\n', start);
+    std::string_view raw = all.substr(
+        start, nl == std::string_view::npos ? std::string_view::npos
+                                            : nl - start);
+    start = nl == std::string_view::npos ? all.size() : nl + 1;
     ++line_no;
-    if (!raw.empty() && raw.back() == '\r') raw.pop_back();
-    const std::vector<Tok> toks = tokenize(raw);
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+    tokenize(raw, &toks);
     if (toks.empty() || toks[0].text[0] == '#') continue;
     const Tok& key = toks[0];
 
+    Status st = Status::ok();
     if (!saw_scenario) {
       if (key.text != "scenario") {
-        return parse_error(line_no, key.col,
-                           "expected 'scenario soc|dram|admission' as the "
-                           "first directive, got '" +
-                               key.text + "'");
-      }
-      if (toks.size() != 2) {
-        return parse_error(line_no, key.col,
-                           "expected 'scenario soc|dram|admission'");
-      }
-      if (toks[1].text == "soc") {
-        s.kind = Kind::kSoc;
-      } else if (toks[1].text == "dram") {
-        s.kind = Kind::kDram;
-      } else if (toks[1].text == "admission") {
-        s.kind = Kind::kAdmission;
+        st = error_at(line_no, key.col,
+                      "expected 'scenario soc|dram|admission' as the first "
+                      "directive, got '" +
+                          std::string(key.text) + "'");
+      } else if (toks.size() != 2) {
+        st = error_at(line_no, key.col,
+                      "expected 'scenario soc|dram|admission'");
       } else {
-        return parse_error(line_no, toks[1].col,
-                           "unknown scenario kind '" + toks[1].text +
-                               "' (want soc, dram or admission)");
+        st = error_at(line_no, toks[1].col,
+                      "unknown scenario kind '" + std::string(toks[1].text) +
+                          "' (want soc, dram or admission)");
+        for (const Kind k : {Kind::kSoc, Kind::kDram, Kind::kAdmission}) {
+          if (toks[1].text == to_string(k)) {
+            s.kind = k;
+            st = Status::ok();
+          }
+        }
       }
       saw_scenario = true;
       scenario_line = line_no;
-      continue;
+    } else if (s.kind == Kind::kSoc && key.text == "master") {
+      st = parse_master_line(toks, line_no, soc, pos);
+    } else if (s.kind == Kind::kSoc && key.text == "phase") {
+      st = parse_phase_line(toks, line_no, soc, pos);
+    } else if (s.kind == Kind::kAdmission && key.text == "app") {
+      st = parse_app_line(toks, line_no, s.admission, pos);
+    } else if (toks.size() != 2) {
+      st = error_at(line_no, key.col,
+                    "expected 'key value' (one value), got " +
+                        std::to_string(toks.size() - 1) + " values for '" +
+                        std::string(key.text) + "'");
+    } else if (key.text == "name") {
+      if (pos.name.line != 0) {
+        st = error_at(line_no, key.col, "duplicate key 'name'");
+      } else if (!parse_name(toks[1].text, &s.name)) {
+        st = error_at(line_no, toks[1].col,
+                      "bad value '" + std::string(toks[1].text) +
+                          "' for 'name' (want [a-z0-9_]+)");
+      }
+      pos.name = {line_no, toks[1].col};
+    } else {
+      switch (s.kind) {
+        case Kind::kSoc:
+          st = parse_scalar(kSocKnobs, toks, line_no, s.kind, soc, pos);
+          break;
+        case Kind::kDram:
+          st = parse_scalar(kDramKnobs, toks, line_no, s.kind, s.dram, pos);
+          break;
+        case Kind::kAdmission:
+          st = parse_scalar(kAdmissionKnobs, toks, line_no, s.kind,
+                            s.admission, pos);
+          break;
+      }
     }
-
-    // Repeatable directives first.
-    if (s.kind == Kind::kSoc && key.text == "master") {
-      auto m = parse_master_line(toks, line_no);
-      if (!m) return E::error(m.error_message());
-      pos["master:" + m.value().name] = {line_no, toks[1].col};
-      masters.push_back(std::move(m).value());
-      continue;
-    }
-    if (s.kind == Kind::kSoc && key.text == "phase") {
-      auto p = parse_phase_line(toks, line_no);
-      if (!p) return E::error(p.error_message());
-      if (!pos.count("phase")) pos["phase"] = {line_no, key.col};
-      phases.push_back(std::move(p).value());
-      continue;
-    }
-    if (s.kind == Kind::kAdmission && key.text == "app") {
-      auto a = parse_app_line(toks, line_no);
-      if (!a) return E::error(a.error_message());
-      pos["app:" + std::to_string(a.value().id)] = {line_no, key.col};
-      s.admission.apps.push_back(a.value());
-      continue;
-    }
-
-    // Scalar `key value` directives.
-    if (toks.size() != 2) {
-      return parse_error(line_no, key.col,
-                         "expected 'key value' (one value), got " +
-                             std::to_string(toks.size() - 1) + " values for '" +
-                             key.text + "'");
-    }
-    if (!seen.insert(key.text).second) {
-      return parse_error(line_no, key.col,
-                         "duplicate key '" + key.text + "'");
-    }
-    const Tok& val = toks[1];
-    auto bad_value = [&](const char* want) {
-      return parse_error(line_no, val.col, "bad value '" + val.text +
-                                               "' for '" + key.text +
-                                               "' (want " + want + ")");
-    };
-
-    if (key.text == "name") {
-      if (!parse_name(val.text, &s.name)) return bad_value("[a-z0-9_]+");
-      continue;
-    }
-
-    bool handled = true;
-    bool ok = true;
-    std::uint64_t u = 0;
-    switch (s.kind) {
-      case Kind::kSoc:
-        if (key.text == "sim_time") {
-          ok = parse_duration(val.text, &soc.sim_time);
-          pos["sim_time"] = {line_no, val.col};
-        } else if (key.text == "hogs") {
-          ok = parse_u64(val.text, &u) && u <= 1'000'000;
-          soc.hogs = static_cast<int>(u);
-          pos["hogs"] = {line_no, val.col};
-        } else if (key.text == "dsu") {
-          ok = parse_onoff(val.text, &soc.dsu_partitioning);
-        } else if (key.text == "memguard") {
-          ok = parse_onoff(val.text, &soc.memguard);
-        } else if (key.text == "mpam_bw") {
-          ok = parse_onoff(val.text, &soc.mpam_bw);
-        } else if (key.text == "stop_the_world") {
-          ok = parse_onoff(val.text, &soc.stop_the_world);
-          pos["stop_the_world"] = {line_no, val.col};
-        } else if (key.text == "hog_budget") {
-          ok = parse_u64(val.text, &soc.hog_budget_per_period);
-          pos["hog_budget_per_period"] = {line_no, val.col};
-        } else if (key.text == "memguard_period") {
-          ok = parse_duration(val.text, &soc.memguard_period);
-          pos["memguard_period"] = {line_no, val.col};
-        } else if (key.text == "rt") {
-          ok = parse_onoff(val.text, &soc.rt_enabled);
-          pos["scenario"] = {line_no, val.col};
-        } else if (key.text == "rt_period") {
-          ok = parse_duration(val.text, &soc.rt_period);
-          pos["rt_period"] = {line_no, val.col};
-        } else if (key.text == "rt_reads_per_batch") {
-          ok = parse_u64(val.text, &u) && u <= 1'000'000;
-          soc.rt_reads_per_batch = static_cast<int>(u);
-          pos["rt_reads_per_batch"] = {line_no, val.col};
-        } else if (key.text == "rt_working_set") {
-          ok = parse_u64(val.text, &soc.rt_working_set);
-          pos["rt_working_set"] = {line_no, val.col};
-        } else if (key.text == "dram_policy") {
-          const auto p = dram::parse_policy(val.text);
-          if (!p) return parse_error(line_no, val.col, p.error_message());
-          soc.dram_policy = p.value();
-        } else if (key.text == "dram_device") {
-          soc.dram_device = val.text;
-          pos["dram_device"] = {line_no, val.col};
-        } else if (key.text == "faults") {
-          const auto plan = fault::FaultPlan::parse(val.text);
-          if (!plan) {
-            return parse_error(line_no, val.col, plan.error_message());
-          }
-          soc.fault_plan = plan.value();
-          pos["faults"] = {line_no, val.col};
-        } else {
-          handled = false;
-        }
-        break;
-      case Kind::kDram:
-        if (key.text == "sim_time") {
-          ok = parse_duration(val.text, &s.dram.sim_time);
-          pos["sim_time"] = {line_no, val.col};
-        } else if (key.text == "device") {
-          s.dram.device = val.text;
-          pos["device"] = {line_no, val.col};
-        } else if (key.text == "banks") {
-          ok = parse_int(val.text, &s.dram.banks);
-          pos["banks"] = {line_no, val.col};
-        } else if (key.text == "w_high") {
-          ok = parse_int(val.text, &s.dram.w_high);
-          pos["w_high"] = {line_no, val.col};
-        } else if (key.text == "w_low") {
-          ok = parse_int(val.text, &s.dram.w_low);
-          pos["w_low"] = {line_no, val.col};
-        } else if (key.text == "n_wd") {
-          ok = parse_int(val.text, &s.dram.n_wd);
-          pos["n_wd"] = {line_no, val.col};
-        } else if (key.text == "read_period") {
-          ok = parse_duration(val.text, &s.dram.read_period);
-          pos["read_period"] = {line_no, val.col};
-        } else if (key.text == "read_bank") {
-          ok = parse_int(val.text, &s.dram.read_bank);
-          pos["read_bank"] = {line_no, val.col};
-        } else if (key.text == "read_stride") {
-          ok = parse_int(val.text, &s.dram.read_stride);
-          pos["read_stride"] = {line_no, val.col};
-        } else if (key.text == "write_rate_gbps") {
-          ok = parse_double_strict(val.text, &s.dram.write_rate_gbps);
-          pos["write_rate_gbps"] = {line_no, val.col};
-        } else if (key.text == "write_burst") {
-          ok = parse_double_strict(val.text, &s.dram.write_burst);
-          pos["write_burst"] = {line_no, val.col};
-        } else if (key.text == "write_bank") {
-          ok = parse_int(val.text, &s.dram.write_bank);
-          pos["write_bank"] = {line_no, val.col};
-        } else {
-          handled = false;
-        }
-        break;
-      case Kind::kAdmission:
-        if (key.text == "mesh") {
-          const std::size_t x = val.text.find('x');
-          ok = x != std::string::npos &&
-               parse_int(val.text.substr(0, x), &s.admission.mesh_cols) &&
-               parse_int(val.text.substr(x + 1), &s.admission.mesh_rows);
-          pos["mesh"] = {line_no, val.col};
-        } else if (key.text == "link_rate_gbps") {
-          ok = parse_double_strict(val.text, &s.admission.link_rate_gbps);
-          pos["link_rate_gbps"] = {line_no, val.col};
-        } else if (key.text == "rm_node") {
-          ok = parse_int(val.text, &s.admission.rm_node);
-          pos["rm_node"] = {line_no, val.col};
-        } else if (key.text == "burst_factor") {
-          ok = parse_double_strict(val.text, &s.admission.burst_factor);
-          pos["burst_factor"] = {line_no, val.col};
-        } else if (key.text == "packets") {
-          ok = parse_int(val.text, &s.admission.packets);
-          pos["packets"] = {line_no, val.col};
-        } else if (key.text == "enforce") {
-          ok = parse_onoff(val.text, &s.admission.enforce);
-          pos["enforce"] = {line_no, val.col};
-        } else {
-          handled = false;
-        }
-        break;
-    }
-    if (!handled) {
-      return parse_error(line_no, key.col,
-                         "unknown key '" + key.text + "' for a " +
-                             to_string(s.kind) + " scenario");
-    }
-    if (!ok) {
-      return bad_value(("a canonical " + key.text + " value").c_str());
-    }
+    if (!st.is_ok()) return E::error(st.message());
   }
 
   if (!saw_scenario) {
-    return parse_error(1, 1,
-                       "empty scenario (missing 'scenario soc|dram|admission' "
-                       "directive)");
+    return E::error(error_at(1, 1,
+                             "empty scenario (missing 'scenario "
+                             "soc|dram|admission' directive)")
+                        .message());
   }
 
   // Commit and cross-validate the kind payload; validator messages name the
   // offending knob, which maps back to its definition line.
   Status st = Status::ok();
+  Pos at;
+  const auto locate = [&](const auto& table) {
+    if (st.is_ok()) return;
+    at = validator_position(st.message(), table, pos, s.soc.knobs(),
+                            s.admission);
+  };
   switch (s.kind) {
     case Kind::kSoc:
-      soc.masters = std::move(masters);
-      soc.phases = std::move(phases);
-      s.soc = platform::ScenarioConfig{};
-      s.soc.hogs(soc.hogs)
-          .dsu_partitioning(soc.dsu_partitioning)
-          .memguard(soc.memguard)
-          .mpam_bw(soc.mpam_bw)
-          .stop_the_world(soc.stop_the_world)
-          .hog_budget_per_period(soc.hog_budget_per_period)
-          .memguard_period(soc.memguard_period)
-          .sim_time(soc.sim_time)
-          .rt_enabled(soc.rt_enabled)
-          .rt_reads_per_batch(soc.rt_reads_per_batch)
-          .rt_period(soc.rt_period)
-          .rt_working_set(soc.rt_working_set)
-          .dram_policy(soc.dram_policy)
-          .dram_device(soc.dram_device)
-          .masters(std::move(soc.masters))
-          .phases(std::move(soc.phases))
-          .faults(soc.fault_plan);
+      s.soc = platform::ScenarioConfig(std::move(soc));
       st = s.soc.validate();
+      locate(kSocKnobs);
       break;
     case Kind::kDram:
       st = s.dram.validate();
+      locate(kDramKnobs);
       break;
     case Kind::kAdmission:
       st = s.admission.validate();
+      locate(kAdmissionKnobs);
       break;
   }
-  if (!st.is_ok()) {
-    return E::error(map_validate_error(st.message(), pos, scenario_line));
-  }
-  return s;
+  if (st.is_ok()) return s;
+  if (at.line == 0) at = {scenario_line, 1};
+  return E::error(error_at(at.line, at.col, st.message()).message());
 }
 
 Expected<Scenario> load_scenario(const std::string& path) {
+  using E = Expected<Scenario>;
   std::ifstream in(path, std::ios::binary);
   if (!in) return E::error(path + ": cannot open scenario file");
   std::ostringstream buf;
@@ -940,17 +840,14 @@ Expected<Scenario> load_scenario(const std::string& path) {
   // scenarios can ship with their traces.
   const std::size_t slash = path.find_last_of('/');
   if (slash != std::string::npos && s.kind == Kind::kSoc) {
-    const std::string dir = path.substr(0, slash + 1);
     platform::ScenarioKnobs knobs = s.soc.knobs();
-    bool rewrote = false;
     for (platform::MasterSpec& m : knobs.masters) {
       if (m.kind == platform::MasterSpec::Kind::kTraceReplay &&
           !m.trace_path.empty() && m.trace_path[0] != '/') {
-        m.trace_path = dir + m.trace_path;
-        rewrote = true;
+        m.trace_path = path.substr(0, slash + 1) + m.trace_path;
       }
     }
-    if (rewrote) s.soc.masters(std::move(knobs.masters));
+    s.soc = platform::ScenarioConfig(std::move(knobs));
   }
   return s;
 }

@@ -20,7 +20,7 @@
 //   dsu on                  # booleans are on|off
 //   memguard off
 //   ...
-//   master crowd1 hog base=34359738368 working_set=8388608 ... paused=1
+//   master crowd1 hog base=34359738368 working_set=8388608 ... paused=on
 //   phase 200us start crowd1
 //   phase 400us stop crowd1
 //

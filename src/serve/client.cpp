@@ -7,10 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
+#include "common/grammar.hpp"
 #include "common/hash.hpp"
 
 namespace pap::serve {
@@ -204,13 +204,10 @@ Expected<ShardEndpoint> parse_endpoint(const std::string& text) {
       return Expected<ShardEndpoint>::error("empty tcp port in '" + text +
                                             "' (expected 1..65535)");
     }
-    char* end = nullptr;
-    const long port = std::strtol(port_text.c_str(), &end, 10);
-    if (end == port_text.c_str() || *end != '\0' || port < 1 || port > 65535) {
+    if (!parse_int(port_text, 1, 65535, &ep.port)) {
       return Expected<ShardEndpoint>::error("bad tcp port in '" + text +
                                             "' (expected 1..65535)");
     }
-    ep.port = static_cast<int>(port);
     return ep;
   }
   ep.unix_path = text;  // bare path = unix socket

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Time, Rate, statistics, RNG, tables,
-// exact summation.
+// exact summation, the shared value grammar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "common/csv.hpp"
 #include "common/exact_sum.hpp"
+#include "common/grammar.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -73,6 +74,67 @@ TEST(Time, ToString) {
 TEST(Time, FloorCeilDiv) {
   EXPECT_EQ(floor_div(Time::ns(100), Time::ns(30)), 3);
   EXPECT_EQ(floor_div(Time::ns(90), Time::ns(30)), 3);
+}
+
+TEST(Grammar, IntegersAreDigitsOnly) {
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_u64("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_u64(bad, &u)) << bad;
+  }
+  int i = 0;
+  EXPECT_TRUE(parse_int("65535", 1, 65535, &i));
+  EXPECT_EQ(i, 65535);
+  EXPECT_FALSE(parse_int("65536", 1, 65535, &i));
+  EXPECT_FALSE(parse_int("0", 1, 65535, &i));
+  EXPECT_FALSE(parse_int("-5", -10, 10, &i));
+}
+
+TEST(Grammar, DoublesAreFinite) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_double("2.5", &d));
+  EXPECT_EQ(d, 2.5);
+  EXPECT_TRUE(parse_double("-1e300", &d));
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e301", "1e400",
+                          "1e-400", "2.5x", "2.5 "}) {
+    EXPECT_FALSE(parse_double(bad, &d)) << bad;
+  }
+}
+
+TEST(Grammar, DurationsFitInt64Picoseconds) {
+  Time t;
+  EXPECT_TRUE(parse_duration("1.5us", &t));
+  EXPECT_EQ(t, Time::ns(1500));
+  EXPECT_TRUE(parse_duration("13.75ns", &t));
+  EXPECT_EQ(t, Time::ps(13750));
+  // 2^63 ps is about 106 days: 9e9 ms fits, 1e10 ms does not.
+  EXPECT_TRUE(parse_duration("9000000000ms", &t));
+  EXPECT_EQ(t, Time::ms(9'000'000'000));
+  for (const char* bad : {"", "10", "ms", "-1ns", "nanus", "infms", "1e10ms",
+                          "1e300ms", "1e16us", "1s", "1 us"}) {
+    EXPECT_FALSE(parse_duration(bad, &t)) << bad;
+  }
+}
+
+TEST(Grammar, FormattersRoundTrip) {
+  for (const double v : {0.1, 0.25, 1.0 / 3.0, 1e-5, 64.0, 100.0, 2.5e-7}) {
+    double back = 0.0;
+    ASSERT_TRUE(parse_double(format_double(v), &back)) << v;
+    EXPECT_EQ(back, v);
+  }
+  EXPECT_EQ(format_double(0.1), "0.1");
+  EXPECT_EQ(format_double(64.0), "64");
+  EXPECT_EQ(format_double(100.0), "1e+02");  // shortest, not prettiest
+  EXPECT_EQ(format_duration(Time::ms(2)), "2ms");
+  EXPECT_EQ(format_duration(Time::us(1500)), "1500us");
+  EXPECT_EQ(format_duration(Time::ns(500)), "500ns");
+  EXPECT_EQ(format_duration(Time::ps(13750)), "13.750ns");
+  EXPECT_EQ(format_duration(Time::ps(-1500)), "-1.500ns");
+  // Picoseconds print exactly, beyond where a double would round them.
+  const Time big = Time::ps(9'007'199'254'740'993);
+  EXPECT_EQ(format_duration(big), "9007199254740.993ns");
 }
 
 TEST(Rate, Conversions) {

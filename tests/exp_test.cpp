@@ -571,6 +571,10 @@ TEST(ParseCli, ValidatesNumericValues) {
   EXPECT_FALSE(cli::parse({"-j", "nope"}).has_value());
   EXPECT_FALSE(cli::parse({"--jobs=99999999999999999999"}).has_value());
   EXPECT_TRUE(cli::parse({"--jobs=0"}).has_value());  // 0 = all cores
+  // Digits only, like every integer of the shared value grammar.
+  EXPECT_FALSE(cli::parse({"--jobs=+2"}).has_value());
+  EXPECT_FALSE(cli::parse({"--jobs= 2"}).has_value());
+  EXPECT_FALSE(cli::parse({"--scenario-family=diurnal,seed=+1"}).has_value());
 }
 
 TEST(ParseCli, HelpIsAFlagNotAnError) {

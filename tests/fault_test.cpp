@@ -4,8 +4,11 @@
 // endpoints it drives).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dram/controller.hpp"
 #include "dram/traffic.hpp"
 #include "fault/injector.hpp"
@@ -81,6 +84,47 @@ TEST(FaultPlan, RejectsMalformedEntries) {
   EXPECT_FALSE(FaultPlan::parse("link@1us=r1:Q:1us").has_value());  // port
   EXPECT_FALSE(FaultPlan::parse("seed=").has_value());
   EXPECT_FALSE(FaultPlan::parse("delay=0.5").has_value());  // missing DUR
+
+  // Durations are finite and fit int64 picoseconds.
+  EXPECT_FALSE(FaultPlan::parse("dram@infus=1us").has_value());
+  EXPECT_FALSE(FaultPlan::parse("delay=0.1:nanns").has_value());
+  EXPECT_FALSE(FaultPlan::parse("dram@1us=1e10ms").has_value());
+  EXPECT_FALSE(FaultPlan::parse("drop=nan").has_value());
+  // Integers are digits only: strtoull turned seed=-1 into 2^64-1.
+  EXPECT_FALSE(FaultPlan::parse("seed=-1").has_value());
+  EXPECT_FALSE(FaultPlan::parse("seed=+1").has_value());
+  EXPECT_FALSE(FaultPlan::parse("seed= 1").has_value());
+  EXPECT_FALSE(FaultPlan::parse("dup=0.5:-3").has_value());
+  EXPECT_FALSE(FaultPlan::parse("crash@1us=app-1").has_value());
+  // Targets are bounded ints: app 2^32+1 used to wrap to app 1.
+  EXPECT_FALSE(FaultPlan::parse("crash@1us=app4294967297").has_value());
+  EXPECT_FALSE(FaultPlan::parse("link@1us=r4294967301:E:1us").has_value());
+}
+
+TEST(FaultPlan, CanonicalTextIsLossless) {
+  // Probabilities print as the shortest decimal that round-trips, so the
+  // plan survives parse -> canonical -> parse bit-exactly.
+  Rng rng(0xfa017);
+  for (int i = 0; i < 2000; ++i) {
+    char text[64];
+    std::snprintf(text, sizeof text, "drop=%.17g", rng.next_double());
+    const auto plan = FaultPlan::parse(text);
+    ASSERT_TRUE(plan.has_value()) << text << ": " << plan.error_message();
+    const auto again = FaultPlan::parse(plan.value().canonical());
+    ASSERT_TRUE(again.has_value()) << again.error_message();
+    EXPECT_EQ(again.value().specs()[0].probability,
+              plan.value().specs()[0].probability)
+        << text << " -> " << plan.value().canonical();
+  }
+  // Where %g already round-tripped the bytes are unchanged; whole
+  // nanoseconds print without a fraction.
+  const auto plan = FaultPlan::parse(
+      "drop=0.25,dup=1e-05,delay=0.1:500ns,reorder=0.5:1.5ns,"
+      "dram@10us=2.25us");
+  ASSERT_TRUE(plan.has_value()) << plan.error_message();
+  EXPECT_EQ(plan.value().canonical(),
+            "drop=0.25,dup=1e-05,delay=0.1:500ns,reorder=0.5:1.500ns,"
+            "dram@10us=2250ns");
 }
 
 TEST(FaultPlan, ValidateCatchesProgrammaticMistakes) {
@@ -90,6 +134,11 @@ TEST(FaultPlan, ValidateCatchesProgrammaticMistakes) {
   bad.probability = 2.0;
   plan.add(bad);
   EXPECT_FALSE(plan.validate().is_ok());
+
+  FaultPlan nan_plan;
+  bad.probability = std::nan("");
+  nan_plan.add(bad);
+  EXPECT_FALSE(nan_plan.validate().is_ok());
 }
 
 TEST(FaultPlan, MergePrefersOtherExplicitSeed) {

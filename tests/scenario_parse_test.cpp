@@ -110,6 +110,140 @@ TEST(ScenarioParse, SocSampleSurvivesTheTrip) {
   EXPECT_EQ(k.phases[1].action, platform::PhaseSpec::Action::kStop);
 }
 
+/// One scenario per kind with every knob away from its default (plus a
+/// second soc scenario for `rt off`, which `stop_the_world on` forbids),
+/// every master kind with every key, and an `app` with `dram=on`. The
+/// canonical text is pinned byte-for-byte: knob order and value formats
+/// are part of the format.
+TEST(ScenarioParse, EveryKnobRoundTripsToPinnedCanonicalText) {
+  struct Case {
+    const char* text;
+    const char* canonical;
+  };
+  const Case cases[] = {
+      {"scenario soc\n"
+       "name every_knob\n"
+       "faults seed=5,dram@10us=2us\n"
+       "dram_device ddr4_2400\n"
+       "dram_policy fcfs\n"
+       "rt_working_set 131072\n"
+       "rt_reads_per_batch 12\n"
+       "rt_period 15us\n"
+       "rt on\n"
+       "memguard_period 20us\n"
+       "hog_budget 7\n"
+       "stop_the_world on\n"
+       "mpam_bw on\n"
+       "memguard on\n"
+       "dsu on\n"
+       "hogs 2\n"
+       "sim_time 3ms\n"
+       "master r reader paused=on critical=on writes=on working_set=32768 "
+       "base=1048576 reads_per_batch=9 period=7us\n"
+       "master h hog paused=on critical=on seed=11 think_time=1.5us "
+       "write_fraction=0.125 working_set=524288 base=8388608\n"
+       "master t trace paused=on critical=on file=rec.trace\n"
+       "phase 100us start r\n"
+       "phase 2ms stop h\n",
+       "scenario soc\n"
+       "name every_knob\n"
+       "sim_time 3ms\n"
+       "hogs 2\n"
+       "dsu on\n"
+       "memguard on\n"
+       "mpam_bw on\n"
+       "stop_the_world on\n"
+       "hog_budget 7\n"
+       "memguard_period 20us\n"
+       "rt on\n"
+       "rt_period 15us\n"
+       "rt_reads_per_batch 12\n"
+       "rt_working_set 131072\n"
+       "dram_policy fcfs\n"
+       "dram_device ddr4_2400\n"
+       "faults seed=5,dram@10us=2us\n"
+       "master r reader period=7us reads_per_batch=9 base=1048576 "
+       "working_set=32768 writes=on critical=on paused=on\n"
+       "master h hog base=8388608 working_set=524288 write_fraction=0.125 "
+       "think_time=1500ns seed=11 critical=on paused=on\n"
+       "master t trace file=rec.trace critical=on paused=on\n"
+       "phase 100us start r\n"
+       "phase 2ms stop h\n"},
+      {"scenario soc\nname rt_off\nrt off\n",
+       "scenario soc\n"
+       "name rt_off\n"
+       "sim_time 2ms\n"
+       "hogs 3\n"
+       "dsu off\n"
+       "memguard off\n"
+       "mpam_bw off\n"
+       "stop_the_world off\n"
+       "hog_budget 20\n"
+       "memguard_period 10us\n"
+       "rt off\n"
+       "rt_period 10us\n"
+       "rt_reads_per_batch 32\n"
+       "rt_working_set 65536\n"
+       "dram_policy frfcfs\n"
+       "dram_device ddr3_1600\n"},
+      {"scenario dram\n"
+       "name every_knob\n"
+       "write_bank 2\n"
+       "write_burst 16\n"
+       "write_rate_gbps 2.5\n"
+       "read_stride 3\n"
+       "read_bank 1\n"
+       "read_period 300ns\n"
+       "n_wd 2\n"
+       "w_low 3\n"
+       "w_high 10\n"
+       "banks 4\n"
+       "device ddr4_2400\n"
+       "sim_time 2ms\n",
+       "scenario dram\n"
+       "name every_knob\n"
+       "sim_time 2ms\n"
+       "device ddr4_2400\n"
+       "banks 4\n"
+       "w_high 10\n"
+       "w_low 3\n"
+       "n_wd 2\n"
+       "read_period 300ns\n"
+       "read_bank 1\n"
+       "read_stride 3\n"
+       "write_rate_gbps 2.5\n"
+       "write_burst 16\n"
+       "write_bank 2\n"},
+      {"scenario admission\n"
+       "name every_knob\n"
+       "enforce off\n"
+       "packets 120\n"
+       "burst_factor 2.5\n"
+       "rm_node 5\n"
+       "link_rate_gbps 32\n"
+       "mesh 3x2\n"
+       "app 4 dram=on deadline=1.25us dst=2,1 src=0,1 rate=1/400 burst=3\n",
+       "scenario admission\n"
+       "name every_knob\n"
+       "mesh 3x2\n"
+       "link_rate_gbps 32\n"
+       "rm_node 5\n"
+       "burst_factor 2.5\n"
+       "packets 120\n"
+       "enforce off\n"
+       "app 4 burst=3 rate=0.0025 src=0,1 dst=2,1 deadline=1250ns "
+       "dram=on\n"},
+  };
+  for (const auto& c : cases) {
+    const auto s = parse_scenario(c.text);
+    ASSERT_TRUE(s) << c.text << " -> " << s.error_message();
+    EXPECT_EQ(s.value().canonical(), c.canonical);
+    const auto again = parse_scenario(c.canonical);
+    ASSERT_TRUE(again) << again.error_message();
+    EXPECT_EQ(again.value().canonical(), c.canonical);
+  }
+}
+
 TEST(ScenarioParse, ErrorsCarryExactPositions) {
   struct Case {
     const char* text;
@@ -137,6 +271,18 @@ TEST(ScenarioParse, ErrorsCarryExactPositions) {
        "line 2, col 1: app 1 is missing required key 'burst'"},
       {"scenario admission\nmesh 4by4\n",
        "line 2, col 6: bad value '4by4' for 'mesh'"},
+      // Durations must be finite and fit int64 picoseconds; a NaN fault
+      // time used to reach the simulation kernel as INT64_MIN.
+      {"scenario soc\nfaults dram@nanus=5us\n",
+       "line 2, col 8: bad fault entry 'dram@nanus=5us'"},
+      {"scenario soc\nsim_time 1e300ms\n",
+       "line 2, col 10: bad value '1e300ms' for 'sim_time'"},
+      {"scenario soc\nmemguard_period 1e10ms\n",
+       "line 2, col 17: bad value '1e10ms' for 'memguard_period'"},
+      // An infinite rate printed as `inf`, which does not parse back.
+      {"scenario admission\napp 1 burst=1 rate=1e300/1e-300 src=0,0 "
+       "dst=1,0 deadline=1us\n",
+       "line 2, col 20: bad value '1e300/1e-300' for app key 'rate'"},
   };
   for (const auto& c : cases) {
     const auto s = parse_scenario(c.text);
@@ -172,6 +318,37 @@ TEST(ScenarioParse, ValidatorFailuresMapBackToTheOffendingLine) {
       << bad_master.error_message();
   EXPECT_NE(bad_master.error_message().find("period must be positive"),
             std::string::npos);
+
+  // Validators name some knobs differently from their `.pap` key, and
+  // duplicate names / ids map to the last line defining them.
+  struct Case {
+    const char* text;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"scenario soc\nhogs 0\nrt off\n",
+       "line 3, col 4: scenario has no masters"},
+      {"scenario soc\nmemguard on\nhog_budget 0\n",
+       "line 3, col 12: hog_budget_per_period must be >= 1"},
+      {"scenario soc\nfaults drop=0.5\n",
+       "line 2, col 8: fault plan: 'drop' is not injectable"},
+      {"scenario soc\nmaster m hog\nmaster m hog\n",
+       "line 3, col 8: master name 'm' is not unique"},
+      {"scenario admission\n"
+       "app 3 burst=1 rate=0.01 src=0,0 dst=1,0 deadline=1us\n"
+       "app 3 burst=1 rate=0.01 src=0,0 dst=1,0 deadline=1us\n",
+       "line 3, col 1: app 3: app id is not unique"},
+      {"scenario dram\nbanks 2\nwrite_bank 2\n",
+       "line 3, col 12: write_bank must be in [0, 2), got 2"},
+      {"scenario admission\nname a\n",
+       "line 1, col 1: admission scenario needs at least one app line"},
+  };
+  for (const auto& c : cases) {
+    const auto s = parse_scenario(c.text);
+    ASSERT_FALSE(s) << c.text;
+    EXPECT_NE(s.error_message().find(c.expect), std::string::npos)
+        << c.text << " -> " << s.error_message();
+  }
 }
 
 TEST(ScenarioParse, DramValidatorNamesKnobAndValue) {
@@ -244,8 +421,9 @@ TEST(ScenarioParse, ExampleFilesParseAndAreCanonicalStable) {
 /// The parser must never crash, every rejection must carry "line L, col
 /// C:", and every acceptance must print a canonical fixed point.
 TEST(ScenarioFuzz, TwentyThousandCasesNeverCrashAlwaysPositioned) {
-  std::vector<std::string> corpus = {kSocSample, kDramSample,
-                                     kAdmissionSample};
+  std::vector<std::string> corpus = {
+      kSocSample, kDramSample, kAdmissionSample,
+      "scenario soc\nname faulty\nsim_time 100us\nfaults dram@10us=500ns\n"};
   for (const std::string& fam : family_names()) {
     const auto g = generate_scenario(fam, 7, 0);
     ASSERT_TRUE(g) << g.error_message();
@@ -327,6 +505,11 @@ TEST(FamilySpec, ParsesAndRejects) {
   EXPECT_FALSE(parse_family_spec("diurnal,n=0"));
   EXPECT_FALSE(parse_family_spec("diurnal,n=100001"));
   EXPECT_FALSE(parse_family_spec("diurnal,bogus=1"));
+  // Integers are digits only: no sign (strtoull wrapped -1), no spaces.
+  EXPECT_FALSE(parse_family_spec("diurnal,seed=-1"));
+  EXPECT_FALSE(parse_family_spec("diurnal,seed=+1"));
+  EXPECT_FALSE(parse_family_spec("diurnal,seed= 1"));
+  EXPECT_FALSE(parse_family_spec("diurnal,n=+5"));
 }
 
 }  // namespace

@@ -159,6 +159,24 @@ TEST(Service, ScenarioSimAcceptsInlinePapText) {
       << traced;
 }
 
+TEST(Service, NonFiniteScenarioTimesAreBadRequestsNotCrashes) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  AnalysisService svc(cfg);
+  // A NaN fault time used to reach the simulation kernel as INT64_MIN and
+  // abort the daemon.
+  const std::string nan = svc.handle(
+      R"({"id":1,"op":"scenario_sim","params":{)"
+      R"("scenario":"scenario soc\nsim_time 50us\nfaults dram@nanus=5us\n"}})");
+  EXPECT_NE(nan.find("\"code\":\"bad_request\""), nan.npos) << nan;
+  EXPECT_NE(nan.find("line 3, col 8"), nan.npos) << nan;
+
+  const std::string next = svc.handle(
+      R"({"id":2,"op":"scenario_sim","params":{)"
+      R"("scenario":"scenario soc\nsim_time 50us\nhogs 1\n"}})");
+  EXPECT_NE(next.find("\"id\":2,\"ok\":true"), next.npos) << next;
+}
+
 TEST(Service, ScenarioSimTextSizeIsBounded) {
   ServiceConfig cfg;
   cfg.workers = 1;

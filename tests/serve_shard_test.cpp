@@ -107,6 +107,7 @@ TEST(ParseEndpoint, RejectsMalformedAndOutOfRange) {
   EXPECT_FALSE(parse_endpoint("tcp:notaport").has_value());
   EXPECT_FALSE(parse_endpoint("tcp:0").has_value());
   EXPECT_FALSE(parse_endpoint("tcp:70000").has_value());
+  EXPECT_FALSE(parse_endpoint("tcp:+80").has_value());  // digits only
   EXPECT_FALSE(parse_endpoint("tcp:10.0.0.8:65536").has_value());
 }
 

@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/grammar.hpp"
 #include "common/stats.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -372,14 +373,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_long(const char* text, long min, long max, long* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -387,25 +380,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_next = i + 1 < argc;
-    long v = 0;
+    int v = 0;
     if (arg == "--unix" && has_next) {
       opt.unix_path = argv[++i];
     } else if (arg == "--tcp" && has_next &&
-               parse_long(argv[++i], 1, 65535, &v)) {
-      opt.tcp_port = static_cast<int>(v);
+               pap::parse_int(argv[++i], 1, 65535, &v)) {
+      opt.tcp_port = v;
     } else if (arg == "--host" && has_next) {
       opt.host = argv[++i];
     } else if (arg == "--shard" && has_next) {
       opt.shard_specs.push_back(argv[++i]);
     } else if (arg == "--requests" && has_next &&
-               parse_long(argv[++i], 1, 100000000, &v)) {
+               pap::parse_int(argv[++i], 1, 100000000, &v)) {
       opt.requests = v;
     } else if (arg == "--connections" && has_next &&
-               parse_long(argv[++i], 1, 512, &v)) {
-      opt.connections = static_cast<int>(v);
+               pap::parse_int(argv[++i], 1, 512, &v)) {
+      opt.connections = v;
     } else if (arg == "--pipeline" && has_next &&
-               parse_long(argv[++i], 1, 4096, &v)) {
-      opt.pipeline = static_cast<int>(v);
+               pap::parse_int(argv[++i], 1, 4096, &v)) {
+      opt.pipeline = v;
     } else if (arg == "--with-scenario") {
       opt.with_scenario = true;
     } else if (arg == "--expect-overload") {

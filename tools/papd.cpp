@@ -16,6 +16,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/grammar.hpp"
 #include "common/log.hpp"
 #include "serve/server.hpp"
 
@@ -35,14 +36,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_int(const char* text, long min, long max, long* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,38 +43,39 @@ int main(int argc, char** argv) {
   using pap::serve::ServerConfig;
 
   ServerConfig config;
-  long drain_ms = 5000;
+  int drain_ms = 5000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_next = i + 1 < argc;
-    long v = 0;
+    int v = 0;
     if (arg == "--unix" && has_next) {
       config.unix_path = argv[++i];
-    } else if (arg == "--tcp" && has_next && parse_int(argv[++i], 0, 65535, &v)) {
-      config.tcp_port = static_cast<int>(v);
+    } else if (arg == "--tcp" && has_next &&
+               pap::parse_int(argv[++i], 0, 65535, &v)) {
+      config.tcp_port = v;
     } else if (arg == "--host" && has_next) {
       config.tcp_host = argv[++i];
     } else if (arg == "--workers" && has_next &&
-               parse_int(argv[++i], 1, 256, &v)) {
-      config.service.workers = static_cast<int>(v);
+               pap::parse_int(argv[++i], 1, 256, &v)) {
+      config.service.workers = v;
     } else if (arg == "--queue" && has_next &&
-               parse_int(argv[++i], 1, 1 << 20, &v)) {
+               pap::parse_int(argv[++i], 1, 1 << 20, &v)) {
       config.service.queue_capacity = static_cast<std::size_t>(v);
     } else if (arg == "--cache" && has_next &&
-               parse_int(argv[++i], 0, 1 << 24, &v)) {
+               pap::parse_int(argv[++i], 0, 1 << 24, &v)) {
       config.service.cache_entries = static_cast<std::size_t>(v);
     } else if (arg == "--cache-dir" && has_next) {
       config.service.cache_dir = argv[++i];
     } else if (arg == "--reactors" && has_next &&
-               parse_int(argv[++i], 1, 64, &v)) {
-      config.reactors = static_cast<int>(v);
+               pap::parse_int(argv[++i], 1, 64, &v)) {
+      config.reactors = v;
     } else if (arg == "--no-coalesce") {
       config.service.coalesce = false;
     } else if (arg == "--write-stall-ms" && has_next &&
-               parse_int(argv[++i], 1, 600000, &v)) {
+               pap::parse_int(argv[++i], 1, 600000, &v)) {
       config.write_stall = std::chrono::milliseconds(v);
     } else if (arg == "--drain-ms" && has_next &&
-               parse_int(argv[++i], 1, 600000, &v)) {
+               pap::parse_int(argv[++i], 1, 600000, &v)) {
       drain_ms = v;
     } else if (arg == "--verbose") {
       pap::set_log_level(pap::LogLevel::kInfo);
