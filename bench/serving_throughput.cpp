@@ -8,7 +8,8 @@
 //      full admission analysis; cache hits would be cheating);
 //   2. byte-identity — a served wcd_bound reply must render exactly the
 //      bytes the offline path produces for the same parameters, metric by
-//      metric (dram::table2_row + the JsonlSink value rendering);
+//      metric (dram::table2_row + the JsonlSink value rendering), on every
+//      timed request;
 //   3. bounded overload — with the queue saturated, `overloaded` replies
 //      must come back in well under 10 ms and the process RSS must stay
 //      flat: backpressure sheds load instead of buffering it;
@@ -18,8 +19,9 @@
 //      steady-state traffic over a bounded key population is all cache
 //      hits, and the fleet must sustain >= 100k req/s aggregate;
 //   5. disk warm restart — a service restarted over the same --cache-dir
-//      must answer previously computed requests from the disk tier
-//      (disk_hits > 0) with exactly the bytes the first run produced;
+//      must answer previously computed requests from the disk tier (every
+//      timed request a disk hit: its LRU is off) with exactly the bytes
+//      the first run produced;
 //   6. request intake — the per-request layers in isolation, on
 //      serve_mix-shaped admission_check lines: parse_request (2 and 16
 //      apps), Request::key() and the handler's ParamReader pass (16 apps).
@@ -131,10 +133,31 @@ BenchRow bench_admission_throughput() {
                   kRequests};
 }
 
+/// Mean ns per call of `op` over at least 0.2 s of batched calls.
+template <class Op>
+BenchRow time_layer(const std::string& name, Op&& op) {
+  constexpr long kBatch = 256;
+  long iterations = 0;
+  const auto t0 = Clock::now();
+  double elapsed_ns = 0.0;
+  do {
+    for (long i = 0; i < kBatch; ++i) op();
+    iterations += kBatch;
+    elapsed_ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+  } while (elapsed_ns < 2e8);
+  const double ns = elapsed_ns / static_cast<double>(iterations);
+  std::printf("%-40s %10.0f ns/op\n", name.c_str(), ns);
+  return BenchRow{name, ns, iterations};
+}
+
 /// Section 2: a served wcd_bound reply carries exactly the offline bytes.
+/// The row times the nine requests in turn, computed every time (the LRU
+/// is off), through the full submit -> worker -> reply path.
 BenchRow bench_wcd_byte_identity() {
   ServiceConfig config;
   config.workers = 2;
+  config.cache_entries = 0;
   AnalysisService service(config);
 
   // The Table II configuration (bench/table2_wcd_bounds.cpp).
@@ -147,16 +170,17 @@ BenchRow bench_wcd_byte_identity() {
                                                .value();
   constexpr int kN = 13;
   const auto timings = pap::dram::ddr3_1600();
+  const std::vector<double> gbps = {0.5, 1.0, 2.0, 4.0,  5.0,
+                                    6.0, 6.5, 7.0, 7.2};
 
-  long long served = 0;
-  double total_ns = 0.0;
-  bool all_identical = true;
-  for (const double gbps : {0.5, 1.0, 2.0, 4.0, 5.0, 6.0, 6.5, 7.0, 7.2}) {
+  std::vector<std::string> lines;
+  std::vector<std::string> expect;
+  for (std::size_t i = 0; i < gbps.size(); ++i) {
     // Offline: the exact engine call and value rendering the batch bench
     // uses for a Table II row.
-    const auto b = pap::dram::table2_row(timings, ctrl, gbps, kN);
+    const auto b = pap::dram::table2_row(timings, ctrl, gbps[i], kN);
     const auto bucket = pap::nc::TokenBucket::from_rate(
-        pap::Rate::gbps(gbps), pap::kCacheLineBytes, 8.0);
+        pap::Rate::gbps(gbps[i]), pap::kCacheLineBytes, 8.0);
     pap::dram::WcdAnalysis analysis(timings, ctrl, bucket);
     pap::exp::Result offline("wcd_bound");
     offline.add("lower", b.lower)
@@ -167,30 +191,31 @@ BenchRow bench_wcd_byte_identity() {
         .add("converged", b.converged)
         .add("interference_utilization",
              pap::exp::Value{analysis.interference_utilization(), 6});
-    const std::string expect =
-        pap::serve::ok_reply(served, pap::serve::render_result(offline));
-
+    expect.push_back(pap::serve::ok_reply(static_cast<std::int64_t>(i),
+                                          pap::serve::render_result(offline)));
     char line[160];
     std::snprintf(line, sizeof line,
-                  "{\"id\": %lld, \"op\": \"wcd_bound\", "
+                  "{\"id\": %zu, \"op\": \"wcd_bound\", "
                   "\"params\": {\"write_gbps\": %.17g}}",
-                  served, gbps);
-    const auto t0 = Clock::now();
-    const std::string reply = service.handle(line);
-    total_ns += std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                    .count();
-    if (reply != expect) {
+                  i, gbps[i]);
+    lines.emplace_back(line);
+  }
+
+  bool all_identical = true;
+  std::size_t k = 0;
+  const BenchRow row = time_layer("BM_ServeWcdBound", [&] {
+    const std::string reply = service.handle(lines[k]);
+    if (reply != expect[k] && all_identical) {
       all_identical = false;
       std::printf("  mismatch at %.1f GB/s:\n    served  %s\n    offline %s\n",
-                  gbps, reply.c_str(), expect.c_str());
+                  gbps[k], reply.c_str(), expect[k].c_str());
     }
-    ++served;
-  }
+    k = (k + 1) % lines.size();
+  });
   check(all_identical,
         "wcd_bound replies byte-identical to offline table2_row rendering");
   service.shutdown();
-  return BenchRow{"BM_ServeWcdBound", total_ns / static_cast<double>(served),
-                  served};
+  return row;
 }
 
 long rss_kb() {
@@ -214,7 +239,6 @@ BenchRow bench_overload() {
   ServiceConfig config;
   config.workers = 1;
   config.queue_capacity = 4;
-  config.coalesce = false;
   config.cache_entries = 0;  // force every request through the queue
   // The worker parks before running a job until the flood is over, so the
   // worker and the queue stay provably full however fast a job runs.
@@ -231,9 +255,9 @@ BenchRow bench_overload() {
   AnalysisService service(config);
 
   // Fill the worker + queue with scenario simulations (distinct sim times,
-  // so they cannot coalesce even if coalescing were on). The worker pops
-  // the first job and parks (before_dispatch runs after the pop); only
-  // then do the other four fill the queue to its capacity.
+  // so they cannot coalesce). The worker pops the first job and parks
+  // (before_dispatch runs after the pop); only then do the other four
+  // fill the queue to its capacity.
   std::atomic<int> slow_done{0};
   std::vector<std::string> slow;
   for (int i = 0; i < 5; ++i) {
@@ -386,9 +410,7 @@ BenchRow bench_sharded_fleet() {
 
   long hits = 0;
   for (const auto& s : fleet) {
-    const auto entry =
-        s->counters().sample("serve", "admission_check/cache_hits");
-    if (entry) hits += static_cast<long>(entry->value);
+    hits += static_cast<long>(s->counts("admission_check").cache_hits);
   }
   std::printf("sharded fleet: %ld requests over %d keys x %zu shards, "
               "%.2f s, %.0f req/s aggregate, %ld cache hits\n",
@@ -415,52 +437,47 @@ BenchRow bench_disk_warm_restart() {
 
   const std::vector<double> gbps = {0.5, 1.0, 2.0, 4.0,  5.0,
                                     6.0, 6.5, 7.0, 7.2};
-  auto line = [](std::size_t i, double g) {
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < gbps.size(); ++i) {
     char buf[160];
     std::snprintf(buf, sizeof buf,
                   "{\"id\": %zu, \"op\": \"wcd_bound\", "
                   "\"params\": {\"write_gbps\": %.17g}}",
-                  i, g);
-    return std::string(buf);
-  };
+                  i, gbps[i]);
+    lines.emplace_back(buf);
+  }
 
   // Cold run: compute and persist.
   std::vector<std::string> first(gbps.size());
   {
     AnalysisService service(cfg);
-    for (std::size_t i = 0; i < gbps.size(); ++i) {
-      first[i] = service.handle(line(i, gbps[i]));
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      first[i] = service.handle(lines[i]);
     }
     service.shutdown();
   }
 
-  // Restart: a new service, empty LRU, same directory.
+  // Restart: a new service over the same directory, its LRU off, so
+  // every timed request is served from disk.
+  cfg.cache_entries = 0;
   AnalysisService restarted(cfg);
   bool identical = true;
-  double total_ns = 0.0;
-  for (std::size_t i = 0; i < gbps.size(); ++i) {
-    const auto t0 = Clock::now();
-    const std::string reply = restarted.handle(line(i, gbps[i]));
-    total_ns +=
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    if (reply != first[i]) identical = false;
-  }
-  const auto entry =
-      restarted.counters().sample("serve", "wcd_bound/disk_hits");
-  const long disk_hits = entry ? static_cast<long>(entry->value) : 0;
+  std::size_t k = 0;
+  const BenchRow row = time_layer("BM_ServeDiskWarmRestart", [&] {
+    if (restarted.handle(lines[k]) != first[k]) identical = false;
+    k = (k + 1) % lines.size();
+  });
+  const auto disk_hits = restarted.counts("wcd_bound").disk_hits;
 
-  std::printf("disk warm restart: %zu requests, %ld disk hits\n",
-              gbps.size(), disk_hits);
-  check(disk_hits > 0, "restarted service answers from the disk tier");
-  check(disk_hits == static_cast<long>(gbps.size()),
-        "every previously computed answer came from disk");
+  std::printf("disk warm restart: %lld requests, %llu disk hits\n",
+              row.iterations, static_cast<unsigned long long>(disk_hits));
+  check(disk_hits == static_cast<std::uint64_t>(row.iterations),
+        "every request after the restart answered from disk");
   check(identical, "disk-served replies byte-identical to the first run");
 
   restarted.shutdown();
   std::filesystem::remove_all(dir);
-  return BenchRow{"BM_ServeDiskWarmRestart",
-                  total_ns / static_cast<double>(gbps.size()),
-                  static_cast<long long>(gbps.size())};
+  return row;
 }
 
 /// A serve_mix-shaped admission_check line: `apps` apps on a `mesh` x
@@ -487,24 +504,6 @@ std::string intake_line(int apps, int mesh = 8) {
   }
   p += "]}";
   return "{\"id\":12345,\"op\":\"admission_check\",\"params\":" + p + "}";
-}
-
-/// Mean ns per call of `op` over at least 0.2 s of batched calls.
-template <class Op>
-BenchRow time_layer(const std::string& name, Op&& op) {
-  constexpr long kBatch = 256;
-  long iterations = 0;
-  const auto t0 = Clock::now();
-  double elapsed_ns = 0.0;
-  do {
-    for (long i = 0; i < kBatch; ++i) op();
-    iterations += kBatch;
-    elapsed_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-  } while (elapsed_ns < 2e8);
-  const double ns = elapsed_ns / static_cast<double>(iterations);
-  std::printf("%-40s %10.0f ns/op\n", name.c_str(), ns);
-  return BenchRow{name, ns, iterations};
 }
 
 /// The parameter reads handle_admission_check makes, in its order.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace pap {
 
@@ -77,13 +79,17 @@ bool is_name(std::string_view s) {
 }
 
 std::string format_double(double v) {
+  // The first of %.1g ... %.17g that strtod reads back as `v` (NaN never
+  // does): to_chars and from_chars are specified as printf and strtod.
+  constexpr auto kGeneral = std::chars_format::general;
   char buf[64];
+  char* end = buf;
   for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
+    end = std::to_chars(buf, std::end(buf), v, kGeneral, prec).ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == v) break;
   }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return std::string(buf, end);
 }
 
 std::string format_duration(Time t) {

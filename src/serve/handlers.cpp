@@ -1,6 +1,5 @@
 #include "serve/handlers.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/admission.hpp"
@@ -14,6 +13,7 @@
 #include "rm/rate_table.hpp"
 #include "scenario/run.hpp"
 #include "scenario/scenario.hpp"
+#include "serve/endpoints.hpp"
 #include "serve/param_reader.hpp"
 
 namespace pap::serve {
@@ -26,24 +26,13 @@ HandlerOutcome bad(const std::string& msg) {
 
 }  // namespace
 
-bool is_analysis_op(const std::string& op) {
-  const auto& ops = analysis_ops();
-  return std::find(ops.begin(), ops.end(), op) != ops.end();
-}
-
-const std::vector<std::string>& analysis_ops() {
-  static const std::vector<std::string> kOps{
-      "admission_check", "wcd_bound", "nc_delay", "scenario_sim"};
-  return kOps;
-}
-
 HandlerOutcome dispatch(const std::string& op, const exp::Params& params,
                         const HandlerLimits& limits) {
-  if (op == "admission_check") return handle_admission_check(params, limits);
-  if (op == "wcd_bound") return handle_wcd_bound(params, limits);
-  if (op == "nc_delay") return handle_nc_delay(params, limits);
-  if (op == "scenario_sim") return handle_scenario_sim(params, limits);
-  return bad("unknown op '" + op + "'");
+  const Endpoint* e = find_endpoint(op);
+  if (!e || e->kind != EndpointKind::kAnalysis) {
+    return bad("unknown op '" + op + "'");
+  }
+  return e->analysis(params, limits);
 }
 
 HandlerOutcome handle_admission_check(const exp::Params& params,

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/time.hpp"
@@ -63,19 +62,14 @@ struct HandlerOutcome {
   }
 };
 
-/// True iff `op` names an analysis endpoint (cacheable, worker-executed).
-/// "ping" and "stats" are control endpoints the service answers inline.
-bool is_analysis_op(const std::string& op);
-
-/// All analysis ops, in documentation order.
-const std::vector<std::string>& analysis_ops();
-
-/// Dispatch an analysis request. Never crashes on bad parameters; every
-/// failure comes back as a HandlerOutcome error.
+/// Dispatch an analysis request through the endpoint table
+/// (endpoints.hpp); an op that is not an analysis op is a bad_request.
+/// Never crashes on bad parameters; every failure comes back as a
+/// HandlerOutcome error.
 HandlerOutcome dispatch(const std::string& op, const exp::Params& params,
                         const HandlerLimits& limits);
 
-// Individual endpoints (exposed for unit tests; `dispatch` routes to them).
+// Individual endpoints (rows of the endpoint table; exposed for unit tests).
 HandlerOutcome handle_admission_check(const exp::Params& params,
                                       const HandlerLimits& limits);
 HandlerOutcome handle_wcd_bound(const exp::Params& params,

@@ -542,7 +542,7 @@ class FlatSink {
       if (key_.size() >= 8) {
         std::memcpy(&prefix, key_.data(), 8);
         prefix = __builtin_bswap64(prefix);
-      } else {
+      } else if (!key_.empty()) {  // the empty key keeps prefix 0
         for (char ch : key_) prefix = prefix << 8 | static_cast<unsigned char>(ch);
         prefix <<= 8 * (8 - key_.size());
       }

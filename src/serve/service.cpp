@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -16,6 +17,7 @@
 #include "common/stats.hpp"
 #include "nc/arena.hpp"
 #include "serve/diskcache.hpp"
+#include "serve/endpoints.hpp"
 #include "serve/sessions.hpp"
 
 namespace pap::serve {
@@ -72,17 +74,43 @@ class LruShard {
 
 constexpr std::size_t kShards = 16;
 
-/// Per-endpoint latency capture (wall time of accepted analysis replies,
-/// measured submit -> reply-dispatch). Counts live in the CounterRegistry;
-/// only the histogram needs its own lock. The histogram is log-bucketed,
-/// so a daemon's memory does not grow with the requests it has served.
-struct OpLatency {
-  std::mutex mu;
-  LogHistogram hist;  // wall latency carried as Time (ns resolution)
+/// One endpoint's stats slot. Counts are lone atomics; only the latency
+/// histogram (wall time of ok replies, submit -> reply) takes a lock, and
+/// only this endpoint's. The histogram is log-bucketed, so a daemon's
+/// memory does not grow with the requests it has served.
+struct EndpointStats {
+  std::atomic<std::uint64_t> requests{0};
+  std::atomic<std::uint64_t> ok{0};
+  std::atomic<std::uint64_t> errors{0};
+  std::atomic<std::uint64_t> cache_hits{0};
+  std::atomic<std::uint64_t> disk_hits{0};
+  std::atomic<std::uint64_t> coalesced{0};
+  std::atomic<std::uint64_t> overloaded{0};
+  mutable std::mutex latency_mu;
+  LogHistogram latency;  // carried as Time (ns resolution)
 
-  void record(double us) {
-    std::lock_guard<std::mutex> lock(mu);
-    hist.add(Time::from_ns(us * 1000.0));
+  void count_ok(SteadyClock::time_point t0) {
+    ++ok;
+    const double us = us_since(t0);
+    std::lock_guard<std::mutex> lock(latency_mu);
+    latency.add(Time::from_ns(us * 1000.0));
+  }
+
+  /// Every count moves after the ones it refines (a request before its
+  /// outcome, an ok reply before its cache or disk hit), and a snapshot
+  /// reads them in the opposite order with sequentially consistent loads.
+  /// So no snapshot shows more outcomes than requests or more hits than ok
+  /// replies, even mid-flight.
+  EndpointCounts snapshot() const {
+    EndpointCounts c;
+    c.cache_hits = cache_hits.load();
+    c.disk_hits = disk_hits.load();
+    c.coalesced = coalesced.load();
+    c.ok = ok.load();
+    c.errors = errors.load();
+    c.overloaded = overloaded.load();
+    c.requests = requests.load();
+    return c;
   }
 };
 
@@ -96,8 +124,6 @@ struct AnalysisService::State {
             ? 0
             : std::max<std::size_t>(1, cfg.cache_entries / kShards);
     for (auto& s : cache) s.set_capacity(per_shard);
-    for (const auto& op : analysis_ops()) latency[op];  // materialize keys
-    for (const auto& op : SessionRegistry::session_ops()) latency[op];
   }
 
   struct Waiter {
@@ -107,14 +133,10 @@ struct AnalysisService::State {
   };
 
   struct Job {
-    std::string key;
-    std::string op;
+    const Endpoint* endpoint = nullptr;  // an analysis or session row
+    std::string key;  // analysis jobs only: the in-flight/cache identity
     exp::Params params;
     std::vector<Waiter> waiters;  // guarded by State::mu
-    /// Stateful session op: dispatched to the SessionRegistry with the
-    /// cache, coalescing and disk tiers all bypassed — two byte-identical
-    /// session requests are different decisions.
-    bool session = false;
   };
 
   const ServiceConfig config;
@@ -130,19 +152,14 @@ struct AnalysisService::State {
   std::array<LruShard, kShards> cache;
   const DiskCache disk;  // persistent tier under the LRU; no-op when disabled
   SessionRegistry sessions;  // stateful admission sessions (thread-safe)
-  trace::CounterRegistry counters;
-  // Keys fixed at construction; the map itself is never mutated after, so
-  // lock-free lookup is safe and each OpLatency has its own mutex.
-  std::unordered_map<std::string, OpLatency> latency;
+  std::array<EndpointStats, std::size(kEndpoints)> stats;  // by table row
 
   LruShard& shard_of(const std::string& key) {
     return cache[std::hash<std::string>{}(key) % kShards];
   }
 
-  void queue_depth_gauge() {  // callers hold mu
-    counters.update("serve", "service/queue_depth",
-                    static_cast<double>(queue.size()),
-                    trace::CounterKind::kGauge);
+  EndpointStats& stats_of(const Endpoint& e) {
+    return stats[static_cast<std::size_t>(&e - kEndpoints)];
   }
 };
 
@@ -163,47 +180,40 @@ void AnalysisService::submit(const std::string& line, ReplyFn reply) {
   const auto t0 = SteadyClock::now();
   auto parsed = parse_request(line, config_.parse);
   if (!parsed) {
-    state_->counters.add("serve", "service/parse_errors");
     reply(error_reply(0, ErrorCode::kParseError, parsed.error_message()));
     return;
   }
-  submit_request(std::move(parsed.value()), std::move(reply), t0);
-}
-
-void AnalysisService::submit_request(Request req, ReplyFn reply,
-                                     std::chrono::steady_clock::time_point t0) {
+  Request& req = parsed.value();
   State& st = *state_;
-
-  // Control endpoints answer inline, even during overload or drain — a
-  // health probe must keep working exactly when the server is saturated.
-  if (req.op == "ping") {
-    reply(ok_reply(req.id, "{\"label\":\"pong\",\"metrics\":{}}"));
-    return;
-  }
-  if (req.op == "stats") {
-    reply(ok_reply(req.id, stats_json()));
-    return;
-  }
-  const bool session_op = SessionRegistry::is_session_op(req.op);
-  if (!session_op && !is_analysis_op(req.op)) {
-    st.counters.add("serve", "service/bad_op");
+  const Endpoint* endpoint = find_endpoint(req.op);
+  if (!endpoint) {
     reply(error_reply(req.id, ErrorCode::kBadRequest,
                       "unknown op '" + req.op + "'"));
     return;
   }
+  // Control endpoints answer inline, even during overload or drain — a
+  // health probe must keep working exactly when the server is saturated.
+  if (endpoint->kind == EndpointKind::kControl) {
+    reply(ok_reply(req.id, endpoint->control(*this)));
+    return;
+  }
+  EndpointStats& stats = st.stats_of(*endpoint);
+  ++stats.requests;
 
-  st.counters.add("serve", req.op + "/requests");
-  const std::string key = req.key();
-
-  // Fast path: answered from the LRU on the submitting thread. Session ops
-  // never take it — a repeat of the same request line is a new decision.
-  const bool cacheable = !session_op && config_.cache_entries != 0;
+  // Only analysis answers are functions of the request bytes, so only
+  // they are cached and coalesced. A session op is a decision against its
+  // session's history: a repeat of the same line is a new decision, so it
+  // skips the LRU and the in-flight index and every line runs, in queue
+  // order.
+  const bool analysis = endpoint->kind == EndpointKind::kAnalysis;
+  const std::string key = analysis ? req.key() : std::string();
+  const bool cacheable = analysis && config_.cache_entries != 0;
   const auto reply_hit = [&](const std::string& payload) {
-    st.counters.add("serve", req.op + "/cache_hits");
-    st.counters.add("serve", req.op + "/ok");
-    st.latency.at(req.op).record(us_since(t0));
+    stats.count_ok(t0);
+    ++stats.cache_hits;
     reply(ok_reply(req.id, payload));
   };
+  // Fast path: answered from the LRU on the submitting thread.
   if (cacheable) {
     if (auto hit = st.shard_of(key).get(key)) {
       reply_hit(*hit);
@@ -215,8 +225,6 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
   // never here: submit() runs on a reactor (event-loop) thread, and a
   // blocking file read there would add disk latency to every connection
   // sharing the reactor. Coalescing still means one waiter pays the read.
-  ErrorCode inline_error = ErrorCode::kInternal;
-  bool send_inline_error = false;
   {
     std::unique_lock<std::mutex> lk(st.mu);
     // Re-probe the LRU under st.mu: a worker fills the LRU before it
@@ -231,64 +239,39 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
       }
     }
     if (st.stopping) {
-      send_inline_error = true;
-      inline_error = ErrorCode::kShuttingDown;
-    } else if (session_op) {
-      // Session jobs skip the in-flight index entirely: identical lines
-      // must each run, in queue order, so nothing may coalesce onto them
-      // and they must not shadow a cacheable job with the same key.
-      if (st.queue.size() >= config_.queue_capacity) {
-        send_inline_error = true;
-        inline_error = ErrorCode::kOverloaded;
-      } else {
-        auto job = std::make_shared<State::Job>();
-        job->key = key;
-        job->op = req.op;
-        job->params = std::move(req.params);
-        job->session = true;
-        job->waiters.push_back(State::Waiter{req.id, std::move(reply), t0});
-        st.queue.push_back(std::move(job));
-        st.queue_depth_gauge();
+      lk.unlock();
+      reply(error_reply(req.id, ErrorCode::kShuttingDown,
+                        "server is draining"));
+      return;
+    }
+    if (analysis) {
+      if (const auto it = st.inflight.find(key); it != st.inflight.end()) {
+        // Batch: ride the in-flight computation for the same identity.
+        it->second->waiters.push_back(
+            State::Waiter{req.id, std::move(reply), t0});
         lk.unlock();
-        st.work_cv.notify_one();
+        ++stats.coalesced;
         return;
       }
-    } else if (config_.coalesce && st.inflight.count(key)) {
-      // Batch: ride the in-flight computation for the same identity.
-      st.inflight[key]->waiters.push_back(
-          State::Waiter{req.id, std::move(reply), t0});
-      lk.unlock();
-      st.counters.add("serve", req.op + "/coalesced");
-      return;
-    } else if (st.queue.size() >= config_.queue_capacity) {
-      send_inline_error = true;
-      inline_error = ErrorCode::kOverloaded;
-    } else {
+    }
+    if (st.queue.size() < config_.queue_capacity) {
       auto job = std::make_shared<State::Job>();
+      job->endpoint = endpoint;
       job->key = key;
-      job->op = req.op;
       job->params = std::move(req.params);
       job->waiters.push_back(State::Waiter{req.id, std::move(reply), t0});
-      st.inflight[key] = job;
+      if (analysis) st.inflight[key] = job;
       st.queue.push_back(std::move(job));
-      st.queue_depth_gauge();
       lk.unlock();
       st.work_cv.notify_one();
       return;
     }
   }
-  if (send_inline_error) {
-    if (inline_error == ErrorCode::kOverloaded) {
-      st.counters.add("serve", req.op + "/overloaded");
-      reply(error_reply(req.id, ErrorCode::kOverloaded,
-                        "request queue is full (capacity " +
-                            std::to_string(config_.queue_capacity) +
-                            "); retry later"));
-    } else {
-      reply(error_reply(req.id, ErrorCode::kShuttingDown,
-                        "server is draining"));
-    }
-  }
+  ++stats.overloaded;
+  reply(error_reply(req.id, ErrorCode::kOverloaded,
+                    "request queue is full (capacity " +
+                        std::to_string(config_.queue_capacity) +
+                        "); retry later"));
 }
 
 std::string AnalysisService::handle(const std::string& line) {
@@ -324,10 +307,12 @@ void AnalysisService::worker_loop(std::shared_ptr<State> state) {
       job = std::move(st.queue.front());
       st.queue.pop_front();
       ++st.running;
-      st.queue_depth_gauge();
     }
 
-    if (st.config.before_dispatch) st.config.before_dispatch(job->op);
+    const Endpoint& endpoint = *job->endpoint;
+    if (st.config.before_dispatch) {
+      st.config.before_dispatch(std::string(endpoint.op));
+    }
     // Second chance below the LRU: the persistent tier, probed here on
     // the worker so the blocking file read never runs on a reactor
     // thread. A verified hit refills the LRU (the read is paid once per
@@ -337,10 +322,10 @@ void AnalysisService::worker_loop(std::shared_ptr<State> state) {
     bool from_disk = false;
     std::string payload;
     HandlerOutcome outcome;
-    if (job->session) {
+    if (endpoint.kind == EndpointKind::kSession) {
       // Stateful decision: no disk probe, no cache fill — the answer is a
       // function of the session history, not of the request bytes.
-      outcome = st.sessions.dispatch(job->op, job->params);
+      outcome = (st.sessions.*endpoint.session)(job->params);
       ok = outcome.ok;
       if (ok) payload = render_result(outcome.result);
     } else {
@@ -352,7 +337,7 @@ void AnalysisService::worker_loop(std::shared_ptr<State> state) {
         }
       }
       if (!from_disk) {
-        outcome = dispatch(job->op, job->params, st.config.handlers);
+        outcome = endpoint.analysis(job->params, st.config.handlers);
         ok = outcome.ok;
         if (ok) payload = render_result(outcome.result);
       }
@@ -369,19 +354,20 @@ void AnalysisService::worker_loop(std::shared_ptr<State> state) {
     std::vector<State::Waiter> waiters;
     {
       std::lock_guard<std::mutex> lk(st.mu);
-      const auto it = st.inflight.find(job->key);
-      if (it != st.inflight.end() && it->second == job) st.inflight.erase(it);
+      if (endpoint.kind == EndpointKind::kAnalysis) {
+        st.inflight.erase(job->key);
+      }
       waiters = std::move(job->waiters);
     }
 
+    EndpointStats& stats = st.stats_of(endpoint);
     for (auto& w : waiters) {
       if (ok) {
-        if (from_disk) st.counters.add("serve", job->op + "/disk_hits");
-        st.counters.add("serve", job->op + "/ok");
-        st.latency.at(job->op).record(us_since(w.t0));
+        stats.count_ok(w.t0);
+        if (from_disk) ++stats.disk_hits;
         w.reply(ok_reply(w.id, payload));
       } else {
-        st.counters.add("serve", job->op + "/errors");
+        ++stats.errors;
         w.reply(error_reply(w.id, outcome.error.code, outcome.error.message));
       }
     }
@@ -426,8 +412,10 @@ bool AnalysisService::shutdown(std::chrono::milliseconds deadline) {
   return drained;
 }
 
-const trace::CounterRegistry& AnalysisService::counters() const {
-  return state_->counters;
+EndpointCounts AnalysisService::counts(std::string_view op) const {
+  const Endpoint* endpoint = find_endpoint(op);
+  PAP_CHECK_MSG(endpoint != nullptr, "AnalysisService::counts: unknown op");
+  return state_->stats_of(*endpoint).snapshot();
 }
 
 std::string AnalysisService::stats_json() const {
@@ -447,36 +435,33 @@ std::string AnalysisService::stats_json() const {
   out += std::string(",\"draining\":") + (draining ? "true" : "false");
   out += ",\"open_sessions\":" + std::to_string(st.sessions.open_sessions());
   out += "},\"endpoints\":{";
-  std::vector<std::string> ops = analysis_ops();
-  ops.insert(ops.end(), SessionRegistry::session_ops().begin(),
-             SessionRegistry::session_ops().end());
-  bool first_op = true;
-  for (const auto& op : ops) {
-    if (!first_op) out += ',';
-    first_op = false;
-    out += json_quote(op) + ":{";
-    const char* names[] = {"requests",   "ok",        "errors",    "cache_hits",
-                           "disk_hits",  "coalesced", "overloaded"};
-    bool first = true;
-    for (const char* n : names) {
-      if (!first) out += ',';
-      first = false;
-      const auto e = st.counters.sample("serve", op + "/" + n);
-      const auto v = e ? static_cast<std::uint64_t>(e->value) : 0u;
-      out += std::string("\"") + n + "\":" + std::to_string(v);
-    }
-    OpLatency& lat = st.latency.at(op);
-    std::lock_guard<std::mutex> lock(lat.mu);
-    out += ",\"latency_us\":{";
-    out += "\"count\":" + std::to_string(lat.hist.count());
-    if (!lat.hist.empty()) {
+  bool first = true;
+  for (const Endpoint& endpoint : kEndpoints) {
+    if (endpoint.kind == EndpointKind::kControl) continue;
+    if (!first) out += ',';
+    first = false;
+    const EndpointStats& stats = st.stats_of(endpoint);
+    const EndpointCounts c = stats.snapshot();
+    out += '"';
+    out += endpoint.op;
+    out += "\":{\"requests\":" + std::to_string(c.requests);
+    out += ",\"ok\":" + std::to_string(c.ok);
+    out += ",\"errors\":" + std::to_string(c.errors);
+    out += ",\"cache_hits\":" + std::to_string(c.cache_hits);
+    out += ",\"disk_hits\":" + std::to_string(c.disk_hits);
+    out += ",\"coalesced\":" + std::to_string(c.coalesced);
+    out += ",\"overloaded\":" + std::to_string(c.overloaded);
+    std::lock_guard<std::mutex> lock(stats.latency_mu);
+    out += ",\"latency_us\":{\"count\":" +
+           std::to_string(stats.latency.count());
+    if (!stats.latency.empty()) {
       char buf[160];
       std::snprintf(buf, sizeof buf,
                     ",\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f,\"max\":%.1f",
-                    lat.hist.percentile(50).nanos() / 1000.0,
-                    lat.hist.percentile(95).nanos() / 1000.0,
-                    lat.hist.percentile(99).nanos() / 1000.0,
-                    lat.hist.max().nanos() / 1000.0);
+                    stats.latency.percentile(50).nanos() / 1000.0,
+                    stats.latency.percentile(95).nanos() / 1000.0,
+                    stats.latency.percentile(99).nanos() / 1000.0,
+                    stats.latency.max().nanos() / 1000.0);
       out += buf;
     }
     out += "}}";

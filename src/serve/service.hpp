@@ -24,6 +24,10 @@
 //                   429 analogue; memory stays flat no matter the offered
 //                   load (asserted by bench/serving_throughput).
 //
+// Which of them apply to an op is a property of its kind in the endpoint
+// table (serve/endpoints.hpp): analysis ops get all three, session ops
+// only backpressure, and control ops none — they are answered inline.
+//
 // Determinism: handlers are pure, so whether an answer was computed,
 // coalesced or cached never changes its bytes — replies deliberately carry
 // no cache/batch markers. Graceful shutdown (`shutdown`) stops intake
@@ -37,6 +41,10 @@
 // replies. Nothing on the submit path blocks on I/O.
 // The reply callback must therefore be thread-safe itself; it is invoked
 // exactly once per submit, never while service locks are held.
+//
+// Stats: each endpoint owns a fixed slot, indexed by its table row, of
+// atomic counts plus a latency histogram under that endpoint's own lock,
+// so no request takes a lock shared by all endpoints to be counted.
 #pragma once
 
 #include <chrono>
@@ -44,12 +52,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "serve/handlers.hpp"
 #include "serve/protocol.hpp"
-#include "trace/counters.hpp"
 
 namespace pap::serve {
 
@@ -61,7 +69,6 @@ struct ServiceConfig {
   /// survives restarts and is shared read-mostly across papd processes.
   /// Empty disables it.
   std::string cache_dir;
-  bool coalesce = true;               ///< batch identical in-flight requests
   ParseLimits parse;                  ///< request line limits
   HandlerLimits handlers;             ///< per-endpoint work bounds
   /// Test-only seam: runs on the worker thread right before a job's
@@ -69,6 +76,17 @@ struct ServiceConfig {
   /// coalescing / backpressure / drain windows deterministic. Leave unset
   /// in production.
   std::function<void(const std::string& op)> before_dispatch;
+};
+
+/// One endpoint's request counts (the `stats` reply's per-endpoint fields).
+struct EndpointCounts {
+  std::uint64_t requests = 0;    ///< accepted for this endpoint
+  std::uint64_t ok = 0;          ///< ok replies, however they were served
+  std::uint64_t errors = 0;      ///< handler errors
+  std::uint64_t cache_hits = 0;  ///< ok replies from the LRU
+  std::uint64_t disk_hits = 0;   ///< ok replies from the disk tier
+  std::uint64_t coalesced = 0;   ///< requests that rode an in-flight twin
+  std::uint64_t overloaded = 0;  ///< refused with `overloaded`
 };
 
 class AnalysisService {
@@ -102,13 +120,14 @@ class AnalysisService {
   /// may never be delivered).
   bool shutdown(std::chrono::milliseconds deadline);
 
-  /// Endpoint + service counters ("serve" component namespace). The
-  /// registry is thread-safe; sampling it mid-flight is allowed.
-  const trace::CounterRegistry& counters() const;
+  /// Counts of endpoint `op` (an analysis or session op), safe to read
+  /// mid-flight: every outcome count is read before `requests`, so none
+  /// exceeds it. Control ops are never counted.
+  EndpointCounts counts(std::string_view op) const;
 
   /// One-line JSON stats snapshot (the `stats` endpoint's payload):
   /// per-endpoint request/ok/error/cache/coalesce counts and latency
-  /// percentiles in microseconds.
+  /// percentiles in microseconds, in endpoint-table order.
   std::string stats_json() const;
 
   const ServiceConfig& config() const { return config_; }
@@ -116,8 +135,6 @@ class AnalysisService {
  private:
   struct State;
   void worker_loop(std::shared_ptr<State> state);
-  void submit_request(Request req, ReplyFn reply,
-                      std::chrono::steady_clock::time_point t0);
 
   ServiceConfig config_;
   std::shared_ptr<State> state_;

@@ -1,7 +1,5 @@
 #include "serve/sessions.hpp"
 
-#include <algorithm>
-
 #include "noc/topology.hpp"
 #include "serve/param_reader.hpp"
 
@@ -18,28 +16,6 @@ HandlerOutcome unknown_session(std::int64_t sid) {
 }
 
 }  // namespace
-
-bool SessionRegistry::is_session_op(const std::string& op) {
-  const auto& ops = session_ops();
-  return std::find(ops.begin(), ops.end(), op) != ops.end();
-}
-
-const std::vector<std::string>& SessionRegistry::session_ops() {
-  static const std::vector<std::string> kOps{
-      "admission_open", "admission_admit", "admission_release",
-      "admission_stats", "admission_close"};
-  return kOps;
-}
-
-HandlerOutcome SessionRegistry::dispatch(const std::string& op,
-                                         const exp::Params& params) {
-  if (op == "admission_open") return open(params);
-  if (op == "admission_admit") return admit(params);
-  if (op == "admission_release") return release(params);
-  if (op == "admission_stats") return stats(params);
-  if (op == "admission_close") return close(params);
-  return bad("unknown op '" + op + "'");
-}
 
 std::size_t SessionRegistry::open_sessions() const {
   std::lock_guard<std::mutex> lock(mu_);

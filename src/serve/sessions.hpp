@@ -11,7 +11,8 @@
 // machinery: two byte-identical `admission_admit` requests are *different*
 // decisions (the second is a duplicate rejection), so their replies must
 // never be coalesced, cached in the LRU, or persisted to the disk tier.
-// The service routes them straight to the worker pool (serve/service.cpp).
+// Their rows in the endpoint table (serve/endpoints.hpp) say so, and the
+// service routes them straight to the worker pool (serve/service.cpp).
 //
 // Concurrency: the registry serializes ops per session (one mutex per
 // session), so concurrent admits are atomic but their order is whatever
@@ -31,7 +32,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/admission.hpp"
 #include "serve/handlers.hpp"
@@ -44,14 +44,13 @@ class SessionRegistry {
  public:
   explicit SessionRegistry(HandlerLimits limits) : limits_(limits) {}
 
-  /// True iff `op` is a stateful session endpoint (never cached/coalesced).
-  static bool is_session_op(const std::string& op);
-  /// All session ops, in documentation order.
-  static const std::vector<std::string>& session_ops();
-
-  /// Dispatch a session request. Thread-safe; ops on the same session
-  /// serialize on its mutex.
-  HandlerOutcome dispatch(const std::string& op, const exp::Params& params);
+  // The session ops, each a row of the endpoint table (endpoints.hpp).
+  // Thread-safe; ops on the same session serialize on its mutex.
+  HandlerOutcome open(const exp::Params& params);
+  HandlerOutcome admit(const exp::Params& params);
+  HandlerOutcome release(const exp::Params& params);
+  HandlerOutcome stats(const exp::Params& params);
+  HandlerOutcome close(const exp::Params& params);
 
   std::size_t open_sessions() const;
 
@@ -65,12 +64,6 @@ class SessionRegistry {
     Session(core::PlatformModel model, core::AdmissionEngine engine)
         : controller(std::move(model), engine) {}
   };
-
-  HandlerOutcome open(const exp::Params& params);
-  HandlerOutcome admit(const exp::Params& params);
-  HandlerOutcome release(const exp::Params& params);
-  HandlerOutcome stats(const exp::Params& params);
-  HandlerOutcome close(const exp::Params& params);
 
   /// An open session with its mutex held.
   struct Locked {

@@ -30,7 +30,6 @@ CounterRegistry::Entry& CounterRegistry::locate(const std::string& component,
 void CounterRegistry::update(const std::string& component,
                              const std::string& name, double value,
                              CounterKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
   Entry& e = locate(component, name);
   if (e.updates == 0) {
     e.kind = kind;
@@ -43,41 +42,15 @@ void CounterRegistry::update(const std::string& component,
   ++e.updates;
 }
 
-void CounterRegistry::add(const std::string& component,
-                          const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = locate(component, name);
-  if (e.updates == 0) {
-    e.kind = CounterKind::kMonotonic;
-    e.value = e.min = e.max = delta;
-  } else {
-    e.value += delta;
-    e.min = e.value < e.min ? e.value : e.min;
-    e.max = e.value > e.max ? e.value : e.max;
-  }
-  ++e.updates;
-}
-
 const CounterRegistry::Entry* CounterRegistry::find(
     const std::string& component, const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& e : entries_) {
     if (e.component == component && e.name == name) return &e;
   }
   return nullptr;
 }
 
-std::optional<CounterRegistry::Entry> CounterRegistry::sample(
-    const std::string& component, const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e.component == component && e.name == name) return e;
-  }
-  return std::nullopt;
-}
-
 std::string CounterRegistry::csv() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "component,name,kind,updates,value,min,max\n";
   for (const auto& e : entries_) {
     out += e.component + ',' + e.name + ',' +

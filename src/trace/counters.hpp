@@ -13,19 +13,13 @@
 // Entries appear in first-update order, which makes the CSV export stable
 // across identical runs — a property the determinism tests assert on.
 //
-// Thread-safety: the registry is fully synchronized — `update`, `add`,
-// `sample`, `csv` and friends may race freely (the serving layer updates
-// per-endpoint counters from every worker thread; exercised under TSan by
-// tests/trace_test.cpp). Entries live in a deque so references handed out
-// by `find` stay valid across concurrent insertions; note that a `find`
-// pointer's *fields* may still move under a concurrent writer — use
-// `sample` for a consistent copy when other threads are updating.
+// Thread-safety: none. Each Tracer owns one registry and a run drives its
+// tracer from one thread. Entries live in a deque, so a `find` pointer
+// stays valid across later insertions.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
-#include <optional>
 #include <string>
 
 namespace pap::trace {
@@ -49,23 +43,11 @@ class CounterRegistry {
   void update(const std::string& component, const std::string& name,
               double value, CounterKind kind);
 
-  /// Atomic increment of a monotonic counter (creates it at `delta` on
-  /// first use). Read-modify-write through `update` would race between
-  /// threads; this is the one-call form concurrent producers need.
-  void add(const std::string& component, const std::string& name,
-           double delta = 1.0);
-
-  /// Pointer into the registry; stable across insertions (deque storage)
-  /// but its fields race with concurrent writers — single-threaded /
-  /// quiescent use only.
+  /// Pointer into the registry, stable across insertions (deque storage);
+  /// nullptr when (component, name) was never updated.
   const Entry* find(const std::string& component,
                     const std::string& name) const;
 
-  /// Consistent copy of one entry, safe under concurrent updates.
-  std::optional<Entry> sample(const std::string& component,
-                              const std::string& name) const;
-
-  /// Single-threaded / quiescent view (exporters, tests).
   const std::deque<Entry>& entries() const { return entries_; }
 
   /// "component,name,kind,updates,value,min,max" rows, header included.
@@ -75,7 +57,6 @@ class CounterRegistry {
  private:
   Entry& locate(const std::string& component, const std::string& name);
 
-  mutable std::mutex mu_;
   // Small; linear scan, insertion order kept. Deque: stable references.
   std::deque<Entry> entries_;
 };

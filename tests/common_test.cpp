@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <malloc.h>
 #include <random>
 #include <vector>
@@ -135,6 +136,46 @@ TEST(Grammar, FormattersRoundTrip) {
   // Picoseconds print exactly, beyond where a double would round them.
   const Time big = Time::ps(9'007'199'254'740'993);
   EXPECT_EQ(format_duration(big), "9007199254740.993ns");
+}
+
+/// The formatter format_double replaced: %.1g ... %.17g through snprintf,
+/// read back with strtod.
+std::string snprintf_format_double(double v) {
+  char buf[64];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(Grammar, FormatDoubleMatchesTheSnprintfLoop) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      1e-310,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      1e308,
+      0.1,
+      100.0,
+  };
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  for (const double v : values) {
+    ASSERT_EQ(format_double(v), snprintf_format_double(v))
+        << std::bit_cast<std::uint64_t>(v);
+  }
 }
 
 TEST(Rate, Conversions) {

@@ -152,11 +152,6 @@ std::string wcd_line(int id, double write_gbps) {
          std::to_string(write_gbps) + "}}";
 }
 
-double counter(const AnalysisService& s, const std::string& name) {
-  const auto entry = s.counters().sample("serve", name);
-  return entry ? entry->value : 0.0;
-}
-
 TEST_F(DiskCacheTest, ServiceServesFromDiskAcrossRestart) {
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -166,7 +161,7 @@ TEST_F(DiskCacheTest, ServiceServesFromDiskAcrossRestart) {
     AnalysisService first(cfg);
     computed = first.handle(wcd_line(1, 4.5));
     ASSERT_NE(computed.find("\"ok\":true"), computed.npos) << computed;
-    EXPECT_EQ(counter(first, "wcd_bound/disk_hits"), 0.0);
+    EXPECT_EQ(first.counts("wcd_bound").disk_hits, 0u);
     first.shutdown();
   }
   // A brand-new service over the same directory: its LRU is empty, so the
@@ -174,14 +169,14 @@ TEST_F(DiskCacheTest, ServiceServesFromDiskAcrossRestart) {
   AnalysisService second(cfg);
   const std::string from_disk = second.handle(wcd_line(1, 4.5));
   EXPECT_EQ(from_disk, computed);
-  EXPECT_EQ(counter(second, "wcd_bound/disk_hits"), 1.0);
+  EXPECT_EQ(second.counts("wcd_bound").disk_hits, 1u);
 
   // The disk hit refilled the LRU: the next identical request is an
   // in-memory hit, and the disk-hit count stays put.
   const std::string from_lru = second.handle(wcd_line(1, 4.5));
   EXPECT_EQ(from_lru, computed);
-  EXPECT_EQ(counter(second, "wcd_bound/disk_hits"), 1.0);
-  EXPECT_EQ(counter(second, "wcd_bound/cache_hits"), 1.0);
+  EXPECT_EQ(second.counts("wcd_bound").disk_hits, 1u);
+  EXPECT_EQ(second.counts("wcd_bound").cache_hits, 1u);
 }
 
 // Regression: the disk probe used to run inline in submit(), i.e. on the
@@ -246,7 +241,7 @@ TEST_F(DiskCacheTest, DiskProbeRunsOnWorkerNotSubmittingThread) {
     ASSERT_TRUE(reply_cv.wait_for(lk, 10s, [&] { return replied.load(); }));
   }
   EXPECT_NE(reply.find("\"ok\":true"), reply.npos) << reply;
-  EXPECT_EQ(counter(second, "wcd_bound/disk_hits"), 1.0);
+  EXPECT_EQ(second.counts("wcd_bound").disk_hits, 1u);
   second.shutdown();
 }
 
@@ -256,7 +251,7 @@ TEST_F(DiskCacheTest, ServiceWithoutCacheDirNeverTouchesDisk) {
   AnalysisService service(cfg);
   const std::string reply = service.handle(wcd_line(2, 5.25));
   ASSERT_NE(reply.find("\"ok\":true"), reply.npos);
-  EXPECT_EQ(counter(service, "wcd_bound/disk_hits"), 0.0);
+  EXPECT_EQ(service.counts("wcd_bound").disk_hits, 0u);
   EXPECT_FALSE(std::filesystem::exists(dir_));
 }
 

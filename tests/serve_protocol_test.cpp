@@ -457,6 +457,17 @@ TEST(ParseRequestDifferential, SyntaxErrorWinsOverEarlierSemanticError) {
             "parameter key 'a.b' must not contain '.'");
 }
 
+TEST(ParseRequestDifferential, TheEmptyKeySortsFirst) {
+  // "" sorts before every other key, at every level, so its error is the
+  // one reported even when it comes last in the text.
+  EXPECT_EQ(error_of(R"({"id":-1,"op":"x","":1})"),
+            "unknown request member ''");
+  EXPECT_EQ(error_of(R"({"id":1,"op":"x","params":{"a":null,"":2}})"),
+            "empty key under ''");
+  EXPECT_EQ(error_of(R"({"id":1,"op":"x","params":{"k":{"a":null,"":2}}})"),
+            "empty key under 'k'");
+}
+
 TEST(ParseRequestDifferential, EnvelopeMembersAreCheckedInKeyOrder) {
   // "aaa" sorts before "id": the unknown member is reported, not the id.
   EXPECT_EQ(error_of(R"({"id":-1,"aaa":1,"op":"x"})"),

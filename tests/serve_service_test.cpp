@@ -1,21 +1,27 @@
 // AnalysisService behaviour: batching, caching, backpressure, determinism
-// across the compute/cache/coalesce paths, concurrent submitters and the
-// graceful-drain contract. The tests use the ServiceConfig::before_dispatch
+// across the compute/cache/coalesce paths, concurrent submitters, the
+// graceful-drain contract and the per-endpoint stats. The tests use the ServiceConfig::before_dispatch
 // seam to hold a worker at a known point, which turns the inherently racy
 // coalescing and overload windows into deterministic ones.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "serve/json.hpp"
 #include "serve/service.hpp"
 
 namespace pap::serve {
@@ -64,11 +70,6 @@ std::string nc_line(int id, double rate) {
          ",\"op\":\"nc_delay\",\"params\":{\"arrival\":{\"burst\":8,\"rate\":" +
          std::to_string(rate) + "},\"service\":{\"rate\":2.0," +
          "\"latency_ns\":50}}}";
-}
-
-std::uint64_t counter(const AnalysisService& svc, const std::string& name) {
-  const auto e = svc.counters().sample("serve", name);
-  return e ? static_cast<std::uint64_t>(e->value) : 0u;
 }
 
 TEST(Service, AnswersEveryEndpointAndControlOp) {
@@ -274,15 +275,15 @@ TEST(Service, CacheHitsAreByteIdenticalToComputedReplies) {
   AnalysisService svc(cfg);
 
   const std::string first = svc.handle(nc_line(10, 1.25));
-  ASSERT_EQ(counter(svc, "nc_delay/cache_hits"), 0u);
+  ASSERT_EQ(svc.counts("nc_delay").cache_hits, 0u);
   const std::string second = svc.handle(nc_line(10, 1.25));
-  EXPECT_EQ(counter(svc, "nc_delay/cache_hits"), 1u);
+  EXPECT_EQ(svc.counts("nc_delay").cache_hits, 1u);
   // The reply carries no computed-vs-cached marker: bytes are identical.
   EXPECT_EQ(first, second);
   // A different id on the same params hits the cache too, with only the id
   // differing in the reply.
   const std::string third = svc.handle(nc_line(11, 1.25));
-  EXPECT_EQ(counter(svc, "nc_delay/cache_hits"), 2u);
+  EXPECT_EQ(svc.counts("nc_delay").cache_hits, 2u);
   EXPECT_NE(third, second);
   EXPECT_EQ(third.substr(third.find(",\"ok\"")),
             second.substr(second.find(",\"ok\"")));
@@ -310,8 +311,8 @@ TEST(Service, CacheDisabledRecomputesEveryTime) {
   const std::string a = svc.handle(nc_line(1, 0.5));
   const std::string b = svc.handle(nc_line(1, 0.5));
   EXPECT_EQ(a, b);  // deterministic handlers: same bytes either way
-  EXPECT_EQ(counter(svc, "nc_delay/cache_hits"), 0u);
-  EXPECT_EQ(counter(svc, "nc_delay/ok"), 2u);
+  EXPECT_EQ(svc.counts("nc_delay").cache_hits, 0u);
+  EXPECT_EQ(svc.counts("nc_delay").ok, 2u);
 }
 
 TEST(Service, CoalescesIdenticalInFlightRequests) {
@@ -337,15 +338,15 @@ TEST(Service, CoalescesIdenticalInFlightRequests) {
   // and must coalesce onto it (ids differ; identity is op+params).
   svc.submit(nc_line(101, 3.0), collect);
   svc.submit(nc_line(102, 3.0), collect);
-  EXPECT_EQ(counter(svc, "nc_delay/coalesced"), 2u);
-  EXPECT_EQ(counter(svc, "nc_delay/requests"), 3u);
+  EXPECT_EQ(svc.counts("nc_delay").coalesced, 2u);
+  EXPECT_EQ(svc.counts("nc_delay").requests, 3u);
 
   gate->open_gate();
   {
     std::unique_lock<std::mutex> lk(mu);
     ASSERT_TRUE(cv.wait_for(lk, 10s, [&] { return replies.size() == 3; }));
   }
-  EXPECT_EQ(counter(svc, "nc_delay/ok"), 3u);
+  EXPECT_EQ(svc.counts("nc_delay").ok, 3u);
   // One handler run fanned out to all three waiters: identical payloads.
   std::set<std::string> payloads;
   std::set<std::string> ids;
@@ -357,34 +358,11 @@ TEST(Service, CoalescesIdenticalInFlightRequests) {
   EXPECT_EQ(ids.size(), 3u);
 }
 
-TEST(Service, CoalescingDisabledKeepsJobsSeparate) {
-  auto gate = std::make_shared<Gate>();
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.coalesce = false;
-  cfg.cache_entries = 0;
-  cfg.queue_capacity = 8;
-  cfg.before_dispatch = [gate](const std::string&) { gate->wait_at_gate(); };
-  AnalysisService svc(cfg);
-
-  std::atomic<int> got{0};
-  auto count = [&](std::string) { ++got; };
-  svc.submit(nc_line(1, 3.0), count);
-  ASSERT_TRUE(gate->await_worker());
-  svc.submit(nc_line(2, 3.0), count);
-  EXPECT_EQ(counter(svc, "nc_delay/coalesced"), 0u);
-  gate->open_gate();
-  svc.shutdown();
-  EXPECT_EQ(got.load(), 2);
-  EXPECT_EQ(counter(svc, "nc_delay/ok"), 2u);
-}
-
 TEST(Service, OverloadRepliesAreSynchronousAndStructured) {
   auto gate = std::make_shared<Gate>();
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 1;
-  cfg.coalesce = false;
   cfg.cache_entries = 0;
   cfg.before_dispatch = [gate](const std::string&) { gate->wait_at_gate(); };
   AnalysisService svc(cfg);
@@ -405,7 +383,7 @@ TEST(Service, OverloadRepliesAreSynchronousAndStructured) {
   EXPECT_NE(overload_reply.find("\"code\":\"overloaded\""),
             overload_reply.npos);
   EXPECT_NE(overload_reply.find("capacity 1"), overload_reply.npos);
-  EXPECT_EQ(counter(svc, "nc_delay/overloaded"), 1u);
+  EXPECT_EQ(svc.counts("nc_delay").overloaded, 1u);
 
   // Control ops still answer inline while saturated.
   EXPECT_NE(svc.handle(R"({"id":9,"op":"ping"})").find("pong"),
@@ -421,7 +399,6 @@ TEST(Service, ShutdownDrainsEveryAcceptedRequest) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.queue_capacity = 64;
-  cfg.coalesce = false;
   cfg.cache_entries = 0;
   cfg.before_dispatch = [gate](const std::string&) { gate->wait_at_gate(); };
   AnalysisService svc(cfg);
@@ -501,13 +478,114 @@ TEST(Service, ConcurrentSubmittersAllGetExactlyOneReply) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(replies.load(), kThreads * kPerThread);
   EXPECT_EQ(ok.load(), kThreads * kPerThread);
-  EXPECT_EQ(counter(svc, "nc_delay/ok"), kThreads * kPerThread);
-  EXPECT_EQ(counter(svc, "nc_delay/requests"), kThreads * kPerThread);
+  EXPECT_EQ(svc.counts("nc_delay").ok, kThreads * kPerThread);
+  EXPECT_EQ(svc.counts("nc_delay").requests, kThreads * kPerThread);
   // With only 17 distinct keys most of the load was absorbed by the cache
   // (plus whatever coalesced during warm-up) rather than recomputed.
-  EXPECT_GE(counter(svc, "nc_delay/cache_hits") +
-                counter(svc, "nc_delay/coalesced"),
+  EXPECT_GE(svc.counts("nc_delay").cache_hits +
+                svc.counts("nc_delay").coalesced,
             static_cast<std::uint64_t>(kThreads * kPerThread - 17));
+}
+
+// Concurrency hammer for the per-endpoint stats slots (run under TSan in
+// CI): submitters on many threads move analysis, session and error counts
+// while another thread keeps reading `stats_json()`. No increment may be
+// lost, and no snapshot may be torn: a snapshot never shows more outcomes
+// than requests, more LRU/disk hits than ok replies, or a count lower
+// than an earlier snapshot's.
+TEST(Service, EndpointStatsNeverLoseOrTearUnderConcurrentSubmitters) {
+  ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.queue_capacity = 4096;
+  AnalysisService svc(cfg);
+
+  constexpr int kThreads = 6;  // <= HandlerLimits::max_sessions
+  constexpr int kPerThread = 150;
+  constexpr int kKeys = 17;
+  const char* const kOps[] = {"nc_delay", "wcd_bound", "admission_open",
+                              "admission_stats"};
+  std::atomic<bool> done{false};
+  std::atomic<long> snapshots{0};
+  std::thread reader([&] {
+    std::map<std::string, std::map<std::string, std::uint64_t>> last;
+    while (!done.load()) {
+      const auto parsed = json_parse(svc.stats_json());
+      ASSERT_TRUE(parsed.has_value()) << parsed.error_message();
+      const JsonValue* endpoints = parsed.value().get("endpoints");
+      ASSERT_NE(endpoints, nullptr);
+      for (const auto& [op, fields] : endpoints->object_v) {
+        std::map<std::string, std::uint64_t> now;
+        for (const auto& [name, v] : fields.object_v) {
+          if (v.kind == JsonValue::Kind::kInt) {
+            now[name] = static_cast<std::uint64_t>(v.int_v);
+          }
+        }
+        EXPECT_LE(now["ok"] + now["errors"] + now["overloaded"],
+                  now["requests"])
+            << op;
+        EXPECT_LE(now["coalesced"], now["requests"]) << op;
+        EXPECT_LE(now["cache_hits"] + now["disk_hits"], now["ok"]) << op;
+        for (const auto& [name, v] : last[op]) {
+          EXPECT_GE(now[name], v) << op << "/" << name;
+        }
+        last[op] = now;
+      }
+      ++snapshots;
+    }
+  });
+
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&svc, t] {
+      const std::string open = svc.handle(
+          R"({"id":1,"op":"admission_open","params":{}})");
+      const auto at = open.find("\"session\":");
+      ASSERT_NE(at, std::string::npos) << open;
+      const std::string session =
+          std::to_string(std::stoi(open.substr(at + 10)));
+      for (int i = 0; i < kPerThread; ++i) {
+        const int id = t * kPerThread + i;
+        (void)svc.handle(nc_line(id, 0.1 + 0.05 * (id % kKeys)));
+        (void)svc.handle(R"({"id":2,"op":"wcd_bound","params":{"typo":1}})");
+        (void)svc.handle(R"({"id":3,"op":"admission_stats","params":)"
+                         R"({"session":)" + session + "}}");
+        (void)svc.handle(R"({"id":4,"op":"ping"})");
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(snapshots.load(), 0);
+
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  const EndpointCounts nc = svc.counts("nc_delay");
+  EXPECT_EQ(nc.requests, kTotal);
+  EXPECT_EQ(nc.ok, kTotal);
+  EXPECT_EQ(nc.errors, 0u);
+  // Each distinct key runs its handler once; every other request is an
+  // LRU hit or rides the in-flight run.
+  EXPECT_EQ(nc.cache_hits + nc.coalesced, kTotal - kKeys);
+  const EndpointCounts wcd = svc.counts("wcd_bound");
+  EXPECT_EQ(wcd.requests, kTotal);
+  EXPECT_EQ(wcd.errors, kTotal);
+  EXPECT_EQ(wcd.ok, 0u);
+  EXPECT_EQ(svc.counts("admission_open").ok,
+            static_cast<std::uint64_t>(kThreads));
+  const EndpointCounts stats = svc.counts("admission_stats");
+  EXPECT_EQ(stats.requests, kTotal);
+  EXPECT_EQ(stats.ok, kTotal);
+  EXPECT_EQ(stats.cache_hits + stats.coalesced, 0u);
+  // Every ok reply also landed in its endpoint's latency histogram.
+  const auto final_stats = json_parse(svc.stats_json());
+  ASSERT_TRUE(final_stats.has_value());
+  for (const char* op : kOps) {
+    const JsonValue* e = final_stats.value().get("endpoints")->get(op);
+    ASSERT_NE(e, nullptr) << op;
+    EXPECT_EQ(e->get("latency_us")->get("count")->int_v,
+              e->get("ok")->int_v)
+        << op;
+  }
 }
 
 TEST(Service, StatsJsonIsWellFormedAndCountsRequests) {
@@ -521,6 +599,112 @@ TEST(Service, StatsJsonIsWellFormedAndCountsRequests) {
       << stats;
   EXPECT_NE(stats.find("\"service\":{\"workers\":4"), stats.npos) << stats;
   EXPECT_NE(stats.find("\"latency_us\":{\"count\":2"), stats.npos) << stats;
+}
+
+// The whole `stats` reply after a fixed, sequential request sequence on one
+// worker that reaches every endpoint kind (control, analysis, session) and
+// every count a sequential run can move: computed, LRU-hit, disk-hit and
+// failed analysis requests, session decisions and a session error, plus an
+// unknown op and a parse error, which no endpoint counts. Only the latency
+// digits vary between runs; they are masked.
+TEST(Service, StatsReplyIsPinnedForAFixedSequence) {
+  const std::string dir = "serve_service_test-stats-" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_entries = 64;
+  cfg.cache_dir = dir;
+  const std::string wcd =
+      R"({"id":1,"op":"wcd_bound","params":{"write_gbps":3.5}})";
+  {
+    AnalysisService warm(cfg);  // leaves one wcd_bound answer on disk
+    ASSERT_NE(warm.handle(wcd).find("\"ok\":true"), std::string::npos);
+  }
+  AnalysisService svc(cfg);
+  const std::string lines[] = {
+      R"({"id":1,"op":"ping"})",
+      admission_line(2),
+      admission_line(3),  // LRU hit
+      wcd,                // disk hit
+      R"({"id":5,"op":"wcd_bound","params":{"write_gbps":4,"typo":1}})",
+      nc_line(6, 1.0),
+      R"({"id":7,"op":"scenario_sim","params":{"sim_time_us":50}})",
+      R"({"id":8,"op":"no_such_op"})",
+      "not json",
+      R"({"id":10,"op":"admission_open","params":{}})",
+      R"({"id":11,"op":"admission_admit","params":{"session":1,"app":7,)"
+      R"("rate":0.01,"dst_x":3,"dst_y":3}})",
+      R"({"id":12,"op":"admission_admit","params":{"session":1,"app":7,)"
+      R"("rate":0.01,"dst_x":3,"dst_y":3}})",
+      R"({"id":13,"op":"admission_release","params":{"session":1,"app":7}})",
+      R"({"id":14,"op":"admission_stats","params":{"session":1}})",
+      R"({"id":15,"op":"admission_close","params":{"session":1}})",
+      R"({"id":16,"op":"admission_stats","params":{"session":1}})",
+      R"({"id":17,"op":"stats"})",
+  };
+  for (const std::string& l : lines) (void)svc.handle(l);
+  const std::string reply = svc.handle(R"({"id":18,"op":"stats"})");
+  std::filesystem::remove_all(dir);
+
+  const std::regex digits(R"re(("(p50|p95|p99|max)":)[0-9.]+)re");
+  const std::string masked = std::regex_replace(reply, digits, "$1#");
+  const auto endpoint = [](const char* op, const char* counts, int n) {
+    std::string out = std::string("\"") + op + "\":{" + counts +
+                      ",\"latency_us\":{\"count\":" + std::to_string(n);
+    if (n > 0) out += ",\"p50\":#,\"p95\":#,\"p99\":#,\"max\":#";
+    return out + "}}";
+  };
+  const std::string want =
+      R"({"id":18,"ok":true,"result":{"service":{"workers":1,)"
+      R"("queue_capacity":1024,"cache_entries":64,"queue_depth":0,)"
+      R"("draining":false,"open_sessions":0},"endpoints":{)" +
+      endpoint("admission_check",
+               R"("requests":2,"ok":2,"errors":0,"cache_hits":1,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               2) +
+      "," +
+      endpoint("wcd_bound",
+               R"("requests":2,"ok":1,"errors":1,"cache_hits":0,)"
+               R"("disk_hits":1,"coalesced":0,"overloaded":0)",
+               1) +
+      "," +
+      endpoint("nc_delay",
+               R"("requests":1,"ok":1,"errors":0,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               1) +
+      "," +
+      endpoint("scenario_sim",
+               R"("requests":1,"ok":1,"errors":0,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               1) +
+      "," +
+      endpoint("admission_open",
+               R"("requests":1,"ok":1,"errors":0,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               1) +
+      "," +
+      endpoint("admission_admit",
+               R"("requests":2,"ok":2,"errors":0,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               2) +
+      "," +
+      endpoint("admission_release",
+               R"("requests":1,"ok":1,"errors":0,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               1) +
+      "," +
+      endpoint("admission_stats",
+               R"("requests":2,"ok":1,"errors":1,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               1) +
+      "," +
+      endpoint("admission_close",
+               R"("requests":1,"ok":1,"errors":0,"cache_hits":0,)"
+               R"("disk_hits":0,"coalesced":0,"overloaded":0)",
+               1) +
+      "}}}";
+  EXPECT_EQ(masked, want);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/endpoints.hpp"
 #include "serve/service.hpp"
 #include "serve/sessions.hpp"
 
@@ -39,11 +40,6 @@ std::string admit_params(int session, int app, double rate, int sx, int sy,
 std::string payload_of(const std::string& reply) {
   const auto at = reply.find(",\"ok\"");
   return at == std::string::npos ? reply : reply.substr(at);
-}
-
-std::uint64_t counter(const AnalysisService& svc, const std::string& name) {
-  const auto e = svc.counters().sample("serve", name);
-  return e ? static_cast<std::uint64_t>(e->value) : 0u;
 }
 
 TEST(ServeSession, LifecycleThroughTheService) {
@@ -102,10 +98,10 @@ TEST(ServeSession, IdenticalAdmitLinesAreDistinctDecisionsNotCacheHits) {
   EXPECT_NE(first.find("\"admitted\":true"), first.npos) << first;
   EXPECT_NE(second.find("\"admitted\":false"), second.npos) << second;
   EXPECT_NE(second.find("already admitted"), second.npos) << second;
-  EXPECT_EQ(counter(svc, "admission_admit/cache_hits"), 0u);
-  EXPECT_EQ(counter(svc, "admission_admit/coalesced"), 0u);
-  EXPECT_EQ(counter(svc, "admission_admit/requests"), 2u);
-  EXPECT_EQ(counter(svc, "admission_admit/ok"), 2u);
+  EXPECT_EQ(svc.counts("admission_admit").cache_hits, 0u);
+  EXPECT_EQ(svc.counts("admission_admit").coalesced, 0u);
+  EXPECT_EQ(svc.counts("admission_admit").requests, 2u);
+  EXPECT_EQ(svc.counts("admission_admit").ok, 2u);
 }
 
 TEST(ServeSession, IncrementalAndBatchEnginesAnswerByteIdentically) {
@@ -229,8 +225,10 @@ TEST(ServeSession, StatsJsonListsSessionEndpointsAndOpenCount) {
   (void)svc.handle(line(1, "admission_open", ""));
   const std::string stats = svc.stats_json();
   EXPECT_NE(stats.find("\"open_sessions\":1"), stats.npos) << stats;
-  for (const auto& op : SessionRegistry::session_ops()) {
-    EXPECT_NE(stats.find("\"" + op + "\":{"), stats.npos) << op;
+  for (const Endpoint& e : kEndpoints) {
+    if (e.kind != EndpointKind::kSession) continue;
+    EXPECT_NE(stats.find("\"" + std::string(e.op) + "\":{"), stats.npos)
+        << e.op;
   }
   EXPECT_NE(stats.find("\"admission_open\":{\"requests\":1,\"ok\":1"),
             stats.npos)
@@ -240,12 +238,12 @@ TEST(ServeSession, StatsJsonListsSessionEndpointsAndOpenCount) {
 TEST(ServeSession, RegistryIsDirectlyDrivable) {
   HandlerLimits limits;
   SessionRegistry reg(limits);
-  EXPECT_TRUE(SessionRegistry::is_session_op("admission_admit"));
-  EXPECT_FALSE(SessionRegistry::is_session_op("admission_check"));
+  EXPECT_EQ(find_endpoint("admission_admit")->kind, EndpointKind::kSession);
+  EXPECT_EQ(find_endpoint("admission_check")->kind, EndpointKind::kAnalysis);
   EXPECT_EQ(reg.open_sessions(), 0u);
 
   exp::Params open;
-  const auto opened = reg.dispatch("admission_open", open);
+  const auto opened = reg.open(open);
   ASSERT_TRUE(opened.ok);
   EXPECT_EQ(opened.result.at("session").as_int(), 1);
   EXPECT_EQ(reg.open_sessions(), 1u);
@@ -254,8 +252,8 @@ TEST(ServeSession, RegistryIsDirectlyDrivable) {
   // the replayable-transcript contract.
   exp::Params close;
   close.set("session", exp::Value{static_cast<std::int64_t>(1)});
-  ASSERT_TRUE(reg.dispatch("admission_close", close).ok);
-  const auto reopened = reg.dispatch("admission_open", open);
+  ASSERT_TRUE(reg.close(close).ok);
+  const auto reopened = reg.open(open);
   ASSERT_TRUE(reopened.ok);
   EXPECT_EQ(reopened.result.at("session").as_int(), 2);
 }
@@ -272,7 +270,7 @@ TEST(ServeSession, OpsRacingCloseAreCountedOrRefused) {
   HandlerLimits limits;
   SessionRegistry reg(limits);
   for (int round = 0; round < kRounds; ++round) {
-    const auto opened = reg.dispatch("admission_open", exp::Params{});
+    const auto opened = reg.open(exp::Params{});
     ASSERT_TRUE(opened.ok);
     const std::int64_t sid = opened.result.at("session").as_int();
 
@@ -292,8 +290,7 @@ TEST(ServeSession, OpsRacingCloseAreCountedOrRefused) {
         release.set("app", exp::Value{static_cast<std::int64_t>(t + 1)});
         for (bool admitting = true;; admitting = !admitting) {
           const auto reply =
-              reg.dispatch(admitting ? "admission_admit" : "admission_release",
-                           admitting ? admit : release);
+              admitting ? reg.admit(admit) : reg.release(release);
           if (!reply.ok) {
             EXPECT_NE(reply.error.message.find("unknown session"),
                       std::string::npos)
@@ -310,7 +307,7 @@ TEST(ServeSession, OpsRacingCloseAreCountedOrRefused) {
     }
     exp::Params close;
     close.set("session", exp::Value{sid});
-    const auto closed = reg.dispatch("admission_close", close);
+    const auto closed = reg.close(close);
     for (auto& w : workers) w.join();
     ASSERT_TRUE(closed.ok);
     EXPECT_EQ(ok_replies.load(), closed.result.at("decisions").as_int())

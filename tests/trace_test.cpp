@@ -4,6 +4,7 @@
 // results.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,63 +167,64 @@ TEST(TraceDeterminism, TracingNeverPerturbsResults) {
 }
 
 TEST(CounterRegistry, AddAccumulatesAtomically) {
-  CounterRegistry reg;
-  reg.add("serve", "requests");
-  reg.add("serve", "requests", 2.0);
-  const auto e = reg.sample("serve", "requests");
-  ASSERT_TRUE(e.has_value());
+  // A monotonic count is published as its running total through the
+  // Tracer; each sample lands whole: the registry entry (value, updates,
+  // max) and the timeline event move together, never one without the
+  // other.
+  Tracer t;
+  double total = 0.0;
+  for (double inc : {1.0, 2.0, 4.0}) {
+    total += inc;
+    t.counter("dram", "row_hits", total, CounterKind::kMonotonic);
+    const auto* e = t.counters().find("dram", "row_hits");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->value, total);
+    EXPECT_EQ(e->max, total);
+    EXPECT_EQ(t.events().back().value, total);
+  }
+  const auto* e = t.counters().find("dram", "row_hits");
   EXPECT_EQ(e->kind, CounterKind::kMonotonic);
-  EXPECT_EQ(e->value, 3.0);
-  EXPECT_EQ(e->updates, 2u);
-  EXPECT_FALSE(reg.sample("serve", "nope").has_value());
+  EXPECT_EQ(e->value, 7.0);
+  EXPECT_EQ(e->min, 1.0);
+  EXPECT_EQ(e->updates, 3u);
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.counters().find("dram", "nope"), nullptr);
 }
 
 TEST(CounterRegistry, ConcurrentProducersNeverLoseIncrements) {
   // Thread-safety hammer (run under TSan in the CI thread-safety job):
-  // papd workers bump shared per-endpoint counters and gauges from many
-  // threads; every increment must land, gauges must stay within the
-  // written range, and concurrent sampling/CSV export must not tear.
-  CounterRegistry reg;
+  // the registry has no lock because each run owns its Tracer, but many
+  // runs do go on at once (sweeps, papd workers). Registries must share no
+  // hidden state: every producer's increments land in its own registry
+  // only, and identical producers export identical CSV.
   constexpr int kThreads = 8;
   constexpr int kIters = 2000;
+  std::vector<std::string> csvs(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const std::string own = "own" + std::to_string(t);
+    threads.emplace_back([&csvs, t] {
+      Tracer tracer;
       for (int i = 0; i < kIters; ++i) {
-        reg.add("hammer", "shared");                    // contended counter
-        reg.add("hammer", own);                         // private counter
-        reg.update("hammer", "gauge", static_cast<double>(i % 7),
-                   CounterKind::kGauge);
-        if (i % 64 == 0) {
-          const auto s = reg.sample("hammer", "shared");
-          if (s) {
-            EXPECT_GE(s->value, 1.0);
-            EXPECT_LE(s->value, 1.0 * kThreads * kIters);
-          }
-          (void)reg.csv();  // consistent snapshot under writers
-        }
+        tracer.counter("hammer", "shared", i + 1.0, CounterKind::kMonotonic);
+        tracer.counter("hammer", "gauge", static_cast<double>(i % 7));
         if (i % 128 == 0) {
-          log_debug("hammer " + own);  // thread-safe logger, level-gated off
+          log_debug("hammer " + std::to_string(t));  // level-gated off
         }
       }
+      const auto* shared = tracer.counters().find("hammer", "shared");
+      ASSERT_NE(shared, nullptr);
+      EXPECT_EQ(shared->value, 1.0 * kIters);
+      EXPECT_EQ(shared->updates, 1ull * kIters);
+      const auto* gauge = tracer.counters().find("hammer", "gauge");
+      ASSERT_NE(gauge, nullptr);
+      EXPECT_GE(gauge->min, 0.0);
+      EXPECT_LE(gauge->max, 6.0);
+      EXPECT_EQ(tracer.size(), 2u * kIters);
+      csvs[t] = tracer.counters().csv();
     });
   }
   for (auto& t : threads) t.join();
-
-  const auto shared = reg.sample("hammer", "shared");
-  ASSERT_TRUE(shared.has_value());
-  EXPECT_EQ(shared->value, 1.0 * kThreads * kIters);
-  EXPECT_EQ(shared->updates, 1ull * kThreads * kIters);
-  for (int t = 0; t < kThreads; ++t) {
-    const auto own = reg.sample("hammer", "own" + std::to_string(t));
-    ASSERT_TRUE(own.has_value());
-    EXPECT_EQ(own->value, 1.0 * kIters);
-  }
-  const auto gauge = reg.sample("hammer", "gauge");
-  ASSERT_TRUE(gauge.has_value());
-  EXPECT_GE(gauge->min, 0.0);
-  EXPECT_LE(gauge->max, 6.0);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(csvs[t], csvs[0]) << t;
 }
 
 TEST(Log, ThresholdChangesAreThreadSafe) {

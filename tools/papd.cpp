@@ -27,12 +27,13 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [--unix PATH] [--tcp PORT] [--host ADDR] [--workers N]\n"
       "          [--reactors N] [--queue N] [--cache N] [--cache-dir DIR]\n"
-      "          [--no-coalesce] [--write-stall-ms N] [--drain-ms N]\n"
-      "          [--verbose]\n"
+      "          [--write-stall-ms N] [--drain-ms N] [--verbose]\n"
       "At least one of --unix / --tcp is required. --tcp 0 picks an\n"
       "ephemeral port (printed on stdout as 'papd: tcp port NNNN').\n"
       "--cache-dir enables the persistent result cache (survives restarts;\n"
-      "safe to share read-mostly across a shard fleet).\n",
+      "safe to share read-mostly across a shard fleet).\n"
+      "Analysis requests are cached and identical in-flight ones share one\n"
+      "computation; session requests are never cached or shared.\n",
       argv0);
 }
 
@@ -69,8 +70,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--reactors" && has_next &&
                pap::parse_int(argv[++i], 1, 64, &v)) {
       config.reactors = v;
-    } else if (arg == "--no-coalesce") {
-      config.service.coalesce = false;
     } else if (arg == "--write-stall-ms" && has_next &&
                pap::parse_int(argv[++i], 1, 600000, &v)) {
       config.write_stall = std::chrono::milliseconds(v);
