@@ -63,11 +63,10 @@ int main(int argc, char** argv) {
         const auto budget =
             static_cast<std::uint64_t>(p.get_int("budget"));
         const auto r =
-            platform::run_scenario(platform::ScenarioConfig{}
-                                       .hogs(3)
-                                       .memguard(true)
-                                       .sim_time(Time::ms(1))
-                                       .hog_budget_per_period(budget),
+            platform::run_scenario({.hogs = 3,
+                                    .memguard = true,
+                                    .hog_budget_per_period = budget,
+                                    .sim_time = Time::ms(1)},
                                    "budget " + std::to_string(budget))
                 .value();
         exp::Result out(r.label);

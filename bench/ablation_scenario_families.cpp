@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
       return out;
     }
     // The axis values override whatever DRAM knobs the family drew.
-    s.value().soc.dram_policy(
-        dram::parse_policy(p.get_string("policy")).value());
-    s.value().soc.dram_device(p.get_string("device"));
+    s.value().soc.dram_policy =
+        dram::parse_policy(p.get_string("policy")).value();
+    s.value().soc.dram_device = p.get_string("device");
     scenario::RunOptions opts;
     opts.tracer = tracer;
     auto r = scenario::run_parsed(s.value(), opts);

@@ -19,13 +19,12 @@ int main() {
   // L3) and occupying most of every period, so stalling the whole SoC for
   // it is expensive. Generous Memguard budget: enough for the hogs'
   // cache-missing share.
-  const ScenarioConfig base = ScenarioConfig{}
-                                  .hogs(3)
-                                  .sim_time(Time::ms(2))
-                                  .rt_reads_per_batch(96)
-                                  .rt_period(Time::us(10))
-                                  .rt_working_set(8ull << 20)
-                                  .hog_budget_per_period(120);
+  const ScenarioConfig base = {.hogs = 3,
+                               .hog_budget_per_period = 120,
+                               .sim_time = Time::ms(2),
+                               .rt_reads_per_batch = 96,
+                               .rt_period = Time::us(10),
+                               .rt_working_set = 8ull << 20};
 
   struct Row {
     const char* label;
@@ -45,11 +44,11 @@ int main() {
   std::uint64_t mech_hog = 0;
   Time stw_p99, mech_p99;
   for (std::size_t i = 0; i < 4; ++i) {
-    ScenarioConfig k = ScenarioConfig{base}
-                           .stop_the_world(rows[i].stw)
-                           .dsu_partitioning(rows[i].dsu)
-                           .memguard(rows[i].mg);
-    if (i == 0) k.hogs(0);
+    ScenarioConfig k = base;
+    k.stop_the_world = rows[i].stw;
+    k.dsu_partitioning = rows[i].dsu;
+    k.memguard = rows[i].mg;
+    if (i == 0) k.hogs = 0;
     const auto r = platform::run_scenario(k, rows[i].label).value();
     if (i == 1) uncontrolled_hog = r.hog_accesses;
     if (i == 2) {

@@ -10,22 +10,20 @@
 #include "platform/scenario.hpp"
 
 using namespace pap;
-using platform::ScenarioConfig;
 
 int main() {
   print_heading("Ablation — SW Memguard vs HW MPAM bandwidth regulation");
-
-  const ScenarioConfig base = ScenarioConfig{}.hogs(3).sim_time(Time::ms(2));
 
   TextTable t({"mechanism", "budget (acc/10us)", "RT p99 (ns)",
                "hog throughput", "throttle events", "SW overhead (us)"});
   bool hw_never_worse_overhead = true;
   for (std::uint64_t budget : {10ull, 40ull, 160ull}) {
-    const auto m =
-        platform::run_scenario(
-            ScenarioConfig{base}.memguard().hog_budget_per_period(budget),
-            "memguard")
-            .value();
+    const auto m = platform::run_scenario({.hogs = 3,
+                                           .memguard = true,
+                                           .hog_budget_per_period = budget,
+                                           .sim_time = Time::ms(2)},
+                                          "memguard")
+                       .value();
     t.row()
         .cell("Memguard (SW)")
         .cell(static_cast<std::int64_t>(budget))
@@ -34,11 +32,12 @@ int main() {
         .cell(static_cast<std::int64_t>(m.memguard_throttles))
         .cell(m.memguard_overhead.micros(), 2);
 
-    const auto h =
-        platform::run_scenario(
-            ScenarioConfig{base}.mpam_bw().hog_budget_per_period(budget),
-            "mpam")
-            .value();
+    const auto h = platform::run_scenario({.hogs = 3,
+                                           .mpam_bw = true,
+                                           .hog_budget_per_period = budget,
+                                           .sim_time = Time::ms(2)},
+                                          "mpam")
+                       .value();
     hw_never_worse_overhead =
         hw_never_worse_overhead && h.memguard_overhead == Time::zero();
     t.row()

@@ -18,22 +18,21 @@ int main() {
   print_heading("Fig. 1 — consolidation study (decentralized vs centralized)");
 
   // (a) Decentralized: the RT function alone on its ECU (no co-runners).
-  const ScenarioConfig dedicated =
-      ScenarioConfig{}.hogs(0).sim_time(Time::ms(2));
+  const ScenarioConfig dedicated = {.hogs = 0, .sim_time = Time::ms(2)};
   const auto a = platform::run_scenario(dedicated, "dedicated ECU").value();
 
   // (b) Vehicle-centralized, COTS defaults: 3 co-located functions, no
   // isolation.
-  const ScenarioConfig consolidated = ScenarioConfig{dedicated}.hogs(3);
+  ScenarioConfig consolidated = dedicated;
+  consolidated.hogs = 3;
   const auto b =
       platform::run_scenario(consolidated, "VIP, no isolation").value();
 
   // (c) Vehicle-centralized with DSU partitioning + Memguard.
+  consolidated.dsu_partitioning = true;
+  consolidated.memguard = true;
   const auto c =
-      platform::run_scenario(
-          ScenarioConfig{consolidated}.dsu_partitioning().memguard(),
-          "VIP, isolation on")
-          .value();
+      platform::run_scenario(consolidated, "VIP, isolation on").value();
 
   TextTable t({"deployment", "ECUs used", "RT p99 (ns)", "RT max (ns)",
                "co-runner throughput (accesses)"});

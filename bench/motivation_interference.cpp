@@ -22,17 +22,17 @@ int main(int argc, char** argv) {
   print_heading(
       "Motivation — RT read latency inflation under parallel load");
 
-  const ScenarioConfig base = ScenarioConfig{}.hogs(0).sim_time(Time::ms(2));
+  const ScenarioConfig base = {.hogs = 0, .sim_time = Time::ms(2)};
   const auto baseline = platform::run_scenario(base, "0 hogs").value();
 
   exp::Experiment experiment{
       "motivation_interference",
       [&base, &baseline](const exp::Params& p) {
         const int hogs = static_cast<int>(p.get_int("hogs"));
+        ScenarioConfig k = base;
+        k.hogs = hogs;
         const auto r =
-            platform::run_scenario(ScenarioConfig{base}.hogs(hogs),
-                                   std::to_string(hogs) + " hogs")
-                .value();
+            platform::run_scenario(k, std::to_string(hogs) + " hogs").value();
         const double mean_infl =
             r.rt_latency.mean().nanos() / baseline.rt_latency.mean().nanos();
         const double p99_infl = ScenarioResult::inflation(baseline, r, 99.0);

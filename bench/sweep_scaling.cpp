@@ -23,13 +23,12 @@ int main(int argc, char** argv) {
       "sweep_scaling", [](const exp::Params& p) {
         const int hogs = static_cast<int>(p.get_int("hogs"));
         const bool memguard = p.get_bool("memguard");
-        const auto r = platform::run_scenario(
-                           platform::ScenarioConfig{}
-                               .hogs(hogs)
-                               .memguard(memguard)
-                               .sim_time(Time::ms(2)),
-                           p.label())
-                           .value();
+        const auto r =
+            platform::run_scenario({.hogs = hogs,
+                                    .memguard = memguard,
+                                    .sim_time = Time::ms(2)},
+                                   p.label())
+                .value();
         exp::Result out(r.label);
         out.set("hogs", hogs)
             .set("memguard", memguard)

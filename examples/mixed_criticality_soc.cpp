@@ -13,14 +13,11 @@
 #include "platform/scenario.hpp"
 
 using namespace pap;
-using platform::ScenarioConfig;
 
 int main() {
   std::printf(
       "Mixed-criticality VIP: 1 ASIL-D reader + 3 QM bandwidth hogs on a "
       "shared cluster (DSU L3 + DDR3-1600)\n");
-
-  const ScenarioConfig base = ScenarioConfig{}.hogs(3).sim_time(Time::ms(2));
 
   struct Step {
     const char* label;
@@ -39,9 +36,10 @@ int main() {
   Time cots_p99;
   Time both_p99;
   for (const auto& s : steps) {
-    const auto r = platform::run_scenario(ScenarioConfig{base}
-                                              .memguard(s.memguard)
-                                              .dsu_partitioning(s.dsu),
+    const auto r = platform::run_scenario({.hogs = 3,
+                                           .dsu_partitioning = s.dsu,
+                                           .memguard = s.memguard,
+                                           .sim_time = Time::ms(2)},
                                           s.label)
                        .value();
     if (!s.memguard && !s.dsu) cots_p99 = r.rt_latency.percentile(99);

@@ -89,7 +89,7 @@ struct ControllerParams {
 /// Validated builder for ControllerParams. Raw aggregates are easy to get
 /// wrong silently (inverted watermarks reorder every write batch; a zero
 /// bank count aborts deep inside the simulator); the builder names the
-/// violated rule instead. Chainable, mirroring platform::ScenarioConfig:
+/// violated rule instead. Chainable:
 ///
 ///   auto params = ControllerConfig{}
 ///                     .policy(PolicyKind::kStarvationGuard)

@@ -95,7 +95,7 @@ Status validate_master(const MasterSpec& m) {
 }  // namespace
 
 Status ScenarioConfig::validate() const {
-  const ScenarioKnobs& k = knobs_;
+  const ScenarioConfig& k = *this;
   if (k.hogs < 0 || k.hogs > 63) {
     return Status::error("hogs must be in [0, 63], got " +
                          std::to_string(k.hogs));
@@ -191,13 +191,6 @@ Status ScenarioConfig::validate() const {
   return Status::ok();
 }
 
-Expected<ScenarioKnobs> ScenarioConfig::build() const {
-  if (const Status st = validate(); !st.is_ok()) {
-    return Expected<ScenarioKnobs>::error(st.message());
-  }
-  return knobs_;
-}
-
 namespace {
 
 /// One constructed extra master; exactly one pointer is set.
@@ -207,15 +200,22 @@ struct MasterRuntime {
   std::unique_ptr<TraceMaster> trace;
 };
 
-Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
-                                  std::string label) {
+}  // namespace
+
+Expected<ScenarioResult> run_scenario(const ScenarioConfig& config,
+                                      std::string label,
+                                      trace::Tracer* tracer,
+                                      std::vector<TraceRecord>* record_trace) {
   using E = Expected<ScenarioResult>;
+  if (const Status st = config.validate(); !st.is_ok()) {
+    return E::error(st.message());
+  }
 
   // Resolve trace files before constructing any simulation state, so I/O
   // errors surface as config errors rather than mid-run aborts.
-  std::vector<std::vector<TraceRecord>> traces(knobs.masters.size());
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
-    const MasterSpec& m = knobs.masters[i];
+  std::vector<std::vector<TraceRecord>> traces(config.masters.size());
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
+    const MasterSpec& m = config.masters[i];
     if (m.kind != MasterSpec::Kind::kTraceReplay) continue;
     if (!m.records.empty()) {
       traces[i] = m.records;
@@ -231,14 +231,14 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
   // Core plan: core 0 is the built-in RT reader, cores 1..hogs the hogs,
   // then one core per extra non-trace master; trace masters use their
   // recorded core indices, and the SoC is sized to cover them.
-  std::vector<int> master_core(knobs.masters.size(), -1);
-  int cores = 1 + knobs.hogs;
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
-    if (knobs.masters[i].kind == MasterSpec::Kind::kTraceReplay) continue;
+  std::vector<int> master_core(config.masters.size(), -1);
+  int cores = 1 + config.hogs;
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
+    if (config.masters[i].kind == MasterSpec::Kind::kTraceReplay) continue;
     master_core[i] = cores++;
   }
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
-    if (knobs.masters[i].kind != MasterSpec::Kind::kTraceReplay) continue;
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
+    if (config.masters[i].kind != MasterSpec::Kind::kTraceReplay) continue;
     cores = std::max(cores, TraceMaster::max_core(traces[i]) + 1);
   }
 
@@ -248,29 +248,28 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
   // which is how a replay reconstructs the originating world's roles.
   std::vector<bool> critical(static_cast<std::size_t>(cores), false);
   critical[0] = true;
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
-    if (master_core[i] >= 0 && knobs.masters[i].critical) {
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
+    if (master_core[i] >= 0 && config.masters[i].critical) {
       critical[static_cast<std::size_t>(master_core[i])] = true;
     }
   }
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
     for (const TraceRecord& rec : traces[i]) {
       if (rec.criticality) critical[static_cast<std::size_t>(rec.core)] = true;
     }
   }
 
   sim::Kernel kernel;
-  trace::Tracer* t = knobs.tracer;
-  if (t) {
-    kernel.set_tracer(t);
-    t->instant("scenario", "start/" + label, "phase");
-    t->begin("scenario", "setup", "phase");
+  if (tracer) {
+    kernel.set_tracer(tracer);
+    tracer->instant("scenario", "start/" + label, "phase");
+    tracer->begin("scenario", "setup", "phase");
   }
   SocConfig cfg;
   cfg.clusters = 1;
   cfg.cores_per_cluster = cores;
-  cfg.dram = dram::device_by_name(knobs.dram_device).value();  // validated
-  cfg.dram_ctrl.policy(knobs.dram_policy);
+  cfg.dram = dram::device_by_name(config.dram_device).value();  // validated
+  cfg.dram_ctrl.policy(config.dram_policy);
   Soc soc(kernel, cfg);
 
   constexpr cache::SchemeId kRtScheme = 1;
@@ -280,7 +279,7 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
                                                                : kHogScheme);
   }
 
-  if (knobs.dsu_partitioning) {
+  if (config.dsu_partitioning) {
     // RT scheme gets partition group 0 private; group 1 private to the
     // interferers; groups 2-3 stay unassigned (shared overflow).
     cache::GroupOwners owners{};
@@ -291,9 +290,9 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
   }
 
   std::vector<std::uint32_t> regulated_domains;
-  if (knobs.memguard) {
+  if (config.memguard) {
     sched::MemguardConfig mg;
-    mg.period = knobs.memguard_period;
+    mg.period = config.memguard_period;
     auto memguard = std::make_unique<sched::Memguard>(kernel, mg);
     std::vector<std::uint32_t> domain_of_core;
     // Critical cores get effectively unregulated domains (huge budget);
@@ -303,7 +302,7 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
         domain_of_core.push_back(memguard->add_domain(1'000'000'000ull));
       } else {
         const std::uint32_t d =
-            memguard->add_domain(knobs.hog_budget_per_period);
+            memguard->add_domain(config.hog_budget_per_period);
         domain_of_core.push_back(d);
         regulated_domains.push_back(d);
       }
@@ -313,13 +312,13 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
 
   RtReader::Config rt;
   rt.core = 0;
-  rt.period = knobs.rt_period;
-  rt.reads_per_batch = knobs.rt_reads_per_batch;
-  rt.working_set = knobs.rt_working_set;
+  rt.period = config.rt_period;
+  rt.reads_per_batch = config.rt_reads_per_batch;
+  rt.working_set = config.rt_working_set;
   RtReader reader(kernel, soc, rt);
 
   std::vector<std::unique_ptr<BandwidthHog>> hogs;
-  for (int h = 0; h < knobs.hogs; ++h) {
+  for (int h = 0; h < config.hogs; ++h) {
     BandwidthHog::Config hc;
     hc.core = 1 + h;
     hc.base = (2ull + static_cast<std::uint64_t>(h)) << 30;
@@ -328,9 +327,9 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
     hogs.push_back(std::make_unique<BandwidthHog>(kernel, soc, hc));
   }
 
-  std::vector<MasterRuntime> extras(knobs.masters.size());
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
-    const MasterSpec& m = knobs.masters[i];
+  std::vector<MasterRuntime> extras(config.masters.size());
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
+    const MasterSpec& m = config.masters[i];
     switch (m.kind) {
       case MasterSpec::Kind::kRtReader: {
         RtReader::Config rc;
@@ -362,15 +361,15 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
   }
 
   std::vector<mpam::PartId> regulated_pids;
-  if (knobs.mpam_bw) {
+  if (config.mpam_bw) {
     // MPAM hardware bandwidth maximum partitioning: the same budget as the
     // Memguard knob, expressed as a rate over the regulation period, but
     // enforced by hardware buckets with continuous accrual and no software
     // overhead (Sec. III-C).
     auto reg = std::make_unique<mpam::BandwidthRegulator>(64);
     const double bytes_per_sec =
-        static_cast<double>(knobs.hog_budget_per_period) * 64.0 /
-        knobs.memguard_period.seconds();
+        static_cast<double>(config.hog_budget_per_period) * 64.0 /
+        config.memguard_period.seconds();
     std::vector<mpam::PartId> partid_of_core;
     for (int c = 0; c < cores; ++c) {
       if (critical[static_cast<std::size_t>(c)]) {
@@ -387,13 +386,13 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
     soc.set_mpam_regulator(std::move(reg), std::move(partid_of_core));
   }
 
-  if (knobs.stop_the_world) {
+  if (config.stop_the_world) {
     // "Extreme isolation mechanisms such as a 'stop-the-world' approach,
     // where the execution of [the] ASIL-D safety application on a single
     // CPU core will stall all other cores in the system during that time
     // in order to generate a single-core equivalent scenario" (Sec. II).
     // Generalized: the critical batch stalls every non-critical master.
-    auto set_noncrit_paused = [&hogs, &extras, &knobs](bool paused) {
+    auto set_noncrit_paused = [&hogs, &extras, &config](bool paused) {
       for (auto& h : hogs) {
         if (paused) {
           h->pause();
@@ -402,7 +401,7 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
         }
       }
       for (std::size_t i = 0; i < extras.size(); ++i) {
-        if (knobs.masters[i].critical) continue;
+        if (config.masters[i].critical) continue;
         MasterRuntime& rt_m = extras[i];
         if (rt_m.reader) paused ? rt_m.reader->pause() : rt_m.reader->resume();
         if (rt_m.hog) paused ? rt_m.hog->pause() : rt_m.hog->resume();
@@ -413,17 +412,17 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
                            [set_noncrit_paused] { set_noncrit_paused(false); });
   }
 
-  fault::Injector injector(kernel, knobs.fault_plan);
+  fault::Injector injector(kernel, config.fault_plan);
   if (injector.enabled()) {
     injector.on_dram_stall(
         [&soc](Time until) { soc.dram_controller().inject_stall(until); });
     injector.arm();
   }
 
-  if (knobs.record_trace) {
-    soc.set_access_probe([sink = knobs.record_trace](int core, cache::Addr a,
-                                                     bool write, Time at,
-                                                     bool crit) {
+  if (record_trace) {
+    soc.set_access_probe([sink = record_trace](int core, cache::Addr a,
+                                               bool write, Time at,
+                                               bool crit) {
       TraceRecord rec;
       rec.at = at;
       rec.core = core;
@@ -442,53 +441,54 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
       targets;
   targets["rt"] = {[&reader] { reader.resume(); },
                    [&reader] { reader.pause(); }};
-  for (int h = 0; h < knobs.hogs; ++h) {
+  for (int h = 0; h < config.hogs; ++h) {
     BandwidthHog* hog = hogs[static_cast<std::size_t>(h)].get();
     targets["hog" + std::to_string(1 + h)] = {[hog] { hog->resume(); },
                                               [hog] { hog->pause(); }};
   }
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
     MasterRuntime& m = extras[i];
     if (m.reader) {
       RtReader* r = m.reader.get();
-      targets[knobs.masters[i].name] = {[r] { r->resume(); },
+      targets[config.masters[i].name] = {[r] { r->resume(); },
                                         [r] { r->pause(); }};
     } else if (m.hog) {
       BandwidthHog* h = m.hog.get();
-      targets[knobs.masters[i].name] = {[h] { h->resume(); },
+      targets[config.masters[i].name] = {[h] { h->resume(); },
                                         [h] { h->pause(); }};
     } else if (m.trace) {
       TraceMaster* tm = m.trace.get();
-      targets[knobs.masters[i].name] = {[tm] { tm->resume(); },
+      targets[config.masters[i].name] = {[tm] { tm->resume(); },
                                         [tm] { tm->pause(); }};
     }
   }
-  for (const PhaseSpec& p : knobs.phases) {
+  for (const PhaseSpec& p : config.phases) {
     auto it = targets.find(p.master);
     PAP_CHECK_MSG(it != targets.end(), "phase targets unknown master");
     auto fn = p.action == PhaseSpec::Action::kStart ? it->second.first
                                                     : it->second.second;
-    kernel.schedule_at(p.at, [fn = std::move(fn), t, p] {
-      if (t) {
-        t->instant("scenario",
-                   (p.action == PhaseSpec::Action::kStart ? "phase_start/"
-                                                          : "phase_stop/") +
-                       p.master,
-                   "phase");
+    kernel.schedule_at(p.at, [fn = std::move(fn), tracer, p] {
+      if (tracer) {
+        tracer->instant("scenario",
+                        (p.action == PhaseSpec::Action::kStart
+                             ? "phase_start/"
+                             : "phase_stop/") +
+                            p.master,
+                        "phase");
       }
       fn();
     });
   }
 
-  if (t) {
-    t->end("scenario", "setup", "phase");
-    t->begin("scenario", "simulate", "phase");
+  if (tracer) {
+    tracer->end("scenario", "setup", "phase");
+    tracer->begin("scenario", "simulate", "phase");
   }
-  if (knobs.rt_enabled) reader.start();
+  if (config.rt_enabled) reader.start();
   for (auto& h : hogs) h->start();
-  for (std::size_t i = 0; i < knobs.masters.size(); ++i) {
+  for (std::size_t i = 0; i < config.masters.size(); ++i) {
     MasterRuntime& m = extras[i];
-    const bool paused = knobs.masters[i].start_paused;
+    const bool paused = config.masters[i].start_paused;
     if (m.reader) {
       if (paused) m.reader->pause();
       m.reader->start();
@@ -500,15 +500,15 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
       if (paused) m.trace->pause();
     }
   }
-  kernel.run(knobs.sim_time);
-  if (knobs.rt_enabled) reader.stop();
+  kernel.run(config.sim_time);
+  if (config.rt_enabled) reader.stop();
   for (auto& h : hogs) h->stop();
   for (auto& m : extras) {
     if (m.reader) m.reader->stop();
     if (m.hog) m.hog->stop();
     if (m.trace) m.trace->stop();
   }
-  if (t) t->end("scenario", "simulate", "phase");
+  if (tracer) tracer->end("scenario", "simulate", "phase");
 
   ScenarioResult result;
   result.label = std::move(label);
@@ -544,15 +544,6 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
     result.core_latency.push_back(soc.core_latency(c));
   }
   return result;
-}
-
-}  // namespace
-
-Expected<ScenarioResult> run_scenario(const ScenarioConfig& config,
-                                      std::string label) {
-  auto knobs = config.build();
-  if (!knobs) return Expected<ScenarioResult>::error(knobs.error_message());
-  return run_impl(knobs.value(), std::move(label));
 }
 
 }  // namespace pap::platform

@@ -6,16 +6,17 @@
 // (src/scenario): every `.pap` file of kind `soc` lowers to a
 // `ScenarioConfig`.
 //
-// Configuration is a chainable builder:
+// Configuration is one plain aggregate of knobs:
 //
-//   auto r = run_scenario(
-//       ScenarioConfig{}.hogs(3).memguard(true).sim_time(Time::ms(2)),
-//       "3 hogs, memguard");
+//   auto r = run_scenario({.hogs = 3, .memguard = true,
+//                          .sim_time = Time::ms(2)},
+//                         "3 hogs, memguard");
 //
-// `ScenarioConfig::build()` Status-validates the knob combination and
-// returns the immutable knob set; `run_scenario` does the same validation
-// before running. Each run constructs its own `sim::Kernel`, so scenario
-// runs are safe to execute concurrently from the exp::Runner thread pool.
+// `ScenarioConfig::validate()` Status-checks the knob combination;
+// `run_scenario` validates before running. A tracer and a trace-recording
+// sink are run arguments, not knobs. Each run constructs its own
+// `sim::Kernel`, so scenario runs are safe to execute concurrently from
+// the exp::Runner thread pool.
 //
 // Beyond the classic RT-reader-vs-hogs world, a scenario can add extra
 // masters (`MasterSpec`: more readers, more hogs, or trace-replay masters
@@ -88,8 +89,11 @@ struct PhaseSpec {
   bool operator==(const PhaseSpec&) const = default;
 };
 
-/// The flat knob aggregate. Fill it through `ScenarioConfig`.
-struct ScenarioKnobs {
+/// Every knob of one SoC scenario, with the defaults of the classic
+/// world. Set fields directly or by designated initializer (the `{}` on
+/// the class-type fields keeps -Wmissing-field-initializers quiet when an
+/// initializer leaves them out).
+struct ScenarioConfig {
   int hogs = 3;                     ///< interfering cores
   bool dsu_partitioning = false;    ///< give the RT reader a private L3 group
   bool memguard = false;            ///< regulate hog DRAM bandwidth (SW)
@@ -107,100 +111,19 @@ struct ScenarioKnobs {
   /// DRAM timing preset by name (dram::device_by_name; validated).
   std::string dram_device = "ddr3_1600";
   /// Extra masters beyond the default world (empty = classic scenario).
-  std::vector<MasterSpec> masters;
+  std::vector<MasterSpec> masters{};
   /// Timed start/stop script over named masters (empty = all run always).
   /// Actions at t=0 take effect before any master issues.
-  std::vector<PhaseSpec> phases;
-  /// Observability hook (not owned): attached to the scenario's kernel so
-  /// all instrumented mechanisms emit, plus scenario phase spans. Tracing
-  /// never changes simulation results (asserted in tests/trace_test.cpp).
-  trace::Tracer* tracer = nullptr;
-  /// Recording sink (not owned): when set, every `Soc::memory_access` of
-  /// the run appends one TraceRecord here (the pap_tracegen hook).
-  /// Recording never changes simulation results.
-  std::vector<TraceRecord>* record_trace = nullptr;
+  std::vector<PhaseSpec> phases{};
   /// Fault plan for this scenario. The scenario world has a DRAM controller
   /// but no NoC or RM, so only `dram@T=DUR` entries are meaningful;
   /// `validate()` rejects any other fault kind by name. Empty = no faults
   /// (byte-identical to a pre-fault-subsystem run).
-  fault::FaultPlan fault_plan;
-};
+  fault::FaultPlan fault_plan{};
 
-/// Chainable scenario builder. Every setter returns *this; `build()`
-/// validates and snapshots the knobs.
-class ScenarioConfig {
- public:
-  ScenarioConfig() = default;
-  /// Every knob at once (the `.pap` parser's commit); unvalidated, like the
-  /// setters.
-  explicit ScenarioConfig(ScenarioKnobs knobs) : knobs_(std::move(knobs)) {}
-
-  ScenarioConfig& hogs(int n) { return (knobs_.hogs = n, *this); }
-  ScenarioConfig& dsu_partitioning(bool on = true) {
-    return (knobs_.dsu_partitioning = on, *this);
-  }
-  ScenarioConfig& memguard(bool on = true) {
-    return (knobs_.memguard = on, *this);
-  }
-  ScenarioConfig& mpam_bw(bool on = true) {
-    return (knobs_.mpam_bw = on, *this);
-  }
-  ScenarioConfig& stop_the_world(bool on = true) {
-    return (knobs_.stop_the_world = on, *this);
-  }
-  ScenarioConfig& hog_budget_per_period(std::uint64_t accesses) {
-    return (knobs_.hog_budget_per_period = accesses, *this);
-  }
-  ScenarioConfig& memguard_period(Time period) {
-    return (knobs_.memguard_period = period, *this);
-  }
-  ScenarioConfig& sim_time(Time t) { return (knobs_.sim_time = t, *this); }
-  ScenarioConfig& rt_enabled(bool on = true) {
-    return (knobs_.rt_enabled = on, *this);
-  }
-  ScenarioConfig& rt_reads_per_batch(int reads) {
-    return (knobs_.rt_reads_per_batch = reads, *this);
-  }
-  ScenarioConfig& rt_period(Time period) {
-    return (knobs_.rt_period = period, *this);
-  }
-  ScenarioConfig& rt_working_set(std::uint64_t bytes) {
-    return (knobs_.rt_working_set = bytes, *this);
-  }
-  ScenarioConfig& dram_policy(dram::PolicyKind kind) {
-    return (knobs_.dram_policy = kind, *this);
-  }
-  ScenarioConfig& dram_device(std::string name) {
-    return (knobs_.dram_device = std::move(name), *this);
-  }
-  ScenarioConfig& add_master(MasterSpec spec) {
-    return (knobs_.masters.push_back(std::move(spec)), *this);
-  }
-  ScenarioConfig& add_phase(PhaseSpec phase) {
-    return (knobs_.phases.push_back(std::move(phase)), *this);
-  }
-  ScenarioConfig& tracer(trace::Tracer* t) {
-    return (knobs_.tracer = t, *this);
-  }
-  ScenarioConfig& record_trace(std::vector<TraceRecord>* sink) {
-    return (knobs_.record_trace = sink, *this);
-  }
-  ScenarioConfig& faults(fault::FaultPlan plan) {
-    return (knobs_.fault_plan = std::move(plan), *this);
-  }
-
-  /// Why the current knob combination is invalid, or OK. Every message
-  /// names the offending knob and the value it was given.
+  /// Why the knob combination is invalid, or OK. Every message names the
+  /// offending knob and the value it was given.
   Status validate() const;
-
-  /// Validated snapshot of the knobs.
-  Expected<ScenarioKnobs> build() const;
-
-  /// Unvalidated view (for diffing / labels).
-  const ScenarioKnobs& knobs() const { return knobs_; }
-
- private:
-  ScenarioKnobs knobs_;
 };
 
 struct ScenarioResult {
@@ -230,7 +153,14 @@ struct ScenarioResult {
 
 /// Validate `config` and run the scenario. Deterministic for a given knob
 /// set (seeded workloads, DES kernel); errors name the offending knob.
-Expected<ScenarioResult> run_scenario(const ScenarioConfig& config,
-                                      std::string label);
+/// `tracer` (not owned) is attached to the run's kernel, so every
+/// instrumented mechanism emits, plus scenario phase spans.
+/// `record_trace` (not owned) receives one TraceRecord per
+/// `Soc::memory_access` of the run (the pap_tracegen hook). Neither ever
+/// changes simulation results (asserted in tests/trace_test.cpp).
+Expected<ScenarioResult> run_scenario(
+    const ScenarioConfig& config, std::string label,
+    trace::Tracer* tracer = nullptr,
+    std::vector<TraceRecord>* record_trace = nullptr);
 
 }  // namespace pap::platform

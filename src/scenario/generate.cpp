@@ -74,19 +74,21 @@ void gen_flash_crowd(const std::string& f, std::uint64_t seed, int index,
   Rng wf = stream(f, seed, index, "crowd_write_fraction");
   Rng sd = stream(f, seed, index, "crowd_seed");
 
-  cfg->sim_time(Time::us(sim_us))
-      .hogs(base_hogs)
-      .dsu_partitioning(stream(f, seed, index, "dsu").chance(0.5))
-      .memguard(stream(f, seed, index, "memguard").chance(0.5));
+  cfg->sim_time = Time::us(sim_us);
+  cfg->hogs = base_hogs;
+  cfg->dsu_partitioning = stream(f, seed, index, "dsu").chance(0.5);
+  cfg->memguard = stream(f, seed, index, "memguard").chance(0.5);
   for (int i = 0; i < crowd; ++i) {
     platform::MasterSpec m =
         hog_master("crowd" + std::to_string(i + 1), i, ws, wf, sd);
     m.start_paused = true;
-    cfg->add_master(std::move(m));
-    cfg->add_phase({Time::us(onset_us), platform::PhaseSpec::Action::kStart,
-                    "crowd" + std::to_string(i + 1)});
-    cfg->add_phase({Time::us(leave_us), platform::PhaseSpec::Action::kStop,
-                    "crowd" + std::to_string(i + 1)});
+    cfg->masters.push_back(std::move(m));
+    cfg->phases.push_back({Time::us(onset_us),
+                           platform::PhaseSpec::Action::kStart,
+                           "crowd" + std::to_string(i + 1)});
+    cfg->phases.push_back({Time::us(leave_us),
+                           platform::PhaseSpec::Action::kStop,
+                           "crowd" + std::to_string(i + 1)});
   }
 }
 
@@ -106,18 +108,18 @@ void gen_diurnal(const std::string& f, std::uint64_t seed, int index,
   Rng wf = stream(f, seed, index, "day_write_fraction");
   Rng sd = stream(f, seed, index, "day_seed");
 
-  cfg->sim_time(Time::us(sim_us))
-      .hogs(base_hogs)
-      .memguard(stream(f, seed, index, "memguard").chance(0.5));
+  cfg->sim_time = Time::us(sim_us);
+  cfg->hogs = base_hogs;
+  cfg->memguard = stream(f, seed, index, "memguard").chance(0.5);
   for (int i = 0; i < waves_hogs; ++i) {
     const std::string name = "day" + std::to_string(i + 1);
     platform::MasterSpec m = hog_master(name, i, ws, wf, sd);
     m.start_paused = true;
-    cfg->add_master(std::move(m));
+    cfg->masters.push_back(std::move(m));
     for (std::int64_t rise = 0; rise + on_us <= sim_us; rise += period_us) {
-      cfg->add_phase(
+      cfg->phases.push_back(
           {Time::us(rise), platform::PhaseSpec::Action::kStart, name});
-      cfg->add_phase(
+      cfg->phases.push_back(
           {Time::us(rise + on_us), platform::PhaseSpec::Action::kStop, name});
     }
   }
@@ -141,9 +143,9 @@ void gen_mode_storm(const std::string& f, std::uint64_t seed, int index,
   Rng wf = stream(f, seed, index, "aux_write_fraction");
   Rng sd = stream(f, seed, index, "aux_seed");
 
-  cfg->sim_time(Time::us(sim_us))
-      .hogs(hogs)
-      .dsu_partitioning(stream(f, seed, index, "dsu").chance(0.5));
+  cfg->sim_time = Time::us(sim_us);
+  cfg->hogs = hogs;
+  cfg->dsu_partitioning = stream(f, seed, index, "dsu").chance(0.5);
   std::vector<std::string> targets;
   std::vector<bool> running;
   for (int i = 0; i < hogs; ++i) {
@@ -152,7 +154,7 @@ void gen_mode_storm(const std::string& f, std::uint64_t seed, int index,
   }
   for (int i = 0; i < aux; ++i) {
     const std::string name = "aux" + std::to_string(i + 1);
-    cfg->add_master(hog_master(name, i, ws, wf, sd));
+    cfg->masters.push_back(hog_master(name, i, ws, wf, sd));
     targets.push_back(name);
     running.push_back(true);
   }
@@ -160,10 +162,10 @@ void gen_mode_storm(const std::string& f, std::uint64_t seed, int index,
   for (int e = 0; e < events && at_us < sim_us; ++e) {
     const std::size_t t = static_cast<std::size_t>(
         pick.next_below(static_cast<std::uint64_t>(targets.size())));
-    cfg->add_phase({Time::us(at_us),
-                    running[t] ? platform::PhaseSpec::Action::kStop
-                               : platform::PhaseSpec::Action::kStart,
-                    targets[t]});
+    cfg->phases.push_back({Time::us(at_us),
+                           running[t] ? platform::PhaseSpec::Action::kStop
+                                      : platform::PhaseSpec::Action::kStart,
+                           targets[t]});
     running[t] = !running[t];
     at_us += gap.uniform(5, 25);
   }
@@ -188,17 +190,16 @@ void gen_hog_mix(const std::string& f, std::uint64_t seed, int index,
   Rng sd = stream(f, seed, index, "mix_seed");
 
   const auto& policies = dram::all_policy_kinds();
-  cfg->sim_time(Time::us(sim_us))
-      .hogs(0)
-      .memguard(stream(f, seed, index, "memguard").chance(0.5))
-      .hog_budget_per_period(
-          static_cast<std::uint64_t>(
-              stream(f, seed, index, "hog_budget").uniform(10, 40)))
-      .dram_policy(policies[stream(f, seed, index, "policy").next_below(
-          policies.size())])
-      .dram_device(stream(f, seed, index, "device").next_below(2) == 0
-                       ? "ddr4_2400"
-                       : "lpddr4_3200");
+  cfg->sim_time = Time::us(sim_us);
+  cfg->hogs = 0;
+  cfg->memguard = stream(f, seed, index, "memguard").chance(0.5);
+  cfg->hog_budget_per_period = static_cast<std::uint64_t>(
+      stream(f, seed, index, "hog_budget").uniform(10, 40));
+  cfg->dram_policy =
+      policies[stream(f, seed, index, "policy").next_below(policies.size())];
+  cfg->dram_device = stream(f, seed, index, "device").next_below(2) == 0
+                         ? "ddr4_2400"
+                         : "lpddr4_3200";
   for (int i = 0; i < readers; ++i) {
     platform::MasterSpec m;
     m.kind = platform::MasterSpec::Kind::kRtReader;
@@ -209,13 +210,13 @@ void gen_hog_mix(const std::string& f, std::uint64_t seed, int index,
     m.reads_per_batch = static_cast<int>(batch.uniform(8, 64));
     m.working_set = 1ull << rws.uniform(14, 20);
     m.writes = writes.chance(0.2);
-    cfg->add_master(std::move(m));
+    cfg->masters.push_back(std::move(m));
   }
   for (int i = 0; i < hogs; ++i) {
     platform::MasterSpec m = hog_master(
         "mix_hog" + std::to_string(i + 1), readers + i, ws, wf, sd);
     m.think_time = Time::ns(think.uniform(0, 2000));
-    cfg->add_master(std::move(m));
+    cfg->masters.push_back(std::move(m));
   }
 }
 

@@ -89,7 +89,7 @@ struct Knob {
   bool required = false;      ///< app knobs only
 };
 
-using Soc = platform::ScenarioKnobs;
+using Soc = platform::ScenarioConfig;
 constexpr Knob<Soc> kSocKnobs[] = {
     {.key = "sim_time", .field = &Soc::sim_time},
     {.key = "hogs", .field = &Soc::hogs, .max = kCountMax},
@@ -426,16 +426,15 @@ std::string Scenario::canonical() const {
   std::string out = "scenario " + to_string(kind) + "\nname " + name + "\n";
   switch (kind) {
     case Kind::kSoc: {
-      const platform::ScenarioKnobs& k = soc.knobs();
-      print_scalars(kSocKnobs, k, &out);
-      for (const platform::MasterSpec& m : k.masters) {
+      print_scalars(kSocKnobs, soc, &out);
+      for (const platform::MasterSpec& m : soc.masters) {
         const auto kind_index = static_cast<std::size_t>(m.kind);
         out.append("master ").append(m.name).push_back(' ');
         out.append(kMasterKindNames[kind_index]);
         print_kv(kMasterKnobs, 1u << kind_index, m, &out);
         out.push_back('\n');
       }
-      for (const platform::PhaseSpec& p : k.phases) {
+      for (const platform::PhaseSpec& p : soc.phases) {
         out.append("phase ").append(format_duration(p.at));
         out.append(p.action == platform::PhaseSpec::Action::kStart
                        ? " start "
@@ -499,7 +498,7 @@ Status error_at(int line, int col, const std::string& msg) {
 struct Positions {
   std::array<Pos, kMaxKnobs> knob;  ///< scalar knobs, by table index
   Pos name, phase;                  ///< `name`; the first `phase` line
-  std::vector<Pos> masters;         ///< parallel to ScenarioKnobs::masters
+  std::vector<Pos> masters;         ///< parallel to ScenarioConfig::masters
   std::vector<Pos> apps;            ///< parallel to AdmissionScenario::apps
 };
 
@@ -547,7 +546,7 @@ Status parse_kv(const Knob<T> (&table)[N], unsigned kind_bit,
 
 /// `master NAME reader|hog|trace k=v ...`
 Status parse_master_line(const std::vector<Tok>& toks, int line,
-                         platform::ScenarioKnobs& soc, Positions& pos) {
+                         platform::ScenarioConfig& soc, Positions& pos) {
   if (toks.size() < 3) {
     return error_at(line, toks[0].col,
                     "expected 'master NAME reader|hog|trace [key=value...]'");
@@ -579,7 +578,7 @@ Status parse_master_line(const std::vector<Tok>& toks, int line,
 
 /// `phase DUR start|stop NAME`
 Status parse_phase_line(const std::vector<Tok>& toks, int line,
-                        platform::ScenarioKnobs& soc, Positions& pos) {
+                        platform::ScenarioConfig& soc, Positions& pos) {
   if (toks.size() != 4) {
     return error_at(line, toks[0].col,
                     "expected 'phase DURATION start|stop MASTER'");
@@ -674,7 +673,7 @@ Status parse_scalar(const Knob<T> (&table)[N], const std::vector<Tok>& toks,
 template <class T, std::size_t N>
 Pos validator_position(const std::string& msg, const Knob<T> (&table)[N],
                        const Positions& pos,
-                       const platform::ScenarioKnobs& soc,
+                       const platform::ScenarioConfig& soc,
                        const AdmissionScenario& adm) {
   const auto starts = [&msg](const std::string& prefix) {
     return msg.rfind(prefix, 0) == 0;
@@ -714,7 +713,6 @@ Expected<Scenario> parse_scenario(const std::string& text) {
   bool saw_scenario = false;
   int scenario_line = 1;
   Positions pos;
-  platform::ScenarioKnobs soc;
   std::vector<Tok> toks;
 
   const std::string_view all(text);
@@ -755,9 +753,9 @@ Expected<Scenario> parse_scenario(const std::string& text) {
       saw_scenario = true;
       scenario_line = line_no;
     } else if (s.kind == Kind::kSoc && key.text == "master") {
-      st = parse_master_line(toks, line_no, soc, pos);
+      st = parse_master_line(toks, line_no, s.soc, pos);
     } else if (s.kind == Kind::kSoc && key.text == "phase") {
-      st = parse_phase_line(toks, line_no, soc, pos);
+      st = parse_phase_line(toks, line_no, s.soc, pos);
     } else if (s.kind == Kind::kAdmission && key.text == "app") {
       st = parse_app_line(toks, line_no, s.admission, pos);
     } else if (toks.size() != 2) {
@@ -777,7 +775,7 @@ Expected<Scenario> parse_scenario(const std::string& text) {
     } else {
       switch (s.kind) {
         case Kind::kSoc:
-          st = parse_scalar(kSocKnobs, toks, line_no, s.kind, soc, pos);
+          st = parse_scalar(kSocKnobs, toks, line_no, s.kind, s.soc, pos);
           break;
         case Kind::kDram:
           st = parse_scalar(kDramKnobs, toks, line_no, s.kind, s.dram, pos);
@@ -798,18 +796,16 @@ Expected<Scenario> parse_scenario(const std::string& text) {
                         .message());
   }
 
-  // Commit and cross-validate the kind payload; validator messages name the
-  // offending knob, which maps back to its definition line.
+  // Cross-validate the kind payload; validator messages name the offending
+  // knob, which maps back to its definition line.
   Status st = Status::ok();
   Pos at;
   const auto locate = [&](const auto& table) {
     if (st.is_ok()) return;
-    at = validator_position(st.message(), table, pos, s.soc.knobs(),
-                            s.admission);
+    at = validator_position(st.message(), table, pos, s.soc, s.admission);
   };
   switch (s.kind) {
     case Kind::kSoc:
-      s.soc = platform::ScenarioConfig(std::move(soc));
       st = s.soc.validate();
       locate(kSocKnobs);
       break;
@@ -840,14 +836,12 @@ Expected<Scenario> load_scenario(const std::string& path) {
   // scenarios can ship with their traces.
   const std::size_t slash = path.find_last_of('/');
   if (slash != std::string::npos && s.kind == Kind::kSoc) {
-    platform::ScenarioKnobs knobs = s.soc.knobs();
-    for (platform::MasterSpec& m : knobs.masters) {
+    for (platform::MasterSpec& m : s.soc.masters) {
       if (m.kind == platform::MasterSpec::Kind::kTraceReplay &&
           !m.trace_path.empty() && m.trace_path[0] != '/') {
         m.trace_path = path.substr(0, slash + 1) + m.trace_path;
       }
     }
-    s.soc = platform::ScenarioConfig(std::move(knobs));
   }
   return s;
 }

@@ -20,9 +20,8 @@ Time p_or_zero(const LatencyHistogram& h, double p) {
 }
 
 RE run_soc(const Scenario& s, const RunOptions& opts) {
-  platform::ScenarioConfig cfg = s.soc;
-  cfg.tracer(opts.tracer).record_trace(opts.record_trace);
-  auto run = platform::run_scenario(cfg, s.name);
+  auto run = platform::run_scenario(s.soc, s.name, opts.tracer,
+                                    opts.record_trace);
   if (!run) return RE::error(run.error_message());
   const platform::ScenarioResult& r = run.value();
   exp::Result out(s.name);

@@ -93,8 +93,8 @@ struct AdmissionScenario {
   Status validate() const;
 };
 
-/// A parsed scenario: kind plus the kind's payload. `soc` scenarios lower
-/// directly onto the platform runner's validated builder.
+/// A parsed scenario: kind plus the kind's payload. `soc` scenarios parse
+/// straight into the platform runner's `ScenarioConfig`.
 struct Scenario {
   Kind kind = Kind::kSoc;
   std::string name = "scenario";

@@ -18,14 +18,6 @@
 
 namespace pap::serve {
 
-namespace {
-
-HandlerOutcome bad(const std::string& msg) {
-  return HandlerOutcome::fail(ErrorCode::kBadRequest, msg);
-}
-
-}  // namespace
-
 HandlerOutcome dispatch(const std::string& op, const exp::Params& params,
                         const HandlerLimits& limits) {
   const Endpoint* e = find_endpoint(op);
@@ -220,14 +212,13 @@ HandlerOutcome scenario_sim_from_text(const exp::Params& params,
   // Request-size bounds, mirroring the knob flavour's caps.
   switch (s.kind) {
     case scenario::Kind::kSoc: {
-      const platform::ScenarioKnobs& k = s.soc.knobs();
-      if (k.sim_time > limits.max_sim_time) {
-        return bad("sim_time " + k.sim_time.to_string() + " exceeds the " +
+      if (s.soc.sim_time > limits.max_sim_time) {
+        return bad("sim_time " + s.soc.sim_time.to_string() + " exceeds the " +
                    limits.max_sim_time.to_string() + " serving cap");
       }
       // A pure handler must not touch the filesystem: a served scenario
       // cannot reference trace files (inline knob scenarios only).
-      for (const platform::MasterSpec& m : k.masters) {
+      for (const platform::MasterSpec& m : s.soc.masters) {
         if (m.kind == platform::MasterSpec::Kind::kTraceReplay) {
           return bad("master '" + m.name +
                      "': trace masters are not allowed in served scenarios");
@@ -272,34 +263,32 @@ HandlerOutcome handle_scenario_sim(const exp::Params& params,
   const int hogs = static_cast<int>(r.get_int("hogs", 3, 0, 63));
   const double sim_us = r.get_double("sim_time_us", 500.0, 1.0,
                                      limits.max_sim_time.micros());
-  platform::ScenarioConfig config;
-  config.hogs(hogs)
-      .dsu_partitioning(r.get_bool("dsu_partitioning", false))
-      .memguard(r.get_bool("memguard", false))
-      .mpam_bw(r.get_bool("mpam_bw", false))
-      .stop_the_world(r.get_bool("stop_the_world", false))
-      .hog_budget_per_period(static_cast<std::uint64_t>(
-          r.get_int("hog_budget", 20, 1, 1 << 20)))
-      .memguard_period(
-          Time::from_ns(r.get_double("memguard_period_us", 10.0, 0.1, 1e6) *
-                        1000.0))
-      .sim_time(Time::from_ns(sim_us * 1000.0))
-      .rt_reads_per_batch(
-          static_cast<int>(r.get_int("rt_reads_per_batch", 32, 1, 1 << 16)))
-      .rt_period(Time::from_ns(
-          r.get_double("rt_period_us", 10.0, 0.1, 1e6) * 1000.0))
-      .rt_working_set(static_cast<std::uint64_t>(
-          r.get_int("rt_working_set", 64 * 1024, 64, 1 << 28)))
-      .dram_device(r.get_string("dram.device", "ddr3_1600"));
+  // Initializers run in order, so the keys are read (and the first bad
+  // one reported) in field order.
+  platform::ScenarioConfig config{
+      .hogs = hogs,
+      .dsu_partitioning = r.get_bool("dsu_partitioning", false),
+      .memguard = r.get_bool("memguard", false),
+      .mpam_bw = r.get_bool("mpam_bw", false),
+      .stop_the_world = r.get_bool("stop_the_world", false),
+      .hog_budget_per_period = static_cast<std::uint64_t>(
+          r.get_int("hog_budget", 20, 1, 1 << 20)),
+      .memguard_period = Time::from_ns(
+          r.get_double("memguard_period_us", 10.0, 0.1, 1e6) * 1000.0),
+      .sim_time = Time::from_ns(sim_us * 1000.0),
+      .rt_reads_per_batch =
+          static_cast<int>(r.get_int("rt_reads_per_batch", 32, 1, 1 << 16)),
+      .rt_period = Time::from_ns(
+          r.get_double("rt_period_us", 10.0, 0.1, 1e6) * 1000.0),
+      .rt_working_set = static_cast<std::uint64_t>(
+          r.get_int("rt_working_set", 64 * 1024, 64, 1 << 28)),
+      .dram_device = r.get_string("dram.device", "ddr3_1600")};
   const std::string sched_policy = r.get_string("dram.policy", "frfcfs");
   r.finish();
   if (r.failed()) return bad(r.error());
   const auto kind = dram::parse_policy(sched_policy);
   if (!kind) return bad(kind.error_message());
-  config.dram_policy(kind.value());
-  if (const Status st = config.validate(); !st.is_ok()) {
-    return bad(st.message());
-  }
+  config.dram_policy = kind.value();
 
   auto res = platform::run_scenario(config, "scenario_sim");
   if (!res) return bad(res.error_message());

@@ -62,6 +62,11 @@ struct HandlerOutcome {
   }
 };
 
+/// The kBadRequest outcome every handler gives malformed parameters.
+inline HandlerOutcome bad(std::string msg) {
+  return HandlerOutcome::fail(ErrorCode::kBadRequest, std::move(msg));
+}
+
 /// Dispatch an analysis request through the endpoint table
 /// (endpoints.hpp); an op that is not an analysis op is a bad_request.
 /// Never crashes on bad parameters; every failure comes back as a

@@ -38,6 +38,8 @@
 
 namespace pap::serve {
 
+class ParamReader;
+
 /// Registry of open admission sessions; owned by the AnalysisService state
 /// and shared by its workers.
 class SessionRegistry {
@@ -75,6 +77,14 @@ class SessionRegistry {
   /// Session `id`, locked; a null session when the id is unknown or a
   /// close locked the session first.
   Locked acquire(std::int64_t id) const;
+
+  /// The prologue of every op on an open session: reads `session` first,
+  /// so its errors win; `read(reader)` reads the op's own keys and returns
+  /// any error of its own, reported only when no key is bad or unknown;
+  /// then locks the session and returns `op(session, id)`. A missing or
+  /// closed session is refused last.
+  template <typename Read, typename Op>
+  HandlerOutcome on_session(const exp::Params& params, Read read, Op op);
 
   HandlerLimits limits_;
   mutable std::mutex mu_;

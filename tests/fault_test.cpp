@@ -297,32 +297,30 @@ TEST(Injector, LinkDownCountsFaultsNotGrants) {
 }
 
 TEST(Scenario, RejectsNonDramFaults) {
-  platform::ScenarioConfig cfg;
-  cfg.faults(FaultPlan::parse("drop=0.5").value());
+  const platform::ScenarioConfig cfg = {
+      .fault_plan = FaultPlan::parse("drop=0.5").value()};
   const auto st = cfg.validate();
   ASSERT_FALSE(st.is_ok());
   EXPECT_NE(st.message().find("dram"), std::string::npos);
 }
 
 TEST(Scenario, DramStallPlanFiresAndPerturbsLatency) {
-  auto base_cfg = platform::ScenarioConfig{}.hogs(0).sim_time(Time::us(200));
-  const auto base = platform::run_scenario(base_cfg, "healthy").value();
+  platform::ScenarioConfig cfg = {.hogs = 0, .sim_time = Time::us(200)};
+  const auto base = platform::run_scenario(cfg, "healthy").value();
   EXPECT_EQ(base.injected_dram_stalls, 0u);
 
-  auto faulted_cfg =
-      platform::ScenarioConfig{}.hogs(0).sim_time(Time::us(200)).faults(
-          FaultPlan::parse("dram@50us=40us").value());
-  const auto faulted = platform::run_scenario(faulted_cfg, "stalled").value();
+  cfg.fault_plan = FaultPlan::parse("dram@50us=40us").value();
+  const auto faulted = platform::run_scenario(cfg, "stalled").value();
   EXPECT_EQ(faulted.injected_dram_stalls, 1u);
   // A 40us issue freeze inside a 200us run must show up in the tail.
   EXPECT_GT(faulted.rt_latency.max(), base.rt_latency.max());
 }
 
 TEST(Scenario, EmptyPlanIsByteIdenticalToNoPlan) {
-  auto with_empty =
-      platform::ScenarioConfig{}.hogs(2).sim_time(Time::us(100)).faults(
-          FaultPlan{});
-  auto without = platform::ScenarioConfig{}.hogs(2).sim_time(Time::us(100));
+  const platform::ScenarioConfig with_empty = {
+      .hogs = 2, .sim_time = Time::us(100), .fault_plan = FaultPlan{}};
+  const platform::ScenarioConfig without = {.hogs = 2,
+                                            .sim_time = Time::us(100)};
   const auto a = platform::run_scenario(with_empty, "x").value();
   const auto b = platform::run_scenario(without, "x").value();
   EXPECT_EQ(a.rt_latency.max(), b.rt_latency.max());

@@ -70,14 +70,13 @@ TEST(BwRegulator, SwVsHwScenarioComparison) {
   // Section III-C's efficiency claim, executed: the HW regulator isolates
   // the RT workload at least as well as the same budget under Memguard,
   // at zero software overhead.
-  const platform::ScenarioConfig sw =
-      platform::ScenarioConfig{}.hogs(3).memguard().sim_time(Time::ms(1));
-  const auto memguard = platform::run_scenario(sw, "memguard").value();
+  platform::ScenarioConfig config = {
+      .hogs = 3, .memguard = true, .sim_time = Time::ms(1)};
+  const auto memguard = platform::run_scenario(config, "memguard").value();
 
-  const auto mpam =
-      platform::run_scenario(
-          platform::ScenarioConfig{sw}.memguard(false).mpam_bw(), "mpam")
-          .value();
+  config.memguard = false;
+  config.mpam_bw = true;
+  const auto mpam = platform::run_scenario(config, "mpam").value();
 
   EXPECT_GT(mpam.mpam_throttles, 0u);
   EXPECT_EQ(mpam.memguard_overhead, Time::zero());

@@ -471,7 +471,14 @@ TEST(NcBatch, ThreadLocalArenasAreIsolated) {
 // entirely on the arena + reused output storage
 // ---------------------------------------------------------------------------
 
-std::vector<pap::core::AppRequirement> e2e_flows() {
+TEST(NcBatch, E2eBoundsSteadyStateMakesNoHeapAllocations) {
+#ifdef PAP_NO_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  pap::core::PlatformModel m;
+  m.noc.cols = 4;
+  m.noc.rows = 4;
+  pap::core::E2eAnalysis e(std::move(m));
   pap::noc::Mesh2D mesh(4, 4);
   std::vector<pap::core::AppRequirement> flows;
   for (int i = 0; i < 12; ++i) {
@@ -487,18 +494,6 @@ std::vector<pap::core::AppRequirement> e2e_flows() {
     a.uses_dram = (i % 3 == 0);
     flows.push_back(std::move(a));
   }
-  return flows;
-}
-
-TEST(NcBatch, E2eBoundsSteadyStateMakesNoHeapAllocations) {
-#ifdef PAP_NO_ALLOC_COUNTING
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
-  pap::core::PlatformModel m;
-  m.noc.cols = 4;
-  m.noc.rows = 4;
-  pap::core::E2eAnalysis e(std::move(m));
-  const auto flows = e2e_flows();
   std::vector<std::optional<pap::Time>> bounds;
 
   // Warm-up: grows the thread arena to the decision's peak footprint and

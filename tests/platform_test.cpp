@@ -127,36 +127,36 @@ TEST(Workload, HogKeepsDramBusy) {
 TEST(Scenario, InterferenceInflatesRtLatency) {
   // The paper's motivating observation ([2]): parallel load inflates the
   // RT workload's latency multiple times over.
-  const ScenarioConfig baseline =
-      ScenarioConfig{}.hogs(0).sim_time(Time::ms(1));
-  const auto base = run_scenario(baseline, "baseline").value();
+  const auto base =
+      run_scenario({.hogs = 0, .sim_time = Time::ms(1)}, "baseline").value();
 
   const auto noisy =
-      run_scenario(ScenarioConfig{baseline}.hogs(3), "3 hogs").value();
+      run_scenario({.hogs = 3, .sim_time = Time::ms(1)}, "3 hogs").value();
 
   const double inflation = ScenarioResult::inflation(base, noisy, 99.0);
   EXPECT_GT(inflation, 1.5);
 }
 
 TEST(Scenario, ConfigValidatesOnBuild) {
-  EXPECT_TRUE(ScenarioConfig{}.build().has_value());
-  const auto negative_hogs = ScenarioConfig{}.hogs(-1).build();
-  ASSERT_FALSE(negative_hogs);
-  EXPECT_NE(negative_hogs.error_message().find("hogs"), std::string::npos);
-  EXPECT_FALSE(ScenarioConfig{}.sim_time(Time::zero()).build());
-  EXPECT_FALSE(ScenarioConfig{}.memguard().hog_budget_per_period(0).build());
-  EXPECT_FALSE(ScenarioConfig{}.rt_working_set(8).build());
-  EXPECT_FALSE(run_scenario(ScenarioConfig{}.hogs(64), "invalid"));
+  EXPECT_TRUE(ScenarioConfig{}.validate().is_ok());
+  const Status negative_hogs = ScenarioConfig{.hogs = -1}.validate();
+  ASSERT_FALSE(negative_hogs.is_ok());
+  EXPECT_NE(negative_hogs.message().find("hogs"), std::string::npos);
+  EXPECT_FALSE(ScenarioConfig{.sim_time = Time::zero()}.validate().is_ok());
+  EXPECT_FALSE((ScenarioConfig{.memguard = true, .hog_budget_per_period = 0}
+                    .validate()
+                    .is_ok()));
+  EXPECT_FALSE(ScenarioConfig{.rt_working_set = 8}.validate().is_ok());
+  EXPECT_FALSE(run_scenario({.hogs = 64}, "invalid"));
 }
 
 TEST(Scenario, IsolationKnobsReduceTail) {
-  const ScenarioConfig loaded = ScenarioConfig{}.hogs(3).sim_time(Time::ms(1));
-  const auto noisy = run_scenario(loaded, "no isolation").value();
+  ScenarioConfig config = {.hogs = 3, .sim_time = Time::ms(1)};
+  const auto noisy = run_scenario(config, "no isolation").value();
 
-  const auto guarded =
-      run_scenario(ScenarioConfig{loaded}.dsu_partitioning().memguard(),
-                   "DSU + memguard")
-          .value();
+  config.dsu_partitioning = true;
+  config.memguard = true;
+  const auto guarded = run_scenario(config, "DSU + memguard").value();
 
   EXPECT_LT(guarded.rt_latency.percentile(99.9),
             noisy.rt_latency.percentile(99.9));
@@ -167,16 +167,14 @@ TEST(Scenario, StopTheWorldGivesSingleCoreEquivalentLatency) {
   // Sec. II: stop-the-world "generate[s] a single-core equivalent
   // scenario" — RT latency matches the hog-free baseline...
   const auto base =
-      run_scenario(ScenarioConfig{}.hogs(0).sim_time(Time::ms(1)), "alone")
-          .value();
+      run_scenario({.hogs = 0, .sim_time = Time::ms(1)}, "alone").value();
 
-  const ScenarioConfig stw =
-      ScenarioConfig{}.hogs(3).stop_the_world().sim_time(Time::ms(1));
-  const auto stopped = run_scenario(stw, "stop-the-world").value();
+  ScenarioConfig config = {
+      .hogs = 3, .stop_the_world = true, .sim_time = Time::ms(1)};
+  const auto stopped = run_scenario(config, "stop-the-world").value();
 
-  const auto wild =
-      run_scenario(ScenarioConfig{stw}.stop_the_world(false), "uncontrolled")
-          .value();
+  config.stop_the_world = false;
+  const auto wild = run_scenario(config, "uncontrolled").value();
 
   // RT tail close to the single-core baseline (within the residual effect
   // of in-flight hog requests draining), far below the uncontrolled case.
@@ -189,21 +187,19 @@ TEST(Scenario, StopTheWorldGivesSingleCoreEquivalentLatency) {
 TEST(Scenario, StopTheWorldCostsThroughput) {
   // ...but is "not adequate due to the performance penalty": the hogs
   // lose throughput vs. any other isolation mechanism.
-  const ScenarioConfig stw =
-      ScenarioConfig{}.hogs(3).stop_the_world().sim_time(Time::ms(1));
-  const auto stopped = run_scenario(stw, "stop-the-world").value();
+  ScenarioConfig config = {
+      .hogs = 3, .stop_the_world = true, .sim_time = Time::ms(1)};
+  const auto stopped = run_scenario(config, "stop-the-world").value();
 
-  const auto partitioned =
-      run_scenario(
-          ScenarioConfig{stw}.stop_the_world(false).dsu_partitioning(), "DSU")
-          .value();
+  config.stop_the_world = false;
+  config.dsu_partitioning = true;
+  const auto partitioned = run_scenario(config, "DSU").value();
 
   EXPECT_LT(stopped.hog_accesses, partitioned.hog_accesses);
 }
 
 TEST(Scenario, DeterministicForSameKnobs) {
-  const ScenarioConfig config =
-      ScenarioConfig{}.hogs(2).sim_time(Time::us(300));
+  const ScenarioConfig config = {.hogs = 2, .sim_time = Time::us(300)};
   const auto a = run_scenario(config, "a").value();
   const auto b = run_scenario(config, "b").value();
   EXPECT_EQ(a.rt_latency.max(), b.rt_latency.max());

@@ -92,7 +92,7 @@ TEST(ScenarioParse, SocSampleSurvivesTheTrip) {
   const auto s = parse_scenario(kSocSample);
   ASSERT_TRUE(s) << s.error_message();
   ASSERT_EQ(s.value().kind, Kind::kSoc);
-  const auto& k = s.value().soc.knobs();
+  const auto& k = s.value().soc;
   EXPECT_EQ(k.hogs, 2);
   EXPECT_EQ(k.sim_time, Time::us(500));
   EXPECT_TRUE(k.dsu_partitioning);

@@ -1,5 +1,5 @@
 // Scenario execution: the example .pap files are byte-identical to their
-// C++ builder twins end-to-end (same canonical text, same run results),
+// C++ twins end-to-end (same canonical text, same run results),
 // trace record -> replay reproduces the originating run ps-exact, the
 // trace format round-trips, the simulator set of the repository benchmark
 // and one fixed SoC run keep their pinned results and counters, and the
@@ -191,11 +191,11 @@ TEST(ScenarioRun, SocScenarioReportsTheFixedMetricSet) {
 /// isolation knobs, and pin the replay ps-exact: every core's per-access
 /// latency distribution is identical to the originating run's.
 TEST(TraceReplay, ReplayReproducesTheOriginatingRunPsExact) {
-  platform::ScenarioConfig recording;
-  recording.hogs(2).dsu_partitioning(true).sim_time(Time::us(200));
+  const platform::ScenarioConfig recording = {
+      .hogs = 2, .dsu_partitioning = true, .sim_time = Time::us(200)};
   std::vector<platform::TraceRecord> records;
-  recording.record_trace(&records);
-  const auto original = platform::run_scenario(recording, "original");
+  const auto original =
+      platform::run_scenario(recording, "original", nullptr, &records);
   ASSERT_TRUE(original) << original.error_message();
   ASSERT_FALSE(records.empty());
 
@@ -203,12 +203,11 @@ TEST(TraceReplay, ReplayReproducesTheOriginatingRunPsExact) {
   replayer.kind = platform::MasterSpec::Kind::kTraceReplay;
   replayer.name = "rep";
   replayer.records = records;
-  platform::ScenarioConfig replay;
-  replay.hogs(0)
-      .rt_enabled(false)
-      .dsu_partitioning(true)
-      .sim_time(Time::us(200))
-      .add_master(replayer);
+  const platform::ScenarioConfig replay = {.hogs = 0,
+                                           .dsu_partitioning = true,
+                                           .sim_time = Time::us(200),
+                                           .rt_enabled = false,
+                                           .masters = {replayer}};
   const auto replayed = platform::run_scenario(replay, "replay");
   ASSERT_TRUE(replayed) << replayed.error_message();
 
@@ -222,6 +221,46 @@ TEST(TraceReplay, ReplayReproducesTheOriginatingRunPsExact) {
         << "core " << core << " latencies diverge between live run and "
         << "replay";
   }
+}
+
+/// `load_scenario` resolves a relative trace path against the scenario
+/// file's directory, leaves an absolute one as written, and the loaded
+/// scenario replays the file's records.
+TEST(ScenarioLoad, TracePathsResolveAgainstTheScenarioFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "scenario_load_trace_test";
+  std::filesystem::create_directories(dir);
+  std::vector<platform::TraceRecord> records;
+  for (int i = 0; i < 8; ++i) {
+    platform::TraceRecord r;
+    r.at = Time::ns(100 * i);
+    r.addr = static_cast<cache::Addr>(64 * i);
+    r.write = i % 2 == 1;
+    records.push_back(r);
+  }
+  const std::string trace = (dir / "rel.trace").string();
+  ASSERT_TRUE(platform::write_trace(trace, records).is_ok());
+  const std::string head =
+      "scenario soc\nname load_trace\nsim_time 20us\nhogs 0\nrt off\n";
+  std::ofstream(dir / "rel.pap") << head << "master t trace file=rel.trace\n";
+  std::ofstream(dir / "abs.pap") << head << "master t trace file=" << trace
+                                 << "\n";
+  const std::string want = "master t trace file=" + trace + " ";
+
+  const auto rel = load_scenario((dir / "rel.pap").string());
+  ASSERT_TRUE(rel) << rel.error_message();
+  EXPECT_NE(rel.value().canonical().find(want), std::string::npos)
+      << rel.value().canonical();
+  const auto abs = load_scenario((dir / "abs.pap").string());
+  ASSERT_TRUE(abs) << abs.error_message();
+  EXPECT_NE(abs.value().canonical().find(want), std::string::npos)
+      << abs.value().canonical();
+
+  const auto r = run_parsed(rel.value());
+  ASSERT_TRUE(r) << r.error_message();
+  EXPECT_EQ(r.value().at("trace_accesses").as_int(),
+            static_cast<std::int64_t>(records.size()));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TraceFormat, RenderParseRoundTrip) {

@@ -218,6 +218,62 @@ TEST(ServeSession, ParametersAreStrictlyValidated) {
       << bad_order;
 }
 
+/// Every error reply the ops on an open session share, byte for byte: a
+/// missing, non-integer, out-of-range or unknown `session`, an unknown
+/// extra key, and which fault wins when one request has two.
+TEST(ServeSession, SessionErrorRepliesArePinned) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  AnalysisService svc(cfg);
+  (void)svc.handle(line(1, "admission_open", ""));
+  const std::vector<std::pair<std::string, std::string>> ops = {
+      {"admission_admit", ",\"app\":1,\"rate\":0.01"},
+      {"admission_release", ",\"app\":1"},
+      {"admission_stats", ""},
+      {"admission_close", ""}};
+  const std::string range = "'session' out of range [1, 9223372036854775807]";
+  const std::vector<std::string> messages = {
+      "missing required parameter 'session'",
+      "'session' must be an integer",
+      "'session' must be an integer",
+      range,
+      "unknown session 99",
+      "unknown parameter 'typo'",
+      "unknown parameter 'typo'",
+      range,
+      "'route_order' must be \\\"xy\\\" or \\\"yx\\\"",
+      "unknown parameter 'typo'"};
+  int id = 10;
+  for (const auto& [op, rest] : ops) {
+    const std::string order = ",\"route_order\":\"zz\"";
+    std::vector<std::string> params = {
+        rest.empty() ? "" : rest.substr(1),        // missing
+        "\"session\":\"1\"" + rest,                // a string
+        "\"session\":1.5" + rest,                  // not an integer
+        "\"session\":0" + rest,                    // out of range
+        "\"session\":99" + rest,                   // unknown
+        "\"session\":1" + rest + ",\"typo\":1",    // unknown key
+        "\"session\":99" + rest + ",\"typo\":1",   // key beats session
+        "\"session\":0,\"typo\":1"};               // range beats key
+    if (op == "admission_admit") {
+      // The route order is checked after every key, before the session.
+      params.push_back("\"session\":99" + rest + order);
+      params.push_back("\"session\":1" + rest + order + ",\"typo\":1");
+    }
+    for (std::size_t i = 0; i < params.size(); ++i, ++id) {
+      EXPECT_EQ(svc.handle(line(id, op, params[i])),
+                "{\"id\":" + std::to_string(id) +
+                    ",\"ok\":false,\"error\":{\"code\":\"bad_request\","
+                    "\"message\":\"" + messages[i] + "\"}}")
+          << op << " {" << params[i] << "}";
+    }
+  }
+  // None of these requests touched the open session.
+  EXPECT_NE(svc.handle(line(id, "admission_stats", "\"session\":1"))
+                .find("\"decisions\":0"),
+            std::string::npos);
+}
+
 TEST(ServeSession, StatsJsonListsSessionEndpointsAndOpenCount) {
   ServiceConfig cfg;
   cfg.workers = 1;

@@ -127,20 +127,17 @@ TEST(ChromeTrace, ExportsValidStructureAndPhases) {
 
 // A real traced workload: the mixed-criticality scenario with Memguard on,
 // which exercises the DRAM, Memguard, DSU and SoC instrumentation.
-platform::ScenarioConfig traced_scenario(Tracer* t) {
-  return platform::ScenarioConfig{}
-      .hogs(2)
-      .memguard(true)
-      .hog_budget_per_period(10)
-      .sim_time(Time::us(300))
-      .tracer(t);
-}
+const platform::ScenarioConfig kTracedScenario = {
+    .hogs = 2,
+    .memguard = true,
+    .hog_budget_per_period = 10,
+    .sim_time = Time::us(300)};
 
 TEST(TraceDeterminism, IdenticalRunsExportByteIdenticalJson) {
   Tracer a;
   Tracer b;
-  ASSERT_TRUE(platform::run_scenario(traced_scenario(&a), "run").has_value());
-  ASSERT_TRUE(platform::run_scenario(traced_scenario(&b), "run").has_value());
+  ASSERT_TRUE(platform::run_scenario(kTracedScenario, "run", &a).has_value());
+  ASSERT_TRUE(platform::run_scenario(kTracedScenario, "run", &b).has_value());
   ASSERT_GT(a.size(), 0u);
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(to_chrome_json(a), to_chrome_json(b));       // byte-identical
@@ -154,9 +151,9 @@ TEST(TraceDeterminism, IdenticalRunsExportByteIdenticalJson) {
 TEST(TraceDeterminism, TracingNeverPerturbsResults) {
   Tracer t;
   const auto traced =
-      platform::run_scenario(traced_scenario(&t), "traced").value();
+      platform::run_scenario(kTracedScenario, "traced", &t).value();
   const auto plain =
-      platform::run_scenario(traced_scenario(nullptr), "traced").value();
+      platform::run_scenario(kTracedScenario, "traced").value();
   EXPECT_EQ(traced.rt_latency.count(), plain.rt_latency.count());
   EXPECT_EQ(traced.rt_latency.mean(), plain.rt_latency.mean());
   EXPECT_EQ(traced.rt_latency.percentile(99), plain.rt_latency.percentile(99));
